@@ -14,11 +14,9 @@
 //   * gather_heavy   — SpMV built on vluxei32 (per-element L2 accesses,
 //                      the path the zero-allocation trace targets)
 //   * sampled        — run_sampled miniature run (the sweep workhorse)
-// and the functional simulator alone (no timing model), interpreter vs the
-// threaded-code engine on the same programs — the tracked pair that gates
-// the engine's speed contract (>=100 MIPS scalar, >=5x on vector_heavy):
-//   * fsim_scalar_interp / fsim_scalar_threaded — the scalar_heavy loop
-//   * fsim_vector_interp / fsim_vector_threaded — the exact indexmac SpMM
+// and the functional simulator alone (no timing model) on the same programs:
+//   * fsim_scalar — the scalar_heavy loop
+//   * fsim_vector — the exact indexmac SpMM
 // plus the wall-clock of the canonical tiny sweep (tests/golden), measured
 // on one thread so the number tracks single-core simulator speed.
 //
@@ -42,7 +40,6 @@
 #include "core/spmm_problem.h"
 #include "core/sweep.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "kernels/spmv_kernel.h"
 #include "sparse/nm_matrix.h"
 #include "timing/timing_sim.h"
@@ -197,16 +194,14 @@ ScenarioResult sampled(unsigned reps, unsigned scale) {
   });
 }
 
-// ---- functional-engine scenarios (no timing model) ----
+// ---- functional-simulator scenarios (no timing model) ----
 
 /// Times one functional execution, setup excluded: each repetition rebuilds
-/// pristine memory and a fresh Machine (and engine, so its block cache is
-/// cold — predecode cost is part of the contract being measured), but only
-/// the run itself is on the clock. Rep 0 is an untimed warm-up that also
-/// pins the expected instruction count.
+/// pristine memory and a fresh Machine (its handler-table binding is on the
+/// clock), but program construction is not. Rep 0 is an untimed warm-up
+/// that also pins the expected instruction count.
 template <typename Setup>
-ScenarioResult measure_fsim(const std::string& name, unsigned reps, ExecEngine engine,
-                            Setup&& setup) {
+ScenarioResult measure_fsim(const std::string& name, unsigned reps, Setup&& setup) {
   ScenarioResult out;
   out.name = name;
   out.reps = reps;
@@ -214,15 +209,9 @@ ScenarioResult measure_fsim(const std::string& name, unsigned reps, ExecEngine e
   for (unsigned rep = 0; rep <= reps; ++rep) {
     MainMemory mem;
     const Program program = setup(mem);
-    Machine machine(program, mem);
     const Clock::time_point start = Clock::now();
-    StopReason stop;
-    if (engine == ExecEngine::kThreaded) {
-      ThreadedEngine threaded(machine);
-      stop = threaded.run(2'000'000'000ull);
-    } else {
-      stop = machine.run(2'000'000'000ull);
-    }
+    Machine machine(program, mem);
+    const StopReason stop = machine.run(2'000'000'000ull);
     const double elapsed = seconds_since(start);
     IMAC_CHECK(stop == StopReason::kEbreak, "sim_throughput: " + name + " did not halt");
     const std::uint64_t instructions = machine.instructions_retired();
@@ -237,18 +226,16 @@ ScenarioResult measure_fsim(const std::string& name, unsigned reps, ExecEngine e
   return out;
 }
 
-ScenarioResult fsim_scalar(unsigned reps, unsigned scale, ExecEngine engine) {
+ScenarioResult fsim_scalar(unsigned reps, unsigned scale) {
   const AssembledText assembled = scalar_loop_program(scale);
-  const std::string name = std::string("fsim_scalar_") + exec_engine_name(engine);
-  return measure_fsim(name, reps, engine, [&](MainMemory&) { return assembled.program; });
+  return measure_fsim("fsim_scalar", reps, [&](MainMemory&) { return assembled.program; });
 }
 
-ScenarioResult fsim_vector(unsigned reps, unsigned scale, ExecEngine engine) {
+ScenarioResult fsim_vector(unsigned reps, unsigned scale) {
   const kernels::GemmDims dims{64 * scale, 256, 128};
   const core::SpmmProblem problem = core::SpmmProblem::random(dims, sparse::kSparsity14, 1);
   const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac, .kernel = {}};
-  const std::string name = std::string("fsim_vector_") + exec_engine_name(engine);
-  return measure_fsim(name, reps, engine, [&](MainMemory& mem) {
+  return measure_fsim("fsim_vector", reps, [&](MainMemory& mem) {
     return core::prepare(problem, config, mem).program;
   });
 }
@@ -327,28 +314,11 @@ int main(int argc, char** argv) {
     scenarios.push_back(algorithm4(reps, scale));
     scenarios.push_back(gather_heavy(reps, scale));
     scenarios.push_back(sampled(reps, scale));
-    scenarios.push_back(fsim_scalar(reps, scale, indexmac::ExecEngine::kInterp));
-    scenarios.push_back(fsim_scalar(reps, scale, indexmac::ExecEngine::kThreaded));
-    scenarios.push_back(fsim_vector(reps, scale, indexmac::ExecEngine::kInterp));
-    scenarios.push_back(fsim_vector(reps, scale, indexmac::ExecEngine::kThreaded));
+    scenarios.push_back(fsim_scalar(reps, scale));
+    scenarios.push_back(fsim_vector(reps, scale));
     for (const ScenarioResult& s : scenarios)
       std::printf("%-20s %10llu instructions   best %8.4f s   %8.2f MIPS\n", s.name.c_str(),
                   static_cast<unsigned long long>(s.instructions), s.best_seconds, s.mips());
-    // The engine-speedup pairs the threaded engine is gated on: same
-    // program, same rep policy, one binary — so the ratio is stable
-    // against machine noise in a way two separate runs are not.
-    const auto find = [&](const std::string& n) -> const ScenarioResult* {
-      for (const ScenarioResult& s : scenarios)
-        if (s.name == n) return &s;
-      return nullptr;
-    };
-    for (const char* pair : {"fsim_scalar", "fsim_vector"}) {
-      const ScenarioResult* interp = find(std::string(pair) + "_interp");
-      const ScenarioResult* threaded = find(std::string(pair) + "_threaded");
-      if (interp != nullptr && threaded != nullptr && threaded->best_seconds > 0)
-        std::printf("%-20s threaded speedup %.2fx\n", pair,
-                    interp->best_seconds / threaded->best_seconds);
-    }
     const double sweep_seconds = canonical_sweep_seconds();
     std::printf("%-14s %35s %8.4f s\n", "tiny_sweep", "wall (1 thread)", sweep_seconds);
 

@@ -1,7 +1,7 @@
 // Layer tables for ResNet50, DenseNet121 and InceptionV3 (standard
 // torchvision geometry, batch 1, ImageNet inputs). These reproduce the
 // workloads of the paper's evaluation; weights themselves are synthetic
-// (see DESIGN.md substitutions).
+// (see docs/architecture.md, "Deliberate simplifications and substitutions").
 #include <map>
 
 #include "cnn/conv_layer.h"

@@ -116,9 +116,6 @@ struct BatchJob {
   Mode mode = Mode::kSampled;
   kernels::GemmDims dims;
   sparse::Sparsity sp = sparse::kSparsity14;
-  /// Includes RunConfig::engine: jobs driven by the threaded engine return
-  /// measurements bit-identical to interpreter-driven ones, so mixed-engine
-  /// batches are safe (results never encode which engine produced them).
   RunConfig config;
   timing::ProcessorConfig processor;
   SampleParams sample;     ///< kSampled only

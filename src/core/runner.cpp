@@ -14,7 +14,7 @@ ExactResult run_exact(const SpmmProblem& problem, const RunConfig& config,
                       const timing::ProcessorConfig& processor) {
   MainMemory mem;
   const PreparedRun run = prepare(problem, config, mem);
-  timing::TimingSim sim(run.program, mem, processor, config.engine);
+  timing::TimingSim sim(run.program, mem, processor);
   ExactResult out;
   out.stats = sim.run();
   return out;
@@ -153,7 +153,7 @@ SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
 
   MainMemory mem;
   const PreparedRun run = prepare(problem, sample_config, mem);
-  timing::TimingSim sim(run.program, mem, processor, config.engine);
+  timing::TimingSim sim(run.program, mem, processor);
   SampledResult out;
   out.sample_stats = sim.run(params.max_instructions);
 

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "asm/program.h"
-#include "fsim/engine.h"
 #include "kernels/kernels.h"
 #include "kernels/layout.h"
 #include "mem/main_memory.h"
@@ -59,9 +58,6 @@ struct RunConfig {
   Algorithm algorithm = Algorithm::kIndexmac;
   kernels::KernelOptions kernel;
   unsigned tile_rows = 16;  ///< L (paper uses 16)
-  /// Functional-execution engine driving the run. Results are identical
-  /// either way (see fsim/engine.h), so this never enters cache keys.
-  ExecEngine engine = ExecEngine::kInterp;
 };
 
 /// A program plus the layout needed to read results back.

@@ -9,7 +9,6 @@
 #include "common/format.h"
 #include "common/json.h"
 #include "core/algorithm_registry.h"
-#include "fsim/engine.h"
 
 namespace indexmac::core {
 namespace {
@@ -182,7 +181,12 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
                "sweep spec: tile_rows must be in [1,16] (register-file bound), got " +
                    std::to_string(t));
   if (const JsonValue* v = doc.get("mode")) spec.mode = parse_mode(v->as_string());
-  if (const JsonValue* v = doc.get("engine")) spec.engine = parse_exec_engine(v->as_string());
+  if (const JsonValue* v = doc.get("engine")) {
+    // Kept for old specs: a no-op, but a misspelt value is still an error.
+    const std::string engine = v->as_string();
+    IMAC_CHECK(engine == "interp" || engine == "threaded",
+               "sweep spec: unknown engine \"" + engine + "\" (valid: interp, threaded)");
+  }
   if (spec.mode == SweepMode::kSampled)
     for (const Algorithm alg : spec.algorithms) {
       const AlgorithmDescriptor& d = AlgorithmRegistry::instance().by_algorithm(alg);
@@ -260,7 +264,6 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
                 p.config.kernel.unroll = unroll;
                 p.config.kernel.dataflow = df;
                 p.config.tile_rows = tile;
-                p.config.engine = spec.engine;
                 p.mode = spec.mode;
                 out.push_back(std::move(p));
               }

@@ -16,11 +16,16 @@
 //     "dataflows": ["b"],                         // optional: ["b"]
 //     "tile_rows": [16],                          // optional: [16]
 //     "mode": "exact",                            // or "sampled" (default)
-//     "engine": "threaded",                       // optional: "interp" (default)
+//     "engine": "threaded",                       // optional, ignored (see below)
 //     "seed": 1,                                  // exact-mode problem seed
 //     "sample_rows": 16, "sample_full_strips": 3, // sampled-mode controls
 //     "processor": {"vector.mac_latency": 5}      // optional overrides
 //   }
+//
+// "engine" is accepted for old specs and ignored: the values it took,
+// "interp" and "threaded", parse and anything else is rejected. It never
+// entered cache keys, journals or reports, so stores written under either
+// value stay valid.
 #pragma once
 
 #include <cstdint>
@@ -55,10 +60,6 @@ struct SweepSpec {
   std::vector<kernels::Dataflow> dataflows = {kernels::Dataflow::kBStationary};
   std::vector<unsigned> tile_rows = {16};
   SweepMode mode = SweepMode::kSampled;
-  /// Functional engine for every point. Deliberately absent from cache
-  /// keys and reports: both engines produce identical measurements (see
-  /// fsim/engine.h), so results are interchangeable under --resume.
-  ExecEngine engine = ExecEngine::kInterp;
   std::uint32_t seed = 1;
   SampleParams sample;
   timing::ProcessorConfig processor;

@@ -15,8 +15,8 @@ namespace {
 
 /// Steps the continue loop in slices so the interrupt poll (Ctrl-C over the
 /// socket, SIGINT on the process) gets a look between them. Large enough
-/// that the threaded engine's fast path dominates; small enough that an
-/// interrupt lands within milliseconds.
+/// that the poll costs nothing; small enough that an interrupt lands within
+/// milliseconds.
 constexpr std::uint64_t kRunSliceSteps = 1'000'000;
 
 /// Memory reads/writes per m/M packet are bounded: GDB chunks its own
@@ -76,13 +76,8 @@ const std::string& target_xml() {
   return xml;
 }
 
-GdbSession::GdbSession(const AssembledText& assembled, Machine& machine, MainMemory& memory,
-                       ExecEngine engine)
-    : assembled_(assembled),
-      machine_(machine),
-      memory_(memory),
-      threaded_(machine),
-      engine_(engine) {}
+GdbSession::GdbSession(const AssembledText& assembled, Machine& machine, MainMemory& memory)
+    : assembled_(assembled), machine_(machine), memory_(memory) {}
 
 std::string GdbSession::read_register(unsigned regnum) const {
   const ArchState& st = machine_.state();
@@ -115,7 +110,10 @@ bool GdbSession::write_register(unsigned regnum, std::string_view hex) {
       st.v[regnum - kRegV0][lane] =
           static_cast<std::uint32_t>(hex_le_to_u64(hex.substr(lane * 8, 8)));
   } else {
-    st.vl = static_cast<std::uint32_t>(hex_le_to_u64(hex));
+    // Every vector handler loops to vl over 16-lane registers.
+    const std::uint64_t vl = hex_le_to_u64(hex);
+    if (vl > isa::kVlMax) return false;
+    st.vl = static_cast<std::uint32_t>(vl);
   }
   return true;
 }
@@ -124,11 +122,8 @@ std::string GdbSession::resume(bool single_step, std::string_view addr_text) {
   if (exited_) return last_stop_;  // process already reported W00
   if (!addr_text.empty()) machine_.state().pc = parse_hex_u64(addr_text);
   try {
-    const auto step_once = [&] {
-      return engine_ == ExecEngine::kThreaded ? threaded_.step() : machine_.step();
-    };
     if (single_step) {
-      const StopReason r = step_once();
+      const StopReason r = machine_.step();
       if (r == StopReason::kEbreak || r == StopReason::kEcall) {
         exited_ = true;
         last_stop_ = "W00";
@@ -140,7 +135,7 @@ std::string GdbSession::resume(bool single_step, std::string_view addr_text) {
     // Continue. A pc parked on a breakpoint steps over it first, exactly as
     // GDB drives real stubs (it removes/reinserts traps; we just step).
     if (breakpoints_.contains(machine_.state().pc)) {
-      const StopReason r = step_once();
+      const StopReason r = machine_.step();
       if (r == StopReason::kEbreak || r == StopReason::kEcall) {
         exited_ = true;
         last_stop_ = "W00";
@@ -148,10 +143,7 @@ std::string GdbSession::resume(bool single_step, std::string_view addr_text) {
       }
     }
     while (true) {
-      const StopReason r =
-          engine_ == ExecEngine::kThreaded
-              ? threaded_.run_with_breakpoints(breakpoints_, kRunSliceSteps)
-              : machine_.run_with_breakpoints(breakpoints_, kRunSliceSteps);
+      const StopReason r = machine_.run_with_breakpoints(breakpoints_, kRunSliceSteps);
       if (r == StopReason::kRunning) {
         last_stop_ = "T05swbreak:;";  // parked on a breakpoint
         return last_stop_;
@@ -180,7 +172,6 @@ std::string GdbSession::resume(bool single_step, std::string_view addr_text) {
 std::string GdbSession::monitor(std::string_view command) {
   if (command == "retired")
     return std::to_string(machine_.instructions_retired()) + "\n";
-  if (command == "engine") return std::string(exec_engine_name(engine_)) + "\n";
   if (command == "fault") return (last_fault_.empty() ? "none" : last_fault_) + "\n";
   if (command == "markers") {
     std::string out;
@@ -198,7 +189,7 @@ std::string GdbSession::monitor(std::string_view command) {
     return out.empty() ? "no symbols\n" : out;
   }
   return "unknown monitor command \"" + std::string(command) +
-         "\" (try: retired, engine, fault, markers, symbols)\n";
+         "\" (try: retired, fault, markers, symbols)\n";
 }
 
 std::string GdbSession::handle(std::string_view payload) {
@@ -337,8 +328,7 @@ int run_gdb_server(const AssembledText& assembled, MainMemory& memory,
     IMAC_CHECK(pf.good(), "gdb stub: cannot write port file " + options.port_file);
   }
   if (!options.quiet)
-    std::fprintf(stderr, "gdb stub: listening on 127.0.0.1:%u (engine %s)\n", listener.port(),
-                 exec_engine_name(options.engine));
+    std::fprintf(stderr, "gdb stub: listening on 127.0.0.1:%u\n", listener.port());
 
   const auto stop_raised = [&] { return options.stop != nullptr && options.stop->load(); };
 
@@ -350,7 +340,7 @@ int run_gdb_server(const AssembledText& assembled, MainMemory& memory,
   if (!options.quiet) std::fprintf(stderr, "gdb stub: debugger connected\n");
 
   Machine machine(assembled.program, memory);
-  GdbSession session(assembled, machine, memory, options.engine);
+  GdbSession session(assembled, machine, memory);
   PacketBuffer buffer;
   // Events decoded by the interrupt poll while the target was running;
   // processed once control returns to the main loop.

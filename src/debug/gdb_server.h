@@ -18,17 +18,14 @@
 //                                      S0b (SimError fault, e.g. pc left
 //                                      the program), W00 (ebreak/ecall)
 //   Z0 / z0                            software breakpoints by pc — checked
-//                                      by the engines, never patched into
-//                                      the program image
-//   qRcmd ("monitor")                  retired / markers / symbols / engine
-//                                      / fault — simulator introspection
+//                                      by Machine::run_with_breakpoints,
+//                                      never patched into the program image
+//   qRcmd ("monitor")                  retired / markers / symbols / fault
+//                                      — simulator introspection
 //
-// Execution engine: --engine threaded runs breakpoint-free basic blocks
-// through the predecoded fast path and interpreter-steps only through
-// blocks containing a breakpoint (ThreadedEngine::run_with_breakpoints),
-// so debugging stays usable on long-running kernels; --engine interp is
-// the golden reference. Register/memory state observed at a stop is
-// bit-identical between the two by the engines' correctness contract.
+// The session steps the same Machine every other run uses, so register and
+// memory state observed at a stop is bit-identical to an undebugged run at
+// the same instruction count.
 #pragma once
 
 #include <atomic>
@@ -39,9 +36,7 @@
 
 #include "asm/text_assembler.h"
 #include "fsim/breakpoints.h"
-#include "fsim/engine.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "mem/main_memory.h"
 
 namespace indexmac::debug {
@@ -63,12 +58,11 @@ inline constexpr unsigned kNumDebugRegs = 98;
 /// and the socket loop in run_gdb_server stays thin.
 class GdbSession {
  public:
-  /// The session steps `machine` with `engine` semantics; `memory` must be
-  /// the machine's backing store (M packets write it; Machine only exposes
-  /// a const view); `assembled` additionally provides label symbols and
-  /// marker pcs for qRcmd.
-  GdbSession(const AssembledText& assembled, Machine& machine, MainMemory& memory,
-             ExecEngine engine);
+  /// The session steps `machine`; `memory` must be the machine's backing
+  /// store (M packets write it; Machine only exposes a const view);
+  /// `assembled` additionally provides label symbols and marker pcs for
+  /// qRcmd.
+  GdbSession(const AssembledText& assembled, Machine& machine, MainMemory& memory);
 
   /// Handles one packet payload, returns the reply payload ("" = unsupported
   /// packet, per protocol). SimErrors from malformed packets become "E.."
@@ -102,8 +96,6 @@ class GdbSession {
   const AssembledText& assembled_;
   Machine& machine_;
   MainMemory& memory_;
-  ThreadedEngine threaded_;  ///< built eagerly; used only when engine is threaded
-  ExecEngine engine_;
   BreakpointSet breakpoints_;
   std::function<bool()> interrupt_poll_;
   std::string last_stop_ = "S05";  ///< reply to '?'
@@ -117,7 +109,6 @@ class GdbSession {
 struct GdbServerOptions {
   std::uint16_t port = 0;       ///< 0 = kernel-assigned; see port_file
   std::string port_file;        ///< write the bound port here (harness handshake)
-  ExecEngine engine = ExecEngine::kInterp;
   std::atomic<bool>* stop = nullptr;  ///< SIGINT/SIGTERM flag; exit 130
   bool quiet = false;
 };

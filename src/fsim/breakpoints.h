@@ -1,9 +1,10 @@
-// A set of breakpoint PCs shared by the debug stub and the execution
-// engines. Breakpoints are purely a stepping concern: they never modify the
-// program image (no trap-instruction patching — the simulators check PCs
+// A set of breakpoint PCs shared by the debug stub and the functional
+// simulator. Breakpoints are purely a stepping concern: they never modify
+// the program image (no trap-instruction patching — Machine checks PCs
 // directly), so setting or clearing one cannot perturb architectural
-// results. Kept in fsim/ rather than debug/ because both engines take it as
-// a run() parameter; the GDB server (debug/gdb_server.h) owns the instance.
+// results. Kept in fsim/ rather than debug/ because Machine takes it as a
+// run_with_breakpoints() parameter; the GDB server (debug/gdb_server.h)
+// owns the instance.
 #pragma once
 
 #include <algorithm>
@@ -14,8 +15,7 @@ namespace indexmac {
 
 /// A small ordered set of program counters. Sized for interactive debugging
 /// (a handful of entries), so lookups binary-search a sorted vector — no
-/// per-node allocation, and `intersects` answers "does this basic block
-/// contain a breakpoint" in one lower_bound for the threaded engine.
+/// per-node allocation.
 class BreakpointSet {
  public:
   /// Inserts `pc`; idempotent.
@@ -34,12 +34,6 @@ class BreakpointSet {
 
   [[nodiscard]] bool contains(std::uint64_t pc) const {
     return std::binary_search(pcs_.begin(), pcs_.end(), pc);
-  }
-
-  /// True when any breakpoint lies in the half-open range [lo, hi).
-  [[nodiscard]] bool intersects(std::uint64_t lo, std::uint64_t hi) const {
-    const auto it = std::lower_bound(pcs_.begin(), pcs_.end(), lo);
-    return it != pcs_.end() && *it < hi;
   }
 
   [[nodiscard]] bool empty() const { return pcs_.empty(); }

@@ -1,9 +1,9 @@
 #include "fsim/machine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
-#include "common/bitutil.h"
 #include "common/error.h"
 #include "isa/encoding.h"
 
@@ -49,13 +49,472 @@ std::string describe_pc(const Program& program, std::uint64_t pc) {
   return std::string(head) + " (`" + isa::disassemble(program.at(pc)) + "`)";
 }
 
+/// The per-op handlers and their binder. Each handler executes one bound
+/// slot against the machine's architectural state and returns the next pc;
+/// Machine::step owns the pc update, the x0 clear and the retired count.
+struct Machine::Exec {
+  using H = std::uint64_t (*)(Machine&, const Slot&);
+
+  // ---- scalar ------------------------------------------------------------
+
+  // ebreak/ecall: the stop reason is bound into the slot.
+  static std::uint64_t nop(Machine&, const Slot& o) { return o.next; }
+
+  static std::uint64_t lui_auipc(Machine& m, const Slot& o) {
+    m.state_.x[o.rd] = o.target;
+    return o.next;
+  }
+  static std::uint64_t jal(Machine& m, const Slot& o) {
+    m.state_.x[o.rd] = o.next;
+    return o.target;
+  }
+  static std::uint64_t jalr(Machine& m, const Slot& o) {
+    const std::uint64_t target = (m.state_.x[o.rs1] + static_cast<std::uint64_t>(o.imm)) & ~1ull;
+    m.state_.x[o.rd] = o.next;
+    return target;
+  }
+
+  static std::uint64_t beq(Machine& m, const Slot& o) {
+    return m.state_.x[o.rs1] == m.state_.x[o.rs2] ? o.target : o.next;
+  }
+  static std::uint64_t bne(Machine& m, const Slot& o) {
+    return m.state_.x[o.rs1] != m.state_.x[o.rs2] ? o.target : o.next;
+  }
+  static std::uint64_t blt(Machine& m, const Slot& o) {
+    return sx(m, o.rs1) < sx(m, o.rs2) ? o.target : o.next;
+  }
+  static std::uint64_t bge(Machine& m, const Slot& o) {
+    return sx(m, o.rs1) >= sx(m, o.rs2) ? o.target : o.next;
+  }
+  static std::uint64_t bltu(Machine& m, const Slot& o) {
+    return m.state_.x[o.rs1] < m.state_.x[o.rs2] ? o.target : o.next;
+  }
+  static std::uint64_t bgeu(Machine& m, const Slot& o) {
+    return m.state_.x[o.rs1] >= m.state_.x[o.rs2] ? o.target : o.next;
+  }
+
+  static std::uint64_t lw(Machine& m, const Slot& o) {
+    m.state_.x[o.rd] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(static_cast<std::int32_t>(m.memory_.read_u32(addr(m, o)))));
+    return o.next;
+  }
+  static std::uint64_t lwu(Machine& m, const Slot& o) {
+    m.state_.x[o.rd] = m.memory_.read_u32(addr(m, o));
+    return o.next;
+  }
+  static std::uint64_t ld(Machine& m, const Slot& o) {
+    m.state_.x[o.rd] = m.memory_.read_u64(addr(m, o));
+    return o.next;
+  }
+  static std::uint64_t sw(Machine& m, const Slot& o) {
+    m.memory_.write_u32(addr(m, o), static_cast<std::uint32_t>(m.state_.x[o.rs2]));
+    return o.next;
+  }
+  static std::uint64_t sd(Machine& m, const Slot& o) {
+    m.memory_.write_u64(addr(m, o), m.state_.x[o.rs2]);
+    return o.next;
+  }
+  static std::uint64_t flw(Machine& m, const Slot& o) {
+    m.state_.f[o.rd] = m.memory_.read_u32(addr(m, o));
+    return o.next;
+  }
+  static std::uint64_t fsw(Machine& m, const Slot& o) {
+    m.memory_.write_u32(addr(m, o), m.state_.f[o.rs2]);
+    return o.next;
+  }
+
+  /// x[rd] = f(x[rs1], operand): the register-immediate ALU ops take the
+  /// sign-extended immediate, the register-register ones x[rs2].
+  template <std::uint64_t (*F)(std::uint64_t, std::uint64_t)>
+  static std::uint64_t alu_imm(Machine& m, const Slot& o) {
+    m.state_.x[o.rd] = F(m.state_.x[o.rs1], static_cast<std::uint64_t>(o.imm));
+    return o.next;
+  }
+  template <std::uint64_t (*F)(std::uint64_t, std::uint64_t)>
+  static std::uint64_t alu_reg(Machine& m, const Slot& o) {
+    m.state_.x[o.rd] = F(m.state_.x[o.rs1], m.state_.x[o.rs2]);
+    return o.next;
+  }
+  static std::uint64_t add(std::uint64_t a, std::uint64_t b) { return a + b; }
+  static std::uint64_t sub(std::uint64_t a, std::uint64_t b) { return a - b; }
+  static std::uint64_t mul(std::uint64_t a, std::uint64_t b) { return a * b; }
+  static std::uint64_t xor_(std::uint64_t a, std::uint64_t b) { return a ^ b; }
+  static std::uint64_t or_(std::uint64_t a, std::uint64_t b) { return a | b; }
+  static std::uint64_t and_(std::uint64_t a, std::uint64_t b) { return a & b; }
+  static std::uint64_t slt(std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b) ? 1 : 0;
+  }
+  static std::uint64_t sltu(std::uint64_t a, std::uint64_t b) { return a < b ? 1 : 0; }
+  // Shift amounts: immediates are 0..63 by encoding; registers use bits 5:0.
+  static std::uint64_t sll(std::uint64_t a, std::uint64_t b) { return a << (b & 63); }
+  static std::uint64_t srl(std::uint64_t a, std::uint64_t b) { return a >> (b & 63); }
+  static std::uint64_t sra(std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(a) >> (b & 63));
+  }
+
+  static std::uint64_t marker(Machine& m, const Slot& o) {
+    if (m.marker_hook_) m.marker_hook_(static_cast<int>(o.imm));
+    return o.next;
+  }
+
+  // ---- vector ------------------------------------------------------------
+
+  static std::uint64_t vsetvli(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    // AVL: x[rs1], or "as large as possible" when rs1 is x0.
+    const std::uint64_t avl = o.rs1 == 0 ? kVlMax : st.x[o.rs1];
+    st.vl = static_cast<std::uint32_t>(std::min<std::uint64_t>(avl, kVlMax));
+    st.x[o.rd] = st.vl;
+    return o.next;
+  }
+
+  static std::uint64_t vle32(Machine& m, const Slot& o) {
+    m.memory_.read_u32_block(m.state_.x[o.rs1], m.state_.v[o.rd].data(), m.state_.vl);
+    return o.next;
+  }
+  static std::uint64_t vse32(Machine& m, const Slot& o) {
+    m.memory_.write_u32_block(m.state_.x[o.rs1], m.state_.v[o.rd].data(), m.state_.vl);
+    return o.next;
+  }
+  static std::uint64_t vluxei32(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const std::uint64_t base = st.x[o.rs1];
+    const std::array<std::uint32_t, kVlMax> idx = st.v[o.rs2];  // vd may alias vs2
+    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = m.memory_.read_u32(base + idx[i]);
+    return o.next;
+  }
+
+  static std::uint64_t vadd_vx(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const std::uint32_t s = static_cast<std::uint32_t>(st.x[o.rs1]);
+    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] + s;
+    return o.next;
+  }
+  static std::uint64_t vadd_vi(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const std::uint32_t s = static_cast<std::uint32_t>(o.imm);
+    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] + s;
+    return o.next;
+  }
+  static std::uint64_t vmv_v_x(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const std::uint32_t s = static_cast<std::uint32_t>(st.x[o.rs1]);
+    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = s;
+    return o.next;
+  }
+  static std::uint64_t vmv_v_i(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const std::uint32_t s = static_cast<std::uint32_t>(o.imm);
+    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = s;
+    return o.next;
+  }
+
+  static std::uint64_t vadd_vv(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] + st.v[o.rs1][i];
+    return o.next;
+  }
+  static std::uint64_t vmul_vv(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] * st.v[o.rs1][i];
+    return o.next;
+  }
+  static std::uint64_t vfadd_vv(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    for (unsigned i = 0; i < st.vl; ++i)
+      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rs2][i]) + bits_to_f32(st.v[o.rs1][i]));
+    return o.next;
+  }
+  static std::uint64_t vfmul_vv(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    for (unsigned i = 0; i < st.vl; ++i)
+      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rs2][i]) * bits_to_f32(st.v[o.rs1][i]));
+    return o.next;
+  }
+
+  static std::uint64_t vredsum(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    std::uint32_t acc = st.v[o.rs1][0];
+    for (unsigned i = 0; i < st.vl; ++i) acc += st.v[o.rs2][i];
+    if (st.vl > 0) st.v[o.rd][0] = acc;
+    return o.next;
+  }
+  static std::uint64_t vfredusum(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    float acc = bits_to_f32(st.v[o.rs1][0]);
+    for (unsigned i = 0; i < st.vl; ++i) acc += bits_to_f32(st.v[o.rs2][i]);
+    if (st.vl > 0) st.v[o.rd][0] = f32_to_bits(acc);
+    return o.next;
+  }
+
+  static std::uint64_t vmacc_vx(Machine& m, const Slot& o) {
+    mac_u(m.state_, o.rd, static_cast<std::uint32_t>(m.state_.x[o.rs1]), o.rs2);
+    return o.next;
+  }
+  static std::uint64_t vfmacc_vf(Machine& m, const Slot& o) {
+    mac_f(m.state_, o.rd, bits_to_f32(m.state_.f[o.rs1]), o.rs2);
+    return o.next;
+  }
+
+  static std::uint64_t vmv_x_s(Machine& m, const Slot& o) {
+    // SEW=32 source element is sign-extended into the x register.
+    m.state_.x[o.rd] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(static_cast<std::int32_t>(m.state_.v[o.rs2][0])));
+    return o.next;
+  }
+  static std::uint64_t vfmv_f_s(Machine& m, const Slot& o) {
+    m.state_.f[o.rd] = m.state_.v[o.rs2][0];
+    return o.next;
+  }
+  static std::uint64_t vmv_s_x(Machine& m, const Slot& o) {
+    if (m.state_.vl > 0) m.state_.v[o.rd][0] = static_cast<std::uint32_t>(m.state_.x[o.rs1]);
+    return o.next;
+  }
+
+  static std::uint64_t vslidedown_vx(Machine& m, const Slot& o) {
+    return slidedown(m, o, m.state_.x[o.rs1]);
+  }
+  static std::uint64_t vslidedown_vi(Machine& m, const Slot& o) {
+    return slidedown(m, o, static_cast<std::uint64_t>(o.imm));
+  }
+  static std::uint64_t vslide1down(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const std::array<std::uint32_t, kVlMax> src = st.v[o.rs2];
+    if (st.vl > 0) {
+      for (unsigned i = 0; i + 1 < st.vl; ++i) st.v[o.rd][i] = src[i + 1];
+      st.v[o.rd][st.vl - 1] = static_cast<std::uint32_t>(st.x[o.rs1]);
+    }
+    return o.next;
+  }
+
+  // The IndexMAC family. Integer forms use unsigned arithmetic: the same
+  // bits as a two's-complement int32 MAC, with defined wraparound (the ISA
+  // wraps modulo 2^32).
+
+  static std::uint64_t vindexmac_u(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    mac_u(st, o.rd, st.v[o.rs2][0], static_cast<unsigned>(st.x[o.rs1] & 0x1f));
+    return o.next;
+  }
+  static std::uint64_t vindexmac_f(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    mac_f(st, o.rd, bits_to_f32(st.v[o.rs2][0]), static_cast<unsigned>(st.x[o.rs1] & 0x1f));
+    return o.next;
+  }
+  // Packed-index form: the nibble names a row of the upper half of the
+  // register file (the B tile lives in v[32-L..31] by convention).
+  static std::uint64_t vindexmacp_u(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    mac_u(st, o.rd, st.v[o.rs2][0], 16u | static_cast<unsigned>(st.x[o.rs1] & 0xf));
+    return o.next;
+  }
+  static std::uint64_t vindexmacp_f(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    mac_f(st, o.rd, bits_to_f32(st.v[o.rs2][0]), 16u | static_cast<unsigned>(st.x[o.rs1] & 0xf));
+    return o.next;
+  }
+  // Dual-row form: bit-identical to vindexmacp on nibble 0 followed by
+  // vindexmacp on nibble 1 (values vs2[0] then vs2[1]).
+  static std::uint64_t vindexmac2_u(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const unsigned src0 = 16u | static_cast<unsigned>(st.x[o.rs1] & 0xf);
+    const unsigned src1 = 16u | static_cast<unsigned>((st.x[o.rs1] >> 4) & 0xf);
+    const std::uint32_t s0 = st.v[o.rs2][0];
+    const std::uint32_t s1 = st.v[o.rs2][1];
+    for (unsigned i = 0; i < st.vl; ++i) {
+      st.v[o.rd][i] += s0 * st.v[src0][i];
+      st.v[o.rd][i] += s1 * st.v[src1][i];
+    }
+    return o.next;
+  }
+  static std::uint64_t vindexmac2_f(Machine& m, const Slot& o) {
+    ArchState& st = m.state_;
+    const unsigned src0 = 16u | static_cast<unsigned>(st.x[o.rs1] & 0xf);
+    const unsigned src1 = 16u | static_cast<unsigned>((st.x[o.rs1] >> 4) & 0xf);
+    const float s0 = bits_to_f32(st.v[o.rs2][0]);
+    const float s1 = bits_to_f32(st.v[o.rs2][1]);
+    for (unsigned i = 0; i < st.vl; ++i) {
+      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rd][i]) + s0 * bits_to_f32(st.v[src0][i]));
+      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rd][i]) + s1 * bits_to_f32(st.v[src1][i]));
+    }
+    return o.next;
+  }
+
+  // ---- SSR streaming (Algorithm 5) ---------------------------------------
+
+  static std::uint64_t ssrcfg(Machine& m, const Slot& o) {
+    SsrStream& s = m.ssr_[o.rd];
+    s.base = m.state_.x[o.rs1];
+    s.count = static_cast<std::uint32_t>(m.state_.x[o.rs2]);
+    s.pos = 0;
+    return o.next;
+  }
+  static std::uint64_t ssren(Machine& m, const Slot& o) {
+    // Bit s of x[rs1] enables stream s; enabling rewinds to the base so a
+    // re-enable replays the window from the start.
+    for (unsigned s = 0; s < 4; ++s) {
+      m.ssr_[s].enabled = ((m.state_.x[o.rs1] >> s) & 1) != 0;
+      if (m.ssr_[s].enabled) m.ssr_[s].pos = 0;
+    }
+    return o.next;
+  }
+  // Streaming MAC: the A value and the VRF row index arrive from the
+  // address-generation state machines instead of explicit loads. Both
+  // streams advance even at vl==0 (operand fetch precedes lane work).
+  static std::uint64_t vindexmacs_u(Machine& m, const Slot& o) {
+    const std::uint32_t scale = m.ssr_pop(0);
+    const unsigned src = m.ssr_pop(1) & 0x1f;
+    mac_u(m.state_, o.rd, scale, src);
+    return o.next;
+  }
+  static std::uint64_t vindexmacs_f(Machine& m, const Slot& o) {
+    const float scale = bits_to_f32(m.ssr_pop(0));
+    const unsigned src = m.ssr_pop(1) & 0x1f;
+    mac_f(m.state_, o.rd, scale, src);
+    return o.next;
+  }
+
+  // ---- helpers ------------------------------------------------------------
+
+  static std::int64_t sx(const Machine& m, unsigned r) {
+    return static_cast<std::int64_t>(m.state_.x[r]);
+  }
+  static std::uint64_t addr(const Machine& m, const Slot& o) {
+    return m.state_.x[o.rs1] + static_cast<std::uint64_t>(o.imm);
+  }
+
+  /// vd[i] = vs2[i + offset], zero past VLMAX. The bound is tested as
+  /// offset < kVlMax - i so a huge register offset cannot wrap i + offset
+  /// back into range.
+  static std::uint64_t slidedown(Machine& m, const Slot& o, std::uint64_t offset) {
+    ArchState& st = m.state_;
+    const std::array<std::uint32_t, kVlMax> src = st.v[o.rs2];  // vd may alias vs2
+    for (unsigned i = 0; i < st.vl; ++i)
+      st.v[o.rd][i] = offset < kVlMax - i ? src[i + offset] : 0;
+    return o.next;
+  }
+
+  /// v[rd][i] += scale * v[src][i] over vl lanes (int32, wrapping).
+  static void mac_u(ArchState& st, unsigned rd, std::uint32_t scale, unsigned src) {
+    for (unsigned i = 0; i < st.vl; ++i) st.v[rd][i] += scale * st.v[src][i];
+  }
+  /// The fp32 form: v[rd][i] = v[rd][i] + scale * v[src][i].
+  static void mac_f(ArchState& st, unsigned rd, float scale, unsigned src) {
+    for (unsigned i = 0; i < st.vl; ++i)
+      st.v[rd][i] = f32_to_bits(bits_to_f32(st.v[rd][i]) + scale * bits_to_f32(st.v[src][i]));
+  }
+
+  /// Binds the instruction at `pc` to its handler with resolved operands.
+  static Slot bind(const Instruction& in, std::uint64_t pc) {
+    Slot s;
+    s.rd = in.rd;
+    s.rs1 = in.rs1;
+    s.rs2 = in.rs2;
+    s.imm = in.imm;
+    s.next = pc + 4;
+    s.target = pc + static_cast<std::uint64_t>(s.imm);  // branches and jal
+    H fn = nullptr;
+    switch (in.op) {
+      case Op::kLui:
+        s.target = static_cast<std::uint64_t>(s.imm << 12);
+        fn = lui_auipc;
+        break;
+      case Op::kAuipc:
+        s.target = pc + static_cast<std::uint64_t>(s.imm << 12);
+        fn = lui_auipc;
+        break;
+      case Op::kJal: fn = jal; break;
+      case Op::kJalr: fn = jalr; break;
+      case Op::kBeq: fn = beq; break;
+      case Op::kBne: fn = bne; break;
+      case Op::kBlt: fn = blt; break;
+      case Op::kBge: fn = bge; break;
+      case Op::kBltu: fn = bltu; break;
+      case Op::kBgeu: fn = bgeu; break;
+      case Op::kLw: fn = lw; break;
+      case Op::kLwu: fn = lwu; break;
+      case Op::kLd: fn = ld; break;
+      case Op::kSw: fn = sw; break;
+      case Op::kSd: fn = sd; break;
+      case Op::kFlw: fn = flw; break;
+      case Op::kFsw: fn = fsw; break;
+      case Op::kAddi: fn = alu_imm<add>; break;
+      case Op::kSlti: fn = alu_imm<slt>; break;
+      case Op::kSltiu: fn = alu_imm<sltu>; break;
+      case Op::kXori: fn = alu_imm<xor_>; break;
+      case Op::kOri: fn = alu_imm<or_>; break;
+      case Op::kAndi: fn = alu_imm<and_>; break;
+      case Op::kSlli: fn = alu_imm<sll>; break;
+      case Op::kSrli: fn = alu_imm<srl>; break;
+      case Op::kSrai: fn = alu_imm<sra>; break;
+      case Op::kAdd: fn = alu_reg<add>; break;
+      case Op::kSub: fn = alu_reg<sub>; break;
+      case Op::kSll: fn = alu_reg<sll>; break;
+      case Op::kSlt: fn = alu_reg<slt>; break;
+      case Op::kSltu: fn = alu_reg<sltu>; break;
+      case Op::kXor: fn = alu_reg<xor_>; break;
+      case Op::kSrl: fn = alu_reg<srl>; break;
+      case Op::kSra: fn = alu_reg<sra>; break;
+      case Op::kOr: fn = alu_reg<or_>; break;
+      case Op::kAnd: fn = alu_reg<and_>; break;
+      case Op::kMul: fn = alu_reg<mul>; break;
+      case Op::kEbreak:
+        s.stop = StopReason::kEbreak;
+        fn = nop;
+        break;
+      case Op::kEcall:
+        s.stop = StopReason::kEcall;
+        fn = nop;
+        break;
+      case Op::kMarker: fn = marker; break;
+      case Op::kVsetvli: fn = vsetvli; break;
+      case Op::kVle32: fn = vle32; break;
+      case Op::kVse32: fn = vse32; break;
+      case Op::kVluxei32: fn = vluxei32; break;
+      case Op::kVaddVx: fn = vadd_vx; break;
+      case Op::kVaddVV: fn = vadd_vv; break;
+      case Op::kVfaddVV: fn = vfadd_vv; break;
+      case Op::kVmulVV: fn = vmul_vv; break;
+      case Op::kVfmulVV: fn = vfmul_vv; break;
+      case Op::kVredsumVS: fn = vredsum; break;
+      case Op::kVfredusumVS: fn = vfredusum; break;
+      case Op::kVaddVi: fn = vadd_vi; break;
+      case Op::kVmaccVx: fn = vmacc_vx; break;
+      case Op::kVfmaccVf: fn = vfmacc_vf; break;
+      case Op::kVmvVX: fn = vmv_v_x; break;
+      case Op::kVmvVI: fn = vmv_v_i; break;
+      case Op::kVmvXS: fn = vmv_x_s; break;
+      case Op::kVfmvFS: fn = vfmv_f_s; break;
+      case Op::kVmvSX: fn = vmv_s_x; break;
+      case Op::kVslidedownVx: fn = vslidedown_vx; break;
+      case Op::kVslidedownVi: fn = vslidedown_vi; break;
+      case Op::kVslide1downVx: fn = vslide1down; break;
+      case Op::kVindexmacVx: fn = vindexmac_u; break;
+      case Op::kVfindexmacVx: fn = vindexmac_f; break;
+      case Op::kVindexmacpVx: fn = vindexmacp_u; break;
+      case Op::kVfindexmacpVx: fn = vindexmacp_f; break;
+      case Op::kVindexmac2Vx: fn = vindexmac2_u; break;
+      case Op::kVfindexmac2Vx: fn = vindexmac2_f; break;
+      case Op::kSsrCfg: fn = ssrcfg; break;
+      case Op::kSsrEn: fn = ssren; break;
+      case Op::kVindexmacsV: fn = vindexmacs_u; break;
+      case Op::kVfindexmacsV: fn = vindexmacs_f; break;
+      case Op::kIllegal: break;  // Program's constructor rejects these
+    }
+    IMAC_ASSERT(fn != nullptr, "no handler bound for " + isa::mnemonic(in.op));
+    s.fn = fn;
+    return s;
+  }
+};
+
 Machine::Machine(const Program& program, MainMemory& memory)
     : program_(program),
       memory_(memory),
-      code_(program.decoded().data()),
-      info_(program.static_info().data()),
       base_(program.base()),
       code_bytes_(program.end() - program.base()) {
+  slots_.reserve(program.size());
+  for (std::size_t i = 0; i < program.size(); ++i)
+    slots_.push_back(Exec::bind(program.decoded()[i], base_ + 4 * i));
   state_.pc = program.base();
   state_.vl = 0;
 }
@@ -67,18 +526,13 @@ StopReason Machine::step() {
   const std::uint64_t pc = state_.pc;
   if (pc < base_ || pc - base_ >= code_bytes_ || ((pc - base_) & 3) != 0)
     raise("functional execution left the program: " + describe_pc(program_, pc));
-  const std::size_t slot = (pc - base_) >> 2;
-  const Instruction& inst = code_[slot];
-  const std::uint64_t next_pc = state_.pc + 4;
-  // The halt ops are the only ones that stop execution; predecode flags
-  // them so exec's switch needn't route a stop reason back out.
-  pending_stop_ = info_[slot].has(isa::kSiHalt)
-                      ? (inst.op == Op::kEcall ? StopReason::kEcall : StopReason::kEbreak)
-                      : StopReason::kRunning;
-  exec(inst, next_pc);
+  const Slot& op = slots_[(pc - base_) >> 2];
+  // The handler sees the pre-instruction pc (fault text, marker hook); a
+  // throwing handler leaves it on the faulting instruction.
+  state_.pc = op.fn(*this, op);
   state_.x[0] = 0;  // x0 is hardwired to zero
   ++retired_;
-  return pending_stop_;
+  return op.stop;
 }
 
 StopReason Machine::run(std::uint64_t max_steps) {
@@ -108,309 +562,6 @@ std::uint32_t Machine::ssr_pop(unsigned sid) {
   const std::uint32_t word = memory_.read_u32(s.base + 4ull * s.pos);
   if (++s.pos == s.count) s.pos = 0;
   return word;
-}
-
-void Machine::exec(const Instruction& in, std::uint64_t next_pc) {
-  auto& x = state_.x;
-  const auto sx = [&x](unsigned r) { return static_cast<std::int64_t>(x[r]); };
-  std::uint64_t new_pc = next_pc;
-
-  switch (in.op) {
-    case Op::kLui:
-      x[in.rd] = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm) << 12);
-      break;
-    case Op::kAuipc:
-      x[in.rd] = state_.pc + static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm) << 12);
-      break;
-    case Op::kJal:
-      x[in.rd] = next_pc;
-      new_pc = state_.pc + static_cast<std::int64_t>(in.imm);
-      break;
-    case Op::kJalr: {
-      const std::uint64_t target = (x[in.rs1] + static_cast<std::int64_t>(in.imm)) & ~1ull;
-      x[in.rd] = next_pc;
-      new_pc = target;
-      break;
-    }
-    case Op::kBeq:
-      if (x[in.rs1] == x[in.rs2]) new_pc = state_.pc + static_cast<std::int64_t>(in.imm);
-      break;
-    case Op::kBne:
-      if (x[in.rs1] != x[in.rs2]) new_pc = state_.pc + static_cast<std::int64_t>(in.imm);
-      break;
-    case Op::kBlt:
-      if (sx(in.rs1) < sx(in.rs2)) new_pc = state_.pc + static_cast<std::int64_t>(in.imm);
-      break;
-    case Op::kBge:
-      if (sx(in.rs1) >= sx(in.rs2)) new_pc = state_.pc + static_cast<std::int64_t>(in.imm);
-      break;
-    case Op::kBltu:
-      if (x[in.rs1] < x[in.rs2]) new_pc = state_.pc + static_cast<std::int64_t>(in.imm);
-      break;
-    case Op::kBgeu:
-      if (x[in.rs1] >= x[in.rs2]) new_pc = state_.pc + static_cast<std::int64_t>(in.imm);
-      break;
-    case Op::kLw:
-      x[in.rd] = static_cast<std::uint64_t>(static_cast<std::int64_t>(
-          static_cast<std::int32_t>(memory_.read_u32(x[in.rs1] + in.imm))));
-      break;
-    case Op::kLwu:
-      x[in.rd] = memory_.read_u32(x[in.rs1] + in.imm);
-      break;
-    case Op::kLd:
-      x[in.rd] = memory_.read_u64(x[in.rs1] + in.imm);
-      break;
-    case Op::kSw:
-      memory_.write_u32(x[in.rs1] + in.imm, static_cast<std::uint32_t>(x[in.rs2]));
-      break;
-    case Op::kSd:
-      memory_.write_u64(x[in.rs1] + in.imm, x[in.rs2]);
-      break;
-    case Op::kFlw:
-      state_.f[in.rd] = memory_.read_u32(x[in.rs1] + in.imm);
-      break;
-    case Op::kFsw:
-      memory_.write_u32(x[in.rs1] + in.imm, state_.f[in.rs2]);
-      break;
-    case Op::kAddi: x[in.rd] = x[in.rs1] + static_cast<std::int64_t>(in.imm); break;
-    case Op::kSlti: x[in.rd] = sx(in.rs1) < in.imm ? 1 : 0; break;
-    case Op::kSltiu:
-      x[in.rd] = x[in.rs1] < static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm)) ? 1 : 0;
-      break;
-    case Op::kXori: x[in.rd] = x[in.rs1] ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm)); break;
-    case Op::kOri: x[in.rd] = x[in.rs1] | static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm)); break;
-    case Op::kAndi: x[in.rd] = x[in.rs1] & static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm)); break;
-    case Op::kSlli: x[in.rd] = x[in.rs1] << in.imm; break;
-    case Op::kSrli: x[in.rd] = x[in.rs1] >> in.imm; break;
-    case Op::kSrai: x[in.rd] = static_cast<std::uint64_t>(sx(in.rs1) >> in.imm); break;
-    case Op::kAdd: x[in.rd] = x[in.rs1] + x[in.rs2]; break;
-    case Op::kSub: x[in.rd] = x[in.rs1] - x[in.rs2]; break;
-    case Op::kSll: x[in.rd] = x[in.rs1] << (x[in.rs2] & 63); break;
-    case Op::kSlt: x[in.rd] = sx(in.rs1) < sx(in.rs2) ? 1 : 0; break;
-    case Op::kSltu: x[in.rd] = x[in.rs1] < x[in.rs2] ? 1 : 0; break;
-    case Op::kXor: x[in.rd] = x[in.rs1] ^ x[in.rs2]; break;
-    case Op::kSrl: x[in.rd] = x[in.rs1] >> (x[in.rs2] & 63); break;
-    case Op::kSra: x[in.rd] = static_cast<std::uint64_t>(sx(in.rs1) >> (x[in.rs2] & 63)); break;
-    case Op::kOr: x[in.rd] = x[in.rs1] | x[in.rs2]; break;
-    case Op::kAnd: x[in.rd] = x[in.rs1] & x[in.rs2]; break;
-    case Op::kMul: x[in.rd] = x[in.rs1] * x[in.rs2]; break;
-    case Op::kEcall:
-    case Op::kEbreak:
-      break;  // stop reason precomputed from the halt flag in step()
-    case Op::kMarker:
-      if (marker_hook_) marker_hook_(in.imm);
-      break;
-    case Op::kVsetvli: {
-      // AVL: x[rs1], or "as large as possible" when rs1 is x0 (and rd != x0).
-      const std::uint64_t avl = in.rs1 == 0 ? kVlMax : x[in.rs1];
-      state_.vl = static_cast<std::uint32_t>(std::min<std::uint64_t>(avl, kVlMax));
-      if (in.rd != 0) x[in.rd] = state_.vl;
-      break;
-    }
-    case Op::kVle32: {
-      const std::uint64_t base = x[in.rs1];
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = memory_.read_u32(base + 4ull * i);
-      break;
-    }
-    case Op::kVse32: {
-      const std::uint64_t base = x[in.rs1];
-      for (unsigned i = 0; i < state_.vl; ++i)
-        memory_.write_u32(base + 4ull * i, state_.v[in.rd][i]);
-      break;
-    }
-    case Op::kVluxei32: {
-      const std::uint64_t base = x[in.rs1];
-      // Snapshot the index register: vd may alias vs2.
-      std::array<std::uint32_t, kVlMax> idx = state_.v[in.rs2];
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = memory_.read_u32(base + idx[i]);
-      break;
-    }
-    case Op::kVaddVx:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = state_.v[in.rs2][i] + static_cast<std::uint32_t>(x[in.rs1]);
-      break;
-    case Op::kVaddVV:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = state_.v[in.rs2][i] + state_.v[in.rs1][i];
-      break;
-    case Op::kVfaddVV:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.set_velem_f32(in.rd, i,
-                             state_.velem_f32(in.rs2, i) + state_.velem_f32(in.rs1, i));
-      break;
-    case Op::kVmulVV:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = state_.v[in.rs2][i] * state_.v[in.rs1][i];
-      break;
-    case Op::kVfmulVV:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.set_velem_f32(in.rd, i,
-                             state_.velem_f32(in.rs2, i) * state_.velem_f32(in.rs1, i));
-      break;
-    case Op::kVredsumVS: {
-      std::uint32_t acc = state_.v[in.rs1][0];
-      for (unsigned i = 0; i < state_.vl; ++i) acc += state_.v[in.rs2][i];
-      if (state_.vl > 0) state_.v[in.rd][0] = acc;
-      break;
-    }
-    case Op::kVfredusumVS: {
-      float acc = state_.velem_f32(in.rs1, 0);
-      for (unsigned i = 0; i < state_.vl; ++i) acc += state_.velem_f32(in.rs2, i);
-      if (state_.vl > 0) state_.set_velem_f32(in.rd, 0, acc);
-      break;
-    }
-    case Op::kVaddVi:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = state_.v[in.rs2][i] + static_cast<std::uint32_t>(in.imm);
-      break;
-    case Op::kVmaccVx:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] += static_cast<std::uint32_t>(x[in.rs1]) * state_.v[in.rs2][i];
-      break;
-    case Op::kVfmaccVf: {
-      const float s = state_.freg_f32(in.rs1);
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.set_velem_f32(in.rd, i, state_.velem_f32(in.rd, i) + s * state_.velem_f32(in.rs2, i));
-      break;
-    }
-    case Op::kVmvVX:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = static_cast<std::uint32_t>(x[in.rs1]);
-      break;
-    case Op::kVmvVI:
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] = static_cast<std::uint32_t>(in.imm);
-      break;
-    case Op::kVmvXS:
-      // SEW=32 source element is sign-extended into the x register.
-      x[in.rd] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(static_cast<std::int32_t>(state_.v[in.rs2][0])));
-      break;
-    case Op::kVfmvFS:
-      state_.f[in.rd] = state_.v[in.rs2][0];
-      break;
-    case Op::kVmvSX:
-      if (state_.vl > 0) state_.v[in.rd][0] = static_cast<std::uint32_t>(x[in.rs1]);
-      break;
-    case Op::kVslidedownVx:
-    case Op::kVslidedownVi: {
-      const std::uint64_t offset =
-          in.op == Op::kVslidedownVx ? x[in.rs1] : static_cast<std::uint64_t>(in.imm);
-      std::array<std::uint32_t, kVlMax> src = state_.v[in.rs2];
-      for (unsigned i = 0; i < state_.vl; ++i) {
-        const std::uint64_t j = i + offset;
-        state_.v[in.rd][i] = j < kVlMax ? src[j] : 0;
-      }
-      break;
-    }
-    case Op::kVslide1downVx: {
-      std::array<std::uint32_t, kVlMax> src = state_.v[in.rs2];
-      if (state_.vl > 0) {
-        for (unsigned i = 0; i + 1 < state_.vl; ++i) state_.v[in.rd][i] = src[i + 1];
-        state_.v[in.rd][state_.vl - 1] = static_cast<std::uint32_t>(x[in.rs1]);
-      }
-      break;
-    }
-    case Op::kVindexmacVx: {
-      const unsigned src_reg = static_cast<unsigned>(x[in.rs1] & 0x1f);
-      // Unsigned arithmetic: same bits as two's-complement int32 MAC, but
-      // wraparound is defined (the ISA wraps modulo 2^32).
-      const std::uint32_t scale = state_.v[in.rs2][0];
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] += scale * state_.v[src_reg][i];
-      break;
-    }
-    case Op::kVfindexmacVx: {
-      const unsigned src_reg = static_cast<unsigned>(x[in.rs1] & 0x1f);
-      const float scale = state_.velem_f32(in.rs2, 0);
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.set_velem_f32(in.rd, i,
-                             state_.velem_f32(in.rd, i) + scale * state_.velem_f32(src_reg, i));
-      break;
-    }
-    case Op::kVindexmacpVx: {
-      // Packed-index form: the nibble names a row of the upper half of the
-      // register file (the B tile lives in v[32-L..31] by convention).
-      const unsigned src_reg = 16u | static_cast<unsigned>(x[in.rs1] & 0xf);
-      const std::uint32_t scale = state_.v[in.rs2][0];
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] += scale * state_.v[src_reg][i];
-      break;
-    }
-    case Op::kVfindexmacpVx: {
-      const unsigned src_reg = 16u | static_cast<unsigned>(x[in.rs1] & 0xf);
-      const float scale = state_.velem_f32(in.rs2, 0);
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.set_velem_f32(in.rd, i,
-                             state_.velem_f32(in.rd, i) + scale * state_.velem_f32(src_reg, i));
-      break;
-    }
-    case Op::kVindexmac2Vx: {
-      // Dual-row form: bit-identical to vindexmacp on nibble 0 followed by
-      // vindexmacp on nibble 1 (values vs2[0] then vs2[1]).
-      const unsigned src0 = 16u | static_cast<unsigned>(x[in.rs1] & 0xf);
-      const unsigned src1 = 16u | static_cast<unsigned>((x[in.rs1] >> 4) & 0xf);
-      const std::uint32_t s0 = state_.v[in.rs2][0];
-      const std::uint32_t s1 = state_.v[in.rs2][1];
-      for (unsigned i = 0; i < state_.vl; ++i) {
-        state_.v[in.rd][i] += s0 * state_.v[src0][i];
-        state_.v[in.rd][i] += s1 * state_.v[src1][i];
-      }
-      break;
-    }
-    case Op::kVfindexmac2Vx: {
-      const unsigned src0 = 16u | static_cast<unsigned>(x[in.rs1] & 0xf);
-      const unsigned src1 = 16u | static_cast<unsigned>((x[in.rs1] >> 4) & 0xf);
-      const float s0 = state_.velem_f32(in.rs2, 0);
-      const float s1 = state_.velem_f32(in.rs2, 1);
-      for (unsigned i = 0; i < state_.vl; ++i) {
-        state_.set_velem_f32(in.rd, i,
-                             state_.velem_f32(in.rd, i) + s0 * state_.velem_f32(src0, i));
-        state_.set_velem_f32(in.rd, i,
-                             state_.velem_f32(in.rd, i) + s1 * state_.velem_f32(src1, i));
-      }
-      break;
-    }
-    case Op::kSsrCfg: {
-      SsrStream& s = ssr_[in.rd];
-      s.base = x[in.rs1];
-      s.count = static_cast<std::uint32_t>(x[in.rs2]);
-      s.pos = 0;
-      break;
-    }
-    case Op::kSsrEn:
-      // Bit s of x[rs1] enables stream s; enabling rewinds to the base so a
-      // re-enable replays the window from the start.
-      for (unsigned s = 0; s < 4; ++s) {
-        ssr_[s].enabled = ((x[in.rs1] >> s) & 1) != 0;
-        if (ssr_[s].enabled) ssr_[s].pos = 0;
-      }
-      break;
-    case Op::kVindexmacsV: {
-      // Streaming MAC: the A value and the VRF row index arrive from the
-      // address-generation state machines instead of explicit loads. Both
-      // streams advance even at vl==0 (operand fetch precedes lane work).
-      const std::uint32_t scale = ssr_pop(0);
-      const unsigned src_reg = ssr_pop(1) & 0x1f;
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.v[in.rd][i] += scale * state_.v[src_reg][i];
-      break;
-    }
-    case Op::kVfindexmacsV: {
-      const float scale = bits_to_f32(ssr_pop(0));
-      const unsigned src_reg = ssr_pop(1) & 0x1f;
-      for (unsigned i = 0; i < state_.vl; ++i)
-        state_.set_velem_f32(in.rd, i,
-                             state_.velem_f32(in.rd, i) + scale * state_.velem_f32(src_reg, i));
-      break;
-    }
-    case Op::kIllegal:
-      raise("functional execution reached an illegal instruction at " +
-            describe_pc(program_, state_.pc));
-  }
-  state_.pc = new_pc;
 }
 
 }  // namespace indexmac

@@ -2,12 +2,21 @@
 // instruction with exact RV64+RVV-subset semantics. It is the golden model
 // the timing simulator is validated against, and the engine behind kernel
 // correctness tests.
+//
+// Every pc slot of the (immutable) Program is bound once, at construction,
+// to its op's handler with the operands resolved up front: sign-extended
+// immediates, pc-relative branch and jump targets, link values and halt
+// stop reasons. step() then calls the slot's handler through a plain
+// function pointer. This table is the only implementation of instruction
+// semantics; the timing model's trace, the debug stub and `imac_run run`
+// all step through it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "asm/program.h"
 #include "fsim/breakpoints.h"
@@ -51,14 +60,16 @@ enum class StopReason { kRunning, kEbreak, kEcall, kMaxSteps };
 [[nodiscard]] std::string describe_pc(const Program& program, std::uint64_t pc);
 
 /// One scalar core + vector engine executing a Program against MainMemory.
+/// The Program must outlive the Machine.
 class Machine {
  public:
   Machine(const Program& program, MainMemory& memory);
 
   /// Executes a single instruction; returns the stop reason (kRunning if
-  /// execution may continue). Throws SimError on malformed execution
-  /// (pc outside program, vindexmac with vl==0 misuse never traps — the
-  /// instruction simply does nothing for vl==0).
+  /// execution may continue). Throws SimError on malformed execution (pc
+  /// outside the program, an SSR pop from a disabled or empty stream) with
+  /// the pc left on the faulting instruction; vindexmac with vl==0 never
+  /// traps — the instruction simply does nothing.
   StopReason step();
 
   /// Runs until ebreak/ecall or `max_steps`. Returns the stop reason.
@@ -88,31 +99,32 @@ class Machine {
   void set_marker_hook(std::function<void(int)> hook) { marker_hook_ = std::move(hook); }
 
  private:
-  // The threaded-code engine (fsim/threaded.h) executes pre-bound operation
-  // records against this machine's architectural state and delegates
-  // unsupported corners back to step(); it needs the same private view of
-  // state/ssr/retired the interpreter has.
-  friend class ThreadedEngine;
+  struct Exec;  // the per-op handlers and their binder (machine.cpp)
 
-  void exec(const isa::Instruction& inst, std::uint64_t next_pc);
+  /// One pc slot, bound at construction. A handler executes the slot's
+  /// instruction and returns the pc of the next one.
+  struct Slot {
+    std::uint64_t (*fn)(Machine&, const Slot&) = nullptr;
+    std::uint8_t rd = 0, rs1 = 0, rs2 = 0;
+    StopReason stop = StopReason::kRunning;  ///< kEbreak/kEcall on the halt ops
+    std::int64_t imm = 0;      ///< sign-extended immediate
+    std::uint64_t next = 0;    ///< pc + 4: fall-through and link value
+    std::uint64_t target = 0;  ///< branch/jal target; lui/auipc result
+  };
+
   /// Pops the next 32-bit word from stream `sid`, advancing and wrapping at
   /// the configured length. SimError if the stream is disabled or empty.
   std::uint32_t ssr_pop(unsigned sid);
 
   const Program& program_;
   MainMemory& memory_;
-  // Hot-path view of the (immutable) program: raw pointers into its
-  // predecoded tables, so step() indexes by slot instead of calling
-  // Program::at per dynamic instruction.
-  const isa::Instruction* code_ = nullptr;
-  const isa::StaticInstInfo* info_ = nullptr;
   std::uint64_t base_ = 0;
   std::uint64_t code_bytes_ = 0;
+  std::vector<Slot> slots_;  ///< one per pc slot of program_
   ArchState state_;
   std::array<SsrStream, 4> ssr_{};
   std::uint64_t retired_ = 0;
   std::function<void(int)> marker_hook_;
-  StopReason pending_stop_ = StopReason::kRunning;
 };
 
 }  // namespace indexmac

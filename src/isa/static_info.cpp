@@ -128,19 +128,6 @@ StaticInstInfo predecode(const Instruction& inst) {
   if (op == Op::kVmaccVx || op == Op::kVfmaccVf || op == Op::kVindexmacVx ||
       op == Op::kVfindexmacVx || packed_mac || ssr_mac)
     s.flags |= kSiVectorMac;
-  // Threaded-engine closure binding: SSR ops mutate Machine-private stream
-  // state and can raise mid-instruction, and illegal encodings must fault
-  // with the interpreter's exact error, so all of them execute through the
-  // Machine::step fallback. Everything else gets a pre-bound handler.
-  if (ssr_mac || s.has(kSiSsrCtl) || op == Op::kIllegal) s.flags |= kSiThreadedFallback;
-  // Superblock candidates: the ops the Algorithm 2/3/4 inner loops chain
-  // (index extract -> MAC -> slide / packed-word shift). The chain builder
-  // still applies structural constraints (in-place slides, no writes to
-  // shift-deferred registers) on top of this per-op eligibility.
-  if (op == Op::kVmvXS || op == Op::kVfmvFS || op == Op::kVslide1downVx ||
-      op == Op::kVslidedownVi || op == Op::kSrli || op == Op::kVle32 ||
-      op == Op::kVmaccVx || op == Op::kVfmaccVf || s.has(kSiIndirectVreg))
-    s.flags |= kSiChainFusable;
 
   if (s.has(kSiScalarLoad | kSiScalarStore))
     s.scalar_mem_bytes = (op == Op::kLd || op == Op::kSd) ? 8 : 4;

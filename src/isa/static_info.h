@@ -4,7 +4,7 @@
 // dynamic instruction — operand read/write register-file usage, op class,
 // vector-engine latency class, memory access size — is a pure function of
 // the decoded Instruction, so Program computes it once per PC slot at load
-// time and both fsim::Machine and timing::Model consume the cached table.
+// time and the timing model (trace and core) consumes the cached table.
 // The isa::reads_*/writes_*/is_* predicates stay the single source of
 // truth: predecode() is defined in terms of them.
 #pragma once
@@ -41,11 +41,6 @@ enum : std::uint32_t {
   kSiDualMac = 1u << 21,       ///< v(f)indexmac2: two MAC ops per dispatch
   kSiSsrMac = 1u << 22,        ///< v(f)indexmacs: operands pop from SSR streams
   kSiSsrCtl = 1u << 23,        ///< ssrcfg/ssren: stream state-machine control
-  // Closure-binding table for the threaded-code engine (fsim/threaded.h):
-  // predecoded so the block builder classifies slots by flag test instead
-  // of re-enumerating op lists.
-  kSiThreadedFallback = 1u << 24,  ///< threaded engine delegates to Machine::step
-  kSiChainFusable = 1u << 25,      ///< candidate for superblock chain fusion
 };
 
 /// Vector-engine latency class; the timing model resolves each class to a

@@ -42,7 +42,7 @@ class MainMemory {
   /// Bulk copy out of memory.
   void read_bytes(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
-  /// Bulk 32-bit-word transfers for the threaded engine's vector load/store
+  /// Bulk 32-bit-word transfers for the functional simulator's vle32/vse32
   /// handlers: one page lookup covers the whole run when the range stays
   /// inside a page (the common case for 64-byte-aligned operand streams),
   /// falling back to per-word accesses across page boundaries. Results are

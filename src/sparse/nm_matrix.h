@@ -77,7 +77,8 @@ class NmMatrix {
 
   /// Magnitude-based pruning: keeps the N largest-|value| elements of each
   /// M-block. This reproduces the *structure* of the paper's
-  /// TensorFlow-pruned CNN weights (see DESIGN.md substitutions).
+  /// TensorFlow-pruned CNN weights (see docs/architecture.md, "Deliberate
+  /// simplifications and substitutions").
   static NmMatrix prune_from_dense(const DenseMatrix<T>& dense, Sparsity sp) {
     DenseMatrix<T> pruned = dense;
     const std::size_t blocks = ceil_div(dense.cols(), sp.m);

@@ -1,12 +1,10 @@
 #include "timing/timing_sim.h"
 
 #include <array>
-#include <memory>
 
 #include "common/bitutil.h"
 #include "common/error.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "timing/port_scheduler.h"
 #include "timing/trace.h"
 
@@ -28,12 +26,10 @@ struct PendingStore {
 class Model {
  public:
   Model(const Program& program, MainMemory& memory, const ProcessorConfig& config,
-        ExecEngine engine, TimingStats& stats, std::vector<MarkerEvent>& markers)
+        TimingStats& stats, std::vector<MarkerEvent>& markers)
       : config_(config),
         machine_(program, memory),
-        engine_(engine == ExecEngine::kThreaded ? std::make_unique<ThreadedEngine>(machine_)
-                                                : nullptr),
-        trace_(machine_, engine_.get()),
+        trace_(machine_),
         mem_(config.memory),
         fetch_ports_(config.scalar.fetch_width),
         issue_ports_(config.scalar.issue_width),
@@ -351,7 +347,6 @@ class Model {
 
   ProcessorConfig config_;
   Machine machine_;
-  std::unique_ptr<ThreadedEngine> engine_;  ///< present under ExecEngine::kThreaded
   TraceSource trace_;
   MemorySystem mem_;
   PortScheduler fetch_ports_;
@@ -394,14 +389,13 @@ class Model {
 
 }  // namespace
 
-TimingSim::TimingSim(const Program& program, MainMemory& memory, const ProcessorConfig& config,
-                     ExecEngine engine)
-    : program_(program), memory_(memory), config_(config), engine_(engine) {}
+TimingSim::TimingSim(const Program& program, MainMemory& memory, const ProcessorConfig& config)
+    : program_(program), memory_(memory), config_(config) {}
 
 const TimingStats& TimingSim::run(std::uint64_t max_instructions) {
   IMAC_CHECK(!ran_, "TimingSim::run may only be called once per instance");
   ran_ = true;
-  Model model(program_, memory_, config_, engine_, stats_, markers_);
+  Model model(program_, memory_, config_, stats_, markers_);
   model.run(max_instructions);
   return stats_;
 }

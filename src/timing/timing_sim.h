@@ -19,14 +19,13 @@
 //     stalling dependent scalar work - the round trip both algorithms pay
 //     per non-zero (twice for Row-Wise-SpMM, once for vindexmac).
 //
-// See DESIGN.md section 4 for the list of deliberate simplifications.
+// See docs/architecture.md, "Deliberate simplifications and substitutions".
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "asm/program.h"
-#include "fsim/engine.h"
 #include "mem/main_memory.h"
 #include "mem/memory_system.h"
 #include "timing/config.h"
@@ -77,12 +76,7 @@ struct TimingStats {
 /// Timing simulator for one program execution.
 class TimingSim {
  public:
-  /// `engine` selects how the trace-driving functional simulation advances
-  /// (interpreter or threaded-code stepper). Cycle counts and every other
-  /// statistic are identical either way — the trace stream is bit-equal by
-  /// the engines' correctness contract — so the choice is pure speed.
-  TimingSim(const Program& program, MainMemory& memory, const ProcessorConfig& config,
-            ExecEngine engine = ExecEngine::kInterp);
+  TimingSim(const Program& program, MainMemory& memory, const ProcessorConfig& config);
 
   /// Runs to completion (ebreak/ecall). Throws SimError if the instruction
   /// budget is exhausted first (runaway program).
@@ -96,7 +90,6 @@ class TimingSim {
   const Program& program_;
   MainMemory& memory_;
   ProcessorConfig config_;
-  ExecEngine engine_;
   TimingStats stats_;
   std::vector<MarkerEvent> markers_;
   bool ran_ = false;

@@ -2,7 +2,8 @@
 // functional simulator, which supplies the correct execution path, memory
 // addresses, vector lengths and resolved vindexmac register indices.
 // Wrong-path (mis-speculated) instructions are not simulated; the branch
-// mispredict penalty models the front-end refill (see DESIGN.md).
+// mispredict penalty models the front-end refill (see docs/architecture.md,
+// "Deliberate simplifications and substitutions").
 //
 // The trace is zero-allocation: next() fills a caller-owned DynInst slot in
 // place, and gather addresses live in a fixed scratch buffer owned by the
@@ -15,7 +16,6 @@
 
 #include "common/error.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "isa/isa.h"
 #include "isa/static_info.h"
 
@@ -50,14 +50,8 @@ struct DynInst {
 /// Pulls dynamic instructions from a functional Machine, one per step.
 class TraceSource {
  public:
-  /// `stepper`, when non-null, replaces Machine::step as the advance
-  /// mechanism (--engine=threaded): it must be bound to `machine`, and its
-  /// step() contract guarantees the observable per-instruction stream —
-  /// and therefore every DynInst this source produces — is identical to
-  /// the interpreter's.
-  explicit TraceSource(Machine& machine, ThreadedEngine* stepper = nullptr)
+  explicit TraceSource(Machine& machine)
       : machine_(machine),
-        stepper_(stepper),
         code_(machine.program().decoded().data()),
         info_(machine.program().static_info().data()),
         base_(machine.program().base()),
@@ -129,7 +123,7 @@ class TraceSource {
     } else if (si.has(isa::kSiMarker)) {
       out.marker_id = in.imm;
     }
-    const StopReason stop = stepper_ ? stepper_->step() : machine_.step();
+    const StopReason stop = machine_.step();
     out.branch_taken =
         si.has(isa::kSiBranch | isa::kSiJump) && machine_.state().pc != pc + 4;
     out.is_halt = stop == StopReason::kEbreak || stop == StopReason::kEcall;
@@ -139,7 +133,6 @@ class TraceSource {
 
  private:
   Machine& machine_;
-  ThreadedEngine* stepper_;
   const isa::Instruction* code_;
   const isa::StaticInstInfo* info_;
   std::uint64_t base_;

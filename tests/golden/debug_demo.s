@@ -10,9 +10,7 @@
 # C[j] = 3*(100+j) + 5*(300+j) = 1800 + 8j.
 #
 # `marker 1` sits right before the loop: the e2e test breakpoints there
-# (found via `monitor markers`), and the loop body is exactly the fused
-# superblock shape, so a breakpoint inside it exercises the threaded
-# engine's interpreter-stepping fallback.
+# (found via `monitor markers`) and single-steps into the loop body.
 
     li   t0, 16
     vsetvli zero, t0, e32m1

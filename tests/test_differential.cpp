@@ -20,11 +20,9 @@
 #include "core/runner.h"
 #include "core/spmm_problem.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "fsim/tracer.h"
 #include "isa/encoding.h"
 #include "timing/timing_sim.h"
-#include "timing/trace.h"
 #include "workloads/workloads.h"
 
 namespace indexmac {
@@ -423,154 +421,6 @@ TEST(DispatchStalls, IndependentVectorOpsMostlyBandwidthBound) {
   const auto& stats = sim.run();
   // Only the initial vsetvli shadow may register as a scalar-operand wait.
   EXPECT_LE(stats.dispatch_stalls.scalar_operand, 4u);
-}
-
-// ---------------------------------------------------------------------------
-// Engine-vs-interpreter lockstep: the threaded-code engine's step() contract
-// promises the observable per-instruction stream — every DynInst field the
-// tracer derives — is identical to Machine::step's, not just the final state.
-// These tests hold it to that across all five registry algorithms and across
-// the random-program generator's seeds.
-
-::testing::AssertionResult dyninsts_equal(const timing::DynInst& a, const timing::DynInst& b) {
-  if (!(a.inst == b.inst)) return ::testing::AssertionFailure() << "inst encoding differs";
-  if (a.pc != b.pc)
-    return ::testing::AssertionFailure() << "pc 0x" << std::hex << a.pc << " vs 0x" << b.pc;
-  if (a.branch_taken != b.branch_taken) return ::testing::AssertionFailure() << "branch_taken";
-  if (a.is_halt != b.is_halt) return ::testing::AssertionFailure() << "is_halt";
-  if (a.mem_addr != b.mem_addr)
-    return ::testing::AssertionFailure()
-           << "mem_addr 0x" << std::hex << a.mem_addr << " vs 0x" << b.mem_addr;
-  if (a.mem_bytes != b.mem_bytes) return ::testing::AssertionFailure() << "mem_bytes";
-  if (a.vl != b.vl) return ::testing::AssertionFailure() << "vl " << a.vl << " vs " << b.vl;
-  if (a.indirect_vreg != b.indirect_vreg) return ::testing::AssertionFailure() << "indirect_vreg";
-  if (a.indirect_vreg2 != b.indirect_vreg2)
-    return ::testing::AssertionFailure() << "indirect_vreg2";
-  if (a.ssr_value_addr != b.ssr_value_addr) return ::testing::AssertionFailure() << "ssr_value_addr";
-  if (a.ssr_index_addr != b.ssr_index_addr) return ::testing::AssertionFailure() << "ssr_index_addr";
-  if (a.gather_count != b.gather_count) return ::testing::AssertionFailure() << "gather_count";
-  for (std::uint32_t i = 0; i < a.gather_count; ++i)
-    if (a.gather_addrs[i] != b.gather_addrs[i])
-      return ::testing::AssertionFailure() << "gather_addrs[" << i << "]";
-  if (a.marker_id != b.marker_id) return ::testing::AssertionFailure() << "marker_id";
-  if (a.ssr_ctl_mask != b.ssr_ctl_mask)
-    return ::testing::AssertionFailure()
-           << "ssr_ctl_mask " << int(a.ssr_ctl_mask) << " vs " << int(b.ssr_ctl_mask);
-  return ::testing::AssertionSuccess();
-}
-
-::testing::AssertionResult arch_states_equal(const ArchState& a, const ArchState& b) {
-  if (a.pc != b.pc)
-    return ::testing::AssertionFailure() << "pc 0x" << std::hex << a.pc << " vs 0x" << b.pc;
-  if (a.vl != b.vl) return ::testing::AssertionFailure() << "vl";
-  for (unsigned r = 0; r < isa::kNumXRegs; ++r)
-    if (a.x[r] != b.x[r]) return ::testing::AssertionFailure() << "x" << r;
-  for (unsigned r = 0; r < isa::kNumFRegs; ++r)
-    if (a.f[r] != b.f[r]) return ::testing::AssertionFailure() << "f" << r;
-  for (unsigned r = 0; r < isa::kNumVRegs; ++r)
-    for (unsigned e = 0; e < isa::kVlMax; ++e)
-      if (a.v[r][e] != b.v[r][e])
-        return ::testing::AssertionFailure() << "v" << r << "[" << e << "]";
-  return ::testing::AssertionSuccess();
-}
-
-/// Drains both sources in lockstep, asserting the DynInst streams are
-/// field-for-field identical. Returns the number of instructions compared
-/// (the halting ebreak included).
-std::uint64_t drain_lockstep(timing::TraceSource& interp, timing::TraceSource& threaded) {
-  std::uint64_t n = 0;
-  timing::DynInst a, b;
-  for (;;) {
-    const bool more_interp = interp.next(a);
-    const bool more_threaded = threaded.next(b);
-    EXPECT_EQ(more_interp, more_threaded) << "stream length diverges after " << n;
-    if (!more_interp || !more_threaded) break;
-    const ::testing::AssertionResult eq = dyninsts_equal(a, b);
-    EXPECT_TRUE(eq) << "at instruction " << n << ", pc=0x" << std::hex << a.pc;
-    if (!eq) break;
-    if (++n > 50'000'000) {
-      ADD_FAILURE() << "trace did not terminate";
-      break;
-    }
-  }
-  return n;
-}
-
-TEST(EngineLockstep, AllFiveAlgorithmsIdenticalTraceStreams) {
-  // Every registry algorithm, every supported dataflow and unroll: the
-  // threaded engine must retire the exact same DynInst stream (including
-  // SSR stream addresses, gather addresses and ssr_ctl_mask) and land on
-  // the same architectural state and C matrix.
-  using core::Algorithm;
-  using core::RunConfig;
-  const kernels::GemmDims dims{9, 50, 33};
-  std::uint32_t seed = 700;
-  const core::SpmmProblem problem =
-      core::SpmmProblem::random(dims, sparse::kSparsity24, seed);
-  for (const auto alg : {Algorithm::kDenseRowwise, Algorithm::kRowwiseSpmm,
-                         Algorithm::kIndexmac, Algorithm::kIndexmac4, Algorithm::kSsr})
-    for (const auto df : {kernels::Dataflow::kAStationary, kernels::Dataflow::kBStationary,
-                          kernels::Dataflow::kCStationary}) {
-      const bool supported =
-          df == kernels::Dataflow::kBStationary || alg == Algorithm::kRowwiseSpmm;
-      if (!supported) continue;
-      const bool fixed_unroll = alg == Algorithm::kDenseRowwise || alg == Algorithm::kSsr;
-      for (const unsigned unroll : {1u, 2u, 4u}) {
-        if (fixed_unroll && unroll != 1u) continue;
-        SCOPED_TRACE(std::string(core::algorithm_name(alg)) + " df=" +
-                     std::to_string(static_cast<int>(df)) + " u" + std::to_string(unroll));
-        const RunConfig config{.algorithm = alg, .kernel = {.unroll = unroll, .dataflow = df}};
-
-        MainMemory imem;
-        const core::PreparedRun irun = core::prepare(problem, config, imem);
-        Machine interp(irun.program, imem);
-        timing::TraceSource isrc(interp);
-
-        MainMemory tmem;
-        const core::PreparedRun trun = core::prepare(problem, config, tmem);
-        Machine threaded_machine(trun.program, tmem);
-        ThreadedEngine engine(threaded_machine);
-        timing::TraceSource tsrc(threaded_machine, &engine);
-
-        const std::uint64_t n = drain_lockstep(isrc, tsrc);
-        ASSERT_GT(n, 0u);
-        EXPECT_EQ(threaded_machine.instructions_retired(), interp.instructions_retired());
-        EXPECT_TRUE(arch_states_equal(threaded_machine.state(), interp.state()));
-
-        const sparse::DenseMatrix<float> ci = core::read_c(irun, imem);
-        const sparse::DenseMatrix<float> ct = core::read_c(trun, tmem);
-        for (std::size_t i = 0; i < ci.rows(); ++i)
-          for (std::size_t j = 0; j < ci.cols(); ++j)
-            ASSERT_EQ(ci.at(i, j), ct.at(i, j)) << "(" << i << "," << j << ")";
-      }
-    }
-}
-
-TEST(EngineLockstep, RandomProgramsIdenticalTraceStreamsAndMemory) {
-  // The random-program generator's seeds (loops, branches, scalar/vector
-  // mixes, scratch-memory stores) re-run under the threaded engine: the
-  // per-instruction stream, final state and scratch memory must all match
-  // the interpreter's bit for bit.
-  for (const std::uint32_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u, 89u, 144u, 233u,
-                                   377u, 610u, 987u, 1597u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const Program program = random_program(seed);
-
-    MainMemory fmem;
-    Machine interp(program, fmem);
-    timing::TraceSource isrc(interp);
-
-    MainMemory tmem;
-    Machine threaded_machine(program, tmem);
-    ThreadedEngine engine(threaded_machine);
-    timing::TraceSource tsrc(threaded_machine, &engine);
-
-    const std::uint64_t n = drain_lockstep(isrc, tsrc);
-    EXPECT_EQ(n, interp.instructions_retired());
-    EXPECT_TRUE(arch_states_equal(threaded_machine.state(), interp.state()));
-    for (int i = 0; i < 64; ++i)
-      EXPECT_EQ(tmem.read_u64(0x40000 + 8 * i), fmem.read_u64(0x40000 + 8 * i)) << i;
-  }
 }
 
 }  // namespace

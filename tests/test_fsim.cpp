@@ -4,6 +4,7 @@
 #include "asm/text_assembler.h"
 #include "common/error.h"
 #include "fsim/machine.h"
+#include "isa/encoding.h"
 
 namespace indexmac {
 namespace {
@@ -292,6 +293,22 @@ TEST(Fsim, SlidedownByImmediate) {
   r.go();
   for (unsigned i = 0; i < 13; ++i) EXPECT_EQ(r.state().v[2][i], 10 * (i + 3));
   EXPECT_EQ(r.state().v[2][13], 0u);  // slid past VLMAX -> zero
+}
+
+TEST(Fsim, SlidedownByHugeRegisterOffsetZeroFills) {
+  // An offset of 2^64 - 1 is past VLMAX for every lane; i + offset must
+  // not wrap back into range.
+  Assembler a;
+  a.li(x(1), 16);
+  a.vsetvli_e32m1(x(0), x(1));
+  a.vmv_v_i(v(1), 7);
+  a.vmv_v_i(v(2), 5);
+  a.li(x(3), -1);
+  a.vslidedown_vx(v(2), v(1), x(3));
+  a.ebreak();
+  SimRun r(a);
+  r.go();
+  for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(r.state().v[2][i], 0u) << i;
 }
 
 TEST(Fsim, VindexmacIntegerIndirectRead) {
@@ -683,6 +700,70 @@ TEST(Fsim, RetiredInstructionCount) {
   r.go();
   // li(1) + 3*(addi+bne) + ebreak = 8
   EXPECT_EQ(r.machine->instructions_retired(), 8u);
+}
+
+TEST(Fsim, EveryOpExecutesThroughABoundHandler) {
+  // The per-slot handler table is the only implementation of instruction
+  // semantics: every op must bind at construction and retire one step.
+  // Operands are benign: registers read zero, so loads/stores hit low
+  // memory, vl is 0, and branches and jal target the ebreak either way.
+  constexpr std::uint64_t kBase = 0x1000;
+  const std::uint32_t ebreak = isa::encode(isa::Instruction{isa::Op::kEbreak});
+  for (int raw = static_cast<int>(isa::Op::kLui);
+       raw <= static_cast<int>(isa::Op::kVfindexmacsV); ++raw) {
+    const auto op = static_cast<isa::Op>(raw);
+    SCOPED_TRACE(isa::mnemonic(op));
+    isa::Instruction in{op, 2, 3, 4, 0};
+    if (isa::is_branch(op) || op == isa::Op::kJal) in.imm = 4;
+    if (op == isa::Op::kVsetvli) in.imm = isa::kVtypeE32M1;
+    const Program program(kBase, {isa::encode(in), ebreak});
+    MainMemory mem;
+    Machine machine(program, mem);
+    if (op == isa::Op::kVindexmacsV || op == isa::Op::kVfindexmacsV) {
+      // Streams start disabled: the pop faults with the pc left in place.
+      try {
+        (void)machine.step();
+        ADD_FAILURE() << "no SimError";
+      } catch (const SimError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "vindexmacs.v with stream 0 disabled at " + describe_pc(program, kBase));
+      }
+      EXPECT_EQ(machine.state().pc, kBase);
+      EXPECT_EQ(machine.instructions_retired(), 0u);
+      continue;
+    }
+    const StopReason want = op == isa::Op::kEbreak ? StopReason::kEbreak
+                            : op == isa::Op::kEcall ? StopReason::kEcall
+                                                    : StopReason::kRunning;
+    EXPECT_EQ(machine.step(), want);
+    EXPECT_EQ(machine.instructions_retired(), 1u);
+  }
+}
+
+TEST(Fsim, PcOutsideProgramFaultsWithItsDescription) {
+  // Below the base, and inside the range but misaligned: both fault before
+  // executing anything, with the pc left where it was.
+  for (const std::uint64_t target : {0x10ull, 0x1002ull}) {
+    Assembler a;
+    a.li(x(1), static_cast<std::int64_t>(target));
+    a.jalr(x(0), x(1), 0);
+    a.ebreak();
+    SimRun r(a);
+    char want[128];
+    std::snprintf(want, sizeof want,
+                  "functional execution left the program: pc 0x%llx (outside program "
+                  "[0x1000, 0x%llx))",
+                  static_cast<unsigned long long>(target),
+                  static_cast<unsigned long long>(r.program.end()));
+    try {
+      (void)r.go();
+      ADD_FAILURE() << "no SimError for pc 0x" << std::hex << target;
+    } catch (const SimError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+    EXPECT_EQ(r.state().pc, target);
+    EXPECT_EQ(r.machine->instructions_retired(), r.program.size() - 1);  // all but ebreak
+  }
 }
 
 }  // namespace

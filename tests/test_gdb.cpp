@@ -1,9 +1,7 @@
 // Debug-stub tests: the RSP packet layer (framing, checksums, escaping,
 // incremental decode across recv boundaries), the BreakpointSet, the
-// engines' run_with_breakpoints contract (stop BEFORE the breakpointed
-// instruction, bit-identical state on both engines, including a breakpoint
-// inside a fusable superblock chain), and the GdbSession command layer
-// driven packet-by-packet without a socket.
+// run_with_breakpoints contract (stop BEFORE the breakpointed instruction),
+// and the GdbSession command layer driven packet-by-packet without a socket.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +13,6 @@
 #include "debug/gdb_stub.h"
 #include "fsim/breakpoints.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "mem/main_memory.h"
 
 namespace indexmac::debug {
@@ -196,19 +193,9 @@ TEST(BreakpointSet, AddRemoveContains) {
   EXPECT_EQ(bps.size(), 1u);
 }
 
-TEST(BreakpointSet, IntersectsHalfOpenRange) {
-  BreakpointSet bps;
-  bps.add(0x1010);
-  EXPECT_TRUE(bps.intersects(0x1000, 0x1014));
-  EXPECT_TRUE(bps.intersects(0x1010, 0x1014));  // lo inclusive
-  EXPECT_FALSE(bps.intersects(0x1000, 0x1010));  // hi exclusive
-  EXPECT_FALSE(bps.intersects(0x1014, 0x1020));
-}
-
 // --- run_with_breakpoints --------------------------------------------------
 
-/// A loop whose body is the fusable index-extract -> MAC -> slide chain, so
-/// a breakpoint inside it lands in the middle of a threaded superblock.
+/// A loop over the Algorithm 3 inner shape (index extract -> MAC -> slide).
 const char* kLoopSource = R"(
     li   t0, 16
     vsetvli zero, t0, e32m1
@@ -239,7 +226,7 @@ loop:
     ebreak
 )";
 
-TEST(RunWithBreakpoints, InterpreterStopsBeforeBreakpoint) {
+TEST(RunWithBreakpoints, StopsBeforeBreakpoint) {
   const AssembledText assembled = assemble_text(kLoopSource);
   const std::uint64_t bp = assembled.symbols.at("loop");
   MainMemory mem;
@@ -280,48 +267,13 @@ TEST(RunWithBreakpoints, EmptySetRunsToCompletion) {
   EXPECT_EQ(m.run_with_breakpoints(BreakpointSet{}), StopReason::kEbreak);
 }
 
-/// Drives both engines to the same breakpoint (inside the fused chain) and
-/// requires bit-identical architectural state at every stop.
-TEST(RunWithBreakpoints, ThreadedMatchesInterpreterThroughFusedChain) {
-  const AssembledText assembled = assemble_text(kLoopSource);
-  // vindexmac.vx is the second instruction of the fusable chain: a
-  // breakpoint here forces the threaded engine off the superblock path.
-  const std::uint64_t bp = assembled.symbols.at("loop") + 4;
-  MainMemory mem_a, mem_b;
-  Machine interp(assembled.program, mem_a);
-  Machine machine_b(assembled.program, mem_b);
-  ThreadedEngine threaded(machine_b);
-  BreakpointSet bps;
-  bps.add(bp);
-
-  for (int stop = 0; stop < 2; ++stop) {  // loop runs twice through the bp
-    ASSERT_EQ(interp.run_with_breakpoints(bps), StopReason::kRunning);
-    ASSERT_EQ(threaded.run_with_breakpoints(bps), StopReason::kRunning);
-    EXPECT_EQ(interp.state().pc, bp);
-    EXPECT_EQ(machine_b.state().pc, bp);
-    EXPECT_EQ(interp.instructions_retired(), machine_b.instructions_retired());
-    for (unsigned r = 0; r < isa::kNumXRegs; ++r)
-      EXPECT_EQ(interp.state().x[r], machine_b.state().x[r]) << "x" << r;
-    for (unsigned v = 0; v < isa::kNumVRegs; ++v)
-      for (unsigned lane = 0; lane < isa::kVlMax; ++lane)
-        EXPECT_EQ(interp.state().v[v][lane], machine_b.state().v[v][lane])
-            << "v" << v << "[" << lane << "]";
-    // Step over the breakpoint on both before resuming.
-    ASSERT_EQ(interp.step(), StopReason::kRunning);
-    ASSERT_EQ(threaded.step(), StopReason::kRunning);
-  }
-  EXPECT_EQ(interp.run_with_breakpoints(bps), StopReason::kEbreak);
-  EXPECT_EQ(threaded.run_with_breakpoints(bps), StopReason::kEbreak);
-  EXPECT_EQ(interp.instructions_retired(), machine_b.instructions_retired());
-}
-
 // --- GdbSession command layer ---------------------------------------------
 
 struct SessionFixture {
   AssembledText assembled = assemble_text(kLoopSource);
   MainMemory mem;
   Machine machine{assembled.program, mem};
-  GdbSession session{assembled, machine, mem, ExecEngine::kInterp};
+  GdbSession session{assembled, machine, mem};
 };
 
 TEST(GdbSession, SupportedAndFeatures) {
@@ -390,6 +342,10 @@ TEST(GdbSession, RegisterWriteReadRoundTrip) {
   // Bad register numbers and lengths error, not crash.
   EXPECT_EQ(f.session.handle("p7f"), "E01");
   EXPECT_EQ(f.session.handle("P5=1234"), "E01");
+  // vl is capped at VLMAX: the vector handlers index 16-lane registers.
+  EXPECT_EQ(f.session.handle("P61=10000000"), "OK");
+  EXPECT_EQ(f.session.handle("P61=11000000"), "E01");
+  EXPECT_EQ(f.machine.state().vl, isa::kVlMax);
 }
 
 TEST(GdbSession, MemoryAccess) {
@@ -449,7 +405,6 @@ TEST(GdbSession, MonitorCommands) {
     return hex_to_bytes(f.session.handle("qRcmd," + bytes_to_hex(cmd)));
   };
   EXPECT_EQ(run_monitor("retired"), "0\n");
-  EXPECT_EQ(run_monitor("engine"), "interp\n");
   EXPECT_EQ(run_monitor("fault"), "none\n");
   // markers lists the marker pc; symbols lists the labels.
   const std::string markers = run_monitor("markers");

@@ -60,6 +60,24 @@ TEST(SweepSpec, RejectsBadDocuments) {
   EXPECT_THROW((void)parse_sweep_spec_file("/nonexistent/spec.json"), SimError);
 }
 
+TEST(SweepSpec, EngineKeyIsAcceptedAndIgnored) {
+  // Kept for old specs: both values it ever took render the same bytes as
+  // the spec without the key, and any other value is still rejected.
+  const SweepReport plain = run_sweep(parse_sweep_spec(kTinySpec), 2);
+  const auto with_engine = [](const std::string& engine) {
+    std::string text = kTinySpec;
+    text.insert(text.find('{') + 1, "\n  \"engine\": \"" + engine + "\",");
+    return text;
+  };
+  for (const char* engine : {"interp", "threaded"}) {
+    SCOPED_TRACE(engine);
+    const SweepReport report = run_sweep(parse_sweep_spec(with_engine(engine)), 2);
+    EXPECT_EQ(report_to_csv(report), report_to_csv(plain));
+    EXPECT_EQ(report_to_json(report), report_to_json(plain));
+  }
+  EXPECT_THROW((void)parse_sweep_spec(with_engine("jit")), SimError);
+}
+
 TEST(SweepSpec, ProcessorOverridesApply) {
   const SweepSpec spec = parse_sweep_spec(R"({
     "name": "p",

@@ -392,66 +392,6 @@ TEST(Timing, ReconfiguringActiveStreamDropsOnlyThatLine) {
   EXPECT_EQ(recfg.vector_loads, plain.vector_loads + 1);
 }
 
-// ---------- execution-engine parity ----------
-
-TEST(Timing, ThreadedEngineProducesIdenticalStatsAndMarkers) {
-  // The --engine choice changes only how the trace-driving functional
-  // simulation advances; every cycle count, stall bucket, memory counter
-  // and marker must be identical.
-  Assembler a;
-  a.li(x(1), 16);
-  a.vsetvli_e32m1(x(0), x(1));
-  a.vmv_v_i(v(2), 0);
-  a.vmv_v_i(v(4), 0);
-  a.li(x(2), 0x2000);
-  a.vle32(v(8), x(2));
-  a.marker(1);
-  auto loop = a.new_label();
-  a.li(x(31), 5);
-  a.bind(loop);
-  a.vmv_x_s(x(5), v(4));
-  a.andi(x(5), x(5), 7);
-  a.vindexmac_vx(v(2), v(4), x(5));
-  a.vslide1down_vx(v(4), v(4), x(0));
-  a.addi(x(31), x(31), -1);
-  a.bne(x(31), x(0), loop);
-  a.marker(2);
-  a.vse32(v(2), x(2));
-  a.ebreak();
-  Program p = a.finish();
-
-  MainMemory imem;
-  TimingSim isim(p, imem, ProcessorConfig{}, ExecEngine::kInterp);
-  const TimingStats is = isim.run();
-
-  MainMemory tmem;
-  TimingSim tsim(p, tmem, ProcessorConfig{}, ExecEngine::kThreaded);
-  const TimingStats ts = tsim.run();
-
-  EXPECT_EQ(ts.cycles, is.cycles);
-  EXPECT_EQ(ts.instructions, is.instructions);
-  EXPECT_EQ(ts.scalar_instructions, is.scalar_instructions);
-  EXPECT_EQ(ts.vector_instructions, is.vector_instructions);
-  EXPECT_EQ(ts.vector_loads, is.vector_loads);
-  EXPECT_EQ(ts.vector_stores, is.vector_stores);
-  EXPECT_EQ(ts.vector_macs, is.vector_macs);
-  EXPECT_EQ(ts.vector_to_scalar_moves, is.vector_to_scalar_moves);
-  EXPECT_EQ(ts.branch_mispredicts, is.branch_mispredicts);
-  EXPECT_EQ(ts.dispatch_stalls.scalar_operand, is.dispatch_stalls.scalar_operand);
-  EXPECT_EQ(ts.dispatch_stalls.branch_shadow, is.dispatch_stalls.branch_shadow);
-  EXPECT_EQ(ts.dispatch_stalls.queue_full, is.dispatch_stalls.queue_full);
-  EXPECT_EQ(ts.dispatch_stalls.bandwidth, is.dispatch_stalls.bandwidth);
-  EXPECT_EQ(ts.mem.data_accesses(), is.mem.data_accesses());
-  EXPECT_EQ(ts.mem.dram_lines, is.mem.dram_lines);
-
-  ASSERT_EQ(tsim.markers().size(), isim.markers().size());
-  for (std::size_t i = 0; i < isim.markers().size(); ++i) {
-    EXPECT_EQ(tsim.markers()[i].id, isim.markers()[i].id);
-    EXPECT_EQ(tsim.markers()[i].cycle, isim.markers()[i].cycle);
-    EXPECT_EQ(tsim.markers()[i].instructions, isim.markers()[i].instructions);
-  }
-}
-
 TEST(Timing, ConfigDescribeMentionsTableOneNumbers) {
   const std::string text = ProcessorConfig{}.describe();
   EXPECT_NE(text.find("8-way-issue out-of-order"), std::string::npos);

@@ -11,7 +11,7 @@
 //                   the canonical single-process report
 //   gdb             serve a GDB remote-serial-protocol debug session over
 //                   an assembled program (debug/gdb_server.h): breakpoints,
-//                   single-step, register/memory inspection, both engines
+//                   single-step, register/memory inspection
 //   list-workloads  show the registered workload suites (or one suite's
 //                   layer list); --json for tooling
 //   list-algorithms show the registered kernel families (id, name, report
@@ -50,9 +50,7 @@
 #include "core/rollup.h"
 #include "core/sweep.h"
 #include "debug/gdb_server.h"
-#include "fsim/engine.h"
 #include "fsim/machine.h"
-#include "fsim/threaded.h"
 #include "fsim/tracer.h"
 #include "serve/worker.h"
 #include "timing/timing_sim.h"
@@ -85,20 +83,17 @@ struct SubcommandDoc {
 const SubcommandDoc kSubcommands[] = {
     {"run", "assemble and execute a text-assembly program",
      "  run [--timing] [--trace] [--max-steps N] [--dump-regs] [--threads N]\n"
-     "      [--engine interp|threaded] file.s\n"
+     "      file.s\n"
      "      Assembles file.s (the library's RISC-V subset, including\n"
      "      vindexmac.vx) and executes it; programs halt with ebreak.\n"
      "      --timing       run on the cycle-level timing model\n"
      "      --trace        print each executed instruction (functional mode)\n"
      "      --max-steps N  stop after N instructions (default 100000000)\n"
-     "      --dump-regs    print architectural registers on exit\n"
-     "      --engine E     functional engine: \"interp\" (default) or\n"
-     "                     \"threaded\" (predecoded threaded code; identical\n"
-     "                     results, faster; --trace requires interp)\n"},
+     "      --dump-regs    print architectural registers on exit\n"},
     {"sweep", "run a declarative sweep spec and emit a CSV/JSON report",
      "  sweep --spec spec.json [--out file] [--format csv|json] [--threads N]\n"
      "        [--store DIR] [--resume] [--fsync] [--shard i/N]\n"
-     "        [--engine interp|threaded] [--import DIR]... [--rollup]\n"
+     "        [--import DIR]... [--rollup]\n"
      "      Runs the sweep described by spec.json (see README: sweep specs)\n"
      "      on a parallel BatchRunner pool and writes the report to stdout\n"
      "      or --out.\n"
@@ -109,8 +104,6 @@ const SubcommandDoc kSubcommands[] = {
      "      --shard i/N   run only shard i of N: points are partitioned by\n"
      "                    digest (fnv1a(key) %% N == i-1), so N processes with\n"
      "                    disjoint shards cover the grid exactly once\n"
-     "      --engine E    override the spec's functional engine (reports and\n"
-     "                    cache keys are engine-independent by construction)\n"
      "      --fsync       with --store: fsync the journal after every record\n"
      "                    (survives power loss, not just process death)\n"
      "      --import DIR  register the checkpoint in DIR (see import-model)\n"
@@ -152,25 +145,21 @@ const SubcommandDoc kSubcommands[] = {
      "      still give byte-exact CSV output, but not JSON, and must not\n"
      "      overlap a store's points).\n"},
     {"gdb", "serve a GDB remote-debug session over a program",
-     "  gdb [--port N] [--port-file F] [--engine interp|threaded] [--quiet]\n"
-     "      file.s\n"
+     "  gdb [--port N] [--port-file F] [--quiet] file.s\n"
      "      Assembles file.s and serves ONE GDB remote-serial-protocol\n"
      "      debug session on 127.0.0.1 (registers x0..x31/pc/f/v/vl, memory,\n"
      "      software breakpoints, continue/step, Ctrl-C interrupt). Connect\n"
      "      a RISC-V-aware gdb with `target remote :PORT`, or script it with\n"
      "      tools/rsp_client.py. Breakpoints are pc-checks, never program\n"
-     "      patches: architectural results match an undebugged run exactly,\n"
-     "      and with --engine threaded only breakpointed blocks drop to\n"
-     "      interpreter stepping.\n"
+     "      patches: architectural results match an undebugged run exactly.\n"
      "      --port N       listen port (default 0 = kernel-assigned; the\n"
      "                     bound port is printed to stderr)\n"
      "      --port-file F  also write the bound port to F (harness handshake,\n"
      "                     same contract as imac_serve --port-file)\n"
-     "      --engine E     execution engine: \"interp\" (default) or \"threaded\"\n"
      "      --quiet        suppress the listening/connected stderr notes\n"
      "      monitor commands (gdb `monitor ...`): markers (pc of each marker\n"
      "      instruction), symbols (label addresses), retired (instruction\n"
-     "      count), engine, fault (text of the last execution fault).\n"
+     "      count), fault (text of the last execution fault).\n"
      "      Exits 0 when the debugger detaches, kills, or disconnects;\n"
      "      130 on SIGINT/SIGTERM.\n"},
     {"list-workloads", "show registered workload suites (or one suite's layers)",
@@ -247,13 +236,24 @@ void dump_registers(const indexmac::ArchState& state) {
   std::printf("  vl=%u\n", state.vl);
 }
 
+/// Strict numeric flag parsing: a mistyped chaos or timing flag must not
+/// silently become 0 and invalidate what a chaos test believes it proved.
+std::uint64_t parse_u64_flag(const char* flag, const char* text, const char* cmd = "worker") {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0)
+    indexmac::raise(std::string("imac_run ") + cmd + ": " + flag +
+                    " expects an unsigned integer, got \"" + text + "\"");
+  return v;
+}
+
 int cmd_run(int argc, char** argv) {
   using namespace indexmac;
   bool timing = false;
   bool trace = false;
   bool dump_regs = false;
   std::uint64_t max_steps = 100'000'000;
-  ExecEngine engine = ExecEngine::kInterp;
   const char* path = nullptr;
 
   for (int i = 0; i < argc; ++i) {
@@ -261,9 +261,7 @@ int cmd_run(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--trace") == 0) trace = true;
     else if (std::strcmp(argv[i], "--dump-regs") == 0) dump_regs = true;
     else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc)
-      max_steps = std::strtoull(argv[++i], nullptr, 10);
-    else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
-      engine = parse_exec_engine(argv[++i]);  // throws SimError listing names
+      max_steps = parse_u64_flag("--max-steps", argv[++i], "run");
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
       // Throws SimError (caught in main) on anything outside [1, 1024].
       core::BatchRunner::set_thread_override(core::BatchRunner::parse_thread_count(argv[++i]));
@@ -275,12 +273,6 @@ int cmd_run(int argc, char** argv) {
   }
   if (path == nullptr) {
     usage(stderr);
-    return 2;
-  }
-  if (trace && engine == ExecEngine::kThreaded) {
-    // The Tracer drives Machine::step itself; silently ignoring --engine
-    // would misreport what executed.
-    std::fprintf(stderr, "imac_run run: --trace requires --engine interp\n");
     return 2;
   }
 
@@ -298,7 +290,7 @@ int cmd_run(int argc, char** argv) {
 
   MainMemory mem;
   if (timing) {
-    timing::TimingSim sim(assembled.program, mem, timing::ProcessorConfig{}, engine);
+    timing::TimingSim sim(assembled.program, mem, timing::ProcessorConfig{});
     const timing::TimingStats& stats = sim.run(max_steps);
     std::printf("cycles: %llu  instructions: %llu  IPC: %.2f\n",
                 static_cast<unsigned long long>(stats.cycles),
@@ -323,9 +315,6 @@ int cmd_run(int argc, char** argv) {
     if (trace) {
       Tracer tracer(machine);
       stop = tracer.run(std::cout, max_steps);
-    } else if (engine == ExecEngine::kThreaded) {
-      ThreadedEngine threaded(machine);
-      stop = threaded.run(max_steps);
     } else {
       stop = machine.run(max_steps);
     }
@@ -377,7 +366,6 @@ int cmd_sweep(int argc, char** argv) {
   const char* out_path = nullptr;
   const char* store_dir = nullptr;
   const char* shard_text = nullptr;
-  const char* engine_text = nullptr;
   bool resume = false;
   bool fsync_each = false;
   bool json = false;
@@ -390,7 +378,6 @@ int cmd_sweep(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
     else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) store_dir = argv[++i];
     else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) shard_text = argv[++i];
-    else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) engine_text = argv[++i];
     else if (std::strcmp(argv[i], "--import") == 0 && i + 1 < argc) import_dirs.push_back(argv[++i]);
     else if (std::strcmp(argv[i], "--resume") == 0) resume = true;
     else if (std::strcmp(argv[i], "--rollup") == 0) rollup = true;
@@ -436,11 +423,7 @@ int cmd_sweep(int argc, char** argv) {
     std::fprintf(stderr, "imported %s\n", dir);
   }
 
-  core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
-  // The CLI flag wins over the spec's "engine" key. Applied before
-  // expansion so every point's RunConfig carries it; cache keys and
-  // reports are unaffected by construction.
-  if (engine_text != nullptr) spec.engine = parse_exec_engine(engine_text);
+  const core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
   std::vector<core::SweepPoint> points = core::expand_sweep(spec);
   const std::size_t full_grid = points.size();
   if (shard_text != nullptr) {
@@ -507,18 +490,6 @@ int cmd_sweep(int argc, char** argv) {
   }
 }
 
-/// Strict numeric flag parsing: a mistyped chaos or timing flag must not
-/// silently become 0 and invalidate what a chaos test believes it proved.
-std::uint64_t parse_u64_flag(const char* flag, const char* text, const char* cmd = "worker") {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0)
-    indexmac::raise(std::string("imac_run ") + cmd + ": " + flag +
-                    " expects an unsigned integer, got \"" + text + "\"");
-  return v;
-}
-
 int cmd_gdb(int argc, char** argv) {
   using namespace indexmac;
   debug::GdbServerOptions opts;
@@ -527,8 +498,6 @@ int cmd_gdb(int argc, char** argv) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
       opts.port = static_cast<std::uint16_t>(parse_u64_flag("--port", argv[++i], "gdb"));
     else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) opts.port_file = argv[++i];
-    else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
-      opts.engine = parse_exec_engine(argv[++i]);
     else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
     else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
     else {
