@@ -183,7 +183,9 @@ ScenarioResult gather_heavy(unsigned reps, unsigned scale) {
   });
 }
 
-/// The sampled estimator on a transformer-ish GEMM (what sweeps run).
+/// The sampled estimator on a transformer-ish GEMM (what sweeps run). The
+/// warm-up builds the miniature problem and the timed repetitions reuse it,
+/// as consecutive sweep points of one layer do.
 ScenarioResult sampled(unsigned reps, unsigned scale) {
   const kernels::GemmDims dims{512 * scale, 512, 512};
   const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac,

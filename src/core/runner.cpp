@@ -1,6 +1,7 @@
 #include "core/runner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.h"
 #include "core/algorithm_registry.h"
@@ -111,6 +112,19 @@ double visit_cost(const PhaseCosts::StripType& t, double head_groups, double gro
   return t.preload + t.head_total + t.steady_group * (groups_full_eq - head_groups);
 }
 
+/// The miniature problem this thread built last. Its seed is fixed, so the
+/// dims and sparsity identify it: sweep expansion puts a layer's algorithms
+/// and unrolls next to each other, and those points share one miniature.
+/// The old problem is released before a new one is built, so holding it
+/// does not raise peak memory.
+const SpmmProblem& sample_problem(const kernels::GemmDims& dims, sparse::Sparsity sp) {
+  thread_local std::optional<SpmmProblem> last;
+  if (last && last->dims == dims && last->sp == sp) return *last;
+  last.reset();
+  last.emplace(SpmmProblem::random(dims, sp, /*seed=*/12345));
+  return *last;
+}
+
 std::uint64_t analytic_accesses(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                 const RunConfig& config) {
   AddressAllocator alloc;
@@ -147,7 +161,7 @@ SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
   sample_dims.rows_a = rows_r;
   sample_dims.cols_b = (full_strips == 0 ? 0 : sample_full * isa::kVlMax) + tail;
 
-  SpmmProblem problem = SpmmProblem::random(sample_dims, sp, /*seed=*/12345);
+  const SpmmProblem& problem = sample_problem(sample_dims, sp);
   RunConfig sample_config = config;
   sample_config.kernel.emit_markers = true;
 

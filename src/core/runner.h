@@ -50,7 +50,9 @@ struct SampledResult {
 
 /// Estimates cycles for (dims, sp, config) from a miniature instrumented
 /// run. Only B-stationary kernels (both algorithms) are supported; the
-/// dataflow ablations use run_exact on smaller layers.
+/// dataflow ablations use run_exact on smaller layers. Each thread keeps
+/// the miniature problem it built last and reuses it when the next call's
+/// miniature has the same dims and sparsity; results never depend on it.
 [[nodiscard]] SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                         const RunConfig& config,
                                         const timing::ProcessorConfig& processor,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -51,10 +52,23 @@ SweepMode parse_mode(const std::string& id) {
 
 // --- processor overrides and digest ---------------------------------------
 
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+
+/// A spec integer bound for a 32-bit field: larger values are rejected,
+/// never truncated into a different (and differently keyed) setting.
+std::uint32_t as_u32(const JsonValue& v, const char* key) {
+  const std::uint64_t n = v.as_uint();
+  IMAC_CHECK(n <= kU32Max, std::string("sweep spec: \"") + key +
+                               "\" must be at most 4294967295, got " + std::to_string(n));
+  return static_cast<std::uint32_t>(n);
+}
+
 /// The sweep-overridable processor knobs, addressed by dotted name.
 void apply_processor_override(timing::ProcessorConfig& p, const std::string& key,
                               std::uint64_t v) {
-  IMAC_CHECK(v > 0, "processor override \"" + key + "\" must be positive");
+  IMAC_CHECK(v > 0 && v <= kU32Max, "processor override \"" + key +
+                                        "\" must be in [1, 4294967295], got " +
+                                        std::to_string(v));
   const auto u = static_cast<unsigned>(v);
   if (key == "scalar.issue_width") p.scalar.issue_width = u;
   else if (key == "scalar.rob_entries") p.scalar.rob_entries = u;
@@ -124,7 +138,7 @@ std::vector<std::string> string_list(const JsonValue& v, const char* what) {
 
 std::vector<unsigned> uint_list(const JsonValue& v, const char* what) {
   std::vector<unsigned> out;
-  for (const JsonValue& e : v.as_array()) out.push_back(static_cast<unsigned>(e.as_uint()));
+  for (const JsonValue& e : v.as_array()) out.push_back(as_u32(e, what));
   IMAC_CHECK(!out.empty(), std::string("sweep spec: \"") + what + "\" must be non-empty");
   return out;
 }
@@ -194,11 +208,15 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
                  "sweep spec: sampled mode supports the sparse kernels only (drop \"" + d.id +
                      "\" or use mode \"exact\")");
     }
-  if (const JsonValue* v = doc.get("seed")) spec.seed = static_cast<std::uint32_t>(v->as_uint());
+  if (const JsonValue* v = doc.get("seed")) spec.seed = as_u32(*v, "seed");
   if (const JsonValue* v = doc.get("sample_rows"))
-    spec.sample.sample_rows = static_cast<unsigned>(v->as_uint());
+    spec.sample.sample_rows = as_u32(*v, "sample_rows");
   if (const JsonValue* v = doc.get("sample_full_strips"))
-    spec.sample.sample_full_strips = static_cast<unsigned>(v->as_uint());
+    spec.sample.sample_full_strips = as_u32(*v, "sample_full_strips");
+  // run_sampled simulates at least one full strip, so 0 would run exactly
+  // like 1 under a different cache key.
+  IMAC_CHECK(spec.sample.sample_full_strips >= 1,
+             "sweep spec: \"sample_full_strips\" must be at least 1");
   if (const JsonValue* v = doc.get("processor"))
     for (const auto& [key, value] : v->members())
       apply_processor_override(spec.processor, key, value.as_uint());

@@ -19,6 +19,8 @@ struct GemmDims {
   std::size_t rows_a = 0;
   std::size_t k = 0;
   std::size_t cols_b = 0;
+
+  friend bool operator==(const GemmDims&, const GemmDims&) = default;
 };
 
 /// Placement and derived geometry of all operands.

@@ -62,7 +62,6 @@ class Cache {
 
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
 
  private:
   struct Line {

@@ -1,5 +1,7 @@
 #include "mem/main_memory.h"
 
+#include <algorithm>
+
 #include "common/bitutil.h"
 
 namespace indexmac {
@@ -146,13 +148,34 @@ void MainMemory::read_bytes(std::uint64_t addr, std::span<std::uint8_t> out) con
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = read_u8(addr + i);
 }
 
+namespace {
+
+/// Writes 4-byte elements one page's run at a time: each run's bytes are
+/// copied into a word buffer and stored with a single write_u32_block. A
+/// word that straddles a page boundary is a run of one, which
+/// write_u32_block stores byte by byte.
+template <typename T>
+void write_words(MainMemory& mem, std::uint64_t addr, std::span<const T> data) {
+  static_assert(sizeof(T) == 4);
+  std::uint32_t words[MainMemory::kPageBytes / 4];
+  for (std::size_t i = 0; i < data.size();) {
+    const std::uint64_t at = addr + 4 * i;
+    const std::size_t room = (MainMemory::kPageBytes - at % MainMemory::kPageBytes) / 4;
+    const std::size_t n = std::min(std::max<std::size_t>(room, 1), data.size() - i);
+    std::memcpy(words, data.data() + i, 4 * n);
+    mem.write_u32_block(at, words, n);
+    i += n;
+  }
+}
+
+}  // namespace
+
 void MainMemory::write_f32s(std::uint64_t addr, std::span<const float> data) {
-  for (std::size_t i = 0; i < data.size(); ++i) write_f32(addr + 4 * i, data[i]);
+  write_words(*this, addr, data);
 }
 
 void MainMemory::write_i32s(std::uint64_t addr, std::span<const std::int32_t> data) {
-  for (std::size_t i = 0; i < data.size(); ++i)
-    write_u32(addr + 4 * i, static_cast<std::uint32_t>(data[i]));
+  write_words(*this, addr, data);
 }
 
 std::vector<float> MainMemory::read_f32s(std::uint64_t addr, std::size_t count) const {

@@ -43,14 +43,17 @@ class MainMemory {
   void read_bytes(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
   /// Bulk 32-bit-word transfers for the functional simulator's vle32/vse32
-  /// handlers: one page lookup covers the whole run when the range stays
-  /// inside a page (the common case for 64-byte-aligned operand streams),
-  /// falling back to per-word accesses across page boundaries. Results are
-  /// bit-identical to `count` read_u32/write_u32 calls.
+  /// handlers and the array writers below: one page lookup covers the whole
+  /// run when the range stays inside a page (the common case for 64-byte-
+  /// aligned operand streams), falling back to per-word accesses across page
+  /// boundaries. Results are bit-identical to `count` read_u32/write_u32
+  /// calls.
   void read_u32_block(std::uint64_t addr, std::uint32_t* out, std::size_t count) const;
   void write_u32_block(std::uint64_t addr, const std::uint32_t* data, std::size_t count);
 
-  /// Convenience for fp32/int32 arrays (the only element types used).
+  /// Convenience for fp32/int32 arrays (the only element types used). The
+  /// writers store one page's run per write_u32_block; the bytes are
+  /// bit-identical to one write_u32 per element.
   void write_f32s(std::uint64_t addr, std::span<const float> data);
   void write_i32s(std::uint64_t addr, std::span<const std::int32_t> data);
   [[nodiscard]] std::vector<float> read_f32s(std::uint64_t addr, std::size_t count) const;

@@ -93,18 +93,4 @@ std::uint64_t MemorySystem::ifetch(std::uint64_t addr, std::uint64_t cycle) {
   return l2_line(line_addr, /*is_store=*/false, tag_done);
 }
 
-void MemorySystem::reset() {
-  l1i_.invalidate_all();
-  l1d_.invalidate_all();
-  l2_.invalidate_all();
-  l1i_.reset_stats();
-  l1d_.reset_stats();
-  l2_.reset_stats();
-  std::fill(l2_bank_free_.begin(), l2_bank_free_.end(), 0);
-  dram_channel_free_ = 0;
-  inflight_fills_.clear();
-  inflight_max_ready_ = 0;
-  stats_ = MemStats{};
-}
-
 }  // namespace indexmac

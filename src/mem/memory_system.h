@@ -53,6 +53,7 @@ struct MemStats {
     a.dram_lines -= b.dram_lines;
     return a;
   }
+  friend bool operator==(const MemStats&, const MemStats&) = default;
 };
 
 class MemorySystem {
@@ -74,9 +75,6 @@ class MemorySystem {
   [[nodiscard]] const MemStats& stats() const { return stats_; }
   [[nodiscard]] const Cache& l1d() const { return l1d_; }
   [[nodiscard]] const Cache& l2() const { return l2_; }
-
-  /// Clears tag arrays and counters (fresh machine).
-  void reset();
 
  private:
   /// Access one line through the L2 (+DRAM on miss); returns completion.

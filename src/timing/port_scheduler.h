@@ -1,7 +1,17 @@
 // Small helper resources for the timestamp-dataflow timing model.
+//
+// A W-ports-per-cycle resource hands each request the first cycle at or
+// after its earliest cycle that still has a free port. Fetch and commit are
+// in order: their requests never go backwards (fetch asks for the cycle it
+// is blocked until, which only rises; commit asks for the later of its
+// completion and the previous commit), so InOrderPorts serves them from a
+// single "newest claimed cycle" counter. Issue requests arrive in any cycle
+// order (an instruction issues when its operands are ready), so the issue
+// ports keep PortScheduler's sliding window of per-cycle port counts.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -9,53 +19,28 @@
 
 namespace indexmac::timing {
 
-/// Schedules use of a W-ports-per-cycle resource (fetch, issue, commit).
-/// Requests may arrive in any cycle order; bookkeeping uses a bounded
-/// sliding window of recent cycles (requests older than the window are
-/// clamped forward, a negligible approximation for well-formed pipelines).
+/// A W-ports-per-cycle resource whose requests arrive in any cycle order
+/// (issue). Bookkeeping uses a power-of-two sliding window of recent
+/// cycles; requests older than the window are clamped forward, a
+/// negligible approximation for well-formed pipelines.
 class PortScheduler {
  public:
   explicit PortScheduler(unsigned width, std::size_t window = 4096)
-      : width_(width), used_(window, 0) {
-    IMAC_CHECK(width >= 1, "port width must be positive");
+      : width_(width), mask_(window - 1), used_(window, 0) {
+    IMAC_CHECK(width >= 1 && width <= 255, "port width must be in [1, 255]");
+    IMAC_CHECK(std::has_single_bit(window),
+               "port window must be a power of two, got " + std::to_string(window));
   }
 
   /// Returns the first cycle >= earliest with a free port and claims it.
-  ///
-  /// Requests whose `earliest` lags behind the claim frontier (the common
-  /// case: fetch restarts only on mispredicts, so `earliest` stays put
-  /// while the frontier advances) would otherwise rescan every
-  /// already-full cycle per claim — O(window) per instruction, quadratic
-  /// per run. The scheduler caches one known-full interval
-  /// [full_from_, full_until_) that tracks the active claim frontier:
-  /// claims landing inside it jump straight past its end. This is a pure
-  /// scan shortcut — the returned cycle is identical to the plain scan's.
   std::uint64_t claim(std::uint64_t earliest) {
-    if (earliest < base_) earliest = base_;
-    if (earliest >= full_from_ && earliest < full_until_) earliest = full_until_;
-    advance_window(earliest);
-    const std::uint64_t scan_start = earliest;
-    std::uint64_t cycle = earliest;
-    while (true) {
+    for (std::uint64_t cycle = std::max(earliest, base_);; ++cycle) {
       advance_window(cycle);
-      std::uint8_t& used = used_[cycle % used_.size()];
+      std::uint8_t& used = used_[cycle & mask_];
       if (used < width_) {
         ++used;
-        // The scan proved [scan_start, cycle) full — plus `cycle` itself
-        // if this claim just filled it. Fold that into the cached
-        // interval: merge when they touch, else move the cache to the
-        // newer (righter) region, which is where future claims land.
-        const std::uint64_t known_end = cycle + (used == width_ ? 1 : 0);
-        if (scan_start <= full_until_ && full_from_ <= known_end) {
-          full_from_ = std::min(full_from_, scan_start);
-          full_until_ = std::max(full_until_, known_end);
-        } else if (scan_start > full_until_) {
-          full_from_ = scan_start;
-          full_until_ = known_end;
-        }
         return cycle;
       }
-      ++cycle;
     }
   }
 
@@ -63,26 +48,59 @@ class PortScheduler {
   void advance_window(std::uint64_t cycle) {
     // Slide the window forward so `cycle` is representable. The recycled
     // slots are zeroed range-wise (the ring maps them to at most two
-    // contiguous spans) rather than one modulo at a time.
+    // contiguous spans) rather than one slot at a time.
     const std::uint64_t window = used_.size();
     if (cycle < base_ + window) return;
     const std::uint64_t new_base = cycle - window / 2;
     const std::uint64_t count = std::min(new_base - base_, window);
-    const std::uint64_t first = base_ % window;
+    const std::uint64_t first = base_ & mask_;
     const std::uint64_t head = std::min(count, window - first);
     std::fill_n(used_.begin() + static_cast<std::ptrdiff_t>(first), head, std::uint8_t{0});
     std::fill_n(used_.begin(), count - head, std::uint8_t{0});
     base_ = new_base;
-    if (full_until_ < base_) full_from_ = full_until_ = base_;
-    else if (full_from_ < base_) full_from_ = base_;
   }
 
   unsigned width_;
+  std::uint64_t mask_;
   std::vector<std::uint8_t> used_;
   std::uint64_t base_ = 0;
-  // Every cycle in [full_from_, full_until_) is known to be fully claimed.
-  std::uint64_t full_from_ = 0;
-  std::uint64_t full_until_ = 0;
+};
+
+/// A W-ports-per-cycle resource whose requests never go backwards (fetch,
+/// in-order commit). For such a stream every cycle between a request and
+/// the newest claimed cycle is already full, so the first free port is in
+/// that newest cycle or the one after: O(1) per claim, no window, and the
+/// same cycles a PortScheduler returns for the same stream.
+class InOrderPorts {
+ public:
+  explicit InOrderPorts(unsigned width) : width_(width) {
+    IMAC_CHECK(width >= 1, "port width must be positive");
+  }
+
+  /// Returns the first cycle >= earliest with a free port and claims it.
+  /// `earliest` must not be below the previous request's.
+  std::uint64_t claim(std::uint64_t earliest) {
+    IMAC_ASSERT(earliest >= last_request_,
+                "in-order port request for cycle " + std::to_string(earliest) +
+                    " after one for cycle " + std::to_string(last_request_));
+    last_request_ = earliest;
+    if (earliest > cycle_) {
+      cycle_ = earliest;
+      used_ = 1;
+    } else if (used_ < width_) {
+      ++used_;
+    } else {
+      ++cycle_;
+      used_ = 1;
+    }
+    return cycle_;
+  }
+
+ private:
+  unsigned width_;
+  unsigned used_ = 0;        ///< ports claimed in cycle_
+  std::uint64_t cycle_ = 0;  ///< the newest cycle with a claimed port
+  std::uint64_t last_request_ = 0;
 };
 
 /// A pool of N slots each held until a completion time (ROB, LSQ, queues).
@@ -103,11 +121,6 @@ class SlotPool {
   void claim(std::uint64_t release_cycle) {
     free_at_[next_] = release_cycle;
     if (++next_ == free_at_.size()) next_ = 0;
-  }
-
-  void reset() {
-    std::fill(free_at_.begin(), free_at_.end(), 0);
-    next_ = 0;
   }
 
  private:

@@ -349,9 +349,9 @@ class Model {
   Machine machine_;
   TraceSource trace_;
   MemorySystem mem_;
-  PortScheduler fetch_ports_;
+  InOrderPorts fetch_ports_;
   PortScheduler issue_ports_;
-  PortScheduler commit_ports_;
+  InOrderPorts commit_ports_;
   SlotPool rob_;
   SlotPool lsq_;
   SlotPool viq_;

@@ -52,6 +52,7 @@ struct VectorDispatchStalls {
   [[nodiscard]] std::uint64_t total() const {
     return scalar_operand + branch_shadow + queue_full + bandwidth;
   }
+  friend bool operator==(const VectorDispatchStalls&, const VectorDispatchStalls&) = default;
 };
 
 /// Aggregate results of one timed execution.
@@ -71,6 +72,7 @@ struct TimingStats {
   [[nodiscard]] double ipc() const {
     return cycles == 0 ? 0.0 : static_cast<double>(instructions) / static_cast<double>(cycles);
   }
+  friend bool operator==(const TimingStats&, const TimingStats&) = default;
 };
 
 /// Timing simulator for one program execution.

@@ -83,7 +83,7 @@ TEST(Cache, InvalidateAllDropsEverything) {
   cache.access(addr_of(3, 0), false);
   const CacheLineResult r = cache.access(addr_of(4, 0), false);
   EXPECT_FALSE(r.writeback);
-  // Stats survive invalidation (only reset_stats clears them).
+  // Stats survive invalidation.
   EXPECT_GT(cache.stats().misses, 0u);
 }
 

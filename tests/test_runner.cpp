@@ -3,6 +3,9 @@
 // memory-access accounting matches the analytic footprints.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <vector>
+
 #include "core/runner.h"
 #include "core/spmm_problem.h"
 #include "kernels/kernels.h"
@@ -128,6 +131,35 @@ TEST(Runner, SampledHandlesTailOnlyProblem) {
   const auto r = run_sampled({24, 64, 7}, kSparsity24, cfg(Algorithm::kIndexmac), kProc);
   EXPECT_GT(r.cycles, 0);
   EXPECT_GT(r.rowgroup_cycles_per_row, 0);
+}
+
+TEST(Runner, SampledResultIndependentOfPreviousPoint) {
+  // A worker thread reuses its last miniature problem when the next point's
+  // miniature has the same dims and sparsity. Each point must measure here
+  // exactly what it measures on a fresh thread, whatever ran before it.
+  struct Point {
+    GemmDims dims;
+    sparse::Sparsity sp;
+    RunConfig config;
+  };
+  const GemmDims x{40, 96, 80};
+  const std::vector<Point> sequence = {
+      {{24, 64, 7}, kSparsity14, cfg(Algorithm::kRowwiseSpmm)},
+      {x, kSparsity14, cfg(Algorithm::kIndexmac)},         // after another shape
+      {x, kSparsity14, cfg(Algorithm::kIndexmac)},         // after itself
+      {x, kSparsity14, cfg(Algorithm::kRowwiseSpmm, 1)},   // same miniature
+      {x, kSparsity24, cfg(Algorithm::kIndexmac)},         // after another sparsity
+      {x, kSparsity14, cfg(Algorithm::kIndexmac)},         // and back
+  };
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    const Point& p = sequence[i];
+    const auto run = [&] { return run_sampled(p.dims, p.sp, p.config, kProc); };
+    const SampledResult here = run();
+    const SampledResult fresh = std::async(std::launch::async, run).get();
+    EXPECT_EQ(here.cycles, fresh.cycles) << "point " << i;
+    EXPECT_TRUE(here.sample_stats == fresh.sample_stats) << "point " << i;
+    EXPECT_EQ(here.data_accesses, fresh.data_accesses) << "point " << i;
+  }
 }
 
 TEST(Runner, UnrollFourBeatsUnrollOne) {

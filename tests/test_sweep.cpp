@@ -104,6 +104,11 @@ TEST(SweepSpec, RejectsOutOfRangeGridValues) {
   EXPECT_THROW(
       (void)parse_sweep_spec(R"({"name": "x", "workloads": ["tiny"], "tile_rows": [32]})"),
       SimError);
+  // The sampled runner simulates at least one full strip, so 0 would run
+  // exactly like 1 under a different cache key.
+  EXPECT_THROW((void)parse_sweep_spec(
+                   R"({"name": "x", "workloads": ["tiny"], "sample_full_strips": 0})"),
+               SimError);
   // The sampled runner documents sparse-kernels-only.
   EXPECT_THROW((void)parse_sweep_spec(
                    R"({"name": "x", "workloads": ["tiny"], "algorithms": ["dense"]})"),
@@ -111,6 +116,41 @@ TEST(SweepSpec, RejectsOutOfRangeGridValues) {
   const SweepSpec dense_exact = parse_sweep_spec(
       R"({"name": "x", "workloads": ["tiny"], "algorithms": ["dense"], "mode": "exact"})");
   EXPECT_EQ(dense_exact.algorithms[0], Algorithm::kDenseRowwise);
+}
+
+TEST(SweepSpec, RejectsIntegersAbove32Bits) {
+  // These fields are 32-bit: a larger value must fail, not wrap into a
+  // different setting (4294967300 used to run as unroll 4, and a 2^32
+  // override passed the "positive" check and then became 0).
+  const auto spec_with = [](const std::string& field) {
+    return R"({"name": "x", "workloads": ["tiny"], )" + field + "}";
+  };
+  for (const char* big : {"4294967296", "4294967300"}) {
+    SCOPED_TRACE(big);
+    const std::string v = big;
+    for (const std::string& field :
+         {R"("unroll": [)" + v + "]", R"("tile_rows": [)" + v + "]", R"("seed": )" + v,
+          R"("sample_rows": )" + v, R"("sample_full_strips": )" + v})
+      EXPECT_THROW((void)parse_sweep_spec(spec_with(field)), SimError) << field;
+    for (const char* key :
+         {"scalar.issue_width", "scalar.rob_entries", "scalar.lsq_entries",
+          "scalar.mispredict_penalty", "vector.queue_entries", "vector.load_queues",
+          "vector.store_queues", "vector.mac_latency", "vector.alu_latency",
+          "vector.dispatch_latency", "vector.to_scalar_latency", "memory.l2_size_kib",
+          "memory.l2_hit_latency", "memory.dram_latency", "memory.dram_line_occupancy"})
+      EXPECT_THROW((void)parse_sweep_spec(spec_with(R"("processor": {")" + std::string(key) +
+                                                    R"(": )" + v + "}")),
+                   SimError)
+          << key;
+  }
+  // The largest 32-bit value still parses where the field allows it.
+  const SweepSpec max = parse_sweep_spec(spec_with(
+      R"("seed": 4294967295, "sample_rows": 4294967295, "sample_full_strips": 4294967295,
+         "processor": {"memory.dram_latency": 4294967295})"));
+  EXPECT_EQ(max.seed, 4294967295u);
+  EXPECT_EQ(max.sample.sample_rows, 4294967295u);
+  EXPECT_EQ(max.sample.sample_full_strips, 4294967295u);
+  EXPECT_EQ(max.processor.memory.dram_latency, 4294967295u);
 }
 
 TEST(SweepExpansion, SkipsStructurallyUnsupportedCells) {

@@ -3,7 +3,8 @@
 // (tests/golden/tiny_sweep.csv) byte-for-byte. Exact-mode cycles and
 // data-access counts are integers fully determined by the timing model, so
 // ANY drift in kernels, timing, memory hierarchy or report formatting
-// fails tier-1 loudly here.
+// fails tier-1 loudly here. tests/golden/tiny_sampled_sweep.json pins the
+// sampled path (miniature runs plus extrapolation) the same way.
 //
 // To regenerate after an intentional model change:
 //   build/tools/imac_run sweep --spec tests/golden/tiny_sweep.json
@@ -85,6 +86,24 @@ TEST(SweepGolden, TinySweepRollupReproducesCheckedInCsvByteForByte) {
   // merge/report/round-trip consumers.
   EXPECT_EQ(report_to_csv(parse_csv_report(expected)),
             read_file(golden_path("tiny_sweep.csv")));
+}
+
+TEST(SweepGolden, TinySampledSweepReproducesCheckedInCsvAndRollup) {
+  // Sampled mode has goldens of its own: only sampled points reuse a
+  // worker's previous miniature problem. Two threads interleave reuses and
+  // rebuilds, and the bytes must not depend on which a point got.
+  const SweepSpec spec = parse_sweep_spec_file(golden_path("tiny_sampled_sweep.json"));
+  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const std::string csv = report_to_csv(report);
+  EXPECT_EQ(csv, read_file(golden_path("tiny_sampled_sweep.csv")))
+      << "golden sampled sweep drifted; regenerate with:\n    imac_run sweep --spec "
+         "tests/golden/tiny_sampled_sweep.json --out tests/golden/tiny_sampled_sweep.csv\n";
+  EXPECT_EQ(csv + rollup_to_csv(compute_rollup(report)),
+            read_file(golden_path("tiny_sampled_sweep_rollup.csv")))
+      << "golden sampled rollup drifted; regenerate with:\n    imac_run sweep --spec "
+         "tests/golden/tiny_sampled_sweep.json --rollup "
+         "--out tests/golden/tiny_sampled_sweep_rollup.csv\n";
+  for (const SweepRow& row : report.rows) EXPECT_EQ(row.point.mode, SweepMode::kSampled);
 }
 
 TEST(SweepGolden, TwoShardsWithStoresMergeByteIdenticalToGolden) {

@@ -3,6 +3,8 @@
 // and the vector->scalar round trip that the vindexmac optimization targets.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "asm/assembler.h"
 #include "common/error.h"
 #include "timing/port_scheduler.h"
@@ -42,6 +44,65 @@ TEST(PortScheduler, WindowSlidesForward) {
   // Requests far behind the window are clamped forward, never lost.
   const std::uint64_t c = ports.claim(0);
   EXPECT_GE(c, 1'000'000u - 64);
+}
+
+TEST(PortScheduler, RejectsBadWidthsAndWindows) {
+  EXPECT_THROW(PortScheduler(0), SimError);
+  EXPECT_THROW(PortScheduler(256), SimError);  // per-cycle counts are 8-bit
+  for (const std::size_t window : {0, 3, 100, 4095, 4097})
+    EXPECT_THROW(PortScheduler(2, window), SimError) << window;
+  EXPECT_NO_THROW(PortScheduler(255, 1));
+}
+
+/// Feeds one seeded non-decreasing request stream to both port models and
+/// requires the same cycle for every request. The stream repeats requests,
+/// creeps, jumps (past the window, too) and bursts repeats so the claim
+/// frontier runs ahead of the request, far enough to clamp at a small window.
+void expect_same_claims(unsigned width, std::size_t window, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  InOrderPorts in_order(width);
+  PortScheduler scheduler(width, window);
+  std::uint64_t request = 0;
+  std::size_t claims = 0;
+  const auto claim_both = [&] {
+    ++claims;
+    ASSERT_EQ(in_order.claim(request), scheduler.claim(request))
+        << "width " << width << ", window " << window << ", claim " << claims << ", request "
+        << request;
+  };
+  for (int step = 0; step < 2000; ++step) {
+    switch (rng() % 4) {
+      case 0: break;  // repeat the last request
+      case 1: request += rng() % 3; break;
+      case 2: request += rng() % (3 * window); break;
+      default:
+        for (unsigned n = rng() % (100 * width); n > 0; --n) {
+          claim_both();
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+    }
+    claim_both();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(InOrderPorts, MatchesPortSchedulerOnNonDecreasingStreams) {
+  for (unsigned width = 1; width <= 8; ++width) {
+    expect_same_claims(width, 4096, 1000 + width);
+    expect_same_claims(width, 64, 2000 + width);
+  }
+}
+
+TEST(InOrderPorts, WidthLimitsPerCycleAndBackwardsRequestsRaise) {
+  InOrderPorts ports(2);
+  EXPECT_EQ(ports.claim(10), 10u);
+  EXPECT_EQ(ports.claim(10), 10u);
+  EXPECT_EQ(ports.claim(10), 11u);  // third request spills to the next cycle
+  EXPECT_EQ(ports.claim(10), 11u);  // a request behind the frontier is fine
+  EXPECT_EQ(ports.claim(10), 12u);
+  EXPECT_EQ(ports.claim(20), 20u);
+  EXPECT_THROW((void)ports.claim(19), SimError);  // but never behind a request
+  EXPECT_THROW(InOrderPorts(0), SimError);
 }
 
 TEST(SlotPool, BlocksWhenAllSlotsHeld) {
