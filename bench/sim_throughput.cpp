@@ -1,5 +1,5 @@
 // Simulator-throughput benchmark: how many dynamic instructions per second
-// the trace-driven timing model retires. Every reproduced figure is gated
+// the timing model retires. Every reproduced figure is gated
 // by this number, so the repo tracks it: the CI Release job runs this
 // harness and compares the emitted BENCH_sim_throughput.json against the
 // checked-in baseline (bench/sim_throughput_baseline.json), warning on a
@@ -11,8 +11,8 @@
 //   * algorithm4     — the same SpMM on the packed-index/dual-row kernel;
 //                      its tracked sim_cycles, against vector_heavy's,
 //                      records the Algorithm 3 -> 4 cycle gain
-//   * gather_heavy   — SpMV built on vluxei32 (per-element L2 accesses,
-//                      the path the zero-allocation trace targets)
+//   * gather_heavy   — SpMV built on vluxei32 (per-element L2 accesses
+//                      from the timing model's gather handler)
 //   * sampled        — run_sampled miniature run (the sweep workhorse)
 // and the functional simulator alone (no timing model) on the same programs:
 //   * fsim_scalar — the scalar_heavy loop

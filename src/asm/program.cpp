@@ -11,25 +11,18 @@ Program::Program(std::uint64_t base, std::vector<std::uint32_t> words)
     : base_(base), words_(std::move(words)) {
   IMAC_CHECK((base & 3) == 0, "program base must be 4-byte aligned");
   decoded_.reserve(words_.size());
-  info_.reserve(words_.size());
   for (std::size_t i = 0; i < words_.size(); ++i) {
     std::string err;
     isa::Instruction inst = isa::decode(words_[i], &err);
     IMAC_CHECK(inst.op != isa::Op::kIllegal,
                "word " + std::to_string(i) + " does not decode: " + err);
     decoded_.push_back(inst);
-    info_.push_back(isa::predecode(inst));
   }
 }
 
 const isa::Instruction& Program::at(std::uint64_t pc) const {
   IMAC_CHECK(contains(pc), "pc outside program: " + std::to_string(pc));
   return decoded_[(pc - base_) / 4];
-}
-
-const isa::StaticInstInfo& Program::info_at(std::uint64_t pc) const {
-  IMAC_CHECK(contains(pc), "pc outside program: " + std::to_string(pc));
-  return info_[(pc - base_) / 4];
 }
 
 std::string Program::listing() const {

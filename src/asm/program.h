@@ -8,7 +8,6 @@
 
 #include "isa/encoding.h"
 #include "isa/isa.h"
-#include "isa/static_info.h"
 
 namespace indexmac {
 
@@ -34,14 +33,6 @@ class Program {
   [[nodiscard]] const std::vector<std::uint32_t>& words() const { return words_; }
   [[nodiscard]] const std::vector<isa::Instruction>& decoded() const { return decoded_; }
 
-  /// Predecoded static metadata, one entry per PC slot (parallel to
-  /// decoded()). Built once at load; the simulators' hot loops index this
-  /// instead of re-deriving op classes per dynamic instruction.
-  [[nodiscard]] const std::vector<isa::StaticInstInfo>& static_info() const { return info_; }
-
-  /// Static metadata at `pc`; throws if pc is outside the program.
-  [[nodiscard]] const isa::StaticInstInfo& info_at(std::uint64_t pc) const;
-
   /// Full listing ("<addr>: <word>  <disassembly>"), for debugging/examples.
   [[nodiscard]] std::string listing() const;
 
@@ -49,7 +40,6 @@ class Program {
   std::uint64_t base_ = 0;
   std::vector<std::uint32_t> words_;
   std::vector<isa::Instruction> decoded_;
-  std::vector<isa::StaticInstInfo> info_;
 };
 
 }  // namespace indexmac

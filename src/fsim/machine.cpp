@@ -519,20 +519,8 @@ Machine::Machine(const Program& program, MainMemory& memory)
   state_.vl = 0;
 }
 
-StopReason Machine::step() {
-  // Explicit out-of-range fault: a pc below the program base (stray jump
-  // through a cleared register, a negative branch out of the prologue) must
-  // not reach the slot computation via unsigned wraparound of pc - base_.
-  const std::uint64_t pc = state_.pc;
-  if (pc < base_ || pc - base_ >= code_bytes_ || ((pc - base_) & 3) != 0)
-    raise("functional execution left the program: " + describe_pc(program_, pc));
-  const Slot& op = slots_[(pc - base_) >> 2];
-  // The handler sees the pre-instruction pc (fault text, marker hook); a
-  // throwing handler leaves it on the faulting instruction.
-  state_.pc = op.fn(*this, op);
-  state_.x[0] = 0;  // x0 is hardwired to zero
-  ++retired_;
-  return op.stop;
+void Machine::left_program() const {
+  raise("functional execution left the program: " + describe_pc(program_, state_.pc));
 }
 
 StopReason Machine::run(std::uint64_t max_steps) {

@@ -8,8 +8,9 @@
 // immediates, pc-relative branch and jump targets, link values and halt
 // stop reasons. step() then calls the slot's handler through a plain
 // function pointer. This table is the only implementation of instruction
-// semantics; the timing model's trace, the debug stub and `imac_run run`
-// all step through it.
+// semantics: the timing model's per-slot handlers, the debug stub and
+// `imac_run run` all step through it. step() is inline so that the timing
+// handlers inline it; its fault path stays out of line.
 #pragma once
 
 #include <array>
@@ -43,7 +44,7 @@ struct ArchState {
 /// One SSR address-generation state machine (Algorithm 5): a configured
 /// base/length window over memory that the streaming MAC pops 32-bit words
 /// from, wrapping at `count`. Architectural state — the timing model's
-/// trace reads it to resolve stream operands pre-execution.
+/// streaming-MAC handler reads it to resolve stream operands pre-execution.
 struct SsrStream {
   std::uint64_t base = 0;  ///< first word address
   std::uint32_t count = 0; ///< words before wrap
@@ -70,7 +71,22 @@ class Machine {
   /// outside the program, an SSR pop from a disabled or empty stream) with
   /// the pc left on the faulting instruction; vindexmac with vl==0 never
   /// traps — the instruction simply does nothing.
-  StopReason step();
+  StopReason step() {
+    // Explicit out-of-range fault: a pc below the program base (stray jump
+    // through a cleared register, a negative branch out of the prologue)
+    // must not reach the slot computation via unsigned wraparound of
+    // pc - base_.
+    const std::uint64_t pc = state_.pc;
+    if (pc < base_ || pc - base_ >= code_bytes_ || ((pc - base_) & 3) != 0) [[unlikely]]
+      left_program();
+    const Slot& op = slots_[(pc - base_) >> 2];
+    // The handler sees the pre-instruction pc (fault text, marker hook); a
+    // throwing handler leaves it on the faulting instruction.
+    state_.pc = op.fn(*this, op);
+    state_.x[0] = 0;  // x0 is hardwired to zero
+    ++retired_;
+    return op.stop;
+  }
 
   /// Runs until ebreak/ecall or `max_steps`. Returns the stop reason.
   StopReason run(std::uint64_t max_steps = 100'000'000);
@@ -91,8 +107,8 @@ class Machine {
   [[nodiscard]] std::uint64_t instructions_retired() const { return retired_; }
   /// The four SSR address-generation state machines (index 0..3).
   [[nodiscard]] const std::array<SsrStream, 4>& ssr() const { return ssr_; }
-  /// The backing memory — the trace needs a pre-execution peek at the word
-  /// the index stream will deliver.
+  /// The backing memory — the timing model needs a pre-execution peek at
+  /// the word the index stream will deliver.
   [[nodiscard]] const MainMemory& memory() const { return memory_; }
 
   /// Called when a marker instruction retires (id passed through).
@@ -115,6 +131,9 @@ class Machine {
   /// Pops the next 32-bit word from stream `sid`, advancing and wrapping at
   /// the configured length. SimError if the stream is disabled or empty.
   std::uint32_t ssr_pop(unsigned sid);
+
+  /// step()'s fault for a pc outside the program (SimError naming the pc).
+  [[noreturn, gnu::noinline, gnu::cold]] void left_program() const;
 
   const Program& program_;
   MainMemory& memory_;

@@ -135,8 +135,7 @@ StaticInstInfo predecode(const Instruction& inst) {
   s.vlat = latency_class_of(op);
   // Every non-memory vector op must carry an engine latency class; a new
   // vector op missing from latency_class_of() would otherwise be silently
-  // mis-timed as kNone. Fails loudly at program load, where the old
-  // process_vector default-raise fired per dynamic instruction.
+  // mis-timed as kNone. Fails loudly when the timing model binds the slot.
   IMAC_ASSERT(!s.has(kSiVector) || s.has(kSiVectorLoad | kSiVectorStore) ||
                   s.vlat != VLatClass::kNone,
               "predecode: vector op missing a latency class: " + mnemonic(op));

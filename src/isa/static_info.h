@@ -1,12 +1,12 @@
 // Predecoded static-instruction metadata.
 //
-// Everything the simulators' hot loops would otherwise recompute per
-// dynamic instruction — operand read/write register-file usage, op class,
+// Everything the timing model would otherwise recompute per dynamic
+// instruction — operand read/write register-file usage, op class,
 // vector-engine latency class, memory access size — is a pure function of
-// the decoded Instruction, so Program computes it once per PC slot at load
-// time and the timing model (trace and core) consumes the cached table.
-// The isa::reads_*/writes_*/is_* predicates stay the single source of
-// truth: predecode() is defined in terms of them.
+// the decoded Instruction, so the timing model computes it once per PC slot,
+// when it binds the slot's handler. The isa::reads_*/writes_*/is_*
+// predicates stay the single source of truth: predecode() is defined in
+// terms of them.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,6 @@ enum class VLatClass : std::uint8_t {
   kSlide,
   kMove,
   kReduction,
-  kCount,
 };
 
 /// Bits of StaticInstInfo::vreg_reads: which Instruction register fields
@@ -63,7 +62,7 @@ enum : std::uint8_t {
   kVReadRs2 = 1u << 2,  ///< reads v[rs2]
 };
 
-/// Per-PC-slot metadata cached by Program (see Program::static_info()).
+/// Per-PC-slot metadata, computed once per slot by predecode().
 struct StaticInstInfo {
   std::uint32_t flags = 0;
   std::uint8_t scalar_mem_bytes = 0;  ///< scalar loads/stores: 4 or 8, else 0

@@ -1,12 +1,13 @@
 #include "timing/timing_sim.h"
 
+#include <algorithm>
 #include <array>
 
 #include "common/bitutil.h"
 #include "common/error.h"
 #include "fsim/machine.h"
+#include "isa/static_info.h"
 #include "timing/port_scheduler.h"
-#include "timing/trace.h"
 
 namespace indexmac::timing {
 namespace {
@@ -16,6 +17,14 @@ using isa::Op;
 /// Fixed front-end depth between a fetch slot and rename/dispatch.
 constexpr std::uint64_t kFrontendDepth = 4;
 
+/// Scalar ready-time table: x0..x31, f0..f31, then a write-only sink. x0's
+/// entry is never written, so it also stands for "no source" (ready at 0).
+constexpr std::uint8_t kNoSource = 0;
+constexpr std::uint8_t kF0 = isa::kNumXRegs;
+constexpr std::uint8_t kSink = isa::kNumXRegs + isa::kNumFRegs;
+/// The vector ready-time table's extra, never-written entry past v31.
+constexpr std::uint8_t kNoVSource = isa::kNumVRegs;
+
 /// Recent scalar stores for store-to-load forwarding / disambiguation.
 struct PendingStore {
   std::uint64_t addr = 0;
@@ -23,13 +32,25 @@ struct PendingStore {
   std::uint64_t data_ready = 0;
 };
 
+/// Engine latency of a vector op's latency class.
+unsigned vector_latency(isa::VLatClass vlat, const VectorEngineConfig& vc) {
+  switch (vlat) {
+    case isa::VLatClass::kMac: return vc.mac_latency;
+    case isa::VLatClass::kSlide: return vc.slide_latency;
+    case isa::VLatClass::kMove: return vc.move_latency;
+    case isa::VLatClass::kReduction: return vc.reduction_latency;
+    default: return vc.alu_latency;
+  }
+}
+
 class Model {
  public:
   Model(const Program& program, MainMemory& memory, const ProcessorConfig& config,
         TimingStats& stats, std::vector<MarkerEvent>& markers)
       : config_(config),
         machine_(program, memory),
-        trace_(machine_),
+        base_(program.base()),
+        code_bytes_(program.end() - program.base()),
         mem_(config.memory),
         fetch_ports_(config.scalar.fetch_width),
         issue_ports_(config.scalar.issue_width),
@@ -41,30 +62,28 @@ class Model {
         vsq_(config.vector.store_queues),
         stats_(stats),
         markers_(markers) {
-    x_ready_.fill(0);
-    f_ready_.fill(0);
-    v_ready_.fill(0);
-    // Resolve the per-class vector-engine latencies once; the per-op
-    // switch in process_vector becomes a table lookup.
-    vlat_cycles_[static_cast<int>(isa::VLatClass::kNone)] = config_.vector.alu_latency;
-    vlat_cycles_[static_cast<int>(isa::VLatClass::kAlu)] = config_.vector.alu_latency;
-    vlat_cycles_[static_cast<int>(isa::VLatClass::kMac)] = config_.vector.mac_latency;
-    vlat_cycles_[static_cast<int>(isa::VLatClass::kSlide)] = config_.vector.slide_latency;
-    vlat_cycles_[static_cast<int>(isa::VLatClass::kMove)] = config_.vector.move_latency;
-    vlat_cycles_[static_cast<int>(isa::VLatClass::kReduction)] =
-        config_.vector.reduction_latency;
+    const VectorEngineConfig& vc = config.vector;
+    IMAC_CHECK(vc.lanes >= 1 && vc.gather_lanes >= 1, "vector lane counts must be positive");
+    for (std::uint32_t vl = 0; vl <= isa::kVlMax; ++vl) {
+      const std::uint32_t elems = std::max<std::uint32_t>(vl, 1);
+      lane_time_[vl] = std::max<std::uint64_t>(1, ceil_div(elems, vc.lanes));
+      gather_time_[vl] = std::max<std::uint64_t>(1, ceil_div(elems, vc.gather_lanes));
+    }
+    slots_.reserve(program.size());
+    for (const isa::Instruction& in : program.decoded()) slots_.push_back(bind(in));
   }
 
   void run(std::uint64_t max_instructions) {
-    DynInst d;
-    for (std::uint64_t n = 0; n < max_instructions; ++n) {
-      if (!trace_.next(d)) {
-        raise("timing: trace ended without a halt instruction at " +
-              describe_pc(machine_.program(), machine_.state().pc));
-      }
-      process(d);
-      if (d.is_halt) {
-        stats_.instructions = n + 1;
+    const Slot* const slots = slots_.data();
+    while (committed_ < max_instructions) {
+      // A pc below the base wraps to a huge offset: one compare bounds both ends.
+      const std::uint64_t offset = machine_.state().pc - base_;
+      if (offset >= code_bytes_ || (offset & 3) != 0) [[unlikely]]
+        left_program();
+      const Slot& slot = slots[offset >> 2];
+      if (slot.fn(*this, slot)) {
+        stats_.instructions = committed_;
+        stats_.scalar_instructions = committed_ - stats_.vector_instructions;
         stats_.mem = mem_.stats();
         return;
       }
@@ -75,22 +94,104 @@ class Model {
   }
 
  private:
-  // ---- helpers ----
+  /// One pc slot, bound at construction to its class's timing handler with
+  /// registers and latency resolved. A handler reads the pre-execution
+  /// operands its class needs, steps the machine, then times the
+  /// instruction; it returns true on the halt.
+  struct Slot {
+    bool (*fn)(Model&, const Slot&) = nullptr;
+    std::uint64_t latency = 0;  ///< execution latency from the config
+    std::int32_t imm = 0;       ///< address offset; marker id
+    std::uint8_t rd = 0, rs1 = 0, rs2 = 0;
+    std::uint8_t src1 = kNoSource, src2 = kNoSource;  ///< scalar sources (ready_ indices)
+    std::uint8_t dst = kSink;                         ///< scalar destination (ready_ index)
+    /// Engine scoreboard sources (v_ready_ indices) from vreg_reads.
+    std::array<std::uint8_t, 3> vsrc{kNoVSource, kNoVSource, kNoVSource};
+    std::uint8_t bytes = 0;      ///< scalar loads/stores: access size
+    std::uint8_t macs = 0;       ///< MAC operations per dispatch (dual-row: 2)
+    bool predict_taken = false;  ///< branches: static BTFNT prediction
+  };
 
-  std::uint64_t xr(unsigned r) const { return r == 0 ? 0 : x_ready_[r]; }
+  Slot bind(const isa::Instruction& in) const {
+    const isa::StaticInstInfo si = isa::predecode(in);
+    const VectorEngineConfig& vc = config_.vector;
+    Slot s;
+    s.imm = in.imm;
+    s.rd = in.rd;
+    s.rs1 = in.rs1;
+    s.rs2 = in.rs2;
+    if (si.has(isa::kSiReadsXRs1)) s.src1 = in.rs1;
+    if (si.has(isa::kSiReadsFRs1)) s.src1 = kF0 + in.rs1;
+    if (si.has(isa::kSiReadsXRs2)) s.src2 = in.rs2;
+    if (si.has(isa::kSiReadsFRs2)) s.src2 = kF0 + in.rs2;
+    if (si.has(isa::kSiWritesX)) s.dst = in.rd;  // never x0
+    if (si.has(isa::kSiWritesF)) s.dst = kF0 + in.rd;
+    if (si.vreg_reads & isa::kVReadRd) s.vsrc[0] = in.rd;
+    if (si.vreg_reads & isa::kVReadRs1) s.vsrc[1] = in.rs1;
+    if (si.vreg_reads & isa::kVReadRs2) s.vsrc[2] = in.rs2;
+    s.bytes = si.scalar_mem_bytes;
+    s.macs = !si.has(isa::kSiVectorMac) ? 0 : si.has(isa::kSiDualMac) ? 2 : 1;
+    s.predict_taken = in.imm < 0;
+    if (si.has(isa::kSiVectorToScalar))
+      s.latency = std::uint64_t{vc.move_latency} + vc.to_scalar_latency;
+    else if (si.has(isa::kSiVector))
+      s.latency = vector_latency(si.vlat, vc);
+    else
+      s.latency = in.op == Op::kMul ? config_.scalar.mul_latency : config_.scalar.alu_latency;
 
-  void set_x(unsigned r, std::uint64_t cycle) {
-    if (r != 0) x_ready_[r] = cycle;
+    if (si.has(isa::kSiGather)) s.fn = gather;
+    else if (si.has(isa::kSiVectorLoad)) s.fn = unit_stride<false>;
+    else if (si.has(isa::kSiVectorStore)) s.fn = unit_stride<true>;
+    else if (si.has(isa::kSiVectorToScalar)) s.fn = to_scalar;
+    else if (si.has(isa::kSiSsrMac)) s.fn = ssr_mac;
+    else if (si.has(isa::kSiDualMac)) s.fn = indirect_mac<true, true>;
+    else if (si.has(isa::kSiPackedIndex)) s.fn = indirect_mac<true, false>;
+    else if (si.has(isa::kSiIndirectVreg)) s.fn = indirect_mac<false, false>;
+    else if (si.has(isa::kSiVector)) s.fn = vector_op;
+    else if (si.has(isa::kSiScalarLoad)) s.fn = load;
+    else if (si.has(isa::kSiScalarStore)) s.fn = store;
+    else if (si.has(isa::kSiBranch)) s.fn = control<true>;
+    else if (si.has(isa::kSiJump)) s.fn = control<false>;
+    else if (si.has(isa::kSiHalt)) s.fn = halt;
+    else if (si.has(isa::kSiMarker)) s.fn = marker;
+    else if (si.has(isa::kSiSsrCtl)) s.fn = in.op == Op::kSsrEn ? ssr_ctl<true> : ssr_ctl<false>;
+    // Plain ALU work, including vsetvli, which computes vl on the scalar side.
+    else s.fn = in.op == Op::kVsetvli ? scalar_alu<true> : scalar_alu<false>;
+    return s;
   }
 
-  std::uint64_t scalar_srcs(const DynInst& d) const {
-    const std::uint32_t flags = d.info->flags;
-    std::uint64_t ready = 0;
-    if (flags & isa::kSiReadsXRs1) ready = std::max(ready, xr(d.inst.rs1));
-    if (flags & isa::kSiReadsXRs2) ready = std::max(ready, xr(d.inst.rs2));
-    if (flags & isa::kSiReadsFRs1) ready = std::max(ready, f_ready_[d.inst.rs1]);
-    if (flags & isa::kSiReadsFRs2) ready = std::max(ready, f_ready_[d.inst.rs2]);
-    return ready;
+  [[noreturn, gnu::noinline, gnu::cold]] void left_program() const {
+    raise("timing: execution left the program: " +
+          describe_pc(machine_.program(), machine_.state().pc));
+  }
+
+  // ---- shared front end, issue and commit ----
+
+  /// Fetch slot (stalled after a mispredict), fixed depth to dispatch, and a
+  /// free ROB entry: the cycle the instruction dispatches.
+  std::uint64_t dispatch() {
+    const std::uint64_t fetch = fetch_ports_.claim(fetch_blocked_until_);
+    return rob_.available(fetch + kFrontendDepth);
+  }
+
+  std::uint64_t scalar_srcs(const Slot& s) const {
+    return std::max(ready_[s.src1], ready_[s.src2]);
+  }
+
+  /// Scalar issue: the first free issue port at or after `earliest` once
+  /// the slot's scalar sources are ready.
+  std::uint64_t issue(const Slot& s, std::uint64_t earliest) {
+    return issue_ports_.claim(std::max(earliest, scalar_srcs(s)));
+  }
+
+  /// In-order commit of an instruction whose result is ready at `ready`.
+  std::uint64_t commit(std::uint64_t ready) {
+    const std::uint64_t cycle = commit_ports_.claim(std::max(ready, last_commit_));
+    last_commit_ = cycle;
+    rob_.claim(cycle + 1);
+    ++committed_;
+    stats_.cycles = cycle;
+    return cycle;
   }
 
   /// Store-to-load forwarding: completion if an older in-flight store
@@ -106,131 +207,113 @@ class Model {
     return ready;
   }
 
-  // ---- per-instruction model ----
+  // ---- scalar handlers ----
 
-  void process(const DynInst& d) {
-    // Front end: fetch slot (stalled after a mispredict), fixed depth to
-    // dispatch, ROB entry must be free.
-    const std::uint64_t fetch = fetch_ports_.claim(fetch_blocked_until_);
-    std::uint64_t disp = rob_.available(fetch + kFrontendDepth);
-
-    std::uint64_t ready = 0;          // ROB-completion cycle
-    bool is_store_commit = false;     // scalar stores write at commit
-
-    if (d.info->has(isa::kSiVector)) {
-      ready = process_vector(d, disp);
-      ++stats_.vector_instructions;
-    } else {
-      ready = process_scalar(d, disp, is_store_commit);
-      ++stats_.scalar_instructions;
-    }
-
-    // In-order commit.
-    const std::uint64_t commit = commit_ports_.claim(std::max(ready, last_commit_));
-    last_commit_ = commit;
-    rob_.claim(commit + 1);
-
-    if (is_store_commit) {
-      (void)mem_.scalar_data(d.mem_addr, d.mem_bytes, /*is_store=*/true, commit + 1);
-      lsq_.claim(commit + 1);
-      store_ring_[store_ring_next_] = PendingStore{d.mem_addr, d.mem_bytes, ready};
-      store_ring_next_ = (store_ring_next_ + 1) % store_ring_.size();
-    }
-
-    if (d.marker_id >= 0)
-      markers_.push_back(MarkerEvent{d.marker_id, commit, committed_ + 1, mem_.stats()});
-    ++committed_;
-    stats_.cycles = commit;
+  template <bool kVsetvli>
+  static bool scalar_alu(Model& m, const Slot& s) {
+    m.machine_.step();
+    const std::uint64_t done = m.issue(s, m.dispatch()) + s.latency;
+    m.ready_[s.dst] = done;
+    if constexpr (kVsetvli) m.last_vsetvli_done_ = done;
+    m.commit(done);
+    return false;
   }
 
-  std::uint64_t process_scalar(const DynInst& d, std::uint64_t disp, bool& is_store_commit) {
-    const Op op = d.inst.op;
-    const std::uint32_t flags = d.info->flags;
-    const std::uint64_t srcs = scalar_srcs(d);
-
-    if (flags & isa::kSiScalarLoad) {
-      const std::uint64_t avail = lsq_.available(disp);
-      const std::uint64_t issue = issue_ports_.claim(std::max(avail, srcs));
-      std::uint64_t done = forward_from_stores(d.mem_addr, d.mem_bytes, issue);
-      if (done == 0) done = mem_.scalar_data(d.mem_addr, d.mem_bytes, false, issue + 1);
-      lsq_.claim(done);
-      if (op == Op::kFlw)
-        f_ready_[d.inst.rd] = done;
-      else
-        set_x(d.inst.rd, done);
-      return done;
-    }
-
-    if (flags & isa::kSiScalarStore) {
-      const std::uint64_t avail = lsq_.available(disp);
-      const std::uint64_t issue = issue_ports_.claim(std::max(avail, srcs));
-      is_store_commit = true;  // LSQ entry + write handled at commit
-      return issue + 1;
-    }
-
-    if (flags & (isa::kSiBranch | isa::kSiJump)) {
-      const std::uint64_t issue = issue_ports_.claim(std::max(disp, srcs));
-      const std::uint64_t resolve = issue + config_.scalar.alu_latency;
-      // Static BTFNT predictor for conditional branches; direct jumps and
-      // returns are assumed predicted (decode target / return stack).
-      if (flags & isa::kSiBranch) {
-        const bool predicted_taken = d.inst.imm < 0;
-        if (predicted_taken != d.branch_taken) {
-          ++stats_.branch_mispredicts;
-          fetch_blocked_until_ =
-              std::max(fetch_blocked_until_, resolve + config_.scalar.mispredict_penalty);
-        }
-      }
-      last_branch_resolve_ = std::max(last_branch_resolve_, resolve);
-      if (flags & isa::kSiJump) set_x(d.inst.rd, resolve);
-      return resolve;
-    }
-
-    if (flags & (isa::kSiHalt | isa::kSiMarker)) {
-      // Architectural no-ops: occupy a dispatch slot, complete immediately.
-      return disp;
-    }
-
-    if (flags & isa::kSiSsrCtl) {
-      // Stream control (ssrcfg/ssren): reprograms the address-generation
-      // state machines. No x-register destination — the rd field names a
-      // stream, not a register — and later streaming MACs must not issue
-      // before the new stream state is visible engine-side.
-      const std::uint64_t issue = issue_ports_.claim(std::max(disp, srcs));
-      const std::uint64_t done = issue + config_.scalar.alu_latency;
-      last_ssr_ctl_done_ = std::max(last_ssr_ctl_done_, done);
-      // Drop buffered lines only for the streams this op reprograms
-      // (DynInst::ssr_ctl_mask): configuring or re-enabling a stream moves
-      // its address generator, so the held line must be refetched, but
-      // setup traffic on the *other* streams must not flush lines an
-      // active stream is still amortizing pops against.
-      for (unsigned s = 0; s < ssr_line_valid_.size(); ++s)
-        if ((d.ssr_ctl_mask >> s) & 1) ssr_line_valid_[s] = false;
-      return done;
-    }
-
-    // Plain ALU work (incl. vsetvli, which computes vl on the scalar side).
-    const std::uint64_t issue = issue_ports_.claim(std::max(disp, srcs));
-    const unsigned latency =
-        op == Op::kMul ? config_.scalar.mul_latency : config_.scalar.alu_latency;
-    const std::uint64_t done = issue + latency;
-    set_x(d.inst.rd, done);
-    if (op == Op::kVsetvli) last_vsetvli_done_ = done;
-    return done;
+  static bool load(Model& m, const Slot& s) {
+    const std::uint64_t addr = m.machine_.state().x[s.rs1] + static_cast<std::int64_t>(s.imm);
+    m.machine_.step();
+    const std::uint64_t issue = m.issue(s, m.lsq_.available(m.dispatch()));
+    std::uint64_t done = m.forward_from_stores(addr, s.bytes, issue);
+    if (done == 0) done = m.mem_.scalar_data(addr, s.bytes, false, issue + 1);
+    m.lsq_.claim(done);
+    m.ready_[s.dst] = done;
+    m.commit(done);
+    return false;
   }
 
-  std::uint64_t process_vector(const DynInst& d, std::uint64_t disp) {
-    const Op op = d.inst.op;
-    const VectorEngineConfig& vc = config_.vector;
+  static bool store(Model& m, const Slot& s) {
+    const std::uint64_t addr = m.machine_.state().x[s.rs1] + static_cast<std::int64_t>(s.imm);
+    m.machine_.step();
+    const std::uint64_t ready = m.issue(s, m.lsq_.available(m.dispatch())) + 1;
+    // The LSQ entry is held, and the write performed, at commit.
+    const std::uint64_t commit = m.commit(ready);
+    (void)m.mem_.scalar_data(addr, s.bytes, /*is_store=*/true, commit + 1);
+    m.lsq_.claim(commit + 1);
+    m.store_ring_[m.store_ring_next_] = PendingStore{addr, s.bytes, ready};
+    m.store_ring_next_ = (m.store_ring_next_ + 1) % m.store_ring_.size();
+    return false;
+  }
 
-    // Dispatch to the engine: in program order, squash-free (all older
-    // branches resolved), scalar operands and the governing vl available,
-    // and a vector-queue slot free. One vector instruction per cycle.
-    // Attribute the wait to its binding constraint for the stall breakdown.
-    std::uint64_t operand_ready = std::max(scalar_srcs(d), last_vsetvli_done_);
-    if (d.info->has(isa::kSiSsrMac))
-      operand_ready = std::max(operand_ready, last_ssr_ctl_done_);
-    std::uint64_t send =
+  /// Branches (static BTFNT predictor) and jumps, which are assumed
+  /// predicted (decode target / return stack).
+  template <bool kBranch>
+  static bool control(Model& m, const Slot& s) {
+    const std::uint64_t fall_through = m.machine_.state().pc + 4;
+    m.machine_.step();
+    const std::uint64_t resolve = m.issue(s, m.dispatch()) + s.latency;
+    if (kBranch && s.predict_taken != (m.machine_.state().pc != fall_through)) {
+      ++m.stats_.branch_mispredicts;
+      m.fetch_blocked_until_ =
+          std::max(m.fetch_blocked_until_, resolve + m.config_.scalar.mispredict_penalty);
+    }
+    m.last_branch_resolve_ = std::max(m.last_branch_resolve_, resolve);
+    m.ready_[s.dst] = resolve;  // the link register; branches write the sink
+    m.commit(resolve);
+    return false;
+  }
+
+  // Markers and the halt are architectural no-ops: they occupy a dispatch
+  // slot and complete immediately.
+  static bool marker(Model& m, const Slot& s) {
+    m.machine_.step();
+    const std::uint64_t cycle = m.commit(m.dispatch());
+    m.markers_.push_back(MarkerEvent{s.imm, cycle, m.committed_, m.mem_.stats()});
+    return false;
+  }
+
+  static bool halt(Model& m, const Slot&) {
+    m.machine_.step();
+    m.commit(m.dispatch());
+    return true;
+  }
+
+  /// Stream control (ssrcfg/ssren): reprograms the address-generation state
+  /// machines. No x-register destination — ssrcfg's rd field names a
+  /// stream — and later streaming MACs must not issue before the new
+  /// stream state is visible engine-side.
+  template <bool kEnable>
+  static bool ssr_ctl(Model& m, const Slot& s) {
+    // The streams this op reprograms: ssrcfg the one named by rd, ssren the
+    // ones being enabled, which rewind to their base.
+    const std::uint64_t streams = kEnable ? m.machine_.state().x[s.rs1] & 0xf : 1u << s.rd;
+    m.machine_.step();
+    const std::uint64_t done = m.issue(s, m.dispatch()) + s.latency;
+    m.last_ssr_ctl_done_ = std::max(m.last_ssr_ctl_done_, done);
+    // Moving a stream's address generator drops its held line, but setup
+    // traffic on the *other* streams must not flush lines an active stream
+    // is still amortizing pops against.
+    for (unsigned i = 0; i < m.ssr_line_valid_.size(); ++i)
+      if ((streams >> i) & 1) m.ssr_line_valid_[i] = false;
+    m.commit(done);
+    return false;
+  }
+
+  // ---- vector handlers ----
+  //
+  // Vector ops never change vl, so reading it after the step reads the
+  // governing (pre-execution) vl.
+
+  /// Dispatch to the engine: in program order, squash-free (all older
+  /// branches resolved), scalar operands and the governing vl available,
+  /// and a vector-queue slot free. One vector instruction per cycle. The
+  /// wait is attributed to its binding constraint for the stall breakdown.
+  /// `stream_ready` is when stream state is visible (streaming MACs only).
+  /// Returns the send cycle, which is also when most vector ops complete.
+  std::uint64_t vector_send(const Slot& s, std::uint64_t stream_ready) {
+    const std::uint64_t disp = dispatch();
+    const std::uint64_t operand_ready =
+        std::max({scalar_srcs(s), last_vsetvli_done_, stream_ready});
+    const std::uint64_t send =
         std::max({disp, operand_ready, last_branch_resolve_, last_vector_send_ + 1});
     const std::uint64_t queue_ready = viq_.available(send);
     if (send > disp) {
@@ -243,111 +326,157 @@ class Model {
         st.bandwidth += send - disp;
     }
     stats_.dispatch_stalls.queue_full += queue_ready - send;
-    send = queue_ready;
-    last_vector_send_ = send;
+    last_vector_send_ = queue_ready;
+    ++stats_.vector_instructions;
+    return queue_ready;
+  }
 
-    // Engine-side in-order issue with register-granular scoreboarding; the
-    // per-op source sets are predecoded into StaticInstInfo::vreg_reads.
-    const std::uint8_t vreads = d.info->vreg_reads;
-    std::uint64_t deps = 0;
-    if (vreads & isa::kVReadRd) deps = std::max(deps, v_ready_[d.inst.rd]);
-    if (vreads & isa::kVReadRs1) deps = std::max(deps, v_ready_[d.inst.rs1]);
-    if (vreads & isa::kVReadRs2) deps = std::max(deps, v_ready_[d.inst.rs2]);
-    if (d.info->has(isa::kSiIndirectVreg)) {
-      deps = std::max(deps, v_ready_[d.indirect_vreg]);  // the indirect VRF read
-      if (d.info->has(isa::kSiDualMac)) deps = std::max(deps, v_ready_[d.indirect_vreg2]);
-    }
-    if (d.info->has(isa::kSiSsrMac)) {
-      deps = std::max(deps, v_ready_[d.indirect_vreg]);  // stream-resolved VRF read
-      // Each stream fronts memory with a one-line (64 B) buffer: only a
-      // line crossing costs a vector-load access, so sequential streaming
-      // amortizes one fetch over 16 pops per stream.
-      const std::uint64_t addrs[2] = {d.ssr_value_addr, d.ssr_index_addr};
-      for (unsigned s = 0; s < 2; ++s) {
-        const std::uint64_t line = addrs[s] & ~std::uint64_t{63};
-        if (ssr_line_valid_[s] && ssr_line_[s] == line) {
-          deps = std::max(deps, ssr_line_ready_[s]);
-          continue;
-        }
-        const std::uint64_t start = vlq_.available(send + vc.dispatch_latency);
-        const std::uint64_t done = mem_.vector_data(line, 64, false, start + 1);
-        vlq_.claim(done);
-        ++stats_.vector_loads;
-        ssr_line_[s] = line;
-        ssr_line_valid_[s] = true;
-        ssr_line_ready_[s] = done;
-        deps = std::max(deps, done);
-      }
-    }
+  /// Engine-side in-order issue with register-granular scoreboarding: the
+  /// slot's VRF sources, plus `deps` for sources resolved at run time.
+  std::uint64_t engine_issue(const Slot& s, std::uint64_t send, std::uint64_t deps) const {
+    deps = std::max({deps, v_ready_[s.vsrc[0]], v_ready_[s.vsrc[1]], v_ready_[s.vsrc[2]]});
+    return std::max({send + config_.vector.dispatch_latency, engine_next_issue_, deps});
+  }
 
-    const std::uint64_t occupancy =
-        std::max<std::uint64_t>(1, ceil_div(std::max<std::uint32_t>(d.vl, 1), vc.lanes));
-    std::uint64_t e_issue = std::max({send + vc.dispatch_latency, engine_next_issue_, deps});
-
-    std::uint64_t ready_for_rob = send;  // most vector ops complete at send
-    std::uint64_t engine_ops = occupancy;  // lane time the engine is busy for
-
-    if (d.info->has(isa::kSiGather)) {
-      // Gather: one element access per address, a few addresses per cycle.
-      e_issue = std::max(e_issue, vlq_.available(e_issue));
-      std::uint64_t done = e_issue + 1;
-      for (std::uint32_t i = 0; i < d.gather_count; ++i) {
-        const std::uint64_t start = e_issue + 1 + i / vc.gather_lanes;
-        done = std::max(done, mem_.vector_data(d.gather_addrs[i], 4, false, start));
-      }
-      vlq_.claim(done);
-      v_ready_[d.inst.rd] = done;
-      ++stats_.vector_loads;
-      engine_next_issue_ =
-          e_issue + std::max<std::uint64_t>(1, ceil_div(std::max<std::uint32_t>(d.vl, 1),
-                                                        vc.gather_lanes));
-      viq_.claim(e_issue);
-      return ready_for_rob;
-    }
-    if (d.info->has(isa::kSiVectorLoad)) {  // vle32 (the gather returned above)
-      e_issue = std::max(e_issue, vlq_.available(e_issue));
-      const std::uint64_t done =
-          d.mem_bytes == 0 ? e_issue + 1
-                           : mem_.vector_data(d.mem_addr, d.mem_bytes, false, e_issue + 1);
-      vlq_.claim(done);
-      v_ready_[d.inst.rd] = done;
-      ++stats_.vector_loads;
-    } else if (d.info->has(isa::kSiVectorStore)) {
-      e_issue = std::max(e_issue, vsq_.available(e_issue));
-      const std::uint64_t done =
-          d.mem_bytes == 0 ? e_issue + 1
-                           : mem_.vector_data(d.mem_addr, d.mem_bytes, true, e_issue + 1);
-      vsq_.claim(done);
-      ++stats_.vector_stores;
-    } else if (d.info->has(isa::kSiVectorToScalar)) {
-      const std::uint64_t returned = e_issue + vc.move_latency + vc.to_scalar_latency;
-      if (op == Op::kVmvXS)
-        set_x(d.inst.rd, returned);
-      else
-        f_ready_[d.inst.rd] = returned;
-      ready_for_rob = returned;  // commits only once the value is back
-      ++stats_.vector_to_scalar_moves;
-    } else {
-      const unsigned latency = vlat_cycles_[static_cast<int>(d.info->vlat)];
-      const bool dual = d.info->has(isa::kSiDualMac);
-      if (d.info->has(isa::kSiVectorMac)) stats_.vector_macs += dual ? 2 : 1;
-      // Dual-row MACs run two back-to-back operations through the MAC
-      // pipeline: the second starts one occupancy slice after the first,
-      // so the accumulator is ready one slice later and the engine stays
-      // busy for two operations' worth of lane time — while costing a
-      // single dispatch and a single queue slot.
-      v_ready_[d.inst.rd] = e_issue + latency + (dual ? occupancy : 0);
-      if (dual) engine_ops = 2 * occupancy;
-    }
-
-    engine_next_issue_ = e_issue + engine_ops;
+  /// Times an engine operation (ALU, MAC, slide, move, reduction) whose
+  /// run-time-resolved VRF sources are ready at `deps`, and commits it.
+  template <bool kDual>
+  void engine_op(const Slot& s, std::uint64_t send, std::uint64_t deps) {
+    const std::uint64_t e_issue = engine_issue(s, send, deps);
+    const std::uint64_t lane_time = lane_time_[machine_.state().vl];
+    stats_.vector_macs += s.macs;
+    // Dual-row MACs run two back-to-back operations through the MAC
+    // pipeline: the second starts one occupancy slice after the first, so
+    // the accumulator is ready one slice later and the engine stays busy
+    // for two operations' worth of lane time — while costing a single
+    // dispatch and a single queue slot.
+    v_ready_[s.rd] = e_issue + s.latency + (kDual ? lane_time : 0);
+    engine_next_issue_ = e_issue + (kDual ? 2 : 1) * lane_time;
     viq_.claim(e_issue);  // the queue slot frees when the engine issues
-    return ready_for_rob;
+    commit(send);
+  }
+
+  static bool vector_op(Model& m, const Slot& s) {
+    m.machine_.step();
+    m.engine_op<false>(s, m.vector_send(s, 0), 0);
+    return false;
+  }
+
+  /// v(f)indexmac*: the B row is a VRF read named by x[rs1] — the low five
+  /// bits, or 16 | nibble for the packed forms, whose dual-row variants
+  /// read a second row through the next nibble.
+  template <bool kPacked, bool kDual>
+  static bool indirect_mac(Model& m, const Slot& s) {
+    const std::uint64_t index = m.machine_.state().x[s.rs1];
+    m.machine_.step();
+    const std::uint64_t send = m.vector_send(s, 0);
+    std::uint64_t deps = m.v_ready_[kPacked ? 16u | (index & 0xf) : index & 0x1f];
+    if constexpr (kDual) deps = std::max(deps, m.v_ready_[16u | ((index >> 4) & 0xf)]);
+    m.engine_op<kDual>(s, send, deps);
+    return false;
+  }
+
+  /// v(f)indexmacs: the A value and the B row index pop from the SSR
+  /// streams, resolved before the machine advances the stream positions
+  /// (step() raises on a disabled or empty stream).
+  static bool ssr_mac(Model& m, const Slot& s) {
+    const std::array<SsrStream, 4>& streams = m.machine_.ssr();
+    const std::array<std::uint64_t, 2> addrs = {streams[0].base + 4ull * streams[0].pos,
+                                                streams[1].base + 4ull * streams[1].pos};
+    unsigned row = 0;
+    if (streams[1].enabled && streams[1].count != 0)
+      row = m.machine_.memory().read_u32(addrs[1]) & 0x1f;
+    m.machine_.step();
+    const std::uint64_t send = m.vector_send(s, m.last_ssr_ctl_done_);
+    std::uint64_t deps = m.v_ready_[row];  // the stream-resolved VRF read
+    // Each stream fronts memory with a one-line (64 B) buffer: only a line
+    // crossing costs a vector-load access, so sequential streaming
+    // amortizes one fetch over 16 pops per stream.
+    for (unsigned i = 0; i < 2; ++i) {
+      const std::uint64_t line = addrs[i] & ~std::uint64_t{63};
+      if (m.ssr_line_valid_[i] && m.ssr_line_[i] == line) {
+        deps = std::max(deps, m.ssr_line_ready_[i]);
+        continue;
+      }
+      const std::uint64_t start = m.vlq_.available(send + m.config_.vector.dispatch_latency);
+      const std::uint64_t done = m.mem_.vector_data(line, 64, false, start + 1);
+      m.vlq_.claim(done);
+      ++m.stats_.vector_loads;
+      m.ssr_line_[i] = line;
+      m.ssr_line_valid_[i] = true;
+      m.ssr_line_ready_[i] = done;
+      deps = std::max(deps, done);
+    }
+    m.engine_op<false>(s, send, deps);
+    return false;
+  }
+
+  /// vle32 / vse32: unit-stride access through the vector load or store
+  /// queues.
+  template <bool kStore>
+  static bool unit_stride(Model& m, const Slot& s) {
+    const std::uint64_t addr = m.machine_.state().x[s.rs1];
+    m.machine_.step();
+    const std::uint32_t vl = m.machine_.state().vl;
+    SlotPool& queues = kStore ? m.vsq_ : m.vlq_;
+    const std::uint64_t send = m.vector_send(s, 0);
+    const std::uint64_t e_issue = queues.available(m.engine_issue(s, send, 0));
+    const std::uint64_t done =
+        vl == 0 ? e_issue + 1 : m.mem_.vector_data(addr, vl * 4, kStore, e_issue + 1);
+    queues.claim(done);
+    if constexpr (kStore) {
+      ++m.stats_.vector_stores;
+    } else {
+      m.v_ready_[s.rd] = done;
+      ++m.stats_.vector_loads;
+    }
+    m.engine_next_issue_ = e_issue + m.lane_time_[vl];
+    m.viq_.claim(e_issue);
+    m.commit(send);
+    return false;
+  }
+
+  /// vluxei32: one element access per address, a few addresses per cycle.
+  static bool gather(Model& m, const Slot& s) {
+    const ArchState& st = m.machine_.state();
+    const std::uint64_t base = st.x[s.rs1];
+    const std::array<std::uint32_t, isa::kVlMax> offsets = st.v[s.rs2];  // vd may alias vs2
+    m.machine_.step();
+    const std::uint64_t send = m.vector_send(s, 0);
+    const std::uint64_t e_issue = m.vlq_.available(m.engine_issue(s, send, 0));
+    std::uint64_t done = e_issue + 1;
+    for (std::uint32_t i = 0; i < st.vl; ++i) {
+      const std::uint64_t start = e_issue + 1 + i / m.config_.vector.gather_lanes;
+      done = std::max(done, m.mem_.vector_data(base + offsets[i], 4, false, start));
+    }
+    m.vlq_.claim(done);
+    m.v_ready_[s.rd] = done;
+    ++m.stats_.vector_loads;
+    m.engine_next_issue_ = e_issue + m.gather_time_[st.vl];
+    m.viq_.claim(e_issue);
+    m.commit(send);
+    return false;
+  }
+
+  /// vmv.x.s / vfmv.f.s: the value returns through the engine, and the move
+  /// commits only once it is back.
+  static bool to_scalar(Model& m, const Slot& s) {
+    m.machine_.step();
+    const std::uint64_t e_issue = m.engine_issue(s, m.vector_send(s, 0), 0);
+    const std::uint64_t returned = e_issue + s.latency;
+    m.ready_[s.dst] = returned;
+    ++m.stats_.vector_to_scalar_moves;
+    m.engine_next_issue_ = e_issue + m.lane_time_[m.machine_.state().vl];
+    m.viq_.claim(e_issue);
+    m.commit(returned);
+    return false;
   }
 
   ProcessorConfig config_;
   Machine machine_;
-  TraceSource trace_;
+  std::uint64_t base_;
+  std::uint64_t code_bytes_;
+  std::vector<Slot> slots_;  ///< one per pc slot of the program
   MemorySystem mem_;
   InOrderPorts fetch_ports_;
   PortScheduler issue_ports_;
@@ -358,14 +487,14 @@ class Model {
   SlotPool vlq_;
   SlotPool vsq_;
 
-  std::array<std::uint64_t, isa::kNumXRegs> x_ready_{};
-  std::array<std::uint64_t, isa::kNumFRegs> f_ready_{};
-  std::array<std::uint64_t, isa::kNumVRegs> v_ready_{};
+  std::array<std::uint64_t, kSink + 1> ready_{};             ///< scalar (x, f) ready cycles
+  std::array<std::uint64_t, isa::kNumVRegs + 1> v_ready_{};  ///< vector ready cycles
+  /// Engine lane time per vl (vsetvli keeps vl <= kVlMax): one operation,
+  /// and a gather, which generates gather_lanes addresses per cycle.
+  std::array<std::uint64_t, isa::kVlMax + 1> lane_time_{};
+  std::array<std::uint64_t, isa::kVlMax + 1> gather_time_{};
   std::array<PendingStore, 16> store_ring_{};
   std::size_t store_ring_next_ = 0;
-
-  /// Engine latency per isa::VLatClass, resolved from the config once.
-  std::array<unsigned, static_cast<int>(isa::VLatClass::kCount)> vlat_cycles_{};
 
   /// SSR stream-side line buffers (value stream 0, index stream 1): the
   /// last fetched 64-byte line and the cycle it becomes usable. Invalidated

@@ -1,8 +1,12 @@
 // Cycle-level timing model of the decoupled vector processor (Table I).
 //
-// Model style: trace-driven timestamp dataflow. The functional simulator
-// supplies the committed instruction stream; for each dynamic instruction
-// the model computes fetch/dispatch/issue/complete/commit cycles subject to
+// Model style: execution-driven timestamp dataflow on the correct path.
+// Every pc slot is bound once, at construction, to the timing handler of
+// its StaticInstInfo class with registers and latencies resolved, the way
+// fsim::Machine binds its functional handlers. Each handler reads the
+// pre-execution operands its class needs (addresses, vl, indirect VRF
+// sources, stream positions), steps the Machine, and then computes
+// fetch/dispatch/issue/complete/commit cycles subject to
 //   * front-end width and branch-mispredict refill (static BTFNT predictor),
 //   * ROB / LSQ / physical-register-file style occupancy (ROB bound),
 //   * 8-wide issue and per-op execution latencies on the scalar side,

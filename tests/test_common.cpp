@@ -89,11 +89,34 @@ TEST(Error, RaiseThrowsSimError) {
 }
 
 TEST(Error, CheckMacroIncludesMessage) {
+  // Each macro's full what(), with the message built only when it fails.
+  int built = 0;
+  const auto message = [&built] {
+    ++built;
+    return "the condition text " + std::to_string(built);
+  };
+  IMAC_CHECK(1 + 1 == 2, message());
+  IMAC_ASSERT(1 + 1 == 2, message());
+  EXPECT_EQ(built, 0);
   try {
-    IMAC_CHECK(false, "the condition text");
+    IMAC_CHECK(false, message());
     FAIL();
   } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("the condition text"), std::string::npos);
+    EXPECT_STREQ(e.what(), "check failed: the condition text 1");
+  }
+  try {
+    IMAC_ASSERT(false, message());
+    FAIL();
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(), "internal invariant: the condition text 2");
+  }
+  EXPECT_EQ(built, 2);
+  // IMAC_CHECK's message is an unparenthesized `std::string + msg` chain.
+  try {
+    IMAC_CHECK(false, "got " + std::to_string(7) + " of " + std::to_string(8));
+    FAIL();
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(), "check failed: got 7 of 8");
   }
 }
 

@@ -1,12 +1,20 @@
 // Behavioural tests of the cycle-level timing model: pipeline widths,
 // dependency latencies, structural hazards, the decoupled vector engine,
 // and the vector->scalar round trip that the vindexmac optimization targets.
+// Also pins every TimingStats field and the marker stream of each kernel
+// family.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "asm/assembler.h"
+#include "asm/text_assembler.h"
 #include "common/error.h"
+#include "core/spmm_problem.h"
+#include "fsim/machine.h"
+#include "kernels/spmv_kernel.h"
+#include "sparse/nm_matrix.h"
 #include "timing/port_scheduler.h"
 #include "timing/timing_sim.h"
 
@@ -451,6 +459,227 @@ TEST(Timing, ReconfiguringActiveStreamDropsOnlyThatLine) {
     a.ssrcfg(0, x(6), x(7));
   });
   EXPECT_EQ(recfg.vector_loads, plain.vector_loads + 1);
+}
+
+// ---------- pinned stats: every field, every kernel family ----------
+
+/// Every TimingStats field in declaration order; the static_assert makes a
+/// new field fail to compile here until it is pinned too.
+constexpr std::size_t kStatsFields = 19;
+static_assert(sizeof(TimingStats) == kStatsFields * sizeof(std::uint64_t),
+              "TimingStats gained a field: add it to stats_fields and the pinned table");
+
+constexpr std::array<const char*, kStatsFields> kStatsFieldNames = {
+    "cycles", "instructions", "scalar_instructions", "vector_instructions",
+    "vector_loads", "vector_stores", "vector_macs", "vector_to_scalar_moves",
+    "branch_mispredicts", "dispatch_stalls.scalar_operand", "dispatch_stalls.branch_shadow",
+    "dispatch_stalls.queue_full", "dispatch_stalls.bandwidth", "mem.scalar_reads",
+    "mem.scalar_writes", "mem.vector_reads", "mem.vector_writes", "mem.ifetch_lines",
+    "mem.dram_lines"};
+
+std::array<std::uint64_t, kStatsFields> stats_fields(const TimingStats& s) {
+  return {s.cycles,
+          s.instructions,
+          s.scalar_instructions,
+          s.vector_instructions,
+          s.vector_loads,
+          s.vector_stores,
+          s.vector_macs,
+          s.vector_to_scalar_moves,
+          s.branch_mispredicts,
+          s.dispatch_stalls.scalar_operand,
+          s.dispatch_stalls.branch_shadow,
+          s.dispatch_stalls.queue_full,
+          s.dispatch_stalls.bandwidth,
+          s.mem.scalar_reads,
+          s.mem.scalar_writes,
+          s.mem.vector_reads,
+          s.mem.vector_writes,
+          s.mem.ifetch_lines,
+          s.mem.dram_lines};
+}
+
+/// FNV-1a over each marker's (id, commit cycle, instructions committed).
+std::uint64_t marker_digest(const std::vector<MarkerEvent>& markers) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const MarkerEvent& m : markers) {
+    mix(static_cast<std::uint64_t>(m.id));
+    mix(m.cycle);
+    mix(m.instructions);
+  }
+  return h;
+}
+
+/// The SpMV kernel (one vluxei32 gather per slot chunk) over `rows` x `k`,
+/// operands laid out in `mem`.
+Program spmv_program(MainMemory& mem, std::size_t rows, std::size_t k) {
+  const auto dense = sparse::random_matrix<float>(rows, k, 3, -1.0f, 1.0f);
+  const auto a = sparse::NmMatrix<float>::prune_from_dense(dense, sparse::kSparsity14);
+  const auto packed = kernels::pack_spmv(a);
+  AddressAllocator alloc;
+  const kernels::SpmvLayout layout = kernels::make_spmv_layout(rows, k, packed.slots_padded, alloc);
+  mem.write_f32s(layout.a_values, packed.values);
+  mem.write_i32s(layout.a_offsets, packed.offsets);
+  mem.write_f32s(layout.x_base, std::vector<float>(k, 0.25f));
+  return kernels::emit_spmv_kernel(layout, kernels::ElemType::kF32);
+}
+
+/// A hand-written kernel mixing every operand shape the model resolves
+/// before execution: scalar loads/stores (4- and 8-byte, forwarded),
+/// branches taken and not taken, unit-stride vector loads/stores, a gather,
+/// vindexmac (indirect vreg), a vector->scalar move and a marker.
+constexpr const char* kMixedKernel = R"(
+    lui   x1, 1          # x1 = 0x1000 (data)
+    addi  x2, x0, 16
+    vsetvli x0, x2, e32m1
+    vle32.v v8, (x1)     # offsets for the gather
+    addi  x3, x1, 256
+    vluxei32.v v12, (x3), v8
+    addi  x4, x0, 30     # v30 as indirect source
+    vmv.v.i v30, 3
+    vmv.v.i v2, 1
+    vindexmac.vx v12, v2, x4
+    vmv.x.s x5, v12
+    sw    x5, 64(x1)
+    sd    x5, 72(x1)
+    ld    x6, 72(x1)
+    lw    x7, 64(x1)
+    marker 7
+    addi  x8, x0, 3
+loop:
+    addi  x8, x8, -1
+    vadd.vi v4, v2, 2
+    vse32.v v4, (x3)
+    bne   x8, x0, loop
+    beq   x8, x8, fallthru   # taken forward branch
+    addi  x9, x0, 99
+fallthru:
+    ebreak
+)";
+
+/// Gather offsets the mixed kernel reads from 0x1000.
+void write_mixed_offsets(MainMemory& mem) {
+  std::vector<std::int32_t> offsets(16);
+  for (int i = 0; i < 16; ++i) offsets[i] = 4 * ((i * 7) % 16);
+  mem.write_i32s(0x1000, offsets);
+}
+
+struct PinnedRun {
+  TimingStats stats;
+  std::vector<MarkerEvent> markers;
+};
+
+PinnedRun time_program(const Program& program, MainMemory& mem) {
+  TimingSim sim(program, mem, ProcessorConfig{});
+  return {sim.run(), sim.markers()};
+}
+
+/// tiny.square (16 x 64 x 32, seed 1), exact, with markers on; 1:4 with
+/// 16-row B tiles unless told otherwise.
+PinnedRun time_tiny_square(core::Algorithm algorithm, unsigned unroll,
+                           sparse::Sparsity sp = sparse::kSparsity14, unsigned tile_rows = 16) {
+  const auto problem = core::SpmmProblem::random({16, 64, 32}, sp, 1);
+  core::RunConfig config;
+  config.algorithm = algorithm;
+  config.kernel.unroll = unroll;
+  config.kernel.emit_markers = true;
+  config.tile_rows = tile_rows;
+  MainMemory mem;
+  const core::PreparedRun run = core::prepare(problem, config, mem);
+  return time_program(run.program, mem);
+}
+
+PinnedRun time_spmv() {
+  MainMemory mem;
+  const Program program = spmv_program(mem, 8, 128);
+  return time_program(program, mem);
+}
+
+PinnedRun time_mixed() {
+  MainMemory mem;
+  write_mixed_offsets(mem);
+  return time_program(assemble_text(kMixedKernel).program, mem);
+}
+
+struct PinnedCase {
+  const char* name;
+  PinnedRun (*run)();
+  std::array<std::uint64_t, kStatsFields> fields;
+  std::size_t markers;
+  std::uint64_t marker_digest;
+};
+
+// A change to this table changes numbers the repo publishes: it needs a
+// reason, not a regenerated table. Each row: the nine instruction and event
+// counts, then the four dispatch-stall buckets and the six memory counters;
+// then the marker count and digest. Dense and SSR kernels exist only at
+// unroll 1.
+using core::Algorithm;
+constexpr PinnedCase kPinned[] = {
+    {"dense_u1", [] { return time_tiny_square(Algorithm::kDenseRowwise, 1); },
+     {47083, 11296, 2912, 8384, 2176, 32, 2048, 2048, 35,
+      522742, 0, 0, 1518086, 0, 0, 2176, 32, 0, 224},
+     162, 0x960ec3a1f1d7f617ull},
+    {"rowwise_u1", [] { return time_tiny_square(Algorithm::kRowwiseSpmm, 1); },
+     {28982, 5066, 1354, 3712, 896, 128, 512, 1024, 11,
+      373536, 0, 0, 911393, 0, 0, 896, 128, 0, 192},
+     138, 0xcf069fb35bf0fd1cull},
+    {"rowwise_u4", [] { return time_tiny_square(Algorithm::kRowwiseSpmm, 4); },
+     {17085, 4586, 874, 3712, 896, 128, 512, 1024, 11,
+      249729, 0, 0, 602784, 0, 0, 896, 128, 0, 192},
+     42, 0x349969f4dcc56a6dull},
+    {"indexmac_u1", [] { return time_tiny_square(Algorithm::kIndexmac, 1); },
+     {12620, 4182, 1494, 2688, 512, 128, 512, 512, 11,
+      96112, 0, 0, 383895, 0, 0, 512, 128, 0, 192},
+     138, 0xf429351a7ccefca7ull},
+    {"indexmac_u4", [] { return time_tiny_square(Algorithm::kIndexmac, 4); },
+     {8822, 3702, 1014, 2688, 512, 128, 512, 512, 11,
+      96825, 0, 0, 334355, 0, 0, 512, 128, 0, 192},
+     42, 0x58bb0da5189a2e39ull},
+    {"indexmac4_u1", [] { return time_tiny_square(Algorithm::kIndexmac4, 1); },
+     {8640, 2518, 1622, 896, 384, 128, 512, 0, 11,
+      3187, 0, 6604, 184102, 128, 0, 384, 128, 0, 184},
+     138, 0x2c01e03761a72409ull},
+    {"indexmac4_u4", [] { return time_tiny_square(Algorithm::kIndexmac4, 4); },
+     {4426, 2038, 1142, 896, 384, 128, 512, 0, 11,
+      2564, 0, 2099, 105204, 128, 0, 384, 128, 0, 184},
+     42, 0x98daab1eed5488aeull},
+    // Three slots per 8-row tile: the odd slot takes the packed single-row MAC.
+    {"indexmac4_u4_3of8_L8",
+     [] { return time_tiny_square(Algorithm::kIndexmac4, 4, sparse::Sparsity{3, 8}, 8); },
+     {6733, 3780, 2116, 1664, 640, 256, 768, 0, 19,
+      3768, 0, 2654, 157996, 256, 0, 640, 256, 0, 200},
+     82, 0xc3a3dae440e6d4e1ull},
+    {"ssr_u1", [] { return time_tiny_square(Algorithm::kSsr, 1); },
+     {8937, 1880, 984, 896, 320, 128, 512, 0, 11,
+      140, 0, 8031, 249277, 0, 0, 320, 128, 0, 192},
+     138, 0xdd8378a4b706d4a6ull},
+    {"spmv_gather", time_spmv,
+     {2571, 221, 116, 105, 48, 0, 0, 8, 9,
+      2, 2, 2148, 34933, 0, 8, 288, 0, 0, 41},
+     0, 0xcbf29ce484222325ull},
+    {"mixed", time_mixed,
+     {240, 31, 19, 12, 2, 3, 1, 1, 2,
+      2, 0, 0, 71, 0, 2, 17, 3, 0, 3},
+     1, 0xf33747879869009cull},
+};
+
+TEST(TimingPinned, EveryStatsFieldAndMarkerStream) {
+  for (const PinnedCase& want : kPinned) {
+    SCOPED_TRACE(want.name);
+    const PinnedRun got = want.run();
+    const auto fields = stats_fields(got.stats);
+    for (std::size_t i = 0; i < kStatsFields; ++i)
+      EXPECT_EQ(fields[i], want.fields[i]) << kStatsFieldNames[i];
+    EXPECT_EQ(got.markers.size(), want.markers);
+    EXPECT_EQ(marker_digest(got.markers), want.marker_digest);
+  }
 }
 
 TEST(Timing, ConfigDescribeMentionsTableOneNumbers) {

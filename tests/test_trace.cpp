@@ -1,25 +1,23 @@
-// Regression coverage for the zero-allocation dynamic-instruction trace:
-//  * TraceSource must perform no heap allocation per retired instruction,
-//    gathers included (a counting global allocator verifies this over a
-//    gather-heavy kernel);
-//  * the DynInst stream must be bit-identical to an independent
-//    re-derivation of every field from the pre-instruction architectural
-//    state (the pre-refactor TraceSource semantics) on a mixed kernel;
-//  * the gather scratch buffer must be stable (pointer identity) across
-//    next() calls, as documented.
+// The timing model's walk over the executed instruction stream:
+//  * the per-instruction path (gathers, unit-stride vector accesses,
+//    indirect and streaming MACs, vector->scalar moves, forwarded scalar
+//    accesses, branches) performs no heap allocation — a counting global
+//    allocator covers the whole binary, hence a suite of its own;
+//  * a stream that leaves the program raises a SimError naming the pc.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <vector>
+#include <string>
 
 #include "asm/assembler.h"
 #include "asm/text_assembler.h"
+#include "common/error.h"
 #include "fsim/machine.h"
-#include "kernels/spmv_kernel.h"
-#include "sparse/nm_matrix.h"
-#include "timing/trace.h"
+#include "timing/timing_sim.h"
 
 // ---- counting global allocator (whole test binary) ----
 
@@ -44,198 +42,122 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+// The deletes stay out of line: inlined, they would pair operator new's
+// result with a bare free(), which GCC's -Wmismatched-new-delete flags.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
-namespace indexmac {
+namespace indexmac::timing {
 namespace {
 
-using timing::DynInst;
-using timing::TraceSource;
-
-/// Builds a gather-heavy program (the SpMV kernel: one vluxei32 per slot
-/// chunk) with its operands laid out in `mem`.
-Program build_spmv(MainMemory& mem, std::size_t rows, std::size_t k) {
-  const auto dense = sparse::random_matrix<float>(rows, k, 3, -1.0f, 1.0f);
-  const auto a = sparse::NmMatrix<float>::prune_from_dense(dense, sparse::kSparsity14);
-  const auto packed = kernels::pack_spmv(a);
-  AddressAllocator alloc;
-  const kernels::SpmvLayout layout = kernels::make_spmv_layout(rows, k, packed.slots_padded, alloc);
-  mem.write_f32s(layout.a_values, packed.values);
-  mem.write_i32s(layout.a_offsets, packed.offsets);
-  mem.write_f32s(layout.x_base, std::vector<float>(k, 0.25f));
-  return kernels::emit_spmv_kernel(layout, kernels::ElemType::kF32);
-}
-
-TEST(TraceAllocation, NoHeapAllocationPerInstructionOnGatherKernel) {
-  MainMemory mem;
-  const Program program = build_spmv(mem, 8, 128);
-  {
-    // Materialize every page the kernel touches (first-touch page
-    // allocation is setup cost, not per-instruction cost).
-    Machine warmup(program, mem);
-    ASSERT_EQ(warmup.run(1'000'000), StopReason::kEbreak);
-  }
-
-  Machine machine(program, mem);
-  TraceSource trace(machine);
-  DynInst d;
-  std::uint64_t instructions = 0;
-  std::uint64_t gathers = 0;
-  const std::uint64_t allocations_before = g_allocations.load();
-  while (trace.next(d)) {
-    ++instructions;
-    if (d.gather_count > 0) ++gathers;
-  }
-  const std::uint64_t allocations_after = g_allocations.load();
-  EXPECT_GT(instructions, 100u);
-  EXPECT_GT(gathers, 8u);  // the scenario actually exercises the gather path
-  EXPECT_EQ(allocations_after, allocations_before)
-      << "TraceSource::next allocated on a " << instructions << "-instruction trace";
-}
-
-TEST(TraceAllocation, GatherScratchPointerIsStable) {
-  MainMemory mem;
-  const Program program = build_spmv(mem, 4, 64);
-  Machine machine(program, mem);
-  TraceSource trace(machine);
-  DynInst d;
-  const std::uint64_t* scratch = nullptr;
-  while (trace.next(d)) {
-    ASSERT_NE(d.gather_addrs, nullptr);
-    if (scratch == nullptr) scratch = d.gather_addrs;
-    ASSERT_EQ(d.gather_addrs, scratch) << "scratch storage moved mid-trace";
+TEST(TraceStream, PcOutsideProgramRaisesNamingThePc) {
+  // Below the base, misaligned inside the range, and past the end.
+  for (const std::uint64_t target : {0x10ull, 0x1002ull, 0x40000ull}) {
+    Assembler a;
+    a.li(x(1), static_cast<std::int64_t>(target));
+    a.jalr(x(0), x(1), 0);
+    a.ebreak();
+    MainMemory mem;
+    const Program p = a.finish();
+    char want[128];
+    std::snprintf(want, sizeof want,
+                  "timing: execution left the program: pc 0x%llx (outside program "
+                  "[0x1000, 0x%llx))",
+                  static_cast<unsigned long long>(target),
+                  static_cast<unsigned long long>(p.end()));
+    TimingSim sim(p, mem, ProcessorConfig{});
+    try {
+      (void)sim.run();
+      ADD_FAILURE() << "no SimError for pc 0x" << std::hex << target;
+    } catch (const SimError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
   }
 }
 
-/// Re-derives every DynInst field for the instruction at the machine's
-/// current pc directly from the pre-instruction architectural state and
-/// the isa:: classification predicates — the exact logic TraceSource used
-/// before fields were predecoded — then steps the machine.
-struct ReferenceRecord {
-  isa::Instruction inst;
-  std::uint64_t pc = 0;
-  bool branch_taken = false;
-  bool is_halt = false;
-  std::uint64_t mem_addr = 0;
-  std::uint32_t mem_bytes = 0;
-  std::uint32_t vl = 0;
-  std::uint8_t indirect_vreg = 0;
-  std::vector<std::uint64_t> gather_addrs;
-  std::int32_t marker_id = -1;
-};
-
-ReferenceRecord reference_next(Machine& machine) {
-  using isa::Op;
-  const ArchState& pre = machine.state();
-  ReferenceRecord out;
-  out.pc = pre.pc;
-  out.inst = machine.program().at(pre.pc);
-  out.vl = pre.vl;
-  const isa::Instruction& in = out.inst;
-  if (in.op == Op::kVluxei32) {
-    const std::uint64_t base = pre.x[in.rs1];
-    for (unsigned i = 0; i < pre.vl; ++i) out.gather_addrs.push_back(base + pre.v[in.rs2][i]);
-    out.mem_bytes = pre.vl * 4;
-  } else if (isa::is_scalar_load(in.op) || isa::is_scalar_store(in.op)) {
-    out.mem_addr = pre.x[in.rs1] + static_cast<std::int64_t>(in.imm);
-    out.mem_bytes = (in.op == Op::kLd || in.op == Op::kSd) ? 8 : 4;
-  } else if (isa::is_vector_load(in.op) || isa::is_vector_store(in.op)) {
-    out.mem_addr = pre.x[in.rs1];
-    out.mem_bytes = pre.vl * 4;
-  } else if (in.op == Op::kVindexmacVx || in.op == Op::kVfindexmacVx) {
-    out.indirect_vreg = static_cast<std::uint8_t>(pre.x[in.rs1] & 0x1f);
-  } else if (in.op == Op::kMarker) {
-    out.marker_id = in.imm;
-  }
-  const StopReason stop = machine.step();
-  out.branch_taken = (isa::is_branch(in.op) || isa::is_jump(in.op)) &&
-                     machine.state().pc != out.pc + 4;
-  out.is_halt = stop == StopReason::kEbreak || stop == StopReason::kEcall;
-  return out;
+/// Heap allocations made by constructing and running a TimingSim.
+std::uint64_t allocations_of_timing_run(const Program& program, MainMemory& mem,
+                                        TimingStats& stats) {
+  const std::uint64_t before = g_allocations.load();
+  TimingSim sim(program, mem, ProcessorConfig{});
+  stats = sim.run();
+  return g_allocations.load() - before;
 }
 
-TEST(TraceStream, BitIdenticalToReferenceOnMixedKernel) {
-  // A hand-written kernel mixing every trace-relevant shape: scalar
-  // loads/stores (4- and 8-byte), branches taken and not taken, vector
-  // unit-stride loads/stores, a gather, vindexmac (indirect vreg), a
-  // vector->scalar move, and a marker.
-  const char* source = R"(
-      lui   x1, 1          # x1 = 0x1000 (data)
+/// A loop over a fixed 1 KB footprint that runs a gather, unit-stride
+/// vector loads/stores, an indirect and a streaming MAC, a vector->scalar
+/// move, a forwarded store/load pair and a branch on every trip.
+Program gather_loop(MainMemory& mem, unsigned trips) {
+  std::array<std::int32_t, 16> offsets{};  // gather offsets, read from 0x1000
+  for (int i = 0; i < 16; ++i) offsets[i] = 4 * ((i * 7) % 16);
+  mem.write_i32s(0x1000, offsets);
+  for (int i = 0; i < 4; ++i) {
+    mem.write_u32(0x1200 + 4 * i, 0);  // value stream
+    mem.write_u32(0x1300 + 4 * i, 8);  // index stream -> v8
+  }
+  const std::string source = R"(
+      lui   x1, 1
       addi  x2, x0, 16
       vsetvli x0, x2, e32m1
-      vle32.v v8, (x1)     # offsets for the gather
+      vle32.v v8, (x1)
       addi  x3, x1, 256
+      addi  x4, x0, 30
+      addi  x10, x1, 512
+      addi  x11, x1, 768
+      addi  x12, x0, 4
+      ssrcfg 0, x10, x12
+      ssrcfg 1, x11, x12
+      addi  x12, x0, 3
+      ssren x12
+      addi  x9, x0, )" + std::to_string(trips) + R"(
+  loop:
       vluxei32.v v12, (x3), v8
-      addi  x4, x0, 30     # v30 as indirect source
-      vmv.v.i v30, 3
-      vmv.v.i v2, 1
+      vle32.v v4, (x3)
       vindexmac.vx v12, v2, x4
+      vindexmacs.v v2
       vmv.x.s x5, v12
       sw    x5, 64(x1)
-      sd    x5, 72(x1)
-      ld    x6, 72(x1)
-      lw    x7, 64(x1)
-      marker 7
-      addi  x8, x0, 3
-  loop:
-      addi  x8, x8, -1
-      vadd.vi v4, v2, 2
+      lw    x6, 64(x1)
       vse32.v v4, (x3)
-      bne   x8, x0, loop
-      beq   x8, x8, fallthru   # taken forward branch
-      addi  x9, x0, 99
-  fallthru:
+      addi  x9, x9, -1
+      bne   x9, x0, loop
       ebreak
   )";
-  const AssembledText assembled = assemble_text(source);
+  Program program = assemble_text(source).program;
+  Machine warmup(program, mem);  // first-touch page allocation is setup, not per instruction
+  EXPECT_EQ(warmup.run(), StopReason::kEbreak);
+  return program;
+}
 
-  MainMemory mem_a;
-  MainMemory mem_b;
-  std::vector<std::int32_t> offsets(16);
-  for (int i = 0; i < 16; ++i) offsets[i] = 4 * ((i * 7) % 16);
-  mem_a.write_i32s(0x1000, offsets);
-  mem_b.write_i32s(0x1000, offsets);
-
-  Machine machine(assembled.program, mem_a);
-  Machine reference_machine(assembled.program, mem_b);
-  TraceSource trace(machine);
-
-  DynInst d;
-  std::uint64_t n = 0;
-  bool saw_gather = false, saw_indexmac = false, saw_marker = false;
-  while (trace.next(d)) {
-    const ReferenceRecord want = reference_next(reference_machine);
-    ASSERT_EQ(d.inst, want.inst) << "instruction " << n;
-    ASSERT_EQ(d.pc, want.pc) << "instruction " << n;
-    ASSERT_EQ(d.branch_taken, want.branch_taken) << "instruction " << n;
-    ASSERT_EQ(d.is_halt, want.is_halt) << "instruction " << n;
-    ASSERT_EQ(d.mem_addr, want.mem_addr) << "instruction " << n;
-    ASSERT_EQ(d.mem_bytes, want.mem_bytes) << "instruction " << n;
-    ASSERT_EQ(d.vl, want.vl) << "instruction " << n;
-    ASSERT_EQ(d.indirect_vreg, want.indirect_vreg) << "instruction " << n;
-    ASSERT_EQ(d.marker_id, want.marker_id) << "instruction " << n;
-    ASSERT_EQ(d.gather_count, want.gather_addrs.size()) << "instruction " << n;
-    for (std::uint32_t i = 0; i < d.gather_count; ++i)
-      ASSERT_EQ(d.gather_addrs[i], want.gather_addrs[i]) << "instruction " << n << " lane " << i;
-    ASSERT_NE(d.info, nullptr);
-    saw_gather |= d.gather_count > 0;
-    saw_indexmac |= d.info->has(isa::kSiIndirectVreg);
-    saw_marker |= d.marker_id >= 0;
-    ++n;
-  }
-  EXPECT_TRUE(saw_gather);
-  EXPECT_TRUE(saw_indexmac);
-  EXPECT_TRUE(saw_marker);
-  EXPECT_TRUE(d.is_halt);  // last delivered instruction was the ebreak
-  EXPECT_EQ(machine.instructions_retired(), reference_machine.instructions_retired());
+TEST(TraceAllocation, NoHeapAllocationPerInstruction) {
+  // The same footprint at two trip counts: every per-instruction path, the
+  // gather included, must leave the allocation count unchanged. (The SpMV
+  // kernel at two sizes cannot show this: the memory system allocates one
+  // in-flight-fill record per DRAM line, and a larger kernel fills more.)
+  MainMemory short_mem;
+  MainMemory long_mem;
+  const Program short_program = gather_loop(short_mem, 8);
+  const Program long_program = gather_loop(long_mem, 512);
+  TimingStats short_stats;
+  TimingStats long_stats;
+  const std::uint64_t short_allocs =
+      allocations_of_timing_run(short_program, short_mem, short_stats);
+  const std::uint64_t long_allocs = allocations_of_timing_run(long_program, long_mem, long_stats);
+  EXPECT_GT(long_stats.instructions, 50 * short_stats.instructions);
+  EXPECT_EQ(long_stats.mem.dram_lines, short_stats.mem.dram_lines);
+  EXPECT_EQ(long_allocs, short_allocs)
+      << short_stats.instructions << " vs " << long_stats.instructions << " instructions";
 }
 
 }  // namespace
-}  // namespace indexmac
+}  // namespace indexmac::timing

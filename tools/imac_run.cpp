@@ -82,14 +82,14 @@ struct SubcommandDoc {
 
 const SubcommandDoc kSubcommands[] = {
     {"run", "assemble and execute a text-assembly program",
-     "  run [--timing] [--trace] [--max-steps N] [--dump-regs] [--threads N]\n"
-     "      file.s\n"
+     "  run [--timing | [--trace] [--dump-regs]] [--max-steps N] file.s\n"
      "      Assembles file.s (the library's RISC-V subset, including\n"
      "      vindexmac.vx) and executes it; programs halt with ebreak.\n"
      "      --timing       run on the cycle-level timing model\n"
      "      --trace        print each executed instruction (functional mode)\n"
      "      --max-steps N  stop after N instructions (default 100000000)\n"
-     "      --dump-regs    print architectural registers on exit\n"},
+     "      --dump-regs    print architectural registers on exit\n"
+     "                     (functional mode)\n"},
     {"sweep", "run a declarative sweep spec and emit a CSV/JSON report",
      "  sweep --spec spec.json [--out file] [--format csv|json] [--threads N]\n"
      "        [--store DIR] [--resume] [--fsync] [--shard i/N]\n"
@@ -213,7 +213,7 @@ void usage_full(std::FILE* out) {
   for (const SubcommandDoc& doc : kSubcommands) std::fprintf(out, "%s", doc.help);
   std::fprintf(out,
                "\n"
-               "  --threads N (run, sweep) sets the worker-pool width for any batched\n"
+               "  --threads N (sweep) sets the worker-pool width for any batched\n"
                "  work. It mirrors the INDEXMAC_THREADS environment variable — same\n"
                "  [1, 1024] validation, rejecting anything else — and wins over it\n"
                "  when both are given.\n");
@@ -262,9 +262,6 @@ int cmd_run(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--dump-regs") == 0) dump_regs = true;
     else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc)
       max_steps = parse_u64_flag("--max-steps", argv[++i], "run");
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      // Throws SimError (caught in main) on anything outside [1, 1024].
-      core::BatchRunner::set_thread_override(core::BatchRunner::parse_thread_count(argv[++i]));
     else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
     else {
       usage(stderr);
@@ -273,6 +270,15 @@ int cmd_run(int argc, char** argv) {
   }
   if (path == nullptr) {
     usage(stderr);
+    return 2;
+  }
+  // --trace and --dump-regs describe a functional run; the timing model
+  // prints neither, so asking for both is an error, not a silent no-op.
+  if (timing && (trace || dump_regs)) {
+    std::fprintf(stderr, "imac_run run: --timing cannot be combined with %s\n",
+                 trace && dump_regs ? "--trace and --dump-regs"
+                 : trace            ? "--trace"
+                                    : "--dump-regs");
     return 2;
   }
 
