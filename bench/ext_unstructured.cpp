@@ -6,7 +6,9 @@
 // indirect-read path.
 #include <cstdio>
 
-#include "bench_util.h"
+#include "common/error.h"
+#include "common/format.h"
+#include "core/runner.h"
 #include "core/unstructured.h"
 #include "fsim/machine.h"
 #include "sparse/ellpack.h"
@@ -14,12 +16,12 @@
 
 int main() {
   using namespace indexmac;
-  using namespace indexmac::bench;
   using core::Algorithm;
   using core::RunConfig;
 
   const timing::ProcessorConfig proc{};
-  print_section("Extension: structured (vindexmac) vs unstructured (ELLPACK) sparsity");
+  std::printf(
+      "\n=== Extension: structured (vindexmac) vs unstructured (ELLPACK) sparsity ===\n\n");
   std::printf("Same per-row non-zero budget; unstructured positions are magnitude-chosen\n"
               "per row. Cycles from exact simulation.\n\n");
 

@@ -1,7 +1,7 @@
 // Sparsity explorer: sweep N:M patterns on a user-chosen GEMM and print
 // the speedup and memory-access profile of the vindexmac kernel. Extends
 // the paper's 1:4 / 2:4 evaluation to arbitrary patterns. The whole sweep
-// runs as one multi-core batch (set INDEXMAC_THREADS to pin the pool).
+// runs as one batch on a pool of one worker per hardware thread.
 //
 //   ./build/examples/sparsity_explorer [rows k cols]
 #include <cstdio>

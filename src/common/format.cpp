@@ -1,6 +1,7 @@
 #include "common/format.h"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <system_error>
 
@@ -72,6 +73,23 @@ double parse_double(const std::string& text, const char* what) {
   const auto [ptr, ec] = std::from_chars(first, last, value);
   IMAC_CHECK(ec == std::errc{} && ptr == last && !text.empty(),
              std::string("bad ") + what + " \"" + text + "\" (expected a C-locale number)");
+  return value;
+}
+
+std::uint64_t parse_uint(const std::string& text, const char* what, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* first = text.data();
+  const char* last = first + text.size();
+  // from_chars takes digits only: a sign or a leading space fails the
+  // parse instead of wrapping or being skipped the way strtoull does.
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || ptr != last || value > max) {
+    const std::string bound = max == std::numeric_limits<std::uint64_t>::max()
+                                  ? ""
+                                  : " at most " + std::to_string(max);
+    raise(std::string(what) + " expects an unsigned integer" + bound + ", got \"" + text +
+          "\"");
+  }
   return value;
 }
 

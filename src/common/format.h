@@ -43,6 +43,13 @@ class TextTable {
 /// SimError naming `what` on empty, partial, or malformed input.
 [[nodiscard]] double parse_double(const std::string& text, const char* what);
 
+/// Strict full-string unsigned parse (std::from_chars): `text` must be
+/// decimal digits only, with no sign or spaces, naming a value in
+/// [0, max]. Throws SimError "<what> expects an unsigned integer ..."
+/// otherwise. Every integer CLI flag goes through this.
+[[nodiscard]] std::uint64_t parse_uint(const std::string& text, const char* what,
+                                       std::uint64_t max = UINT64_MAX);
+
 /// Formats "1.95x"-style speedup cells.
 [[nodiscard]] std::string fmt_speedup(double v);
 

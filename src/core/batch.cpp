@@ -1,18 +1,12 @@
 #include "core/batch.h"
 
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <utility>
 
 #include "common/error.h"
+#include "common/format.h"
 
 namespace indexmac::core {
-
-namespace {
-/// CLI-supplied default pool width; 0 = no override (see set_thread_override).
-std::atomic<unsigned> g_thread_override{0};
-}  // namespace
 
 BatchRunner::BatchRunner(unsigned threads) {
   if (threads == 0) threads = default_thread_count();
@@ -31,36 +25,12 @@ BatchRunner::~BatchRunner() {
 }
 
 unsigned BatchRunner::parse_thread_count(const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(text.c_str(), &end, 10);
-  const bool parsed_fully = end != text.c_str() && *end == '\0' && errno == 0;
-  IMAC_CHECK(parsed_fully && parsed >= 1 && parsed <= static_cast<long>(kMaxThreads),
-             "thread count must be an integer in [1, " + std::to_string(kMaxThreads) +
-                 "], got \"" + text + "\"");
-  return static_cast<unsigned>(parsed);
-}
-
-void BatchRunner::set_thread_override(unsigned threads) {
-  g_thread_override.store(threads, std::memory_order_relaxed);
+  const std::uint64_t threads = parse_uint(text, "--threads", kMaxThreads);
+  IMAC_CHECK(threads >= 1, "--threads must be at least 1, got \"" + text + "\"");
+  return static_cast<unsigned>(threads);
 }
 
 unsigned BatchRunner::default_thread_count() {
-  if (const unsigned override = g_thread_override.load(std::memory_order_relaxed); override != 0)
-    return override;
-  if (const char* env = std::getenv("INDEXMAC_THREADS")) {
-    // Reject malformed values loudly: a silently-ignored typo would run a
-    // benchmark at an unintended width and corrupt every wall-clock
-    // comparison made with it.
-    char* end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env, &end, 10);
-    const bool parsed_fully = end != env && *end == '\0' && errno == 0;
-    IMAC_CHECK(parsed_fully && parsed >= 1 && parsed <= static_cast<long>(kMaxThreads),
-               "INDEXMAC_THREADS must be an integer in [1, " + std::to_string(kMaxThreads) +
-                   "], got \"" + env + "\"");
-    return static_cast<unsigned>(parsed);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

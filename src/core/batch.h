@@ -3,9 +3,8 @@
 // Every simulated execution is self-contained — a Machine/TimingSim owns
 // its MainMemory and no mutable global state affects simulated results —
 // so sweeps over (shape x sparsity x config) are embarrassingly parallel.
-// (The one process-wide mutable in this module, the set_thread_override
-// flag, only selects the default pool width, never what a job computes.) BatchRunner is a fixed-size thread pool; run_batch() executes a
-// vector of BatchJob descriptions on it and returns per-job cycle and
+// BatchRunner is a fixed-size thread pool; run_batch() executes a vector
+// of BatchJob descriptions on it and returns per-job cycle and
 // memory-access stats in submission order, bit-identical to running the
 // same jobs serially (each job re-derives its inputs from a deterministic
 // seed, never from shared state).
@@ -60,28 +59,18 @@ class BatchRunner {
 
   [[nodiscard]] unsigned thread_count() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Upper bound accepted from INDEXMAC_THREADS (a worker pool beyond this
-  /// is certainly a typo, not a machine).
+  /// Upper bound accepted by parse_thread_count (a worker pool beyond
+  /// this is certainly a typo, not a machine).
   static constexpr unsigned kMaxThreads = 1024;
 
-  /// Pool size used for `threads == 0`: the set_thread_override() value if
-  /// any (the CLI --threads flag), else the INDEXMAC_THREADS environment
-  /// variable if set (so benches can be pinned without a rebuild),
-  /// otherwise std::thread::hardware_concurrency(), never less than 1.
-  /// INDEXMAC_THREADS must parse fully as an integer in [1, kMaxThreads];
-  /// anything else (0, garbage, trailing junk, huge values) throws SimError
-  /// rather than silently clamping.
+  /// Pool size used for `threads == 0`:
+  /// std::thread::hardware_concurrency(), never less than 1.
   [[nodiscard]] static unsigned default_thread_count();
 
-  /// Parses a user-supplied thread count (the --threads CLI flag) with the
-  /// same strictness as INDEXMAC_THREADS: the whole string must be an
-  /// integer in [1, kMaxThreads], anything else throws SimError.
+  /// Parses a user-supplied thread count (the --threads CLI flag): the
+  /// whole string must be digits naming an integer in [1, kMaxThreads];
+  /// anything else (a sign, spaces, trailing junk) throws SimError.
   [[nodiscard]] static unsigned parse_thread_count(const std::string& text);
-
-  /// Process-wide default-width override; takes precedence over
-  /// INDEXMAC_THREADS in default_thread_count() (the CLI flag wins over
-  /// the environment). 0 clears the override.
-  static void set_thread_override(unsigned threads);
 
   /// Schedules any callable; the returned future carries its result or
   /// exception.

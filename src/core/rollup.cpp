@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "common/error.h"
 #include "common/format.h"
 #include "core/algorithm_registry.h"
 
@@ -10,15 +9,6 @@ namespace indexmac::core {
 namespace {
 
 using workloads::sparsity_label;
-
-const char* dataflow_id(kernels::Dataflow d) {
-  switch (d) {
-    case kernels::Dataflow::kAStationary: return "a";
-    case kernels::Dataflow::kBStationary: return "b";
-    case kernels::Dataflow::kCStationary: return "c";
-  }
-  raise("unknown dataflow");
-}
 
 bool same_group(const RollupRow& g, const SweepPoint& p) {
   return g.suite == p.suite && g.sp.n == p.sp.n && g.sp.m == p.sp.m &&

@@ -28,15 +28,6 @@ Algorithm parse_algorithm(const std::string& id) {
   return AlgorithmRegistry::instance().by_id(id).algorithm;
 }
 
-const char* dataflow_id(kernels::Dataflow d) {
-  switch (d) {
-    case kernels::Dataflow::kAStationary: return "a";
-    case kernels::Dataflow::kBStationary: return "b";
-    case kernels::Dataflow::kCStationary: return "c";
-  }
-  raise("unknown dataflow");
-}
-
 kernels::Dataflow parse_dataflow(const std::string& id) {
   if (id == "a") return kernels::Dataflow::kAStationary;
   if (id == "b") return kernels::Dataflow::kBStationary;
@@ -147,6 +138,15 @@ std::vector<unsigned> uint_list(const JsonValue& v, const char* what) {
 
 const char* sweep_mode_name(SweepMode mode) {
   return mode == SweepMode::kExact ? "exact" : "sampled";
+}
+
+const char* dataflow_id(kernels::Dataflow dataflow) {
+  switch (dataflow) {
+    case kernels::Dataflow::kAStationary: return "a";
+    case kernels::Dataflow::kBStationary: return "b";
+    case kernels::Dataflow::kCStationary: return "c";
+  }
+  raise("unknown dataflow");
 }
 
 SweepSpec parse_sweep_spec(const std::string& json_text) {

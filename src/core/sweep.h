@@ -49,6 +49,9 @@ enum class SweepMode {
 
 [[nodiscard]] const char* sweep_mode_name(SweepMode mode);
 
+/// The spec and CSV id of a dataflow: "a", "b" or "c".
+[[nodiscard]] const char* dataflow_id(kernels::Dataflow dataflow);
+
 /// A parsed, validated sweep specification.
 struct SweepSpec {
   std::string name;

@@ -42,7 +42,10 @@ struct VectorEngineConfig {
   unsigned dispatch_latency = 2;   ///< scalar core -> engine queue transfer
 };
 
-/// Whole-processor configuration.
+/// Whole-processor configuration. Sweep specs change it only through the
+/// dotted `"processor"` overrides core/sweep.cpp lists; `fetch_width` and
+/// `commit_width` are not among them, so a spec's "4-issue" core sets
+/// `scalar.issue_width` alone (bench/specs/ablation_processor_issue4.json).
 struct ProcessorConfig {
   ScalarCoreConfig scalar;
   VectorEngineConfig vector;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "cnn/conv_layer.h"
 #include "common/error.h"
@@ -96,6 +97,21 @@ ModelGraph tiny() {
   return out;
 }
 
+/// The GEMMs the ablation specs in bench/specs/ sweep, one suite per
+/// ablation so no spec simulates a shape it does not report.
+ModelGraph ablation_graph(std::string name, std::string description,
+                          std::vector<std::pair<std::string, GemmDims>> shapes) {
+  ModelGraph out;
+  out.name = std::move(name);
+  out.display_name = out.name;
+  out.description = std::move(description);
+  out.default_sparsities = kPaperSparsities;
+  const SparsityProfile sp = SparsityProfile::declared(kPaperSparsities.front());
+  for (auto& [layer, dims] : shapes)
+    out.layers.push_back({std::move(layer), LayerKind::kConv, dims, 1, sp});
+  return out;
+}
+
 /// A registered model: the IR plus the Suite view derived from it.
 struct Entry {
   ModelGraph graph;
@@ -148,6 +164,18 @@ std::deque<Entry>& registry() {
     add(vit_base());
     add(llm_decode());
     add(tiny());
+    add(ablation_graph("ablation-gemm",
+                       "64x576x98 GEMM of the kernel, tile-rows and sparsity ablations",
+                       {{"gemm", {64, 576, 98}}}));
+    // Early layers: few A rows, many B columns; late layers the opposite.
+    add(ablation_graph("ablation-dataflow",
+                       "Early/mid/late-layer-shaped GEMMs of the dataflow ablation",
+                       {{"early-layer", {16, 144, 392}},
+                        {"mid-layer", {32, 288, 98}},
+                        {"late-layer", {128, 576, 49}}}));
+    add(ablation_graph("ablation-processor",
+                       "128x1152x196 mid-network GEMM of the processor ablation",
+                       {{"gemm", {128, 1152, 196}}}));
     return out;
   }();
   return entries;

@@ -3,7 +3,12 @@
 # --dump-regs describe a functional run, which --timing does not do, and
 # run has no worker pool for --threads to size.
 #
-# Usage: cmake -DIMAC_RUN=<imac_run> -DPROGRAM=<file.s> -P run_bad_flags.cmake
+# Integer flags of imac_run and imac_serve must reject a sign, a space or an
+# out-of-range value, naming the flag, instead of wrapping or truncating it
+# (--port 70000 once bound port 4464, --port -1 connected to 65535).
+#
+# Usage: cmake -DIMAC_RUN=<imac_run> -DIMAC_SERVE=<imac_serve>
+#              -DPROGRAM=<file.s> -P run_bad_flags.cmake
 function(expect_rejected expected_err)
   execute_process(COMMAND ${IMAC_RUN} run ${ARGN} ${PROGRAM}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -20,3 +25,25 @@ expect_rejected("--timing cannot be combined with --dump-regs\n" --timing --dump
 expect_rejected("--timing cannot be combined with --trace and --dump-regs\n"
                 --timing --dump-regs --trace)
 expect_rejected("usage: imac_run" --threads 2)
+
+# Runs the command line after `flag` and expects a non-zero exit whose
+# stderr names the flag. The timeout keeps an accepted port (a server
+# waiting for gdb, a worker retrying a connection) from hanging the test.
+function(expect_bad_number flag)
+  execute_process(COMMAND ${ARGN} TIMEOUT 20
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc MATCHES "^[1-9][0-9]*$")
+    message(FATAL_ERROR "${ARGN}: exited \"${rc}\", expected an error exit\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "${flag} expects an unsigned integer")
+    message(FATAL_ERROR "${ARGN}: stderr does not name ${flag}:\n${err}")
+  endif()
+endfunction()
+
+expect_bad_number(--port ${IMAC_RUN} gdb --port 70000 ${PROGRAM})
+expect_bad_number(--port ${IMAC_RUN} worker --port -1)
+expect_bad_number(--max-steps ${IMAC_RUN} run --max-steps -1 ${PROGRAM})
+expect_bad_number(--threads ${IMAC_RUN} sweep --threads +4 --spec ${PROGRAM})
+expect_bad_number(--threads ${IMAC_RUN} sweep --threads " 4" --spec ${PROGRAM})
+expect_bad_number(--port ${IMAC_SERVE} --port 70000 --spec ${PROGRAM} --store unused)
+expect_bad_number(--batch ${IMAC_SERVE} --batch 4294967297 --spec ${PROGRAM} --store unused)

@@ -146,61 +146,19 @@ TEST(BatchRunner, ThrowingJobReportsFirstErrorAfterAllJobsFinish) {
   EXPECT_EQ(good.size(), mixed_sweep().size());
 }
 
-TEST(BatchRunner, DefaultThreadCountHonorsEnvironment) {
-  EXPECT_GE(BatchRunner::default_thread_count(), 1u);
-  ASSERT_EQ(setenv("INDEXMAC_THREADS", "3", 1), 0);
-  EXPECT_EQ(BatchRunner::default_thread_count(), 3u);
-  ASSERT_EQ(setenv("INDEXMAC_THREADS", "1", 1), 0);
-  EXPECT_EQ(BatchRunner::default_thread_count(), 1u);
-  const auto max = std::to_string(BatchRunner::kMaxThreads);
-  ASSERT_EQ(setenv("INDEXMAC_THREADS", max.c_str(), 1), 0);
-  EXPECT_EQ(BatchRunner::default_thread_count(), BatchRunner::kMaxThreads);
-  ASSERT_EQ(unsetenv("INDEXMAC_THREADS"), 0);
-}
-
-TEST(BatchRunner, DefaultThreadCountRejectsMalformedEnvironment) {
-  // A bad INDEXMAC_THREADS must fail loudly, never clamp or fall back:
-  // zero/negative, garbage, partial parses, and absurd widths.
-  const char* bad[] = {"0",          "-2",    "abc", "3abc",       "",
-                       "2147483648", "99999", "1e3", "4294967297", " "};
-  for (const char* value : bad) {
-    SCOPED_TRACE(std::string("INDEXMAC_THREADS=\"") + value + "\"");
-    ASSERT_EQ(setenv("INDEXMAC_THREADS", value, 1), 0);
-    EXPECT_THROW((void)BatchRunner::default_thread_count(), SimError);
-  }
-  ASSERT_EQ(unsetenv("INDEXMAC_THREADS"), 0);
-  EXPECT_GE(BatchRunner::default_thread_count(), 1u);  // clean fallback restored
-}
-
-TEST(BatchRunner, ParseThreadCountMirrorsEnvValidation) {
-  // The CLI --threads flag and INDEXMAC_THREADS share one rule set:
-  // the whole string must parse as an integer in [1, kMaxThreads].
+TEST(BatchRunner, ParseThreadCountIsStrict) {
+  // The whole --threads string must be digits naming an integer in
+  // [1, kMaxThreads]: no sign, no spaces, no trailing junk.
   EXPECT_EQ(BatchRunner::parse_thread_count("1"), 1u);
   EXPECT_EQ(BatchRunner::parse_thread_count("16"), 16u);
   EXPECT_EQ(BatchRunner::parse_thread_count(std::to_string(BatchRunner::kMaxThreads)),
             BatchRunner::kMaxThreads);
-  const char* bad[] = {"0",          "-2",    "abc", "3abc",       "",
-                       "2147483648", "99999", "1e3", "4294967297", " "};
+  const char* bad[] = {"0",   "-2",   "abc", "3abc", "",   "2147483648", "99999",
+                       "1e3", "1025", " 4",  "4 ",   "+4", "4294967297", " "};
   for (const char* value : bad) {
     SCOPED_TRACE(std::string("--threads \"") + value + "\"");
     EXPECT_THROW((void)BatchRunner::parse_thread_count(value), SimError);
   }
-}
-
-TEST(BatchRunner, ThreadOverrideWinsOverEnvironment) {
-  // The CLI flag routes through set_thread_override, which must beat the
-  // environment variable and restore cleanly when cleared.
-  ASSERT_EQ(setenv("INDEXMAC_THREADS", "3", 1), 0);
-  BatchRunner::set_thread_override(2);
-  EXPECT_EQ(BatchRunner::default_thread_count(), 2u);
-  BatchRunner::set_thread_override(0);  // cleared: env applies again
-  EXPECT_EQ(BatchRunner::default_thread_count(), 3u);
-  // With the override set, even a malformed environment is never consulted.
-  ASSERT_EQ(setenv("INDEXMAC_THREADS", "garbage", 1), 0);
-  BatchRunner::set_thread_override(5);
-  EXPECT_EQ(BatchRunner::default_thread_count(), 5u);
-  BatchRunner::set_thread_override(0);
-  ASSERT_EQ(unsetenv("INDEXMAC_THREADS"), 0);
 }
 
 }  // namespace

@@ -59,6 +59,22 @@ TEST(Format, ParseDoubleIsStrict) {
     EXPECT_THROW((void)parse_double(bad, "x"), SimError) << bad;
 }
 
+TEST(Format, ParseUintTakesDigitsUpToItsBound) {
+  EXPECT_EQ(parse_uint("0", "--port", 65535), 0u);
+  EXPECT_EQ(parse_uint("65535", "--port", 65535), 65535u);
+  EXPECT_EQ(parse_uint("18446744073709551615", "--max-steps"), UINT64_MAX);
+  // A sign or a space is not skipped, and -1 does not wrap to the maximum.
+  for (const char* bad : {"", " 4", "4 ", "+4", "-1", "0x10", "12x", "65536",
+                          "18446744073709551616"})
+    EXPECT_THROW((void)parse_uint(bad, "--port", 65535), SimError) << bad;
+  try {
+    (void)parse_uint("70000", "--port", 65535);
+    FAIL() << "70000 accepted";
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(), "--port expects an unsigned integer at most 65535, got \"70000\"");
+  }
+}
+
 TEST(Format, NumberFormattingIgnoresCommaDecimalLocales) {
   // The golden-file byte-for-byte guarantee: under de_DE-style LC_NUMERIC
   // (',' decimal separator) the printf family drifts, fmt_* must not.

@@ -4,7 +4,8 @@
 // data-access counts are integers fully determined by the timing model, so
 // ANY drift in kernels, timing, memory hierarchy or report formatting
 // fails tier-1 loudly here. tests/golden/tiny_sampled_sweep.json pins the
-// sampled path (miniature runs plus extrapolation) the same way.
+// sampled path (miniature runs plus extrapolation) the same way, and the
+// bench/specs/ -> bench/results/ pairs pin every published figure.
 //
 // To regenerate after an intentional model change:
 //   build/tools/imac_run sweep --spec tests/golden/tiny_sweep.json
@@ -12,18 +13,20 @@
 // and explain the cycle deltas in the commit message.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "core/result_store.h"
 #include "core/rollup.h"
 #include "core/sweep.h"
 #include "locale_test_util.h"
 
-#ifndef INDEXMAC_GOLDEN_DIR
-#error "tests/CMakeLists.txt must define INDEXMAC_GOLDEN_DIR"
+#if !defined(INDEXMAC_GOLDEN_DIR) || !defined(INDEXMAC_BENCH_DIR)
+#error "tests/CMakeLists.txt must define INDEXMAC_GOLDEN_DIR and INDEXMAC_BENCH_DIR"
 #endif
 
 namespace indexmac::core {
@@ -104,6 +107,32 @@ TEST(SweepGolden, TinySampledSweepReproducesCheckedInCsvAndRollup) {
          "tests/golden/tiny_sampled_sweep.json --rollup "
          "--out tests/golden/tiny_sampled_sweep_rollup.csv\n";
   for (const SweepRow& row : report.rows) EXPECT_EQ(row.point.mode, SweepMode::kSampled);
+}
+
+TEST(SweepGolden, BenchSpecsReproduceCheckedInResults) {
+  // Every published figure and ablation number comes from a spec in
+  // bench/specs/ and its checked-in `sweep --rollup` output in
+  // bench/results/. The exact Fig. 4-6 grid (about 95 CPU-s) is left to
+  // the CI job that regenerates it; every other spec re-runs here.
+  namespace fs = std::filesystem;
+  const fs::path bench(INDEXMAC_BENCH_DIR);
+  std::vector<fs::path> specs;
+  for (const fs::directory_entry& entry : fs::directory_iterator(bench / "specs"))
+    if (entry.path().extension() == ".json" && entry.path().stem() != "fig4_6_exact")
+      specs.push_back(entry.path());
+  std::sort(specs.begin(), specs.end());
+  ASSERT_FALSE(specs.empty());
+  BatchRunner pool(2);
+  for (const fs::path& path : specs) {
+    const std::string name = path.stem().string();
+    SCOPED_TRACE(name);
+    const SweepReport report = run_sweep(parse_sweep_spec_file(path.string()), pool);
+    EXPECT_EQ(report_to_csv(report) + rollup_to_csv(compute_rollup(report)),
+              read_file((bench / "results" / (name + ".csv")).string()))
+        << "published results drifted; after an intentional model change, regenerate with:\n"
+           "    imac_run sweep --spec bench/specs/" << name << ".json --rollup "
+           "--out bench/results/" << name << ".csv\n";
+  }
 }
 
 TEST(SweepGolden, TwoShardsWithStoresMergeByteIdenticalToGolden) {

@@ -1,10 +1,12 @@
 // Workload registry: the suites that generalize the paper's CNN tables.
 // The CNN suites must reproduce cnn::unique_gemms exactly (the figure
-// benches rely on identical layer lists), and the transformer suites must
-// carry the documented projection shapes.
+// specs rely on identical layer lists), and the transformer and ablation
+// suites must carry their documented shapes.
 #include "workloads/workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "cnn/conv_layer.h"
 
@@ -109,6 +111,21 @@ TEST(Workloads, ExpandCrossesSparsities) {
     EXPECT_EQ(instances[i].workload.name, s.workloads[i].name);
     EXPECT_EQ(instances[s.workloads.size() + i].sp, s.sparsities[1]);
   }
+}
+
+TEST(Workloads, AblationSuitesHoldOnlyTheirAblationsShapes) {
+  // bench/specs/ablation_*.json sweep these suites whole, so each holds
+  // exactly the GEMMs its ablation reports and nothing else.
+  const auto shapes = [](const char* name) {
+    std::vector<kernels::GemmDims> out;
+    for (const Workload& w : suite(name).workloads) out.push_back(w.dims);
+    return out;
+  };
+  using D = kernels::GemmDims;
+  EXPECT_EQ(shapes("ablation-gemm"), (std::vector<D>{{64, 576, 98}}));
+  EXPECT_EQ(shapes("ablation-dataflow"),
+            (std::vector<D>{{16, 144, 392}, {32, 288, 98}, {128, 576, 49}}));
+  EXPECT_EQ(shapes("ablation-processor"), (std::vector<D>{{128, 1152, 196}}));
 }
 
 TEST(Workloads, ShrinkClampsEachDimension) {

@@ -31,10 +31,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -97,6 +97,8 @@ const SubcommandDoc kSubcommands[] = {
      "      Runs the sweep described by spec.json (see README: sweep specs)\n"
      "      on a parallel BatchRunner pool and writes the report to stdout\n"
      "      or --out.\n"
+     "      --threads N   worker-pool width, an integer in [1, 1024] (default:\n"
+     "                    one worker per hardware thread)\n"
      "      --store DIR   journal every completed point to DIR/results.journal\n"
      "                    (append-only, CRC-checked; survives a killed run)\n"
      "      --resume      with --store: serve already-journaled points from\n"
@@ -183,8 +185,10 @@ const SubcommandDoc kSubcommands[] = {
     {"report", "pretty-print a sweep CSV with paired speedup columns",
      "  report [--rollup] file.csv\n"
      "      Pretty-prints a sweep CSV; rows measured with both kernels are\n"
-     "      paired into a speedup column (standalone families keep their\n"
-     "      own rows). --rollup prints whole-network totals instead: per\n"
+     "      paired into a speedup column (baseline / proposed cycles) and an\n"
+     "      access ratio column (proposed / baseline data accesses);\n"
+     "      standalone families keep their own rows. --rollup prints\n"
+     "      whole-network totals instead, paired the same way: per\n"
      "      (suite x sparsity x config), count-weighted end-to-end cycles,\n"
      "      data accesses and the bytes-moved energy proxy (accesses x 64,\n"
      "      a cache-line-granularity upper bound).\n"},
@@ -213,10 +217,8 @@ void usage_full(std::FILE* out) {
   for (const SubcommandDoc& doc : kSubcommands) std::fprintf(out, "%s", doc.help);
   std::fprintf(out,
                "\n"
-               "  --threads N (sweep) sets the worker-pool width for any batched\n"
-               "  work. It mirrors the INDEXMAC_THREADS environment variable — same\n"
-               "  [1, 1024] validation, rejecting anything else — and wins over it\n"
-               "  when both are given.\n");
+               "  Integer flags take decimal digits only: a sign, a space or a value\n"
+               "  out of range (a --port above 65535) is an error naming the flag.\n");
 }
 
 /// Full help for one subcommand, or nullptr if the name is unknown.
@@ -236,17 +238,14 @@ void dump_registers(const indexmac::ArchState& state) {
   std::printf("  vl=%u\n", state.vl);
 }
 
-/// Strict numeric flag parsing: a mistyped chaos or timing flag must not
-/// silently become 0 and invalidate what a chaos test believes it proved.
-std::uint64_t parse_u64_flag(const char* flag, const char* text, const char* cmd = "worker") {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0)
-    indexmac::raise(std::string("imac_run ") + cmd + ": " + flag +
-                    " expects an unsigned integer, got \"" + text + "\"");
-  return v;
+/// Short "RxKxN" label for a GEMM.
+std::string dims_label(const indexmac::kernels::GemmDims& d) {
+  return std::to_string(d.rows_a) + "x" + std::to_string(d.k) + "x" + std::to_string(d.cols_b);
 }
+
+/// The chaos counters are longs (-1 = off); a larger value would wrap
+/// negative and silently disable the injection.
+constexpr std::uint64_t kMaxChaosCount = std::numeric_limits<long>::max();
 
 int cmd_run(int argc, char** argv) {
   using namespace indexmac;
@@ -261,7 +260,7 @@ int cmd_run(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--trace") == 0) trace = true;
     else if (std::strcmp(argv[i], "--dump-regs") == 0) dump_regs = true;
     else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc)
-      max_steps = parse_u64_flag("--max-steps", argv[++i], "run");
+      max_steps = parse_uint(argv[++i], "--max-steps");
     else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
     else {
       usage(stderr);
@@ -388,13 +387,8 @@ int cmd_sweep(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--resume") == 0) resume = true;
     else if (std::strcmp(argv[i], "--rollup") == 0) rollup = true;
     else if (std::strcmp(argv[i], "--fsync") == 0) fsync_each = true;
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      // Same strictness as INDEXMAC_THREADS (throws SimError on anything
-      // outside [1, 1024]): a silently-mangled typo would run the sweep at
-      // an unintended width.
+    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
       threads = core::BatchRunner::parse_thread_count(argv[++i]);
-      core::BatchRunner::set_thread_override(threads);
-    }
     else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
       const char* fmt = argv[++i];
       if (std::strcmp(fmt, "json") == 0) json = true;
@@ -502,7 +496,7 @@ int cmd_gdb(int argc, char** argv) {
   const char* path = nullptr;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(parse_u64_flag("--port", argv[++i], "gdb"));
+      opts.port = static_cast<std::uint16_t>(parse_uint(argv[++i], "--port", UINT16_MAX));
     else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) opts.port_file = argv[++i];
     else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
     else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
@@ -538,28 +532,30 @@ int cmd_worker(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) opts.host = argv[++i];
     else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(parse_u64_flag("--port", argv[++i]));
+      opts.port = static_cast<std::uint16_t>(parse_uint(argv[++i], "--port", UINT16_MAX));
     else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) port_file = argv[++i];
     else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) opts.name = argv[++i];
     else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc)
-      opts.heartbeat_ms = parse_u64_flag("--heartbeat-ms", argv[++i]);
+      opts.heartbeat_ms = parse_uint(argv[++i], "--heartbeat-ms");
     else if (std::strcmp(argv[i], "--poll-ms") == 0 && i + 1 < argc)
-      opts.poll_ms = parse_u64_flag("--poll-ms", argv[++i]);
+      opts.poll_ms = parse_uint(argv[++i], "--poll-ms");
     else if (std::strcmp(argv[i], "--backoff-base-ms") == 0 && i + 1 < argc)
-      opts.backoff_base_ms = parse_u64_flag("--backoff-base-ms", argv[++i]);
+      opts.backoff_base_ms = parse_uint(argv[++i], "--backoff-base-ms");
     else if (std::strcmp(argv[i], "--backoff-cap-ms") == 0 && i + 1 < argc)
-      opts.backoff_cap_ms = parse_u64_flag("--backoff-cap-ms", argv[++i]);
+      opts.backoff_cap_ms = parse_uint(argv[++i], "--backoff-cap-ms");
     else if (std::strcmp(argv[i], "--give-up-ms") == 0 && i + 1 < argc)
-      opts.give_up_ms = parse_u64_flag("--give-up-ms", argv[++i]);
+      opts.give_up_ms = parse_uint(argv[++i], "--give-up-ms");
     else if (std::strcmp(argv[i], "--chaos-kill-after") == 0 && i + 1 < argc)
-      opts.chaos.kill_after = static_cast<long>(parse_u64_flag("--chaos-kill-after", argv[++i]));
+      opts.chaos.kill_after =
+          static_cast<long>(parse_uint(argv[++i], "--chaos-kill-after", kMaxChaosCount));
     else if (std::strcmp(argv[i], "--chaos-drop-after") == 0 && i + 1 < argc)
-      opts.chaos.drop_after = static_cast<long>(parse_u64_flag("--chaos-drop-after", argv[++i]));
+      opts.chaos.drop_after =
+          static_cast<long>(parse_uint(argv[++i], "--chaos-drop-after", kMaxChaosCount));
     else if (std::strcmp(argv[i], "--chaos-stall-after") == 0 && i + 1 < argc)
       opts.chaos.stall_after =
-          static_cast<long>(parse_u64_flag("--chaos-stall-after", argv[++i]));
+          static_cast<long>(parse_uint(argv[++i], "--chaos-stall-after", kMaxChaosCount));
     else if (std::strcmp(argv[i], "--chaos-stall-ms") == 0 && i + 1 < argc)
-      opts.chaos.stall_ms = parse_u64_flag("--chaos-stall-ms", argv[++i]);
+      opts.chaos.stall_ms = parse_uint(argv[++i], "--chaos-stall-ms");
     else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
     else {
       usage(stderr);
@@ -733,10 +729,7 @@ int cmd_list_workloads(int argc, char** argv) {
     for (const workloads::Workload& w : s.workloads) {
       const double mmacs = static_cast<double>(w.dims.rows_a) * static_cast<double>(w.dims.k) *
                            static_cast<double>(w.dims.cols_b) * w.count / 1e6;
-      table.add_row({w.name,
-                     std::to_string(w.dims.rows_a) + "x" + std::to_string(w.dims.k) + "x" +
-                         std::to_string(w.dims.cols_b),
-                     std::to_string(w.count), fmt_fixed(mmacs, 1)});
+      table.add_row({w.name, dims_label(w.dims), std::to_string(w.count), fmt_fixed(mmacs, 1)});
     }
     std::printf("%s", table.to_string().c_str());
     return 0;
@@ -801,9 +794,7 @@ int cmd_import_model(int argc, char** argv) {
   table.set_header({"layer", "kind", "GEMM (RxKxN)", "repeat", "pattern", "density",
                     "conformity", "imbalance"});
   for (const workloads::LayerRecord& layer : graph.layers)
-    table.add_row({layer.name, workloads::layer_kind_id(layer.kind),
-                   std::to_string(layer.gemm.rows_a) + "x" + std::to_string(layer.gemm.k) +
-                       "x" + std::to_string(layer.gemm.cols_b),
+    table.add_row({layer.name, workloads::layer_kind_id(layer.kind), dims_label(layer.gemm),
                    std::to_string(layer.repeat),
                    workloads::sparsity_label(layer.sparsity.pattern),
                    fmt_fixed(layer.sparsity.density, 4),
@@ -817,66 +808,100 @@ int cmd_import_model(int argc, char** argv) {
   return 0;
 }
 
+/// The rows of one report line, by registry pairing role: the baseline,
+/// proposed and proposed-v2 measurements of one point share a line, and
+/// each standalone family (dense, ssr) keeps a line of its own.
+template <typename Row>
+struct PairedLine {
+  const Row* baseline = nullptr;
+  const Row* proposed = nullptr;
+  const Row* proposed_v2 = nullptr;
+  const Row* any = nullptr;
+
+  /// The row whose algorithm, cycles and accesses the line shows.
+  [[nodiscard]] const Row& shown() const { return proposed != nullptr ? *proposed : *any; }
+  /// What proposed-v2 is measured against: Algorithm 3 when present, else
+  /// Algorithm 2.
+  [[nodiscard]] const Row* v2_base() const { return proposed != nullptr ? proposed : baseline; }
+};
+
+/// Groups rows into paired lines, in first-occurrence order. `key` names
+/// everything about a row but its algorithm; `algorithm` reads that.
+template <typename Row, typename Key, typename Alg>
+std::vector<PairedLine<Row>> pair_rows(const std::vector<Row>& rows, Key key, Alg algorithm) {
+  using indexmac::core::PairingRole;
+  std::map<std::string, std::size_t> line_of;
+  std::vector<PairedLine<Row>> lines;
+  for (const Row& row : rows) {
+    const indexmac::core::AlgorithmDescriptor& desc =
+        indexmac::core::AlgorithmRegistry::instance().by_algorithm(algorithm(row));
+    std::string k = key(row);
+    if (desc.pairing == PairingRole::kStandalone) k += "|" + desc.id;
+    const auto [it, inserted] = line_of.try_emplace(k, lines.size());
+    if (inserted) lines.emplace_back();
+    PairedLine<Row>& line = lines[it->second];
+    line.any = &row;
+    switch (desc.pairing) {
+      case PairingRole::kBaseline: line.baseline = &row; break;
+      case PairingRole::kProposed: line.proposed = &row; break;
+      case PairingRole::kProposedV2: line.proposed_v2 = &row; break;
+      case PairingRole::kStandalone: break;
+    }
+  }
+  return lines;
+}
+
+/// The "speedup" and "access ratio" cells of `row` against `base` (base ÷
+/// row cycles, row ÷ base data accesses), or "-" for both when unpaired.
+template <typename Row>
+std::vector<std::string> ratio_cells(const Row* base, const Row* row) {
+  if (base == nullptr || row == nullptr) return {"-", "-"};
+  return {indexmac::fmt_speedup(base->cycles / row->cycles),
+          indexmac::fmt_fixed(static_cast<double>(row->data_accesses) /
+                                  static_cast<double>(base->data_accesses),
+                              3)};
+}
+
+/// Line key of the configuration columns both report views group by.
+std::string config_key(const std::string& suite, indexmac::sparse::Sparsity sp, unsigned unroll,
+                       indexmac::kernels::Dataflow dataflow, unsigned tile_rows,
+                       indexmac::core::SweepMode mode) {
+  return suite + "|" + indexmac::workloads::sparsity_label(sp) + "|u" + std::to_string(unroll) +
+         "|" + indexmac::core::dataflow_id(dataflow) + "|L" + std::to_string(tile_rows) + "|" +
+         indexmac::core::sweep_mode_name(mode);
+}
+
 /// The --rollup report view: whole-network totals per (suite x sparsity x
 /// config), algorithms paired into speedup columns like the per-point view.
 int print_rollup_report(const indexmac::core::SweepReport& report) {
   using namespace indexmac;
   const core::RollupReport totals = core::compute_rollup(report);
-
-  struct Pair {
-    const core::RollupRow* baseline = nullptr;
-    const core::RollupRow* proposed = nullptr;
-    const core::RollupRow* proposed_v2 = nullptr;
-    const core::RollupRow* any = nullptr;
-  };
-  std::map<std::string, Pair> pairs;  // keyed by everything but the paired algorithm
-  std::vector<std::string> order;
-  for (const core::RollupRow& row : totals.rows) {
-    const core::AlgorithmDescriptor& desc =
-        core::AlgorithmRegistry::instance().by_algorithm(row.algorithm);
-    std::string key = row.suite + "|" + workloads::sparsity_label(row.sp) + "|u" +
-                      std::to_string(row.unroll) + "|df" +
-                      std::to_string(static_cast<int>(row.dataflow)) + "|L" +
-                      std::to_string(row.tile_rows) + "|" + core::sweep_mode_name(row.mode);
-    if (desc.pairing == core::PairingRole::kStandalone) key += "|" + desc.id;
-    auto [it, inserted] = pairs.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.any = &row;
-    switch (desc.pairing) {
-      case core::PairingRole::kBaseline: it->second.baseline = &row; break;
-      case core::PairingRole::kProposed: it->second.proposed = &row; break;
-      case core::PairingRole::kProposedV2: it->second.proposed_v2 = &row; break;
-      case core::PairingRole::kStandalone: break;
-    }
-  }
+  const auto lines = pair_rows(
+      totals.rows,
+      [](const core::RollupRow& row) {
+        return config_key(row.suite, row.sp, row.unroll, row.dataflow, row.tile_rows, row.mode);
+      },
+      [](const core::RollupRow& row) { return row.algorithm; });
 
   std::printf("sweep %s: network rollup (%zu groups)\n\n", report.spec_name.c_str(),
               totals.rows.size());
   TextTable table;
-  table.set_header({"suite", "sparsity", "unroll", "algorithm", "layers", "net cycles",
-                    "net accesses", "energy (bytes)", "speedup"});
-  for (const std::string& key : order) {
-    const Pair& pair = pairs.at(key);
-    const core::RollupRow& shown = pair.proposed != nullptr ? *pair.proposed : *pair.any;
-    std::string speedup = "-";
-    if (pair.baseline != nullptr && pair.proposed != nullptr)
-      speedup = fmt_speedup(pair.baseline->cycles / pair.proposed->cycles);
-    table.add_row({shown.suite, workloads::sparsity_label(shown.sp),
-                   std::to_string(shown.unroll),
-                   core::AlgorithmRegistry::instance().by_algorithm(shown.algorithm).id,
-                   std::to_string(shown.layers), fmt_fixed(shown.cycles, 0),
-                   fmt_count(shown.data_accesses), fmt_count(shown.energy_proxy_bytes()),
-                   speedup});
-    if (pair.proposed_v2 != nullptr) {
-      const core::RollupRow* v2_base =
-          pair.proposed != nullptr ? pair.proposed : pair.baseline;
-      const core::RollupRow& v2 = *pair.proposed_v2;
-      table.add_row({v2.suite, workloads::sparsity_label(v2.sp), std::to_string(v2.unroll),
-                     core::AlgorithmRegistry::instance().by_algorithm(v2.algorithm).id,
-                     std::to_string(v2.layers), fmt_fixed(v2.cycles, 0),
-                     fmt_count(v2.data_accesses), fmt_count(v2.energy_proxy_bytes()),
-                     v2_base != nullptr ? fmt_speedup(v2_base->cycles / v2.cycles) : "-"});
-    }
+  table.set_header({"suite", "sparsity", "dataflow", "unroll", "L", "algorithm", "layers",
+                    "net cycles", "net accesses", "energy (bytes)", "speedup", "access ratio"});
+  const auto add = [&table](const core::RollupRow& row, const std::vector<std::string>& ratios) {
+    std::vector<std::string> cells = {
+        row.suite, workloads::sparsity_label(row.sp), core::dataflow_id(row.dataflow),
+        std::to_string(row.unroll), std::to_string(row.tile_rows),
+        core::AlgorithmRegistry::instance().by_algorithm(row.algorithm).id,
+        std::to_string(row.layers), fmt_fixed(row.cycles, 0), fmt_count(row.data_accesses),
+        fmt_count(row.energy_proxy_bytes())};
+    cells.insert(cells.end(), ratios.begin(), ratios.end());
+    table.add_row(std::move(cells));
+  };
+  for (const auto& line : lines) {
+    add(line.shown(), ratio_cells(line.baseline, line.proposed));
+    if (line.proposed_v2 != nullptr)
+      add(*line.proposed_v2, ratio_cells(line.v2_base(), line.proposed_v2));
   }
   std::printf("%s", table.to_string().c_str());
   return 0;
@@ -908,89 +933,45 @@ int cmd_report(int argc, char** argv) {
   const core::SweepReport report = core::parse_csv_report(buf.str());
   if (rollup) return print_rollup_report(report);
 
-  // Pair baseline/proposed/proposed-v2 measurements of the same point into
-  // one line, by each family's registry pairing role. Standalone families
-  // (dense, ssr) get the family id folded into the key, so every one keeps
-  // its own line instead of vanishing behind a pair.
-  struct Pair {
-    const core::SweepRow* baseline = nullptr;
-    const core::SweepRow* proposed = nullptr;
-    const core::SweepRow* proposed_v2 = nullptr;
-    const core::SweepRow* any = nullptr;
-  };
-  std::map<std::string, Pair> pairs;  // keyed by everything but the paired algorithm
-  std::vector<std::string> order;
-  for (const core::SweepRow& row : report.rows) {
-    const core::SweepPoint& p = row.point;
-    const core::AlgorithmDescriptor& desc =
-        core::AlgorithmRegistry::instance().by_algorithm(p.config.algorithm);
-    std::string key = p.suite + "|" + p.workload + "|" +
-                      workloads::sparsity_label(p.sp) + "|u" +
-                      std::to_string(p.config.kernel.unroll) + "|df" +
-                      std::to_string(static_cast<int>(p.config.kernel.dataflow)) + "|L" +
-                      std::to_string(p.config.tile_rows) + "|" +
-                      core::sweep_mode_name(p.mode) + "|" +
-                      std::to_string(p.dims.rows_a) + "x" + std::to_string(p.dims.k) + "x" +
-                      std::to_string(p.dims.cols_b);
-    if (desc.pairing == core::PairingRole::kStandalone) key += "|" + desc.id;
-    auto [it, inserted] = pairs.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.any = &row;
-    switch (desc.pairing) {
-      case core::PairingRole::kBaseline: it->second.baseline = &row; break;
-      case core::PairingRole::kProposed: it->second.proposed = &row; break;
-      case core::PairingRole::kProposedV2: it->second.proposed_v2 = &row; break;
-      case core::PairingRole::kStandalone: break;
-    }
-  }
+  const auto lines = pair_rows(
+      report.rows,
+      [](const core::SweepRow& row) {
+        const core::SweepPoint& p = row.point;
+        return p.workload + "|" + dims_label(p.dims) + "|" +
+               config_key(p.suite, p.sp, p.config.kernel.unroll, p.config.kernel.dataflow,
+                          p.config.tile_rows, p.mode);
+      },
+      [](const core::SweepRow& row) { return row.point.config.algorithm; });
   bool any_v2 = false;
-  for (const std::string& key : order) any_v2 = any_v2 || pairs.at(key).proposed_v2 != nullptr;
+  for (const auto& line : lines) any_v2 = any_v2 || line.proposed_v2 != nullptr;
 
   std::printf("sweep %s (%zu rows)\n\n", report.spec_name.c_str(), report.rows.size());
   TextTable table;
-  std::vector<std::string> header = {"suite",  "workload", "GEMM (RxKxN)",
-                                     "sparsity", "dataflow", "unroll", "algorithm",
-                                     "cycles", "accesses", "speedup"};
+  std::vector<std::string> header = {"suite",     "workload", "GEMM (RxKxN)", "sparsity",
+                                     "dataflow",  "unroll",   "L",            "algorithm",
+                                     "cycles",    "accesses", "speedup",      "access ratio"};
   if (any_v2) {
     header.push_back("v2 cycles");
     header.push_back("v2 speedup");
   }
   table.set_header(header);
-  for (const std::string& key : order) {
-    const Pair& pair = pairs.at(key);
-    const core::SweepRow& base = *pair.any;
-    const core::SweepPoint& p = base.point;
-    std::string speedup = "-";
-    std::string cycles;
-    if (pair.baseline != nullptr && pair.proposed != nullptr) {
-      speedup = fmt_speedup(pair.baseline->cycles / pair.proposed->cycles);
-      cycles = fmt_fixed(pair.proposed->cycles, 0);
-    } else {
-      cycles = fmt_fixed(base.cycles, 0);
-    }
-    const core::SweepRow& shown =
-        pair.proposed != nullptr ? *pair.proposed : *pair.any;
-    const char* df = p.config.kernel.dataflow == kernels::Dataflow::kAStationary   ? "a"
-                     : p.config.kernel.dataflow == kernels::Dataflow::kBStationary ? "b"
-                                                                                   : "c";
+  for (const auto& line : lines) {
+    const core::SweepRow& shown = line.shown();
+    const core::SweepPoint& p = shown.point;
     std::vector<std::string> cells = {
-        p.suite, p.workload,
-        std::to_string(p.dims.rows_a) + "x" + std::to_string(p.dims.k) + "x" +
-            std::to_string(p.dims.cols_b),
-        workloads::sparsity_label(p.sp), df, std::to_string(p.config.kernel.unroll),
-        core::AlgorithmRegistry::instance().by_algorithm(shown.point.config.algorithm).id,
-        cycles, fmt_count(shown.data_accesses), speedup};
+        p.suite, p.workload, dims_label(p.dims), workloads::sparsity_label(p.sp),
+        core::dataflow_id(p.config.kernel.dataflow), std::to_string(p.config.kernel.unroll),
+        std::to_string(p.config.tile_rows),
+        core::AlgorithmRegistry::instance().by_algorithm(p.config.algorithm).id,
+        fmt_fixed(shown.cycles, 0), fmt_count(shown.data_accesses)};
+    const std::vector<std::string> ratios = ratio_cells(line.baseline, line.proposed);
+    cells.insert(cells.end(), ratios.begin(), ratios.end());
     if (any_v2) {
-      // v2 speedup is measured against the strongest available baseline:
-      // Algorithm 3 when present, else Algorithm 2.
-      const core::SweepRow* v2_base =
-          pair.proposed != nullptr ? pair.proposed : pair.baseline;
-      cells.push_back(pair.proposed_v2 != nullptr ? fmt_fixed(pair.proposed_v2->cycles, 0) : "-");
-      cells.push_back(pair.proposed_v2 != nullptr && v2_base != nullptr
-                          ? fmt_speedup(v2_base->cycles / pair.proposed_v2->cycles)
-                          : "-");
+      cells.push_back(line.proposed_v2 != nullptr ? fmt_fixed(line.proposed_v2->cycles, 0)
+                                                  : "-");
+      cells.push_back(ratio_cells(line.v2_base(), line.proposed_v2).front());
     }
-    table.add_row(cells);
+    table.add_row(std::move(cells));
   }
   std::printf("%s", table.to_string().c_str());
   return 0;

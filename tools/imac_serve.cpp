@@ -4,10 +4,10 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.h"
+#include "common/format.h"
 #include "serve/daemon.h"
 
 namespace {
@@ -52,16 +52,6 @@ void usage(std::FILE* out) {
                "same --store; already-journaled points are never re-simulated).\n");
 }
 
-std::uint64_t parse_u64_flag(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0)
-    indexmac::raise(std::string("imac_serve: ") + flag + " expects an unsigned integer, got \"" +
-                    text + "\"");
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,21 +70,22 @@ int main(int argc, char** argv) {
       else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) opts.store_dir = argv[++i];
       else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) opts.out_path = argv[++i];
       else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-        opts.port = static_cast<std::uint16_t>(parse_u64_flag("--port", argv[++i]));
+        opts.port = static_cast<std::uint16_t>(parse_uint(argv[++i], "--port", UINT16_MAX));
       else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc)
         opts.port_file = argv[++i];
       else if (std::strcmp(argv[i], "--lease-ms") == 0 && i + 1 < argc)
-        opts.scheduler.lease_ms = parse_u64_flag("--lease-ms", argv[++i]);
+        opts.scheduler.lease_ms = parse_uint(argv[++i], "--lease-ms");
       else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc)
-        opts.scheduler.batch = static_cast<std::uint32_t>(parse_u64_flag("--batch", argv[++i]));
+        opts.scheduler.batch =
+            static_cast<std::uint32_t>(parse_uint(argv[++i], "--batch", UINT32_MAX));
       else if (std::strcmp(argv[i], "--fsync") == 0)
         opts.durability = core::Durability::kFsyncEach;
       else if (std::strcmp(argv[i], "--progress-ms") == 0 && i + 1 < argc)
-        opts.progress_ms = parse_u64_flag("--progress-ms", argv[++i]);
+        opts.progress_ms = parse_uint(argv[++i], "--progress-ms");
       else if (std::strcmp(argv[i], "--grace-ms") == 0 && i + 1 < argc)
-        opts.grace_ms = parse_u64_flag("--grace-ms", argv[++i]);
+        opts.grace_ms = parse_uint(argv[++i], "--grace-ms");
       else if (std::strcmp(argv[i], "--wall-ms") == 0 && i + 1 < argc)
-        opts.wall_ms = parse_u64_flag("--wall-ms", argv[++i]);
+        opts.wall_ms = parse_uint(argv[++i], "--wall-ms");
       else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
         const char* fmt = argv[++i];
         if (std::strcmp(fmt, "json") == 0) opts.json = true;
