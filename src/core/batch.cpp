@@ -72,30 +72,14 @@ BatchJob sampled_job(const kernels::GemmDims& dims, sparse::Sparsity sp, const R
   return job;
 }
 
-BatchJob exact_job(std::shared_ptr<const SpmmProblem> problem, const RunConfig& config,
-                   const timing::ProcessorConfig& processor) {
-  IMAC_CHECK(problem != nullptr, "exact_job: null problem");
-  BatchJob job;
-  job.mode = BatchJob::Mode::kExact;
-  job.dims = problem->dims;
-  job.sp = problem->sp;
-  job.config = config;
-  job.processor = processor;
-  job.problem = std::move(problem);
-  return job;
-}
-
 BatchResult run_job(const BatchJob& job) {
   BatchResult out;
   switch (job.mode) {
     case BatchJob::Mode::kExact: {
       // Materialize the problem inside the job so batched and serial
       // execution see byte-identical inputs for a given seed.
-      std::shared_ptr<const SpmmProblem> problem = job.problem;
-      if (!problem)
-        problem = std::make_shared<const SpmmProblem>(
-            SpmmProblem::random(job.dims, job.sp, job.seed));
-      const ExactResult r = run_exact(*problem, job.config, job.processor);
+      const ExactResult r =
+          run_exact(SpmmProblem::random(job.dims, job.sp, job.seed), job.config, job.processor);
       out.cycles = static_cast<double>(r.stats.cycles);
       out.data_accesses = r.data_accesses();
       out.stats = r.stats;

@@ -28,14 +28,13 @@
 #include <vector>
 
 #include "core/runner.h"
-#include "core/spmm_problem.h"
 
 namespace indexmac::core {
 
 /// Thrown by run_batch when a cooperative cancel (SIGINT/SIGTERM in the
-/// CLI, shutdown in the orchestrator) was observed: jobs not yet started
-/// were skipped. Everything that DID finish was delivered through
-/// on_result first — with a journaling callback the batch is resumable.
+/// CLI) was observed: jobs not yet started were skipped. Everything that
+/// DID finish was delivered through on_result first — with a journaling
+/// callback the batch is resumable.
 /// A distinct type so callers can turn an interrupt into a "resumable"
 /// exit without mistaking real job failures for it.
 class BatchCancelled : public SimError {
@@ -109,20 +108,13 @@ struct BatchJob {
   timing::ProcessorConfig processor;
   SampleParams sample;     ///< kSampled only
   std::uint32_t seed = 1;  ///< kExact only: RNG seed for SpmmProblem::random
-
-  /// kExact only: pre-built problem shared across jobs (overrides `seed`;
-  /// e.g. the ablations compare several configs on one problem instance).
-  std::shared_ptr<const SpmmProblem> problem;
 };
 
-/// Shorthand constructors for the two job modes.
+/// Shorthand constructor for a kSampled job.
 [[nodiscard]] BatchJob sampled_job(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                    const RunConfig& config,
                                    const timing::ProcessorConfig& processor,
                                    const SampleParams& sample = SampleParams{});
-[[nodiscard]] BatchJob exact_job(std::shared_ptr<const SpmmProblem> problem,
-                                 const RunConfig& config,
-                                 const timing::ProcessorConfig& processor);
 
 /// Per-job measurement. `cycles` and `data_accesses` are the headline
 /// metrics of both run modes; `stats` holds the full TimingStats of the

@@ -30,9 +30,8 @@
 //                     can lose any number of recent records (recovery then
 //                     still yields a valid prefix, just a shorter one).
 //   kFsyncEach        put() additionally fsync()s the journal before
-//                     returning: once put() (and therefore any lease ack
-//                     the orchestrator sends after it) completes, the
-//                     record survives power loss and host crashes. Costs
+//                     returning: once put() completes, the record
+//                     survives power loss and host crashes. Costs
 //                     one disk flush per record; opt in for runs whose
 //                     points are expensive relative to an fsync.
 //
@@ -101,8 +100,8 @@ class ResultStore {
 
   /// Forces every record appended so far onto stable storage (fflush +
   /// fsync), regardless of the open-time durability level. The manual
-  /// barrier for kFlush stores: call at shutdown or before externally
-  /// acknowledging a batch of results.
+  /// barrier for kFlush stores: `imac_run sweep --store` calls it before
+  /// writing its report.
   void sync();
 
   [[nodiscard]] Durability durability() const { return durability_; }

@@ -370,23 +370,19 @@ SweepReport run_sweep(const SweepSpec& spec, const std::vector<SweepPoint>& poin
 
   // One job per unique cache key; duplicate points (identical shapes under
   // a different workload name, repeated grid cells) share the measurement.
-  std::vector<std::string> keys;
-  keys.reserve(points.size());
+  const std::vector<std::string> keys = grid_keys(spec, points);
+  report.spec_hash = grid_hash(keys);
   std::unordered_map<std::string, std::size_t> job_of_key;
   std::vector<BatchJob> jobs;
   std::vector<std::string> job_keys;
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const SweepPoint& p : points) {
-    keys.push_back(p.cache_key(spec));
-    hash = fnv1a(keys.back(), hash);
-    const std::string& key = keys.back();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::string& key = keys[i];
     if (job_of_key.count(key) != 0) continue;
     if (cache != nullptr && cache->find(key) != nullptr) continue;
     job_of_key.emplace(key, jobs.size());
-    jobs.push_back(point_job(spec, p));
+    jobs.push_back(point_job(spec, points[i]));
     job_keys.push_back(key);
   }
-  report.spec_hash = hash;
 
   // Results enter the cache (and, through an attached store, the on-disk
   // journal) from the worker threads the moment each measurement finishes,
@@ -487,22 +483,20 @@ SweepReport assemble_report(const SweepSpec& spec,
                             const std::map<std::string, StoredResult>& merged) {
   SweepReport report;
   report.spec_name = spec.name;
-  std::uint64_t hash = 0xcbf29ce484222325ull;
   const std::vector<SweepPoint> points = expand_sweep(spec);
+  const std::vector<std::string> keys = grid_keys(spec, points);
+  report.spec_hash = grid_hash(keys);
   report.rows.reserve(points.size());
-  for (const SweepPoint& p : points) {
-    const std::string key = p.cache_key(spec);
-    hash = fnv1a(key, hash);
-    const auto it = merged.find(key);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto it = merged.find(keys[i]);
     IMAC_CHECK(it != merged.end(), "merge: shards do not cover the full grid; first missing "
-                                   "point is " + p.workload + " \"" + key + "\"");
+                                   "point is " + points[i].workload + " \"" + keys[i] + "\"");
     SweepRow row;
-    row.point = p;
+    row.point = points[i];
     row.cycles = it->second.cycles;
     row.data_accesses = it->second.data_accesses;
     report.rows.push_back(std::move(row));
   }
-  report.spec_hash = hash;
   return report;
 }
 

@@ -93,19 +93,16 @@ struct SweepPoint {
 };
 
 /// The BatchJob measuring one expanded point — exactly the job run_sweep
-/// builds, factored out so distributed workers measure leased points
-/// bit-identically to a single-process sweep.
+/// builds, factored out so a point can be re-measured outside a sweep
+/// bit-identically.
 [[nodiscard]] BatchJob point_job(const SweepSpec& spec, const SweepPoint& point);
 
-/// Cache keys of every expanded point in expansion order (each computed
-/// once; the orchestrator indexes points by position and keys them here).
+/// Cache keys of every expanded point in expansion order.
 [[nodiscard]] std::vector<std::string> grid_keys(const SweepSpec& spec,
                                                  const std::vector<SweepPoint>& points);
 
-/// FNV-1a digest chained over the keys in order — exactly the value
-/// run_sweep records as SweepReport::spec_hash. The orchestrator and its
-/// workers compare this to prove they expanded the same grid from the
-/// same spec before any lease names a point by bare index.
+/// FNV-1a digest chained over the keys in order: the SweepReport::spec_hash
+/// that run_sweep and assemble_report record.
 [[nodiscard]] std::uint64_t grid_hash(const std::vector<std::string>& keys);
 
 /// Expands the spec's cross product in deterministic report order:
@@ -125,10 +122,10 @@ struct SweepRow {
 
 struct SweepReport {
   std::string spec_name;
-  /// FNV-1a digest chained over every expanded cache key in expansion
-  /// order: identifies the measurement sequence independent of suite or
-  /// workload naming (two reports with equal hashes measured the same
-  /// points in the same order with the same inputs).
+  /// grid_hash of every expanded cache key in expansion order: identifies
+  /// the measurement sequence independent of suite or workload naming (two
+  /// reports with equal hashes measured the same points in the same order
+  /// with the same inputs).
   std::uint64_t spec_hash = 0;
   std::vector<SweepRow> rows;
 };
@@ -226,9 +223,9 @@ void accumulate_results(const SweepSpec& spec, const SweepReport& shard,
 void accumulate_results(const ResultStore& store, std::map<std::string, StoredResult>& merged);
 
 /// Reassembles the canonical single-process report of `spec` from merged
-/// shard measurements: rows in expansion order, spec_hash chained exactly
-/// as run_sweep computes it — so the rendered CSV/JSON is byte-identical
-/// to a single-process run. Throws SimError naming the first missing
+/// shard measurements: rows in expansion order, spec_hash the grid_hash
+/// run_sweep records — so the rendered CSV/JSON is byte-identical to a
+/// single-process run. Throws SimError naming the first missing
 /// point when the shards do not cover the full grid.
 [[nodiscard]] SweepReport assemble_report(const SweepSpec& spec,
                                           const std::map<std::string, StoredResult>& merged);

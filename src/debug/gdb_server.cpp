@@ -7,7 +7,7 @@
 
 #include "common/error.h"
 #include "debug/gdb_stub.h"
-#include "serve/net.h"
+#include "debug/net.h"
 
 namespace indexmac::debug {
 
@@ -319,7 +319,7 @@ std::string GdbSession::handle(std::string_view payload) {
 
 int run_gdb_server(const AssembledText& assembled, MainMemory& memory,
                    const GdbServerOptions& options) {
-  serve::Listener listener(options.port);
+  Listener listener(options.port);
   if (!options.port_file.empty()) {
     std::ofstream pf(options.port_file, std::ios::binary | std::ios::trunc);
     IMAC_CHECK(pf.good(), "gdb stub: cannot write port file " + options.port_file);
@@ -332,10 +332,10 @@ int run_gdb_server(const AssembledText& assembled, MainMemory& memory,
 
   const auto stop_raised = [&] { return options.stop != nullptr && options.stop->load(); };
 
-  serve::Socket client;
+  Socket client;
   while (!client.valid()) {
     if (stop_raised()) return 130;
-    if (serve::wait_readable(listener.fd(), 100)) client = listener.accept();
+    if (wait_readable(listener.fd(), 100)) client = listener.accept();
   }
   if (!options.quiet) std::fprintf(stderr, "gdb stub: debugger connected\n");
 
@@ -351,7 +351,7 @@ int run_gdb_server(const AssembledText& assembled, MainMemory& memory,
   session.set_interrupt_poll([&]() -> bool {
     if (stop_raised()) return true;
     char tmp[4096];
-    while (serve::wait_readable(client.fd(), 0)) {
+    while (wait_readable(client.fd(), 0)) {
       const std::size_t n = client.recv_some(tmp, sizeof tmp);
       if (n == 0) {
         peer_eof = true;
@@ -379,7 +379,7 @@ int run_gdb_server(const AssembledText& assembled, MainMemory& memory,
       event = buffer.next();
     }
     if (!event.has_value()) {
-      if (!serve::wait_readable(client.fd(), 100)) continue;
+      if (!wait_readable(client.fd(), 100)) continue;
       char tmp[4096];
       const std::size_t n = client.recv_some(tmp, sizeof tmp);
       if (n == 0) break;  // orderly EOF: debugger closed the connection

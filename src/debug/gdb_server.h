@@ -1,6 +1,6 @@
 // GDB remote-serial-protocol stub over a functional Machine: the command/
 // session layer (packet framing lives in debug/gdb_stub.h, sockets in
-// serve/net.h). `imac_run gdb file.s` serves one debugger connection so a
+// debug/net.h). `imac_run gdb file.s` serves one debugger connection so a
 // generated kernel can be breakpointed, single-stepped, and inspected with
 // stock `riscv64-elf-gdb` ("target remote :PORT") or the stdlib-only
 // client in tools/rsp_client.py.

@@ -1,6 +1,5 @@
-#include "serve/net.h"
+#include "debug/net.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -9,16 +8,19 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
-namespace indexmac::serve {
+#include "common/error.h"
+
+namespace indexmac::debug {
 namespace {
 
 [[noreturn]] void raise_net(const std::string& what) {
-  throw NetError(what + ": " + std::strerror(errno));
+  throw SimError(what + ": " + std::strerror(errno));
 }
 
-/// Frames are latency-sensitive and tiny; Nagle coalescing only adds
-/// round-trip delay to the lease/heartbeat chatter.
+/// RSP packets are tiny and answered one at a time; Nagle coalescing only
+/// adds round-trip delay to every packet/ack exchange.
 void set_nodelay(int fd) {
   const int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -47,22 +49,6 @@ void Socket::send_all(const void* data, std::size_t n) {
     p += sent;
     n -= static_cast<std::size_t>(sent);
   }
-}
-
-void Socket::send_partial_and_close(const void* data, std::size_t n) {
-  if (valid()) {
-    const char* p = static_cast<const char*>(data);
-    while (n > 0) {
-      const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
-      if (sent < 0) {
-        if (errno == EINTR) continue;
-        break;  // connection already gone: the goal was its destruction
-      }
-      p += sent;
-      n -= static_cast<std::size_t>(sent);
-    }
-  }
-  close();
 }
 
 std::size_t Socket::recv_some(void* data, std::size_t n) {
@@ -117,27 +103,6 @@ Socket Listener::accept() {
   }
 }
 
-Socket connect_ipv4(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  // A bad address is a configuration error, not a transport fault: plain
-  // SimError so the worker does not retry a hopeless target forever.
-  IMAC_CHECK(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-             "net: \"" + host + "\" is not a numeric IPv4 address");
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) raise_net("net: cannot create socket");
-  Socket sock(fd);
-  for (;;) {
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) break;
-    if (errno == EINTR) continue;
-    raise_net("net: connect to " + host + ":" + std::to_string(port) + " failed");
-  }
-  set_nodelay(fd);
-  return sock;
-}
-
 bool wait_readable(int fd, int timeout_ms) {
   pollfd pfd{};
   pfd.fd = fd;
@@ -152,4 +117,4 @@ bool wait_readable(int fd, int timeout_ms) {
   }
 }
 
-}  // namespace indexmac::serve
+}  // namespace indexmac::debug

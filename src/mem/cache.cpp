@@ -1,7 +1,5 @@
 #include "mem/cache.h"
 
-#include <algorithm>
-
 namespace indexmac {
 
 Cache::Cache(const CacheConfig& config) : config_(config) {
@@ -84,11 +82,6 @@ bool Cache::probe(std::uint64_t addr) const {
     if (line.valid && line.tag == tag) return true;
   }
   return false;
-}
-
-void Cache::invalidate_all() {
-  for (Line& line : lines_) line = Line{};
-  std::fill(mru_.begin(), mru_.end(), 0u);
 }
 
 }  // namespace indexmac

@@ -56,10 +56,6 @@ class Cache {
   /// True if the line is currently resident (no state change; for tests).
   [[nodiscard]] bool probe(std::uint64_t addr) const;
 
-  /// Drops all lines (dirty contents are not written back; functional data
-  /// lives in MainMemory so nothing is lost).
-  void invalidate_all();
-
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
 

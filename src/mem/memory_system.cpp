@@ -8,11 +8,9 @@ namespace indexmac {
 
 MemorySystem::MemorySystem(const MemHierConfig& config)
     : config_(config),
-      l1i_(config.l1i),
       l1d_(config.l1d),
       l2_(config.l2),
       l2_line_shift_(log2_exact(config.l2.line_bytes)),
-      l1i_line_shift_(log2_exact(config.l1i.line_bytes)),
       l2_bank_free_(config.l2_banks, 0) {
   IMAC_CHECK(config.l2_banks > 0, "L2 needs at least one bank");
 }
@@ -82,15 +80,6 @@ std::uint64_t MemorySystem::vector_data(std::uint64_t addr, unsigned bytes, bool
   (is_store ? stats_.vector_writes : stats_.vector_reads) += 1;
   return for_lines(addr, bytes,
                    [&](std::uint64_t line_addr) { return l2_line(line_addr, is_store, cycle); });
-}
-
-std::uint64_t MemorySystem::ifetch(std::uint64_t addr, std::uint64_t cycle) {
-  ++stats_.ifetch_lines;
-  const std::uint64_t line_addr = addr >> l1i_line_shift_ << l1i_line_shift_;
-  const CacheLineResult r = l1i_.access(line_addr, /*is_store=*/false);
-  const std::uint64_t tag_done = cycle + config_.l1i.hit_latency;
-  if (r.hit) return tag_done;
-  return l2_line(line_addr, /*is_store=*/false, tag_done);
 }
 
 }  // namespace indexmac

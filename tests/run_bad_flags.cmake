@@ -3,12 +3,15 @@
 # --dump-regs describe a functional run, which --timing does not do, and
 # run has no worker pool for --threads to size.
 #
-# Integer flags of imac_run and imac_serve must reject a sign, a space or an
-# out-of-range value, naming the flag, instead of wrapping or truncating it
-# (--port 70000 once bound port 4464, --port -1 connected to 65535).
+# Integer flags must reject a sign, a space or an out-of-range value,
+# naming the flag, instead of wrapping or truncating it (--port 70000 once
+# bound port 4464).
 #
-# Usage: cmake -DIMAC_RUN=<imac_run> -DIMAC_SERVE=<imac_serve>
-#              -DPROGRAM=<file.s> -P run_bad_flags.cmake
+# `merge` only reads stores, so a --store naming no store is an error naming
+# the path, and must not create the directory.
+#
+# Usage: cmake -DIMAC_RUN=<imac_run> -DPROGRAM=<file.s> -DSPEC=<spec.json>
+#              -DWORK_DIR=<scratch dir> -P run_bad_flags.cmake
 function(expect_rejected expected_err)
   execute_process(COMMAND ${IMAC_RUN} run ${ARGN} ${PROGRAM}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -28,7 +31,7 @@ expect_rejected("usage: imac_run" --threads 2)
 
 # Runs the command line after `flag` and expects a non-zero exit whose
 # stderr names the flag. The timeout keeps an accepted port (a server
-# waiting for gdb, a worker retrying a connection) from hanging the test.
+# waiting for gdb) from hanging the test.
 function(expect_bad_number flag)
   execute_process(COMMAND ${ARGN} TIMEOUT 20
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -41,9 +44,21 @@ function(expect_bad_number flag)
 endfunction()
 
 expect_bad_number(--port ${IMAC_RUN} gdb --port 70000 ${PROGRAM})
-expect_bad_number(--port ${IMAC_RUN} worker --port -1)
 expect_bad_number(--max-steps ${IMAC_RUN} run --max-steps -1 ${PROGRAM})
 expect_bad_number(--threads ${IMAC_RUN} sweep --threads +4 --spec ${PROGRAM})
 expect_bad_number(--threads ${IMAC_RUN} sweep --threads " 4" --spec ${PROGRAM})
-expect_bad_number(--port ${IMAC_SERVE} --port 70000 --spec ${PROGRAM} --store unused)
-expect_bad_number(--batch ${IMAC_SERVE} --batch 4294967297 --spec ${PROGRAM} --store unused)
+
+set(missing_store "${WORK_DIR}/merge_missing_store")
+file(REMOVE_RECURSE "${missing_store}")
+execute_process(COMMAND ${IMAC_RUN} merge --spec ${SPEC} --store ${missing_store}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc MATCHES "^[1-9][0-9]*$")
+  message(FATAL_ERROR "merge --store <missing>: exited \"${rc}\", expected an error exit\n${out}${err}")
+endif()
+string(FIND "${err}" "${missing_store}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "merge --store <missing>: stderr does not name ${missing_store}:\n${err}")
+endif()
+if(EXISTS "${missing_store}")
+  message(FATAL_ERROR "merge --store <missing>: created ${missing_store}")
+endif()

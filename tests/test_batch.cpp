@@ -93,18 +93,26 @@ TEST(BatchRunner, ResultOrderMatchesSubmissionOrderAtAnyThreadCount) {
 
 TEST(BatchRunner, SharedProblemJobsMatchDirectRuns) {
   const timing::ProcessorConfig proc{};
-  auto problem = std::make_shared<const core::SpmmProblem>(
-      core::SpmmProblem::random({16, 64, 32}, sparse::kSparsity24, 42));
+  const kernels::GemmDims dims{16, 64, 32};
   const RunConfig rowwise{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 2}};
   const RunConfig proposed{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 2}};
+  const auto exact = [&](const RunConfig& config) {
+    BatchJob job;
+    job.mode = BatchJob::Mode::kExact;
+    job.dims = dims;
+    job.sp = sparse::kSparsity24;
+    job.config = config;
+    job.processor = proc;
+    job.seed = 42;
+    return job;
+  };
 
-  const auto results =
-      core::run_batch({core::exact_job(problem, rowwise, proc),
-                       core::exact_job(problem, proposed, proc)},
-                      2);
+  // Both jobs rebuild the one problem their (dims, sp, seed) names.
+  const auto results = core::run_batch({exact(rowwise), exact(proposed)}, 2);
+  const core::SpmmProblem problem = core::SpmmProblem::random(dims, sparse::kSparsity24, 42);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].stats.cycles, core::run_exact(*problem, rowwise, proc).stats.cycles);
-  EXPECT_EQ(results[1].stats.cycles, core::run_exact(*problem, proposed, proc).stats.cycles);
+  EXPECT_EQ(results[0].stats.cycles, core::run_exact(problem, rowwise, proc).stats.cycles);
+  EXPECT_EQ(results[1].stats.cycles, core::run_exact(problem, proposed, proc).stats.cycles);
   EXPECT_GT(results[0].cycles, results[1].cycles);  // the paper's headline result
 }
 

@@ -154,13 +154,6 @@ TEST(Cache, WriteHitMarksDirty) {
   EXPECT_TRUE(r.writeback);
 }
 
-TEST(Cache, InvalidateAllClearsResidency) {
-  Cache c(small_cache());
-  (void)c.access(0x000, false);
-  c.invalidate_all();
-  EXPECT_FALSE(c.probe(0x000));
-}
-
 TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(Cache(CacheConfig{.size_bytes = 1000, .ways = 3, .line_bytes = 60}), SimError);
 }
@@ -256,14 +249,6 @@ TEST(MemorySystem, StatsAccumulateAndSubtract) {
   EXPECT_EQ(snap.scalar_writes, 1u);
   EXPECT_EQ(snap.vector_writes, 1u);
   EXPECT_EQ(snap.data_accesses(), 2u);
-}
-
-TEST(MemorySystem, IfetchUsesL1I) {
-  MemorySystem ms(test_hier());
-  (void)ms.ifetch(0x1000, 0);
-  const std::uint64_t done = ms.ifetch(0x1000, 50);
-  EXPECT_EQ(done, 50 + 1);  // 1-cycle L1I hit (Table I)
-  EXPECT_EQ(ms.stats().ifetch_lines, 2u);
 }
 
 TEST(MemorySystem, DramChannelOccupancySerializesStreams) {

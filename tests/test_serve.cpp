@@ -1,53 +1,31 @@
-// Distributed sweep orchestrator: scheduler lease/steal/duplicate state
-// machine, wire-protocol framing and exact numeric round trips, and
-// in-process daemon+worker end-to-end runs over loopback — including the
-// chaos variants (mid-record connection drop, heartbeat stall past the
-// lease deadline) and the byte-identity contract against a single-process
-// `run_sweep` of the same spec.
+// Graceful sweep cancellation: run_sweep's cancel flag skips queued
+// points, journals nothing wrong, and leaves the store a valid resume base
+// whose completed report is byte-identical to an uninterrupted sweep.
 #include <gtest/gtest.h>
-
-#include <sys/socket.h>
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/result_store.h"
 #include "core/sweep.h"
-#include "serve/daemon.h"
-#include "serve/net.h"
-#include "serve/protocol.h"
-#include "serve/scheduler.h"
-#include "serve/worker.h"
 
-namespace indexmac::serve {
+namespace indexmac {
 namespace {
 
 namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("serve_" + name);
+  const fs::path dir = fs::path(::testing::TempDir()) / ("sweep_cancel_" + name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// 3 tiny workloads x 2 algorithms = 6 exact points; small enough that a
-/// full distributed run is cheap, structured enough that report
-/// byte-identity is a real check.
+/// 3 tiny workloads x 2 algorithms = 6 exact points.
 constexpr const char* kUnitSpec = R"({
-  "name": "serve-unit",
+  "name": "cancel-unit",
   "workloads": ["tiny"],
   "sparsities": ["1:4"],
   "algorithms": ["rowwise", "indexmac"],
@@ -56,369 +34,10 @@ constexpr const char* kUnitSpec = R"({
   "seed": 7
 })";
 
-std::string write_spec(const std::string& dir) {
-  const std::string path = dir + "/spec.json";
-  std::ofstream out(path, std::ios::binary);
-  out << kUnitSpec;
-  out.close();
-  return path;
-}
-
 std::string reference_csv() {
   const core::SweepSpec spec = core::parse_sweep_spec(kUnitSpec);
   return core::report_to_csv(core::run_sweep(spec, /*threads=*/1));
 }
-
-// --- scheduler ------------------------------------------------------------
-
-TEST(Scheduler, GrantsBatchesAndDrainsWhenEverythingIsLeased) {
-  Scheduler s(5, {.lease_ms = 100, .batch = 4});
-  const Lease a = s.grant(/*worker=*/1, /*now_ms=*/0);
-  EXPECT_EQ(a.points, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  EXPECT_EQ(a.deadline_ms, 100u);
-  const Lease b = s.grant(2, 0);
-  EXPECT_EQ(b.points, (std::vector<std::uint32_t>{4}));
-  EXPECT_NE(a.id, b.id);
-  // Everything is leased out: a third worker drains.
-  EXPECT_TRUE(s.grant(3, 0).points.empty());
-  EXPECT_EQ(s.pending(), 0u);
-  EXPECT_EQ(s.leased(), 5u);
-  EXPECT_FALSE(s.done());
-}
-
-TEST(Scheduler, CompletionShrinksLeasesAndFinishesTheGrid) {
-  Scheduler s(2, {.lease_ms = 100, .batch = 4});
-  (void)s.grant(1, 0);
-  EXPECT_TRUE(s.complete(0));
-  EXPECT_FALSE(s.complete(0));  // duplicate is a no-op
-  EXPECT_EQ(s.duplicate_completions(), 1u);
-  EXPECT_TRUE(s.complete(1));
-  EXPECT_TRUE(s.done());
-  EXPECT_EQ(s.leased(), 0u);  // fully-completed leases are erased
-  EXPECT_THROW((void)s.complete(2), SimError);
-}
-
-TEST(Scheduler, ExpiredLeaseIsStolenByTheNextWorker) {
-  Scheduler s(3, {.lease_ms = 100, .batch = 2});
-  const Lease doomed = s.grant(1, 0);
-  EXPECT_EQ(doomed.points, (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_TRUE(s.complete(0));  // one of the two lands before the crash
-  EXPECT_EQ(s.expire(99), 0u);  // not yet
-  EXPECT_EQ(s.expire(101), 1u);  // only the unfinished point re-queues
-  EXPECT_EQ(s.expired_leases(), 1u);
-  // Stolen work comes back FIRST: the oldest stranded point precedes the
-  // never-leased tail of the queue.
-  const Lease stolen = s.grant(2, 150);
-  EXPECT_EQ(stolen.points, (std::vector<std::uint32_t>{1, 2}));
-  // The dead worker's late heartbeat no longer refers to anything.
-  EXPECT_FALSE(s.heartbeat(doomed.id, 160));
-  EXPECT_TRUE(s.heartbeat(stolen.id, 160));
-}
-
-TEST(Scheduler, HeartbeatExtendsTheDeadline) {
-  Scheduler s(1, {.lease_ms = 100, .batch = 1});
-  const Lease lease = s.grant(1, 0);
-  EXPECT_TRUE(s.heartbeat(lease.id, 90));
-  EXPECT_EQ(s.expire(150), 0u);  // deadline moved to 190
-  EXPECT_EQ(s.expire(191), 1u);
-}
-
-TEST(Scheduler, ReleaseWorkerRequeuesAllItsLeases) {
-  Scheduler s(4, {.lease_ms = 100, .batch = 1});
-  (void)s.grant(7, 0);
-  (void)s.grant(7, 0);
-  (void)s.grant(8, 0);
-  EXPECT_EQ(s.release_worker(7), 2u);
-  EXPECT_EQ(s.leased(), 1u);
-  EXPECT_EQ(s.pending(), 3u);
-  EXPECT_EQ(s.release_worker(7), 0u);  // idempotent
-}
-
-TEST(Scheduler, PreloadedPointsNeverLease) {
-  Scheduler s(3, {.lease_ms = 100, .batch = 8});
-  s.preload_complete(1);
-  EXPECT_EQ(s.completed(), 1u);
-  const Lease lease = s.grant(1, 0);
-  EXPECT_EQ(lease.points, (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_FALSE(s.next_deadline_ms() == std::nullopt);
-}
-
-TEST(Scheduler, StolenPointCompletedByOriginalWorkerReconciles) {
-  Scheduler s(1, {.lease_ms = 100, .batch = 1});
-  const Lease original = s.grant(1, 0);
-  EXPECT_EQ(s.expire(200), 1u);
-  const Lease thief = s.grant(2, 200);
-  EXPECT_EQ(thief.points, original.points);
-  // The original (slow, not dead) worker reports first; the thief's later
-  // completion is the duplicate.
-  EXPECT_TRUE(s.complete(original.points[0]));
-  EXPECT_FALSE(s.complete(thief.points[0]));
-  EXPECT_TRUE(s.done());
-}
-
-// --- protocol -------------------------------------------------------------
-
-TEST(Protocol, FrameBufferReassemblesByteAtATime) {
-  const JsonValue msg = make_ack(41);
-  const std::string frame = encode_frame(msg);
-  FrameBuffer buffer;
-  for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
-    buffer.feed(frame.data() + i, 1);
-    EXPECT_EQ(buffer.next(), std::nullopt);
-  }
-  buffer.feed(frame.data() + frame.size() - 1, 1);
-  const std::optional<std::string> payload = buffer.next();
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(message_type(parse_json(*payload)), "ack");
-  EXPECT_EQ(buffer.pending_bytes(), 0u);
-}
-
-TEST(Protocol, FrameBufferYieldsCoalescedFramesInOrder) {
-  const std::string two = encode_frame(make_drain()) + encode_frame(make_complete());
-  FrameBuffer buffer;
-  buffer.feed(two.data(), two.size());
-  EXPECT_EQ(message_type(parse_json(*buffer.next())), "drain");
-  EXPECT_EQ(message_type(parse_json(*buffer.next())), "complete");
-  EXPECT_EQ(buffer.next(), std::nullopt);
-}
-
-TEST(Protocol, OversizedLengthPrefixIsRejectedNotBuffered) {
-  FrameBuffer buffer;
-  const char huge[4] = {'\xff', '\xff', '\xff', '\x7f'};
-  buffer.feed(huge, 4);
-  EXPECT_THROW((void)buffer.next(), SimError);
-}
-
-TEST(Protocol, CyclesCrossTheWireBitExact) {
-  // A value a 10-significant-digit JSON double would mangle.
-  const double cycles = 12345678.000000191;
-  const JsonValue msg = make_result(/*lease=*/9, /*point=*/3, cycles, /*accesses=*/
-                                    18446744073709551615ull);
-  const ResultFields f = parse_result(parse_json(encode_frame(msg).substr(4)));
-  EXPECT_EQ(f.lease, 9u);
-  EXPECT_EQ(f.point, 3u);
-  EXPECT_EQ(f.cycles, cycles);  // exact, not approximate
-  EXPECT_EQ(f.accesses, 18446744073709551615ull);  // u64 max survives too
-}
-
-TEST(Protocol, HexAndDecHelpersRejectGarbage) {
-  EXPECT_EQ(hex_to_u64(u64_to_hex(0xdeadbeefcafef00dull)), 0xdeadbeefcafef00dull);
-  EXPECT_EQ(dec_to_u64(u64_to_dec(0)), 0u);
-  EXPECT_THROW((void)hex_to_u64("deadbeef"), SimError);       // not 16 digits
-  EXPECT_THROW((void)hex_to_u64("zzzzzzzzzzzzzzzz"), SimError);
-  EXPECT_THROW((void)dec_to_u64(""), SimError);
-  EXPECT_THROW((void)dec_to_u64("12x"), SimError);
-  EXPECT_THROW((void)dec_to_u64("99999999999999999999999"), SimError);  // overflow
-}
-
-TEST(Protocol, WelcomeCarriesTheSpecVerbatim) {
-  const JsonValue msg = make_welcome("s", 42, 0x069283d8a1f9a820ull, kUnitSpec);
-  const WelcomeFields w = parse_welcome(parse_json(encode_frame(msg).substr(4)));
-  EXPECT_EQ(w.spec_name, "s");
-  EXPECT_EQ(w.points, 42u);
-  EXPECT_EQ(w.grid_hash, 0x069283d8a1f9a820ull);
-  EXPECT_EQ(w.spec_text, kUnitSpec);  // byte-for-byte, whitespace included
-}
-
-TEST(Protocol, RecvMessageTimesOutAndDetectsEof) {
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  Socket a(fds[0]);
-  Socket b(fds[1]);
-  FrameBuffer buffer;
-  EXPECT_EQ(recv_message(b, buffer, /*timeout_ms=*/10), std::nullopt);  // silence
-  send_message(a, make_heartbeat(5));
-  const std::optional<JsonValue> msg = recv_message(b, buffer, 1000);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(message_type(*msg), "heartbeat");
-  a.close();
-  EXPECT_THROW((void)recv_message(b, buffer, 1000), NetError);  // EOF
-}
-
-TEST(Net, ConnectToClosedPortIsRetryableNetError) {
-  std::uint16_t dead_port = 0;
-  {
-    Listener probe(0);  // grab an ephemeral port, then free it
-    dead_port = probe.port();
-  }
-  EXPECT_THROW((void)connect_ipv4("127.0.0.1", dead_port), NetError);
-  EXPECT_THROW((void)connect_ipv4("not-an-address", 1), SimError);
-}
-
-// --- end to end -----------------------------------------------------------
-
-/// Runs a daemon thread plus `workers` worker threads to completion and
-/// returns the daemon's report (written to disk) as a string.
-struct E2eResult {
-  int daemon_exit = -1;
-  std::vector<int> worker_exits;
-  std::string csv;
-};
-
-E2eResult run_cluster(const std::string& dir, std::vector<WorkerOptions> workers,
-                      ServeOptions opts) {
-  opts.spec_path = write_spec(dir);
-  if (opts.store_dir.empty()) opts.store_dir = dir + "/store";
-  opts.out_path = dir + "/report.csv";
-  opts.progress_ms = 50;
-  opts.grace_ms = 200;
-  std::atomic<int> bound_port{0};
-  opts.bound_port = &bound_port;
-
-  E2eResult out;
-  out.worker_exits.assign(workers.size(), -1);
-  std::thread daemon([&] { out.daemon_exit = run_daemon(opts); });
-  while (bound_port.load() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    workers[i].port = static_cast<std::uint16_t>(bound_port.load());
-    workers[i].quiet = true;
-    threads.emplace_back([&out, i, w = workers[i]] { out.worker_exits[i] = run_worker(w); });
-  }
-  for (std::thread& t : threads) t.join();
-  daemon.join();
-  out.csv = read_file(opts.out_path);
-  return out;
-}
-
-TEST(ServeE2e, TwoWorkersProduceTheSingleProcessReportByteForByte) {
-  const std::string dir = fresh_dir("e2e");
-  WorkerOptions w0;
-  w0.name = "w0";
-  WorkerOptions w1;
-  w1.name = "w1";
-  const E2eResult r = run_cluster(dir, {w0, w1}, {});
-  EXPECT_EQ(r.daemon_exit, 0);
-  EXPECT_EQ(r.worker_exits, (std::vector<int>{0, 0}));
-  EXPECT_EQ(r.csv, reference_csv());
-
-  // Re-query: the journal now covers the spec, so a second daemon run
-  // completes with zero simulations and no workers at all.
-  ServeOptions again;
-  again.spec_path = dir + "/spec.json";
-  again.store_dir = dir + "/store";
-  again.out_path = dir + "/requery.csv";
-  {
-    core::ResultStore probe(again.store_dir);
-    EXPECT_EQ(probe.loaded(), 6u);
-  }
-  EXPECT_EQ(run_daemon(again), 0);
-  EXPECT_EQ(read_file(again.out_path), reference_csv());
-}
-
-TEST(ServeE2e, MidRecordConnectionDropIsRetransparentlyRecovered) {
-  const std::string dir = fresh_dir("drop");
-  WorkerOptions w;
-  w.name = "dropper";
-  w.chaos.drop_after = 2;  // third result: half a frame, then a dead socket
-  w.backoff_base_ms = 10;
-  const E2eResult r = run_cluster(dir, {w}, {});
-  EXPECT_EQ(r.daemon_exit, 0);
-  EXPECT_EQ(r.worker_exits, (std::vector<int>{0}));
-  EXPECT_EQ(r.csv, reference_csv());
-}
-
-TEST(ServeE2e, HeartbeatStallLosesTheLeaseButTheGridStillCompletes) {
-  const std::string dir = fresh_dir("stall");
-  WorkerOptions w;
-  w.name = "staller";
-  w.chaos.stall_after = 0;   // stall right after the first result...
-  w.chaos.stall_ms = 700;    // ...long past the lease deadline below
-  ServeOptions opts;
-  opts.scheduler.lease_ms = 200;
-  opts.scheduler.batch = 3;
-  const E2eResult r = run_cluster(dir, {w}, opts);
-  EXPECT_EQ(r.daemon_exit, 0);
-  EXPECT_EQ(r.worker_exits, (std::vector<int>{0}));
-  EXPECT_EQ(r.csv, reference_csv());
-  // The stalled lease really expired: its surviving points were re-queued
-  // and the worker's post-stall completions reconciled as duplicates or
-  // re-leases — either way the journal holds exactly one record per point.
-  core::ResultStore store(dir + "/store");
-  EXPECT_EQ(store.size(), 6u);
-}
-
-TEST(ServeE2e, PartialStoreIsPreloadedAndOnlyMissingPointsSimulate) {
-  const std::string dir = fresh_dir("preload");
-  const core::SweepSpec spec = core::parse_sweep_spec(kUnitSpec);
-  const std::vector<core::SweepPoint> points = core::expand_sweep(spec);
-  const std::vector<std::string> keys = core::grid_keys(spec, points);
-  const core::SweepReport full = core::run_sweep(spec, /*threads=*/1);
-  {
-    // Seed the store with half the grid, as an interrupted run would.
-    core::ResultStore store(dir + "/store");
-    for (std::size_t i = 0; i < keys.size(); i += 2)
-      store.put(keys[i], {full.rows[i].cycles, full.rows[i].data_accesses});
-  }
-  WorkerOptions w;
-  w.name = "w0";
-  ServeOptions opts;
-  opts.store_dir = dir + "/store";
-  const E2eResult r = run_cluster(dir, {w}, opts);
-  EXPECT_EQ(r.daemon_exit, 0);
-  EXPECT_EQ(r.csv, reference_csv());
-  core::ResultStore store(dir + "/store");
-  EXPECT_EQ(store.loaded(), 6u);  // 3 preloaded + 3 simulated
-}
-
-TEST(ServeE2e, StopFlagDrainsAndExitsResumable) {
-  const std::string dir = fresh_dir("stop");
-  ServeOptions opts;
-  opts.spec_path = write_spec(dir);
-  opts.store_dir = dir + "/store";
-  opts.out_path = dir + "/report.csv";
-  std::atomic<bool> stop{true};  // requested before any worker exists
-  opts.stop = &stop;
-  std::atomic<int> bound_port{0};
-  opts.bound_port = &bound_port;
-  EXPECT_EQ(run_daemon(opts), 130);
-  EXPECT_FALSE(fs::exists(opts.out_path));  // no report for a partial grid
-}
-
-TEST(ServeE2e, WallClockGuardAborts) {
-  const std::string dir = fresh_dir("wall");
-  ServeOptions opts;
-  opts.spec_path = write_spec(dir);
-  opts.store_dir = dir + "/store";
-  opts.out_path = dir + "/report.csv";
-  opts.wall_ms = 1;
-  EXPECT_EQ(run_daemon(opts), 3);
-  EXPECT_FALSE(fs::exists(opts.out_path));
-}
-
-TEST(ServeE2e, WorkerGivesUpWithoutADaemon) {
-  std::uint16_t dead_port = 0;
-  {
-    Listener probe(0);
-    dead_port = probe.port();
-  }
-  WorkerOptions w;
-  w.name = "orphan";
-  w.port = dead_port;
-  w.quiet = true;
-  w.backoff_base_ms = 5;
-  w.backoff_cap_ms = 20;
-  w.give_up_ms = 100;
-  EXPECT_EQ(run_worker(w), 3);
-}
-
-TEST(ServeE2e, WorkerStopFlagInterrupts) {
-  std::uint16_t dead_port = 0;
-  {
-    Listener probe(0);
-    dead_port = probe.port();
-  }
-  WorkerOptions w;
-  w.name = "stopped";
-  w.port = dead_port;
-  w.quiet = true;
-  std::atomic<bool> stop{true};
-  w.stop = &stop;
-  EXPECT_EQ(run_worker(w), 130);
-}
-
-// --- graceful sweep cancellation (the non-distributed satellite) ----------
 
 TEST(SweepCancel, PresetCancelSkipsEverythingButJournalsNothingWrong) {
   const std::string dir = fresh_dir("cancel");
@@ -449,4 +68,4 @@ TEST(SweepCancel, NullCancelBehavesExactlyAsBefore) {
 }
 
 }  // namespace
-}  // namespace indexmac::serve
+}  // namespace indexmac

@@ -1,38 +1,30 @@
 #!/usr/bin/env python3
-"""Deterministic fault-injection harness for the imac_serve orchestrator.
+"""Signal drill for crash-safe sweeps: `imac_run sweep --store` under fire.
 
-Runs one daemon plus three workers on a sweep spec and scripts three
-failures against them. The workers enter one at a time and every
-injection is gated on an OBSERVED event (a process death, a log line),
-never a timer, so the scenario replays identically however fast the
-simulations are:
+Sends real signals to real `imac_run sweep` processes and checks that the
+journal makes every interruption recoverable, byte for byte. Every run uses
+one thread, and every signal is triggered by OBSERVED journal growth (the
+first record appended past the 12-byte header), never by a timer, so the
+drill replays identically however fast the simulations are:
 
-  * w0 joins alone and self-SIGKILLs after delivering exactly 2 results
-    (the worker's --chaos-kill-after hook: a crash with no goodbye,
-    mid-lease — the daemon must re-queue its unfinished lease);
-  * w2 joins next with a scripted heartbeat stall after its first
-    result; the harness waits until the stall is underway, then SIGKILLs
-    w2 from outside — a second crash, taken while provably holding a
-    leased batch;
-  * w1 joins last, drops its connection halfway through a result frame
-    and later stalls past the lease deadline (--chaos-drop-after /
-    --chaos-stall-after), reconnects with backoff, and must finish the
-    entire remaining grid alone.
-
-The harness then asserts the two contracts that make the machinery
-trustworthy:
-
-  1. the merged report is byte-identical to a single-process
-     `imac_run sweep` of the same spec (or a supplied golden file);
-  2. re-running the daemon over the same store completes with
-     "0 new simulations" — the journal, not the grid, answers.
+  1. SIGKILL a `--store --rollup` run once its journal grows; it must die
+     by SIGKILL (had it finished first, it would have exited 0), which
+     proves the kill landed mid-grid.
+  2. SIGINT a run on a fresh store the same way; it must exit 130 and say
+     `rerun with --resume`.
+  3. `--resume` the killed store: the report must equal the golden byte
+     for byte. A second `--resume` must answer from the journal alone
+     (`store: 0 new simulations journaled`), with the same bytes.
+  4. SIGKILL shard 1/2 mid-run, resume it, then run shard 2/2 into its own
+     store. `merge --store s1 --store s2` must equal the golden's point
+     rows (the lines before `# rollup`).
 
 Exit code 0 on success; nonzero with a diagnostic on any violation.
 Stdlib only.
 """
 
 import argparse
-import filecmp
+import os
 import shutil
 import signal
 import subprocess
@@ -41,8 +33,9 @@ import tempfile
 import time
 from pathlib import Path
 
-DAEMON_TIMEOUT_S = 150
-WORKER_TIMEOUT_S = 150
+TIMEOUT_S = 120
+JOURNAL_HEADER_BYTES = 12  # 8-byte magic + u32 format version
+JOURNAL_NAME = "results.journal"
 
 
 def fail(message: str) -> None:
@@ -50,123 +43,125 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def wait_checked(proc: subprocess.Popen, name: str, timeout: float) -> int:
+class Drill:
+    def __init__(self, run: str, spec: str, workdir: Path):
+        self.run = run
+        self.spec = spec
+        self.workdir = workdir
+
+    def sweep_args(self, store: str, *extra: str) -> list:
+        return [self.run, "sweep", "--spec", self.spec, "--threads", "1",
+                "--store", str(self.workdir / store), *extra]
+
+    def signal_mid_run(self, name: str, store: str, sig: int, *extra: str):
+        """Starts a sweep on a fresh `store`, sends `sig` as soon as its
+        journal holds a record, and returns (exit code, stderr)."""
+        journal = self.workdir / store / JOURNAL_NAME
+        shutil.rmtree(self.workdir / store, ignore_errors=True)
+        log_path = self.workdir / f"{name}.log"
+        with open(log_path, "wb") as log:
+            proc = subprocess.Popen(self.sweep_args(store, *extra),
+                                    stdout=subprocess.DEVNULL, stderr=log)
+            try:
+                deadline = time.monotonic() + TIMEOUT_S
+                while journal_size(journal) <= JOURNAL_HEADER_BYTES:
+                    if proc.poll() is not None:
+                        fail(f"{name}: sweep exited {proc.returncode} before its journal grew "
+                             f"(see {log_path})")
+                    if time.monotonic() > deadline:
+                        fail(f"{name}: journal {journal} never grew")
+                    time.sleep(0.001)
+                proc.send_signal(sig)
+                rc = proc.wait(timeout=TIMEOUT_S)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        return rc, log_path.read_text(errors="replace")
+
+    def sweep(self, name: str, store: str, *extra: str) -> str:
+        """Runs a sweep to completion (it must exit 0); returns its stderr."""
+        proc = subprocess.run(self.sweep_args(store, *extra),
+                              capture_output=True, text=True, timeout=TIMEOUT_S)
+        (self.workdir / f"{name}.log").write_text(proc.stderr)
+        if proc.returncode != 0:
+            fail(f"{name}: sweep exited {proc.returncode}:\n{proc.stderr}")
+        return proc.stderr
+
+
+def journal_size(path: Path) -> int:
     try:
-        return proc.wait(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail(f"{name} did not exit within {timeout}s")
-        raise  # unreachable
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
+def expect_same(got: Path, want: bytes, what: str) -> None:
+    if got.read_bytes() != want:
+        fail(f"{what}: {got} differs from the golden")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--serve", required=True, help="path to the imac_serve binary")
     parser.add_argument("--run", required=True, help="path to the imac_run binary")
-    parser.add_argument("--spec", required=True, help="sweep spec JSON file")
-    parser.add_argument("--golden", help="expected report CSV; default: run "
-                                         "a single-process sweep and use its output")
+    parser.add_argument("--spec", required=True, help="sweep spec JSON file (exact mode)")
+    parser.add_argument("--golden", required=True,
+                        help="the spec's `sweep --rollup` CSV, byte for byte")
     parser.add_argument("--workdir", help="working directory (default: a fresh tempdir)")
-    parser.add_argument("--lease-ms", type=int, default=1500)
-    parser.add_argument("--batch", type=int, default=3)
     parser.add_argument("--keep", action="store_true",
                         help="keep the workdir for postmortems")
     args = parser.parse_args()
 
     workdir = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp(prefix="chaos_sweep_"))
     workdir.mkdir(parents=True, exist_ok=True)
-    store = workdir / "store"
-    port_file = workdir / "port.txt"
-    dist_csv = workdir / "dist.csv"
-    ref_csv = workdir / "ref.csv"
-    if store.exists():
-        shutil.rmtree(store)
-    port_file.unlink(missing_ok=True)
+    golden = Path(args.golden).read_bytes()
+    marker = golden.find(b"# rollup")
+    if marker < 0:
+        fail(f"{args.golden} has no '# rollup' section")
+    golden_points = golden[:marker]
+    drill = Drill(args.run, args.spec, workdir)
 
-    # --- reference report (the byte-identity oracle) -----------------------
-    if args.golden:
-        shutil.copyfile(args.golden, ref_csv)
-    else:
-        print("chaos_sweep: building reference report (single-process sweep)")
-        with open(workdir / "ref.log", "wb") as log:
-            rc = subprocess.run([args.run, "sweep", "--spec", args.spec, "--out", str(ref_csv)],
-                                stdout=log, stderr=log, timeout=DAEMON_TIMEOUT_S).returncode
-        if rc != 0:
-            fail(f"reference sweep exited {rc} (see {workdir}/ref.log)")
+    # 1. SIGKILL mid-run.
+    rc, _ = drill.signal_mid_run("killed", "store", signal.SIGKILL, "--rollup")
+    if rc != -signal.SIGKILL:
+        fail(f"killed: expected death by SIGKILL mid-run, got exit {rc}")
+    print("chaos_sweep: SIGKILL landed mid-run")
 
-    # --- the chaos run -----------------------------------------------------
-    stall_ms = args.lease_ms + 1000  # guaranteed past the lease deadline
-    daemon_log = open(workdir / "daemon.log", "wb")
-    daemon = subprocess.Popen(
-        [args.serve, "--spec", args.spec, "--store", str(store), "--out", str(dist_csv),
-         "--port-file", str(port_file), "--lease-ms", str(args.lease_ms),
-         "--batch", str(args.batch), "--wall-ms", str(DAEMON_TIMEOUT_S * 1000)],
-        stdout=daemon_log, stderr=daemon_log)
+    # 2. SIGINT mid-run: graceful stop with a resume hint.
+    rc, err = drill.signal_mid_run("interrupted", "store_int", signal.SIGINT, "--rollup")
+    if rc != 130:
+        fail(f"interrupted: expected exit 130 after SIGINT, got {rc}:\n{err}")
+    if "rerun with --resume" not in err:
+        fail(f"interrupted: no 'rerun with --resume' hint in stderr:\n{err}")
+    print("chaos_sweep: SIGINT exited 130 with a resume hint")
 
-    def worker(name: str, *chaos: str) -> subprocess.Popen:
-        log = open(workdir / f"{name}.log", "wb")
-        return subprocess.Popen(
-            [args.run, "worker", "--port-file", str(port_file), "--name", name,
-             "--backoff-base-ms", "25", *chaos],
-            stdout=log, stderr=log)
+    # 3. Resume the killed store, then re-query it warm.
+    drill.sweep("resumed", "store", "--resume", "--rollup", "--out", str(workdir / "resumed.csv"))
+    expect_same(workdir / "resumed.csv", golden, "resumed")
+    err = drill.sweep("requery", "store", "--resume", "--rollup",
+                      "--out", str(workdir / "requery.csv"))
+    if "store: 0 new simulations journaled" not in err:
+        fail(f"requery: a warm store still simulated:\n{err}")
+    expect_same(workdir / "requery.csv", golden, "requery")
+    print("chaos_sweep: resume matches the golden; the warm store ran 0 simulations")
 
-    def await_log_line(name: str, needle: str) -> None:
-        """Blocks until the worker's log contains `needle` (an event gate)."""
-        deadline = time.monotonic() + WORKER_TIMEOUT_S
-        log_path = workdir / f"{name}.log"
-        while time.monotonic() < deadline:
-            if log_path.exists() and needle in log_path.read_text(errors="replace"):
-                return
-            time.sleep(0.02)
-        fail(f"{name} never logged \"{needle}\"")
-
-    # Injection 1: w0 joins ALONE, so it is guaranteed to be the worker
-    # delivering results — it always reaches its scripted self-SIGKILL.
-    print("chaos_sweep: daemon up; w0 joins alone (self-SIGKILL after 2 results)")
-    w0 = worker("w0", "--chaos-kill-after", "2")
-    rc0 = wait_checked(w0, "w0", WORKER_TIMEOUT_S)
-    if rc0 != -signal.SIGKILL:
-        fail(f"w0 was scripted to SIGKILL itself but exited {rc0}")
-
-    # Injection 2: w2 stalls (no heartbeats) right after its first result,
-    # provably holding the rest of a leased batch; the harness SIGKILLs it
-    # mid-stall. Gated on w2's own log line, not a timer.
-    print("chaos_sweep: w0 died by SIGKILL as scripted; w2 joins (stall, then killed)")
-    w2 = worker("w2", "--chaos-stall-after", "0", "--chaos-stall-ms", "600000")
-    await_log_line("w2", "chaos: stalling")
-    w2.kill()
-    w2.wait(timeout=WORKER_TIMEOUT_S)
-    print("chaos_sweep: w2 SIGKILLed mid-stall while holding a lease; w1 joins")
-
-    # w1 (mid-record drop + lease-expiry stall) finishes the grid alone.
-    w1 = worker("w1", "--chaos-drop-after", "4",
-                "--chaos-stall-after", "6", "--chaos-stall-ms", str(stall_ms))
-    rc1 = wait_checked(w1, "w1", WORKER_TIMEOUT_S)
-    if rc1 != 0:
-        fail(f"w1 should survive its chaos and finish the grid, exited {rc1}")
-    rc_daemon = wait_checked(daemon, "daemon", DAEMON_TIMEOUT_S)
-    daemon_log.close()
-    if rc_daemon != 0:
-        fail(f"daemon exited {rc_daemon} (see {workdir}/daemon.log)")
-
-    if not filecmp.cmp(ref_csv, dist_csv, shallow=False):
-        fail(f"chaos report {dist_csv} differs from reference {ref_csv}")
-    print("chaos_sweep: merged report is byte-identical to the single-process sweep")
-
-    # --- re-query: the journal answers, nothing re-simulates ---------------
-    requery_csv = workdir / "requery.csv"
-    requery = subprocess.run(
-        [args.serve, "--spec", args.spec, "--store", str(store), "--out", str(requery_csv)],
-        capture_output=True, text=True, timeout=DAEMON_TIMEOUT_S)
-    (workdir / "requery.log").write_text(requery.stderr)
-    if requery.returncode != 0:
-        fail(f"re-query daemon exited {requery.returncode}")
-    if "store: 0 new simulations journaled" not in requery.stderr:
-        fail("re-query did not report '0 new simulations' — the journal was not trusted")
-    if not filecmp.cmp(ref_csv, requery_csv, shallow=False):
-        fail("re-query report differs from the reference")
-    print("chaos_sweep: re-query served from journal with 0 new simulations")
+    # 4. Shards: SIGKILL shard 1 mid-run, resume it, run shard 2, merge.
+    rc, _ = drill.signal_mid_run("shard1_killed", "s1", signal.SIGKILL, "--shard", "1/2")
+    if rc != -signal.SIGKILL:
+        fail(f"shard1_killed: expected death by SIGKILL mid-run, got exit {rc}")
+    drill.sweep("shard1", "s1", "--shard", "1/2", "--resume", "--out", os.devnull)
+    shutil.rmtree(workdir / "s2", ignore_errors=True)
+    drill.sweep("shard2", "s2", "--shard", "2/2", "--out", os.devnull)
+    merged = workdir / "merged.csv"
+    proc = subprocess.run([args.run, "merge", "--spec", args.spec,
+                           "--store", str(workdir / "s1"), "--store", str(workdir / "s2"),
+                           "--out", str(merged)],
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
+    if proc.returncode != 0:
+        fail(f"merge exited {proc.returncode}:\n{proc.stderr}")
+    expect_same(merged, golden_points, "merged shards")
+    print("chaos_sweep: killed + resumed shard merges to the golden point rows")
 
     if not args.keep and not args.workdir:
         shutil.rmtree(workdir, ignore_errors=True)

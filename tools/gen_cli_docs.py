@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
-"""Generates docs/cli.md from the binaries' own --help output (stdlib only).
+"""Generates docs/cli.md from imac_run's own --help output (stdlib only).
 
-The CLI help text in tools/imac_run.cpp (the SubcommandDoc table) and
-tools/imac_serve.cpp is the single source of truth for flag documentation;
-this script captures it into a reviewable markdown page. Run it after
-changing any --help text:
+The CLI help text in tools/imac_run.cpp (the SubcommandDoc table) is the
+single source of truth for flag documentation; this script captures it
+into a reviewable markdown page. Run it after changing any --help text:
 
-    python3 tools/gen_cli_docs.py --run build/tools/imac_run \
-        --serve build/tools/imac_serve --out docs/cli.md
+    python3 tools/gen_cli_docs.py --run build/tools/imac_run --out docs/cli.md
 
 With --check, the file is regenerated in memory and compared to the
 checked-in copy instead; a mismatch exits 1 with a diff hint. ctest's
@@ -24,17 +22,16 @@ import sys
 HEADER = """\
 <!-- GENERATED FILE - DO NOT EDIT BY HAND.
      Regenerate with:
-       python3 tools/gen_cli_docs.py --run <imac_run> --serve <imac_serve> --out docs/cli.md
-     The source of truth is the --help text in tools/imac_run.cpp and
-     tools/imac_serve.cpp; ctest (test_cli_docs) and CI (docs-freshness)
-     fail when this file is stale. -->
+       python3 tools/gen_cli_docs.py --run <imac_run> --out docs/cli.md
+     The source of truth is the --help text in tools/imac_run.cpp; ctest
+     (test_cli_docs) and CI (docs-freshness) fail when this file is
+     stale. -->
 
 # Command-line reference
 
-Captured verbatim from `imac_run <subcommand> --help` and
-`imac_serve --help`. See [architecture.md](architecture.md) for how the
-pieces fit together and [formats.md](formats.md) for the on-disk and wire
-formats these commands produce.
+Captured verbatim from `imac_run <subcommand> --help`. See
+[architecture.md](architecture.md) for how the pieces fit together and
+[formats.md](formats.md) for the on-disk formats these commands produce.
 """
 
 
@@ -66,7 +63,7 @@ def subcommand_names(run_help: str):
     return names
 
 
-def render(run_bin: str, serve_bin: str) -> str:
+def render(run_bin: str) -> str:
     run_help = capture([run_bin, "--help"])
     out = [HEADER]
 
@@ -83,23 +80,18 @@ def render(run_bin: str, serve_bin: str) -> str:
         body = help_text.split("\n\n", 1)[1] if "\n\n" in help_text else help_text
         out.append(body)
         out.append("```\n")
-
-    out.append("\n## imac_serve\n\n```text\n")
-    out.append(capture([serve_bin, "--help"]))
-    out.append("```\n")
     return "".join(out)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--run", required=True, help="path to the imac_run binary")
-    ap.add_argument("--serve", required=True, help="path to the imac_serve binary")
     ap.add_argument("--out", required=True, help="path to docs/cli.md")
     ap.add_argument("--check", action="store_true",
                     help="compare instead of write; exit 1 when stale")
     args = ap.parse_args()
 
-    rendered = render(args.run, args.serve)
+    rendered = render(args.run)
     if args.check:
         try:
             with open(args.out, encoding="utf-8") as f:
@@ -115,8 +107,7 @@ def main():
             sys.stderr.write(diff)
             sys.stderr.write(
                 f"\ngen_cli_docs: {args.out} is stale; regenerate it:\n"
-                f"  python3 tools/gen_cli_docs.py --run <imac_run> "
-                f"--serve <imac_serve> --out {args.out}\n")
+                f"  python3 tools/gen_cli_docs.py --run <imac_run> --out {args.out}\n")
             return 1
         print(f"gen_cli_docs: {args.out} is up to date")
         return 0

@@ -28,17 +28,15 @@
 // single-purpose interface working: `imac_run [flags] file.s` == `imac_run
 // run [flags] file.s`.
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "asm/text_assembler.h"
@@ -52,14 +50,13 @@
 #include "debug/gdb_server.h"
 #include "fsim/machine.h"
 #include "fsim/tracer.h"
-#include "serve/worker.h"
 #include "timing/timing_sim.h"
 #include "workloads/model_import.h"
 #include "workloads/workloads.h"
 
 namespace {
 
-/// SIGINT/SIGTERM flag for the graceful-shutdown paths (sweep, worker).
+/// SIGINT/SIGTERM flag for the graceful-shutdown paths (sweep, gdb).
 /// An atomic store is the only thing the handler does — async-signal-safe.
 std::atomic<bool> g_stop{false};
 
@@ -117,35 +114,17 @@ const SubcommandDoc kSubcommands[] = {
      "      SIGINT/SIGTERM stop gracefully: queued points are skipped,\n"
      "      in-flight points finish and journal, and the run exits 130 with\n"
      "      a resume hint (rerun with --resume).\n"},
-    {"worker", "join an imac_serve daemon as a fault-tolerant sweep worker",
-     "  worker (--port N | --port-file F) [--host A] [--name W]\n"
-     "         [--heartbeat-ms N] [--poll-ms N] [--backoff-base-ms N]\n"
-     "         [--backoff-cap-ms N] [--give-up-ms N] [--quiet]\n"
-     "         [--chaos-kill-after N] [--chaos-drop-after N]\n"
-     "         [--chaos-stall-after N --chaos-stall-ms N]\n"
-     "      Joins an imac_serve daemon as a sweep worker: leases grid\n"
-     "      points, measures them, streams results back, and reconnects\n"
-     "      with capped exponential backoff when the daemon goes away.\n"
-     "      Exits 0 when the daemon reports the grid complete, 3 after\n"
-     "      --give-up-ms without a reachable daemon, 130 on SIGINT.\n"
-     "      --port-file F  read the port from F (as written by imac_serve\n"
-     "                     --port-file), waiting for it to appear\n"
-     "      --give-up-ms N give up after N ms without a reachable daemon\n"
-     "                     (default 60000); also bounds the --port-file wait\n"
-     "      --chaos-*      scripted fault injection for tests: SIGKILL self\n"
-     "                     before sending result N / drop the connection\n"
-     "                     mid-record at result N / stall without heartbeats\n"
-     "                     after result N\n"},
     {"merge", "fuse shard stores/reports into the canonical report",
      "  merge --spec spec.json [--store DIR]... [--out file] [--format csv|json]\n"
      "        [--import DIR]... [shard.csv]...\n"
      "      Fuses shard stores and/or shard CSV reports into the canonical\n"
      "      report of spec.json — byte-identical to a single-process sweep.\n"
-     "      Conflicting or missing points abort with an error. Stores keep\n"
-     "      full double precision; shard CSVs round sampled-mode cycles to\n"
-     "      2 decimals, so for sampled sweeps merge from stores (CSV inputs\n"
-     "      still give byte-exact CSV output, but not JSON, and must not\n"
-     "      overlap a store's points).\n"},
+     "      Conflicting or missing points abort with an error, as does a\n"
+     "      --store DIR with no DIR/results.journal (merge creates nothing).\n"
+     "      Stores keep full double precision; shard CSVs round sampled-mode\n"
+     "      cycles to 2 decimals, so for sampled sweeps merge from stores\n"
+     "      (CSV inputs still give byte-exact CSV output, but not JSON, and\n"
+     "      must not overlap a store's points).\n"},
     {"gdb", "serve a GDB remote-debug session over a program",
      "  gdb [--port N] [--port-file F] [--quiet] file.s\n"
      "      Assembles file.s and serves ONE GDB remote-serial-protocol\n"
@@ -156,8 +135,8 @@ const SubcommandDoc kSubcommands[] = {
      "      patches: architectural results match an undebugged run exactly.\n"
      "      --port N       listen port (default 0 = kernel-assigned; the\n"
      "                     bound port is printed to stderr)\n"
-     "      --port-file F  also write the bound port to F (harness handshake,\n"
-     "                     same contract as imac_serve --port-file)\n"
+     "      --port-file F  also write the bound port to F (harness handshake:\n"
+     "                     a client waits for the file, then connects)\n"
      "      --quiet        suppress the listening/connected stderr notes\n"
      "      monitor commands (gdb `monitor ...`): markers (pc of each marker\n"
      "      instruction), symbols (label addresses), retired (instruction\n"
@@ -242,10 +221,6 @@ void dump_registers(const indexmac::ArchState& state) {
 std::string dims_label(const indexmac::kernels::GemmDims& d) {
   return std::to_string(d.rows_a) + "x" + std::to_string(d.k) + "x" + std::to_string(d.cols_b);
 }
-
-/// The chaos counters are longs (-1 = off); a larger value would wrap
-/// negative and silently disable the injection.
-constexpr std::uint64_t kMaxChaosCount = std::numeric_limits<long>::max();
 
 int cmd_run(int argc, char** argv) {
   using namespace indexmac;
@@ -457,10 +432,14 @@ int cmd_sweep(int argc, char** argv) {
   install_stop_handlers();
   try {
     const core::SweepReport report = core::run_sweep(spec, points, pool, &cache, &g_stop);
-    if (store != nullptr)
+    if (store != nullptr) {
+      // Every point the report shows is on stable storage before the
+      // report exists, whatever the per-record durability level.
+      store->sync();
       std::fprintf(stderr, "store: %llu new simulations journaled (%llu already on disk)\n",
                    static_cast<unsigned long long>(store->appended()),
                    static_cast<unsigned long long>(store->loaded()));
+    }
     std::string rendered;
     if (rollup) {
       const core::RollupReport totals = core::compute_rollup(report);
@@ -524,73 +503,6 @@ int cmd_gdb(int argc, char** argv) {
   return debug::run_gdb_server(assembled, mem, opts);
 }
 
-int cmd_worker(int argc, char** argv) {
-  using namespace indexmac;
-  serve::WorkerOptions opts;
-  const char* port_file = nullptr;
-
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) opts.host = argv[++i];
-    else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(parse_uint(argv[++i], "--port", UINT16_MAX));
-    else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) port_file = argv[++i];
-    else if (std::strcmp(argv[i], "--name") == 0 && i + 1 < argc) opts.name = argv[++i];
-    else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc)
-      opts.heartbeat_ms = parse_uint(argv[++i], "--heartbeat-ms");
-    else if (std::strcmp(argv[i], "--poll-ms") == 0 && i + 1 < argc)
-      opts.poll_ms = parse_uint(argv[++i], "--poll-ms");
-    else if (std::strcmp(argv[i], "--backoff-base-ms") == 0 && i + 1 < argc)
-      opts.backoff_base_ms = parse_uint(argv[++i], "--backoff-base-ms");
-    else if (std::strcmp(argv[i], "--backoff-cap-ms") == 0 && i + 1 < argc)
-      opts.backoff_cap_ms = parse_uint(argv[++i], "--backoff-cap-ms");
-    else if (std::strcmp(argv[i], "--give-up-ms") == 0 && i + 1 < argc)
-      opts.give_up_ms = parse_uint(argv[++i], "--give-up-ms");
-    else if (std::strcmp(argv[i], "--chaos-kill-after") == 0 && i + 1 < argc)
-      opts.chaos.kill_after =
-          static_cast<long>(parse_uint(argv[++i], "--chaos-kill-after", kMaxChaosCount));
-    else if (std::strcmp(argv[i], "--chaos-drop-after") == 0 && i + 1 < argc)
-      opts.chaos.drop_after =
-          static_cast<long>(parse_uint(argv[++i], "--chaos-drop-after", kMaxChaosCount));
-    else if (std::strcmp(argv[i], "--chaos-stall-after") == 0 && i + 1 < argc)
-      opts.chaos.stall_after =
-          static_cast<long>(parse_uint(argv[++i], "--chaos-stall-after", kMaxChaosCount));
-    else if (std::strcmp(argv[i], "--chaos-stall-ms") == 0 && i + 1 < argc)
-      opts.chaos.stall_ms = parse_uint(argv[++i], "--chaos-stall-ms");
-    else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if ((opts.port == 0) == (port_file == nullptr)) {
-    std::fprintf(stderr, "imac_run worker: exactly one of --port/--port-file is required\n");
-    return 2;
-  }
-  if (port_file != nullptr) {
-    // The daemon writes its (possibly kernel-assigned) port here right
-    // after binding; wait for it so harnesses can start both in parallel.
-    const auto give_up = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(opts.give_up_ms);
-    for (;;) {
-      std::ifstream pf(port_file);
-      unsigned long port = 0;
-      if (pf >> port && port > 0 && port <= 65535) {
-        opts.port = static_cast<std::uint16_t>(port);
-        break;
-      }
-      if (std::chrono::steady_clock::now() > give_up) {
-        std::fprintf(stderr, "imac_run worker: no usable port in %s after --give-up-ms\n",
-                     port_file);
-        return 3;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-  install_stop_handlers();
-  opts.stop = &g_stop;
-  return serve::run_worker(opts);
-}
-
 int cmd_merge(int argc, char** argv) {
   using namespace indexmac;
   const char* spec_path = nullptr;
@@ -630,6 +542,17 @@ int cmd_merge(int argc, char** argv) {
   if (store_dirs.empty() && csv_paths.empty()) {
     std::fprintf(stderr, "imac_run merge: nothing to merge (give --store DIR and/or shard CSVs)\n");
     return 2;
+  }
+  // A merge only reads stores: opening a missing one would create it (a
+  // mistyped DIR would then surface as a coverage gap, not as a typo).
+  for (const char* dir : store_dirs) {
+    const std::filesystem::path journal =
+        std::filesystem::path(dir) / core::ResultStore::kJournalName;
+    if (!std::filesystem::is_regular_file(journal)) {
+      std::fprintf(stderr, "imac_run merge: no result store at %s (%s does not exist)\n", dir,
+                   journal.string().c_str());
+      return 1;
+    }
   }
 
   const core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
@@ -1007,7 +930,6 @@ int main(int argc, char** argv) {
       const int nrest = argc - 2;
       if (std::strcmp(cmd, "run") == 0) return cmd_run(nrest, rest);
       if (std::strcmp(cmd, "sweep") == 0) return cmd_sweep(nrest, rest);
-      if (std::strcmp(cmd, "worker") == 0) return cmd_worker(nrest, rest);
       if (std::strcmp(cmd, "merge") == 0) return cmd_merge(nrest, rest);
       if (std::strcmp(cmd, "gdb") == 0) return cmd_gdb(nrest, rest);
       if (std::strcmp(cmd, "list-workloads") == 0) return cmd_list_workloads(nrest, rest);
