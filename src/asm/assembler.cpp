@@ -32,34 +32,27 @@ void Assembler::bind(Label label) {
   label_pos_[label.id] = static_cast<std::int64_t>(insts_.size());
 }
 
-void Assembler::emit(const Instruction& inst) {
+void Assembler::emit(const Instruction& inst, std::optional<Label> target) {
   IMAC_CHECK(!finished_, "assembler already finished");
+  if (target) fixups_.push_back(Fixup{insts_.size(), target->id});
   insts_.push_back(inst);
-}
-
-void Assembler::emit_branch(Op op, XReg rs1, XReg rs2, Label target) {
-  fixups_.push_back(Fixup{insts_.size(), target.id});
-  emit(Instruction{op, 0, rs1.num, rs2.num, 0});
 }
 
 void Assembler::lui(XReg rd, std::int32_t imm20) { emit({Op::kLui, rd.num, 0, 0, imm20}); }
 void Assembler::auipc(XReg rd, std::int32_t imm20) { emit({Op::kAuipc, rd.num, 0, 0, imm20}); }
 
-void Assembler::jal(XReg rd, Label target) {
-  fixups_.push_back(Fixup{insts_.size(), target.id});
-  emit({Op::kJal, rd.num, 0, 0, 0});
-}
+void Assembler::jal(XReg rd, Label target) { emit({Op::kJal, rd.num, 0, 0, 0}, target); }
 
 void Assembler::jalr(XReg rd, XReg rs1, std::int32_t imm) {
   emit({Op::kJalr, rd.num, rs1.num, 0, imm});
 }
 
-void Assembler::beq(XReg a, XReg b, Label t) { emit_branch(Op::kBeq, a, b, t); }
-void Assembler::bne(XReg a, XReg b, Label t) { emit_branch(Op::kBne, a, b, t); }
-void Assembler::blt(XReg a, XReg b, Label t) { emit_branch(Op::kBlt, a, b, t); }
-void Assembler::bge(XReg a, XReg b, Label t) { emit_branch(Op::kBge, a, b, t); }
-void Assembler::bltu(XReg a, XReg b, Label t) { emit_branch(Op::kBltu, a, b, t); }
-void Assembler::bgeu(XReg a, XReg b, Label t) { emit_branch(Op::kBgeu, a, b, t); }
+void Assembler::beq(XReg a, XReg b, Label t) { emit({Op::kBeq, 0, a.num, b.num, 0}, t); }
+void Assembler::bne(XReg a, XReg b, Label t) { emit({Op::kBne, 0, a.num, b.num, 0}, t); }
+void Assembler::blt(XReg a, XReg b, Label t) { emit({Op::kBlt, 0, a.num, b.num, 0}, t); }
+void Assembler::bge(XReg a, XReg b, Label t) { emit({Op::kBge, 0, a.num, b.num, 0}, t); }
+void Assembler::bltu(XReg a, XReg b, Label t) { emit({Op::kBltu, 0, a.num, b.num, 0}, t); }
+void Assembler::bgeu(XReg a, XReg b, Label t) { emit({Op::kBgeu, 0, a.num, b.num, 0}, t); }
 
 void Assembler::lw(XReg rd, XReg rs1, std::int32_t imm) { emit({Op::kLw, rd.num, rs1.num, 0, imm}); }
 void Assembler::lwu(XReg rd, XReg rs1, std::int32_t imm) { emit({Op::kLwu, rd.num, rs1.num, 0, imm}); }

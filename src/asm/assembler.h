@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,10 @@ class Assembler {
 
   /// Number of instructions emitted so far.
   [[nodiscard]] std::size_t size() const { return insts_.size(); }
+
+  /// Emits any instruction; for a branch or jal, `target` sets its
+  /// pc-relative offset at finish(). The typed methods below all end here.
+  void emit(const isa::Instruction& inst, std::optional<Label> target = std::nullopt);
 
   // --- RV64I / M / F subset ---
   void lui(XReg rd, std::int32_t imm20);
@@ -157,9 +162,6 @@ class Assembler {
   [[nodiscard]] Program finish(std::uint64_t base = 0x1000);
 
  private:
-  void emit(const isa::Instruction& inst);
-  void emit_branch(isa::Op op, XReg rs1, XReg rs2, Label target);
-
   struct Fixup {
     std::size_t index;  ///< instruction slot to patch
     int label_id;

@@ -1,17 +1,21 @@
 #include "asm/text_assembler.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <vector>
 
 #include "asm/assembler.h"
 #include "common/error.h"
+#include "isa/op_table.h"
 
 namespace indexmac {
 namespace {
 
-using isa::Op;
+using isa::Arg;
 
 struct Operand {
   enum class Kind { kXReg, kFReg, kVReg, kImm, kMem, kSymbol } kind;
@@ -19,6 +23,18 @@ struct Operand {
   std::int64_t imm = 0;   // kImm; offset for kMem
   std::string symbol;     // kSymbol
 };
+
+/// "<prefix><n>" with n in 0..31, e.g. "v12".
+std::optional<unsigned> parse_prefixed_reg(const std::string& t, char prefix) {
+  if (t.size() < 2 || t[0] != prefix) return std::nullopt;
+  unsigned n = 0;
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    if (!std::isdigit(static_cast<unsigned char>(t[i]))) return std::nullopt;
+    n = n * 10 + static_cast<unsigned>(t[i] - '0');
+    if (n >= 32) return std::nullopt;  // before n can wrap
+  }
+  return n;
+}
 
 std::optional<unsigned> parse_xreg_name(const std::string& t) {
   static const std::map<std::string, unsigned> kAbi = {
@@ -28,52 +44,7 @@ std::optional<unsigned> parse_xreg_name(const std::string& t) {
       {"s4", 20},  {"s5", 21}, {"s6", 22},  {"s7", 23},  {"s8", 24}, {"s9", 25}, {"s10", 26},
       {"s11", 27}, {"t3", 28}, {"t4", 29},  {"t5", 30},  {"t6", 31}};
   if (auto it = kAbi.find(t); it != kAbi.end()) return it->second;
-  if (t.size() >= 2 && t[0] == 'x') {
-    unsigned n = 0;
-    for (std::size_t i = 1; i < t.size(); ++i) {
-      if (!std::isdigit(static_cast<unsigned char>(t[i]))) return std::nullopt;
-      n = n * 10 + static_cast<unsigned>(t[i] - '0');
-    }
-    if (n < 32) return n;
-  }
-  return std::nullopt;
-}
-
-std::optional<unsigned> parse_prefixed_reg(const std::string& t, char prefix) {
-  if (t.size() < 2 || t[0] != prefix) return std::nullopt;
-  unsigned n = 0;
-  for (std::size_t i = 1; i < t.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(t[i]))) return std::nullopt;
-    n = n * 10 + static_cast<unsigned>(t[i] - '0');
-  }
-  if (n < 32) return n;
-  return std::nullopt;
-}
-
-std::optional<std::int64_t> parse_int(const std::string& t) {
-  if (t.empty()) return std::nullopt;
-  std::size_t i = 0;
-  bool neg = false;
-  if (t[0] == '-' || t[0] == '+') {
-    neg = t[0] == '-';
-    i = 1;
-  }
-  if (i >= t.size()) return std::nullopt;
-  int base = 10;
-  if (t.size() - i > 2 && t[i] == '0' && (t[i + 1] == 'x' || t[i + 1] == 'X')) {
-    base = 16;
-    i += 2;
-  }
-  std::int64_t value = 0;
-  for (; i < t.size(); ++i) {
-    const char c = static_cast<char>(std::tolower(static_cast<unsigned char>(t[i])));
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (base == 16 && c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-    else return std::nullopt;
-    value = value * base + digit;
-  }
-  return neg ? -value : value;
+  return parse_prefixed_reg(t, 'x');
 }
 
 /// Splits "off(reg)" into offset text and register text.
@@ -156,6 +127,26 @@ class Parser {
     asm_.bind(info.label);
   }
 
+  /// A decimal or 0x-hex integer with an optional sign; nullopt if `t` is
+  /// not one. A literal outside the int64 range fails.
+  std::optional<std::int64_t> parse_int(const std::string& t) const {
+    std::size_t i = !t.empty() && (t[0] == '-' || t[0] == '+') ? 1 : 0;
+    const bool neg = i == 1 && t[0] == '-';
+    int base = 10;
+    if (t.size() - i > 2 && t[i] == '0' && (t[i + 1] == 'x' || t[i + 1] == 'X')) {
+      base = 16;
+      i += 2;
+    }
+    const char* last = t.data() + t.size();
+    std::uint64_t magnitude = 0;
+    const auto [end, ec] = std::from_chars(t.data() + i, last, magnitude, base);
+    if (ec == std::errc::invalid_argument || end != last) return std::nullopt;
+    const std::uint64_t limit = std::uint64_t{INT64_MAX} + (neg ? 1 : 0);
+    fail_if(ec == std::errc::result_out_of_range || magnitude > limit,
+            "integer literal out of range: " + t);
+    return static_cast<std::int64_t>(neg ? 0 - magnitude : magnitude);
+  }
+
   Operand parse_operand(const std::string& t) {
     if (auto mem = split_mem(t)) {
       auto reg = parse_xreg_name(trim(mem->second));
@@ -189,10 +180,18 @@ class Parser {
     fail_if(o.kind != Operand::Kind::kVReg, "expected v register");
     return v(o.reg);
   }
+  std::int32_t imm32(std::int64_t value) const {
+    fail_if(value < INT32_MIN || value > INT32_MAX, "immediate out of 32-bit range");
+    return static_cast<std::int32_t>(value);
+  }
   std::int32_t iop(const Operand& o) const {
     fail_if(o.kind != Operand::Kind::kImm, "expected immediate");
-    fail_if(o.imm < INT32_MIN || o.imm > INT32_MAX, "immediate out of 32-bit range");
-    return static_cast<std::int32_t>(o.imm);
+    return imm32(o.imm);
+  }
+  /// The base register of an "off(reg)" operand.
+  XReg mop(const Operand& o) const {
+    fail_if(o.kind != Operand::Kind::kMem, "expected mem operand 'off(reg)'");
+    return x(o.reg);
   }
   Assembler::Label target(const Operand& o) {
     fail_if(o.kind != Operand::Kind::kSymbol, "expected label operand");
@@ -220,115 +219,75 @@ class Parser {
                              std::to_string(got));
   }
 
-  void dispatch(const std::string& m, std::vector<Operand>& o) {
-    auto mem = [&](std::size_t i) {
-      fail_if(o[i].kind != Operand::Kind::kMem, "expected mem operand 'off(reg)'");
-      return std::make_pair(x(o[i].reg), static_cast<std::int32_t>(o[i].imm));
-    };
+  void dispatch(const std::string& m, const std::vector<Operand>& o) {
     // Pseudo-instructions first.
-    if (m == "li") { expect(2, o.size()); asm_.li(xop(o[0]), o[1].imm); return; }
+    if (m == "li") { expect(2, o.size()); asm_.li(xop(o[0]), iop(o[1])); return; }
     if (m == "mv") { expect(2, o.size()); asm_.mv(xop(o[0]), xop(o[1])); return; }
     if (m == "nop") { expect(0, o.size()); asm_.nop(); return; }
     if (m == "j") { expect(1, o.size()); asm_.j(target(o[0])); return; }
+    const std::optional<isa::Op> op = isa::op_named(m);
+    fail_if(!op, "unknown mnemonic '" + m + "'");
+    assemble_op(*op, o);
+  }
 
-    if (m == "lui") { expect(2, o.size()); asm_.lui(xop(o[0]), iop(o[1])); return; }
-    if (m == "auipc") { expect(2, o.size()); asm_.auipc(xop(o[0]), iop(o[1])); return; }
-    if (m == "jal") { expect(2, o.size()); asm_.jal(xop(o[0]), target(o[1])); return; }
-    if (m == "jalr") {
-      expect(2, o.size());
-      auto [base, off] = mem(1);
-      asm_.jalr(xop(o[0]), base, off);
-      return;
-    }
-    if (m == "beq") { expect(3, o.size()); asm_.beq(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bne") { expect(3, o.size()); asm_.bne(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "blt") { expect(3, o.size()); asm_.blt(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bge") { expect(3, o.size()); asm_.bge(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bltu") { expect(3, o.size()); asm_.bltu(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "bgeu") { expect(3, o.size()); asm_.bgeu(xop(o[0]), xop(o[1]), target(o[2])); return; }
-    if (m == "lw" || m == "lwu" || m == "ld") {
-      expect(2, o.size());
-      auto [base, off] = mem(1);
-      if (m == "lw") asm_.lw(xop(o[0]), base, off);
-      else if (m == "lwu") asm_.lwu(xop(o[0]), base, off);
-      else asm_.ld(xop(o[0]), base, off);
-      return;
-    }
-    if (m == "sw" || m == "sd") {
-      expect(2, o.size());
-      auto [base, off] = mem(1);
-      if (m == "sw") asm_.sw(xop(o[0]), base, off);
-      else asm_.sd(xop(o[0]), base, off);
-      return;
-    }
-    if (m == "flw") { expect(2, o.size()); auto [b, off] = mem(1); asm_.flw(fop(o[0]), b, off); return; }
-    if (m == "fsw") { expect(2, o.size()); auto [b, off] = mem(1); asm_.fsw(fop(o[0]), b, off); return; }
-    if (m == "addi") { expect(3, o.size()); asm_.addi(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "slti") { expect(3, o.size()); asm_.slti(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "sltiu") { expect(3, o.size()); asm_.sltiu(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "xori") { expect(3, o.size()); asm_.xori(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "ori") { expect(3, o.size()); asm_.ori(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "andi") { expect(3, o.size()); asm_.andi(xop(o[0]), xop(o[1]), iop(o[2])); return; }
-    if (m == "slli") { expect(3, o.size()); asm_.slli(xop(o[0]), xop(o[1]), static_cast<unsigned>(iop(o[2]))); return; }
-    if (m == "srli") { expect(3, o.size()); asm_.srli(xop(o[0]), xop(o[1]), static_cast<unsigned>(iop(o[2]))); return; }
-    if (m == "srai") { expect(3, o.size()); asm_.srai(xop(o[0]), xop(o[1]), static_cast<unsigned>(iop(o[2]))); return; }
-    if (m == "add") { expect(3, o.size()); asm_.add(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sub") { expect(3, o.size()); asm_.sub(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sll") { expect(3, o.size()); asm_.sll(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "slt") { expect(3, o.size()); asm_.slt(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sltu") { expect(3, o.size()); asm_.sltu(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "xor") { expect(3, o.size()); asm_.xor_(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "srl") { expect(3, o.size()); asm_.srl(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "sra") { expect(3, o.size()); asm_.sra(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "or") { expect(3, o.size()); asm_.or_(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "and") { expect(3, o.size()); asm_.and_(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "mul") { expect(3, o.size()); asm_.mul(xop(o[0]), xop(o[1]), xop(o[2])); return; }
-    if (m == "ecall") { expect(0, o.size()); asm_.ecall(); return; }
-    if (m == "ebreak") { expect(0, o.size()); asm_.ebreak(); return; }
-    if (m == "marker") { expect(1, o.size()); asm_.marker(iop(o[0])); return; }
-    if (m == "vsetvli") {
-      // Accept "vsetvli rd, rs1, e32m1" (symbol) or explicit vtype immediate.
-      expect(3, o.size());
-      if (o[2].kind == Operand::Kind::kSymbol) {
-        fail_if(o[2].symbol != "e32m1", "only e32m1 vtype is supported");
-      } else {
-        fail_if(iop(o[2]) != isa::kVtypeE32M1, "only e32m1 vtype is supported");
+  /// Reads `op`'s operands in the order and kinds of its table format, the
+  /// one isa::disassemble() prints.
+  void assemble_op(isa::Op op, const std::vector<Operand>& o) {
+    const isa::Format& format = isa::op_row(op).format;
+    expect(static_cast<std::size_t>(std::ranges::find(format, Arg::kNone) - format.begin()),
+           o.size());
+    isa::Instruction in{op};
+    std::optional<Assembler::Label> pc_target;
+    for (std::size_t i = 0; i < o.size(); ++i) {
+      switch (format[i]) {
+        case Arg::kNone: break;
+        case Arg::kXd: in.rd = xop(o[i]).num; break;
+        case Arg::kFd: in.rd = fop(o[i]).num; break;
+        case Arg::kVd: in.rd = vop(o[i]).num; break;
+        case Arg::kXs1: in.rs1 = xop(o[i]).num; break;
+        case Arg::kFs1: in.rs1 = fop(o[i]).num; break;
+        case Arg::kVs1: in.rs1 = vop(o[i]).num; break;
+        case Arg::kXs2: in.rs2 = xop(o[i]).num; break;
+        case Arg::kFs2: in.rs2 = fop(o[i]).num; break;
+        case Arg::kVs2: in.rs2 = vop(o[i]).num; break;
+        case Arg::kSid: {
+          const std::int32_t sid = iop(o[i]);
+          fail_if(sid < 0 || sid > 3, "ssrcfg stream id must be in 0..3");
+          in.rd = static_cast<std::uint8_t>(sid);
+          break;
+        }
+        case Arg::kImmU:
+        case Arg::kImmI:
+        case Arg::kShamt:
+        case Arg::kSimm5:
+        case Arg::kUimm5:
+        case Arg::kUimm12: in.imm = iop(o[i]); break;
+        case Arg::kVtype:
+          // The one vtype this subset runs, by name or by value.
+          fail_if(o[i].kind == Operand::Kind::kSymbol ? o[i].symbol != "e32m1"
+                                                      : iop(o[i]) != isa::kVtypeE32M1,
+                  "only e32m1 vtype is supported");
+          in.imm = isa::kVtypeE32M1;
+          break;
+        case Arg::kBranch:
+        case Arg::kJump: pc_target = target(o[i]); break;
+        case Arg::kMemI:
+        case Arg::kMemS:
+          in.rs1 = mop(o[i]).num;
+          in.imm = imm32(o[i].imm);
+          break;
+        case Arg::kMemV:
+          in.rs1 = mop(o[i]).num;
+          fail_if(o[i].imm != 0, "vector memory operands take no offset");
+          break;
       }
-      asm_.vsetvli_e32m1(xop(o[0]), xop(o[1]));
-      return;
     }
-    if (m == "vle32.v") { expect(2, o.size()); asm_.vle32(vop(o[0]), mem(1).first); return; }
-    if (m == "vse32.v") { expect(2, o.size()); asm_.vse32(vop(o[0]), mem(1).first); return; }
-    if (m == "vadd.vx") { expect(3, o.size()); asm_.vadd_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vadd.vi") { expect(3, o.size()); asm_.vadd_vi(vop(o[0]), vop(o[1]), iop(o[2])); return; }
-    if (m == "vadd.vv") { expect(3, o.size()); asm_.vadd_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vfadd.vv") { expect(3, o.size()); asm_.vfadd_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vmul.vv") { expect(3, o.size()); asm_.vmul_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vfmul.vv") { expect(3, o.size()); asm_.vfmul_vv(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vredsum.vs") { expect(3, o.size()); asm_.vredsum_vs(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vfredusum.vs") { expect(3, o.size()); asm_.vfredusum_vs(vop(o[0]), vop(o[1]), vop(o[2])); return; }
-    if (m == "vluxei32.v") { expect(3, o.size()); asm_.vluxei32(vop(o[0]), mem(1).first, vop(o[2])); return; }
-    if (m == "vmacc.vx") { expect(3, o.size()); asm_.vmacc_vx(vop(o[0]), xop(o[1]), vop(o[2])); return; }
-    if (m == "vfmacc.vf") { expect(3, o.size()); asm_.vfmacc_vf(vop(o[0]), fop(o[1]), vop(o[2])); return; }
-    if (m == "vmv.v.x") { expect(2, o.size()); asm_.vmv_v_x(vop(o[0]), xop(o[1])); return; }
-    if (m == "vmv.v.i") { expect(2, o.size()); asm_.vmv_v_i(vop(o[0]), iop(o[1])); return; }
-    if (m == "vmv.x.s") { expect(2, o.size()); asm_.vmv_x_s(xop(o[0]), vop(o[1])); return; }
-    if (m == "vfmv.f.s") { expect(2, o.size()); asm_.vfmv_f_s(fop(o[0]), vop(o[1])); return; }
-    if (m == "vmv.s.x") { expect(2, o.size()); asm_.vmv_s_x(vop(o[0]), xop(o[1])); return; }
-    if (m == "vslidedown.vx") { expect(3, o.size()); asm_.vslidedown_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vslidedown.vi") { expect(3, o.size()); asm_.vslidedown_vi(vop(o[0]), vop(o[1]), iop(o[2])); return; }
-    if (m == "vslide1down.vx") { expect(3, o.size()); asm_.vslide1down_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vindexmac.vx") { expect(3, o.size()); asm_.vindexmac_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vfindexmac.vx") { expect(3, o.size()); asm_.vfindexmac_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vindexmacp.vx") { expect(3, o.size()); asm_.vindexmacp_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vfindexmacp.vx") { expect(3, o.size()); asm_.vfindexmacp_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vindexmac2.vx") { expect(3, o.size()); asm_.vindexmac2_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "vfindexmac2.vx") { expect(3, o.size()); asm_.vfindexmac2_vx(vop(o[0]), vop(o[1]), xop(o[2])); return; }
-    if (m == "ssrcfg") { expect(3, o.size()); asm_.ssrcfg(static_cast<unsigned>(iop(o[0])), xop(o[1]), xop(o[2])); return; }
-    if (m == "ssren") { expect(1, o.size()); asm_.ssren(xop(o[0])); return; }
-    if (m == "vindexmacs.v") { expect(1, o.size()); asm_.vindexmacs_v(vop(o[0])); return; }
-    if (m == "vfindexmacs.v") { expect(1, o.size()); asm_.vfindexmacs_v(vop(o[0])); return; }
-    fail("unknown mnemonic '" + m + "'");
+    try {
+      (void)isa::encode(in);  // range-check the immediates while the line is known
+    } catch (const SimError& e) {
+      fail(e.what());
+    }
+    asm_.emit(in, pc_target);
   }
 
   std::uint64_t base_;
@@ -351,11 +310,13 @@ AssembledText assemble_text(const std::string& source, std::uint64_t base) {
 std::string program_to_source(const Program& program) {
   // PC-relative instructions carry their target as a byte offset; collect
   // the absolute targets and name them in address order.
-  const auto is_pc_relative = [](isa::Op op) { return isa::is_branch(op) || op == isa::Op::kJal; };
+  const auto is_pc_relative = [](const isa::Instruction& in) {
+    return isa::predecode(in).has(isa::kSiBranch) || in.op == isa::Op::kJal;
+  };
   const std::vector<isa::Instruction>& decoded = program.decoded();
   std::map<std::uint64_t, unsigned> labels;  // target address -> label number
   for (std::size_t i = 0; i < decoded.size(); ++i) {
-    if (!is_pc_relative(decoded[i].op)) continue;
+    if (!is_pc_relative(decoded[i])) continue;
     const std::uint64_t target =
         program.base() + 4 * i + static_cast<std::uint64_t>(static_cast<std::int64_t>(decoded[i].imm));
     IMAC_CHECK(target >= program.base() && target <= program.end() && (target & 3) == 0,
@@ -376,7 +337,7 @@ std::string program_to_source(const Program& program) {
     if (const auto it = labels.find(pc); it != labels.end())
       out += label_name(it->second) + ":\n";
     std::string line = isa::disassemble(decoded[i]);
-    if (is_pc_relative(decoded[i].op)) {
+    if (is_pc_relative(decoded[i])) {
       // The offset is always the trailing operand; swap it for the label.
       const std::uint64_t target =
           pc + static_cast<std::uint64_t>(static_cast<std::int64_t>(decoded[i].imm));

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "isa/encoding.h"
+#include "isa/static_info.h"
 
 namespace indexmac {
 
@@ -19,9 +20,10 @@ std::pair<TraceRecord, StopReason> Tracer::step() {
   const StopReason stop = machine_.step();
 
   const ArchState& post = machine_.state();
-  if (isa::writes_x(rec.inst)) rec.x_write = post.x[rec.inst.rd];
-  if (isa::writes_f(rec.inst)) rec.f_write = post.f[rec.inst.rd];
-  rec.v_write = isa::writes_v(rec.inst);
+  const isa::StaticInstInfo si = isa::predecode(rec.inst);
+  if (si.has(isa::kSiWritesX)) rec.x_write = post.x[rec.inst.rd];
+  if (si.has(isa::kSiWritesF)) rec.f_write = post.f[rec.inst.rd];
+  rec.v_write = si.has(isa::kSiWritesV);
   return {rec, stop};
 }
 

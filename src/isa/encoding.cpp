@@ -1,605 +1,242 @@
 #include "isa/encoding.h"
 
-#include <sstream>
+#include <array>
+#include <cstdio>
+#include <vector>
 
 #include "common/bitutil.h"
 #include "common/error.h"
+#include "isa/op_table.h"
 
 namespace indexmac::isa {
 namespace {
 
-// Major opcodes.
-constexpr std::uint32_t kOpLoad = 0b0000011;
-constexpr std::uint32_t kOpLoadFp = 0b0000111;
-constexpr std::uint32_t kOpCustom0 = 0b0001011;  // marker
-constexpr std::uint32_t kOpImm = 0b0010011;
-constexpr std::uint32_t kOpAuipc = 0b0010111;
-constexpr std::uint32_t kOpStore = 0b0100011;
-constexpr std::uint32_t kOpStoreFp = 0b0100111;
-constexpr std::uint32_t kOpOp = 0b0110011;
-constexpr std::uint32_t kOpLui = 0b0110111;
-constexpr std::uint32_t kOpVec = 0b1010111;
-constexpr std::uint32_t kOpBranch = 0b1100011;
-constexpr std::uint32_t kOpJalr = 0b1100111;
-constexpr std::uint32_t kOpJal = 0b1101111;
-constexpr std::uint32_t kOpSystem = 0b1110011;
-
-// OP-V funct3 minor opcodes.
-constexpr std::uint32_t kOpivv = 0b000;
-constexpr std::uint32_t kOpfvv = 0b001;
-constexpr std::uint32_t kOpmvv = 0b010;
-constexpr std::uint32_t kOpivi = 0b011;
-constexpr std::uint32_t kOpivx = 0b100;
-constexpr std::uint32_t kOpfvf = 0b101;
-constexpr std::uint32_t kOpmvx = 0b110;
-constexpr std::uint32_t kOpcfg = 0b111;
-
-// OP-V funct6 values used by this subset.
-constexpr std::uint32_t kF6Vadd = 0b000000;
-constexpr std::uint32_t kF6Slide = 0b001111;    // vslidedown / vslide1down
-constexpr std::uint32_t kF6VmvXfS = 0b010000;   // vmv.x.s / vfmv.f.s / vmv.s.x
-constexpr std::uint32_t kF6Vmv = 0b010111;      // vmv.v.*
-constexpr std::uint32_t kF6Vfmacc = 0b101100;
-constexpr std::uint32_t kF6Vmacc = 0b101101;
-constexpr std::uint32_t kF6Vfredusum = 0b000001;
-constexpr std::uint32_t kF6Vfmul = 0b100100;
-constexpr std::uint32_t kF6Vmul = 0b100101;
-constexpr std::uint32_t kF6Vindexmac = 0b110000;   // custom (RVV-reserved OPIVX space)
-constexpr std::uint32_t kF6Vfindexmac = 0b110001;  // custom (RVV-reserved OPIVX space)
-constexpr std::uint32_t kF6Vindexmacp = 0b110010;   // packed-index variant
-constexpr std::uint32_t kF6Vfindexmacp = 0b110011;  // packed-index variant (fp32)
-constexpr std::uint32_t kF6Vindexmac2 = 0b110100;   // dual-row variant
-constexpr std::uint32_t kF6Vfindexmac2 = 0b110101;  // dual-row variant (fp32)
-constexpr std::uint32_t kF6Vindexmacs = 0b110110;   // SSR streaming MAC
-constexpr std::uint32_t kF6Vfindexmacs = 0b110111;  // SSR streaming MAC (fp32)
-
-// custom-0 funct3 minor opcodes: f3=0 is the marker; the SSR control ops
-// share the major opcode under their own funct3 values.
-constexpr std::uint32_t kF3SsrCfg = 0b001;
-constexpr std::uint32_t kF3SsrEn = 0b010;
-
-std::uint32_t reg5(std::uint32_t r) {
-  IMAC_ASSERT(r < 32, "register number out of range");
-  return r;
+std::uint32_t reg_field(std::uint8_t reg, unsigned lsb) {
+  IMAC_ASSERT(reg < 32, "register number out of range");
+  return std::uint32_t{reg} << lsb;
 }
 
-std::uint32_t r_type(std::uint32_t f7, std::uint32_t rs2, std::uint32_t rs1, std::uint32_t f3,
-                     std::uint32_t rd, std::uint32_t opc) {
-  return (f7 << 25) | (reg5(rs2) << 20) | (reg5(rs1) << 15) | (f3 << 12) | (reg5(rd) << 7) | opc;
+/// The word bits of operand `a` of `in`, after checking its range.
+std::uint32_t place(Arg a, const Instruction& in) {
+  const std::int32_t imm = in.imm;
+  const auto u = static_cast<std::uint32_t>(imm);
+  switch (a) {
+    case Arg::kNone:
+      return 0;
+    case Arg::kXd:
+    case Arg::kFd:
+    case Arg::kVd:
+      return reg_field(in.rd, 7);
+    case Arg::kXs1:
+    case Arg::kFs1:
+    case Arg::kVs1:
+    case Arg::kMemV:
+      return reg_field(in.rs1, 15);
+    case Arg::kXs2:
+    case Arg::kFs2:
+    case Arg::kVs2:
+      return reg_field(in.rs2, 20);
+    case Arg::kSid:
+      IMAC_CHECK(in.rd < 4, "ssrcfg stream id must be in 0..3");
+      return reg_field(in.rd, 7);
+    case Arg::kImmU:
+      IMAC_CHECK(fits_signed(imm, 20), "U-type immediate out of range: " + std::to_string(imm));
+      return u << 12;
+    case Arg::kImmI:
+    case Arg::kMemI:
+      IMAC_CHECK(fits_signed(imm, 12), "I-type immediate out of range: " + std::to_string(imm));
+      return (u << 20) | (a == Arg::kMemI ? reg_field(in.rs1, 15) : 0);
+    case Arg::kShamt:
+      IMAC_CHECK(imm >= 0 && imm < 64, "shift amount out of range: " + std::to_string(imm));
+      return u << 20;
+    case Arg::kSimm5:
+      IMAC_CHECK(fits_signed(imm, 5), "vector simm5 out of range: " + std::to_string(imm));
+      return (u & 0x1f) << 15;
+    case Arg::kUimm5:
+      IMAC_CHECK(imm >= 0 && imm < 32, "vector uimm5 out of range: " + std::to_string(imm));
+      return u << 15;
+    case Arg::kUimm12:
+      IMAC_CHECK(imm >= 0 && imm < 4096, "marker id must fit 12 bits");
+      return u << 20;
+    case Arg::kVtype:
+      IMAC_CHECK(imm >= 0 && imm < 0x800, "vtype immediate must fit 11 bits");
+      return u << 20;
+    case Arg::kBranch:
+      IMAC_CHECK(fits_signed(imm, 13) && (imm & 1) == 0,
+                 "branch offset out of range or odd: " + std::to_string(imm));
+      return (bit(u, 12) << 31) | (bits(u, 10, 5) << 25) | (bits(u, 4, 1) << 8) |
+             (bit(u, 11) << 7);
+    case Arg::kJump:
+      IMAC_CHECK(fits_signed(imm, 21) && (imm & 1) == 0,
+                 "jump offset out of range or odd: " + std::to_string(imm));
+      return (bit(u, 20) << 31) | (bits(u, 10, 1) << 21) | (bit(u, 11) << 20) |
+             (bits(u, 19, 12) << 12);
+    case Arg::kMemS:
+      IMAC_CHECK(fits_signed(imm, 12), "S-type immediate out of range: " + std::to_string(imm));
+      return (bits(u, 11, 5) << 25) | (bits(u, 4, 0) << 7) | reg_field(in.rs1, 15);
+  }
+  raise("encode: unknown operand kind");
 }
 
-std::uint32_t i_type(std::int32_t imm, std::uint32_t rs1, std::uint32_t f3, std::uint32_t rd,
-                     std::uint32_t opc) {
-  IMAC_CHECK(fits_signed(imm, 12), "I-type immediate out of range: " + std::to_string(imm));
-  return (static_cast<std::uint32_t>(imm & 0xfff) << 20) | (reg5(rs1) << 15) | (f3 << 12) |
-         (reg5(rd) << 7) | opc;
+/// Fills the Instruction field(s) of operand `a` from word `w`.
+void extract(Arg a, std::uint32_t w, Instruction& in) {
+  const auto sext = [](std::uint32_t v, unsigned width) {
+    return static_cast<std::int32_t>(sign_extend(v, width));
+  };
+  switch (a) {
+    case Arg::kNone:
+      return;
+    case Arg::kXd:
+    case Arg::kFd:
+    case Arg::kVd:
+    case Arg::kSid:
+      in.rd = static_cast<std::uint8_t>(bits(w, 11, 7));
+      return;
+    case Arg::kXs1:
+    case Arg::kFs1:
+    case Arg::kVs1:
+    case Arg::kMemV:
+      in.rs1 = static_cast<std::uint8_t>(bits(w, 19, 15));
+      return;
+    case Arg::kXs2:
+    case Arg::kFs2:
+    case Arg::kVs2:
+      in.rs2 = static_cast<std::uint8_t>(bits(w, 24, 20));
+      return;
+    case Arg::kImmU:
+      in.imm = sext(bits(w, 31, 12), 20);
+      return;
+    case Arg::kImmI:
+      in.imm = sext(bits(w, 31, 20), 12);
+      return;
+    case Arg::kShamt:
+      in.imm = static_cast<std::int32_t>(bits(w, 25, 20));
+      return;
+    case Arg::kSimm5:
+      in.imm = sext(bits(w, 19, 15), 5);
+      return;
+    case Arg::kUimm5:
+      in.imm = static_cast<std::int32_t>(bits(w, 19, 15));
+      return;
+    case Arg::kUimm12:
+      in.imm = static_cast<std::int32_t>(bits(w, 31, 20));
+      return;
+    case Arg::kVtype:
+      in.imm = static_cast<std::int32_t>(bits(w, 30, 20));
+      return;
+    case Arg::kBranch:
+      in.imm = sext((bit(w, 31) << 12) | (bit(w, 7) << 11) | (bits(w, 30, 25) << 5) |
+                        (bits(w, 11, 8) << 1),
+                    13);
+      return;
+    case Arg::kJump:
+      in.imm = sext((bit(w, 31) << 20) | (bits(w, 19, 12) << 12) | (bit(w, 20) << 11) |
+                        (bits(w, 30, 21) << 1),
+                    21);
+      return;
+    case Arg::kMemI:
+      in.imm = sext(bits(w, 31, 20), 12);
+      in.rs1 = static_cast<std::uint8_t>(bits(w, 19, 15));
+      return;
+    case Arg::kMemS:
+      in.imm = sext((bits(w, 31, 25) << 5) | bits(w, 11, 7), 12);
+      in.rs1 = static_cast<std::uint8_t>(bits(w, 19, 15));
+      return;
+  }
 }
 
-std::uint32_t s_type(std::int32_t imm, std::uint32_t rs2, std::uint32_t rs1, std::uint32_t f3,
-                     std::uint32_t opc) {
-  IMAC_CHECK(fits_signed(imm, 12), "S-type immediate out of range: " + std::to_string(imm));
-  const std::uint32_t u = static_cast<std::uint32_t>(imm) & 0xfff;
-  return (bits(u, 11, 5) << 25) | (reg5(rs2) << 20) | (reg5(rs1) << 15) | (f3 << 12) |
-         (bits(u, 4, 0) << 7) | opc;
-}
+/// The decode bucket of a word: its major opcode and funct3.
+std::uint32_t bucket_of(std::uint32_t w) { return (w & 0x7f) | (bits(w, 14, 12) << 7); }
 
-std::uint32_t b_type(std::int32_t imm, std::uint32_t rs2, std::uint32_t rs1, std::uint32_t f3,
-                     std::uint32_t opc) {
-  IMAC_CHECK(fits_signed(imm, 13) && (imm & 1) == 0,
-             "branch offset out of range or odd: " + std::to_string(imm));
-  const std::uint32_t u = static_cast<std::uint32_t>(imm) & 0x1fff;
-  return (bit(u, 12) << 31) | (bits(u, 10, 5) << 25) | (reg5(rs2) << 20) | (reg5(rs1) << 15) |
-         (f3 << 12) | (bits(u, 4, 1) << 8) | (bit(u, 11) << 7) | opc;
-}
-
-std::uint32_t u_type(std::int32_t imm20, std::uint32_t rd, std::uint32_t opc) {
-  IMAC_CHECK(fits_signed(imm20, 20), "U-type immediate out of range: " + std::to_string(imm20));
-  return (static_cast<std::uint32_t>(imm20 & 0xfffff) << 12) | (reg5(rd) << 7) | opc;
-}
-
-std::uint32_t j_type(std::int32_t imm, std::uint32_t rd, std::uint32_t opc) {
-  IMAC_CHECK(fits_signed(imm, 21) && (imm & 1) == 0,
-             "jump offset out of range or odd: " + std::to_string(imm));
-  const std::uint32_t u = static_cast<std::uint32_t>(imm) & 0x1fffff;
-  return (bit(u, 20) << 31) | (bits(u, 10, 1) << 21) | (bit(u, 11) << 20) |
-         (bits(u, 19, 12) << 12) | (reg5(rd) << 7) | opc;
-}
-
-std::uint32_t op_v(std::uint32_t f6, std::uint32_t vs2, std::uint32_t rs1_field, std::uint32_t f3,
-                   std::uint32_t vd) {
-  constexpr std::uint32_t kVmUnmasked = 1;  // this subset is always unmasked
-  return (f6 << 26) | (kVmUnmasked << 25) | (reg5(vs2) << 20) | (reg5(rs1_field) << 15) |
-         (f3 << 12) | (reg5(vd) << 7) | kOpVec;
-}
-
-std::uint32_t simm5_field(std::int32_t imm) {
-  IMAC_CHECK(fits_signed(imm, 5), "vector simm5 out of range: " + std::to_string(imm));
-  return static_cast<std::uint32_t>(imm) & 0x1f;
-}
-
-// Unit-stride vector load/store: nf=0, mew=0, mop=00, vm=1, lumop=00000,
-// width=110 (32-bit element).
-std::uint32_t vmem(std::uint32_t reg, std::uint32_t rs1, std::uint32_t opc) {
-  constexpr std::uint32_t kWidth32 = 0b110;
-  constexpr std::uint32_t kVm = 1;
-  return (kVm << 25) | (reg5(rs1) << 15) | (kWidth32 << 12) | (reg5(reg) << 7) | opc;
-}
-
-Instruction illegal(std::string* error, const std::string& why) {
-  if (error) *error = why;
-  return Instruction{};
+/// Rows by bucket, so decode tests only the rows that can match a word.
+/// Every row's mask covers the opcode; a row whose mask leaves funct3 free
+/// (lui, auipc, jal) sits in all eight of its opcode's buckets.
+const std::array<std::vector<OpRow>, 1024>& rows_by_bucket() {
+  static const auto index = [] {
+    std::array<std::vector<OpRow>, 1024> rows;
+    for (const OpRow& row : op_table().subspan<1>()) {
+      for (std::uint32_t funct3 = 0; funct3 < 8; ++funct3) {
+        const std::uint32_t w = row.match | (funct3 << 12);
+        if ((w & row.mask) == row.match) rows[bucket_of(w)].push_back(row);
+      }
+    }
+    return rows;
+  }();
+  return index;
 }
 
 }  // namespace
 
 std::uint32_t encode(const Instruction& in) {
-  switch (in.op) {
-    case Op::kLui: return u_type(in.imm, in.rd, kOpLui);
-    case Op::kAuipc: return u_type(in.imm, in.rd, kOpAuipc);
-    case Op::kJal: return j_type(in.imm, in.rd, kOpJal);
-    case Op::kJalr: return i_type(in.imm, in.rs1, 0b000, in.rd, kOpJalr);
-    case Op::kBeq: return b_type(in.imm, in.rs2, in.rs1, 0b000, kOpBranch);
-    case Op::kBne: return b_type(in.imm, in.rs2, in.rs1, 0b001, kOpBranch);
-    case Op::kBlt: return b_type(in.imm, in.rs2, in.rs1, 0b100, kOpBranch);
-    case Op::kBge: return b_type(in.imm, in.rs2, in.rs1, 0b101, kOpBranch);
-    case Op::kBltu: return b_type(in.imm, in.rs2, in.rs1, 0b110, kOpBranch);
-    case Op::kBgeu: return b_type(in.imm, in.rs2, in.rs1, 0b111, kOpBranch);
-    case Op::kLw: return i_type(in.imm, in.rs1, 0b010, in.rd, kOpLoad);
-    case Op::kLwu: return i_type(in.imm, in.rs1, 0b110, in.rd, kOpLoad);
-    case Op::kLd: return i_type(in.imm, in.rs1, 0b011, in.rd, kOpLoad);
-    case Op::kFlw: return i_type(in.imm, in.rs1, 0b010, in.rd, kOpLoadFp);
-    case Op::kSw: return s_type(in.imm, in.rs2, in.rs1, 0b010, kOpStore);
-    case Op::kSd: return s_type(in.imm, in.rs2, in.rs1, 0b011, kOpStore);
-    case Op::kFsw: return s_type(in.imm, in.rs2, in.rs1, 0b010, kOpStoreFp);
-    case Op::kAddi: return i_type(in.imm, in.rs1, 0b000, in.rd, kOpImm);
-    case Op::kSlti: return i_type(in.imm, in.rs1, 0b010, in.rd, kOpImm);
-    case Op::kSltiu: return i_type(in.imm, in.rs1, 0b011, in.rd, kOpImm);
-    case Op::kXori: return i_type(in.imm, in.rs1, 0b100, in.rd, kOpImm);
-    case Op::kOri: return i_type(in.imm, in.rs1, 0b110, in.rd, kOpImm);
-    case Op::kAndi: return i_type(in.imm, in.rs1, 0b111, in.rd, kOpImm);
-    case Op::kSlli:
-      IMAC_CHECK(in.imm >= 0 && in.imm < 64, "shift amount out of range");
-      return i_type(in.imm, in.rs1, 0b001, in.rd, kOpImm);
-    case Op::kSrli:
-      IMAC_CHECK(in.imm >= 0 && in.imm < 64, "shift amount out of range");
-      return i_type(in.imm, in.rs1, 0b101, in.rd, kOpImm);
-    case Op::kSrai:
-      IMAC_CHECK(in.imm >= 0 && in.imm < 64, "shift amount out of range");
-      return i_type(in.imm | 0x400, in.rs1, 0b101, in.rd, kOpImm);
-    case Op::kAdd: return r_type(0, in.rs2, in.rs1, 0b000, in.rd, kOpOp);
-    case Op::kSub: return r_type(0b0100000, in.rs2, in.rs1, 0b000, in.rd, kOpOp);
-    case Op::kSll: return r_type(0, in.rs2, in.rs1, 0b001, in.rd, kOpOp);
-    case Op::kSlt: return r_type(0, in.rs2, in.rs1, 0b010, in.rd, kOpOp);
-    case Op::kSltu: return r_type(0, in.rs2, in.rs1, 0b011, in.rd, kOpOp);
-    case Op::kXor: return r_type(0, in.rs2, in.rs1, 0b100, in.rd, kOpOp);
-    case Op::kSrl: return r_type(0, in.rs2, in.rs1, 0b101, in.rd, kOpOp);
-    case Op::kSra: return r_type(0b0100000, in.rs2, in.rs1, 0b101, in.rd, kOpOp);
-    case Op::kOr: return r_type(0, in.rs2, in.rs1, 0b110, in.rd, kOpOp);
-    case Op::kAnd: return r_type(0, in.rs2, in.rs1, 0b111, in.rd, kOpOp);
-    case Op::kMul: return r_type(0b0000001, in.rs2, in.rs1, 0b000, in.rd, kOpOp);
-    case Op::kEcall: return i_type(0, 0, 0, 0, kOpSystem);
-    case Op::kEbreak: return i_type(1, 0, 0, 0, kOpSystem);
-    case Op::kMarker:
-      // The marker id is an unsigned 12-bit field (no sign extension).
-      IMAC_CHECK(in.imm >= 0 && in.imm < 4096, "marker id must fit 12 bits");
-      return (static_cast<std::uint32_t>(in.imm) << 20) | kOpCustom0;
-    case Op::kVsetvli:
-      IMAC_CHECK(in.imm >= 0 && in.imm < 0x800, "vtype immediate must fit 11 bits");
-      return i_type(in.imm, in.rs1, kOpcfg, in.rd, kOpVec);
-    case Op::kVle32: return vmem(in.rd, in.rs1, kOpLoadFp);
-    case Op::kVluxei32:
-      // Indexed-unordered load: mop=01, index register in the lumop slot.
-      return vmem(in.rd, in.rs1, kOpLoadFp) | (0b01u << 26) | (reg5(in.rs2) << 20);
-    case Op::kVse32: return vmem(in.rd, in.rs1, kOpStoreFp);
-    case Op::kVaddVx: return op_v(kF6Vadd, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kVaddVi: return op_v(kF6Vadd, in.rs2, simm5_field(in.imm), kOpivi, in.rd);
-    case Op::kVaddVV: return op_v(kF6Vadd, in.rs2, in.rs1, kOpivv, in.rd);
-    case Op::kVfaddVV: return op_v(kF6Vadd, in.rs2, in.rs1, kOpfvv, in.rd);
-    case Op::kVmulVV: return op_v(kF6Vmul, in.rs2, in.rs1, kOpmvv, in.rd);
-    case Op::kVfmulVV: return op_v(kF6Vfmul, in.rs2, in.rs1, kOpfvv, in.rd);
-    case Op::kVredsumVS: return op_v(kF6Vadd, in.rs2, in.rs1, kOpmvv, in.rd);
-    case Op::kVfredusumVS: return op_v(kF6Vfredusum, in.rs2, in.rs1, kOpfvv, in.rd);
-    case Op::kVmaccVx: return op_v(kF6Vmacc, in.rs2, in.rs1, kOpmvx, in.rd);
-    case Op::kVfmaccVf: return op_v(kF6Vfmacc, in.rs2, in.rs1, kOpfvf, in.rd);
-    case Op::kVmvVX: return op_v(kF6Vmv, 0, in.rs1, kOpivx, in.rd);
-    case Op::kVmvVI: return op_v(kF6Vmv, 0, simm5_field(in.imm), kOpivi, in.rd);
-    case Op::kVmvXS: return op_v(kF6VmvXfS, in.rs2, 0, kOpmvv, in.rd);
-    case Op::kVfmvFS: return op_v(kF6VmvXfS, in.rs2, 0, kOpfvv, in.rd);
-    case Op::kVmvSX: return op_v(kF6VmvXfS, 0, in.rs1, kOpmvx, in.rd);
-    case Op::kVslidedownVx: return op_v(kF6Slide, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kVslidedownVi: {
-      IMAC_CHECK(in.imm >= 0 && in.imm < 32, "vslidedown.vi offset must fit uimm5");
-      return op_v(kF6Slide, in.rs2, static_cast<std::uint32_t>(in.imm), kOpivi, in.rd);
-    }
-    case Op::kVslide1downVx: return op_v(kF6Slide, in.rs2, in.rs1, kOpmvx, in.rd);
-    case Op::kVindexmacVx: return op_v(kF6Vindexmac, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kVfindexmacVx: return op_v(kF6Vfindexmac, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kVindexmacpVx: return op_v(kF6Vindexmacp, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kVfindexmacpVx: return op_v(kF6Vfindexmacp, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kVindexmac2Vx: return op_v(kF6Vindexmac2, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kVfindexmac2Vx: return op_v(kF6Vfindexmac2, in.rs2, in.rs1, kOpivx, in.rd);
-    case Op::kSsrCfg:
-      // R-type in the custom-0 space; the rd field names the stream.
-      IMAC_CHECK(in.rd < 4, "ssrcfg stream id must be in 0..3");
-      return r_type(0, in.rs2, in.rs1, kF3SsrCfg, in.rd, kOpCustom0);
-    case Op::kSsrEn: return r_type(0, 0, in.rs1, kF3SsrEn, 0, kOpCustom0);
-    case Op::kVindexmacsV: return op_v(kF6Vindexmacs, 0, 0, kOpivx, in.rd);
-    case Op::kVfindexmacsV: return op_v(kF6Vfindexmacs, 0, 0, kOpivx, in.rd);
-    case Op::kIllegal: break;
-  }
-  raise("encode: unsupported op");
+  const OpRow& row = op_row(in.op);
+  IMAC_CHECK(row.mask != 0, "encode: unsupported op");
+  std::uint32_t word = row.match;
+  for (const Arg a : row.format) word |= place(a, in);
+  return word;
 }
-
-namespace {
-
-Instruction decode_op_v(std::uint32_t w, std::string* error) {
-  const std::uint32_t f3 = bits(w, 14, 12);
-  const auto rd = static_cast<std::uint8_t>(bits(w, 11, 7));
-  const auto rs1f = static_cast<std::uint8_t>(bits(w, 19, 15));
-  if (f3 == kOpcfg) {
-    if (bit(w, 31) != 0) return illegal(error, "only vsetvli (bit31=0) is supported");
-    const auto vtype = static_cast<std::int32_t>(bits(w, 30, 20));
-    return Instruction{Op::kVsetvli, rd, rs1f, 0, vtype};
-  }
-  const std::uint32_t f6 = bits(w, 31, 26);
-  const auto vs2 = static_cast<std::uint8_t>(bits(w, 24, 20));
-  if (bit(w, 25) != 1) return illegal(error, "masked vector ops are not supported");
-  const auto simm5 = static_cast<std::int32_t>(sign_extend(rs1f, 5));
-  switch (f6) {
-    case kF6Vadd:
-      if (f3 == kOpivx) return Instruction{Op::kVaddVx, rd, rs1f, vs2, 0};
-      if (f3 == kOpivi) return Instruction{Op::kVaddVi, rd, 0, vs2, simm5};
-      if (f3 == kOpivv) return Instruction{Op::kVaddVV, rd, rs1f, vs2, 0};
-      if (f3 == kOpfvv) return Instruction{Op::kVfaddVV, rd, rs1f, vs2, 0};
-      if (f3 == kOpmvv) return Instruction{Op::kVredsumVS, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vfredusum:
-      if (f3 == kOpfvv) return Instruction{Op::kVfredusumVS, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vfmul:
-      if (f3 == kOpfvv) return Instruction{Op::kVfmulVV, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vmul:
-      if (f3 == kOpmvv) return Instruction{Op::kVmulVV, rd, rs1f, vs2, 0};
-      break;
-    case kF6Slide:
-      if (f3 == kOpivx) return Instruction{Op::kVslidedownVx, rd, rs1f, vs2, 0};
-      if (f3 == kOpivi)
-        return Instruction{Op::kVslidedownVi, rd, 0, vs2, static_cast<std::int32_t>(rs1f)};
-      if (f3 == kOpmvx) return Instruction{Op::kVslide1downVx, rd, rs1f, vs2, 0};
-      break;
-    case kF6VmvXfS:
-      if (f3 == kOpmvv && rs1f == 0) return Instruction{Op::kVmvXS, rd, 0, vs2, 0};
-      if (f3 == kOpfvv && rs1f == 0) return Instruction{Op::kVfmvFS, rd, 0, vs2, 0};
-      if (f3 == kOpmvx && vs2 == 0) return Instruction{Op::kVmvSX, rd, rs1f, 0, 0};
-      break;
-    case kF6Vmv:
-      if (vs2 != 0) break;  // vmerge (masked) is unsupported
-      if (f3 == kOpivx) return Instruction{Op::kVmvVX, rd, rs1f, 0, 0};
-      if (f3 == kOpivi) return Instruction{Op::kVmvVI, rd, 0, 0, simm5};
-      break;
-    case kF6Vfmacc:
-      if (f3 == kOpfvf) return Instruction{Op::kVfmaccVf, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vmacc:
-      if (f3 == kOpmvx) return Instruction{Op::kVmaccVx, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vindexmac:
-      if (f3 == kOpivx) return Instruction{Op::kVindexmacVx, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vfindexmac:
-      if (f3 == kOpivx) return Instruction{Op::kVfindexmacVx, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vindexmacp:
-      if (f3 == kOpivx) return Instruction{Op::kVindexmacpVx, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vfindexmacp:
-      if (f3 == kOpivx) return Instruction{Op::kVfindexmacpVx, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vindexmac2:
-      if (f3 == kOpivx) return Instruction{Op::kVindexmac2Vx, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vfindexmac2:
-      if (f3 == kOpivx) return Instruction{Op::kVfindexmac2Vx, rd, rs1f, vs2, 0};
-      break;
-    case kF6Vindexmacs:
-      if (f3 == kOpivx && rs1f == 0 && vs2 == 0) return Instruction{Op::kVindexmacsV, rd, 0, 0, 0};
-      break;
-    case kF6Vfindexmacs:
-      if (f3 == kOpivx && rs1f == 0 && vs2 == 0)
-        return Instruction{Op::kVfindexmacsV, rd, 0, 0, 0};
-      break;
-    default:
-      break;
-  }
-  return illegal(error, "unsupported OP-V encoding");
-}
-
-Instruction decode_vmem(std::uint32_t w, bool is_store, std::string* error) {
-  // nf=0, mew=0, vm=1, width=110; mop=00 (unit stride) or 01 (indexed load).
-  if (bits(w, 31, 29) != 0 || bit(w, 28) != 0)
-    return illegal(error, "segment/wide vector memory ops are not supported");
-  if (bit(w, 25) != 1) return illegal(error, "masked vector memory ops are not supported");
-  if (bits(w, 14, 12) != 0b110) return illegal(error, "only 32-bit vector elements are supported");
-  const auto reg = static_cast<std::uint8_t>(bits(w, 11, 7));
-  const auto rs1 = static_cast<std::uint8_t>(bits(w, 19, 15));
-  const std::uint32_t mop = bits(w, 27, 26);
-  if (mop == 0b01) {
-    if (is_store) return illegal(error, "indexed vector stores are not supported");
-    return Instruction{Op::kVluxei32, reg, rs1, static_cast<std::uint8_t>(bits(w, 24, 20)), 0};
-  }
-  if (mop != 0) return illegal(error, "only unit-stride/indexed vector memory ops are supported");
-  if (bits(w, 24, 20) != 0) return illegal(error, "lumop/sumop must be zero");
-  return Instruction{is_store ? Op::kVse32 : Op::kVle32, reg, rs1, 0, 0};
-}
-
-}  // namespace
 
 Instruction decode(std::uint32_t w, std::string* error) {
-  const std::uint32_t opc = bits(w, 6, 0);
-  const auto rd = static_cast<std::uint8_t>(bits(w, 11, 7));
-  const auto rs1 = static_cast<std::uint8_t>(bits(w, 19, 15));
-  const auto rs2 = static_cast<std::uint8_t>(bits(w, 24, 20));
-  const std::uint32_t f3 = bits(w, 14, 12);
-  const std::uint32_t f7 = bits(w, 31, 25);
-  const auto iimm = static_cast<std::int32_t>(sign_extend(bits(w, 31, 20), 12));
-  const auto simm = static_cast<std::int32_t>(
-      sign_extend((bits(w, 31, 25) << 5) | bits(w, 11, 7), 12));
-  const auto bimm = static_cast<std::int32_t>(sign_extend(
-      (bit(w, 31) << 12) | (bit(w, 7) << 11) | (bits(w, 30, 25) << 5) | (bits(w, 11, 8) << 1),
-      13));
-  const auto uimm = static_cast<std::int32_t>(sign_extend(bits(w, 31, 12), 20));
-  const auto jimm = static_cast<std::int32_t>(sign_extend(
-      (bit(w, 31) << 20) | (bits(w, 19, 12) << 12) | (bit(w, 20) << 11) | (bits(w, 30, 21) << 1),
-      21));
-
-  switch (opc) {
-    case kOpLui: return Instruction{Op::kLui, rd, 0, 0, uimm};
-    case kOpAuipc: return Instruction{Op::kAuipc, rd, 0, 0, uimm};
-    case kOpJal: return Instruction{Op::kJal, rd, 0, 0, jimm};
-    case kOpJalr:
-      if (f3 != 0) return illegal(error, "jalr requires funct3=0");
-      return Instruction{Op::kJalr, rd, rs1, 0, iimm};
-    case kOpBranch:
-      switch (f3) {
-        case 0b000: return Instruction{Op::kBeq, 0, rs1, rs2, bimm};
-        case 0b001: return Instruction{Op::kBne, 0, rs1, rs2, bimm};
-        case 0b100: return Instruction{Op::kBlt, 0, rs1, rs2, bimm};
-        case 0b101: return Instruction{Op::kBge, 0, rs1, rs2, bimm};
-        case 0b110: return Instruction{Op::kBltu, 0, rs1, rs2, bimm};
-        case 0b111: return Instruction{Op::kBgeu, 0, rs1, rs2, bimm};
-        default: return illegal(error, "unsupported branch funct3");
-      }
-    case kOpLoad:
-      switch (f3) {
-        case 0b010: return Instruction{Op::kLw, rd, rs1, 0, iimm};
-        case 0b011: return Instruction{Op::kLd, rd, rs1, 0, iimm};
-        case 0b110: return Instruction{Op::kLwu, rd, rs1, 0, iimm};
-        default: return illegal(error, "unsupported load width");
-      }
-    case kOpStore:
-      switch (f3) {
-        case 0b010: return Instruction{Op::kSw, 0, rs1, rs2, simm};
-        case 0b011: return Instruction{Op::kSd, 0, rs1, rs2, simm};
-        default: return illegal(error, "unsupported store width");
-      }
-    case kOpLoadFp:
-      if (f3 == 0b010) return Instruction{Op::kFlw, rd, rs1, 0, iimm};
-      if (f3 == 0b110) return decode_vmem(w, /*is_store=*/false, error);
-      return illegal(error, "unsupported LOAD-FP width");
-    case kOpStoreFp:
-      if (f3 == 0b010) return Instruction{Op::kFsw, 0, rs1, rs2, simm};
-      if (f3 == 0b110) return decode_vmem(w, /*is_store=*/true, error);
-      return illegal(error, "unsupported STORE-FP width");
-    case kOpImm:
-      switch (f3) {
-        case 0b000: return Instruction{Op::kAddi, rd, rs1, 0, iimm};
-        case 0b010: return Instruction{Op::kSlti, rd, rs1, 0, iimm};
-        case 0b011: return Instruction{Op::kSltiu, rd, rs1, 0, iimm};
-        case 0b100: return Instruction{Op::kXori, rd, rs1, 0, iimm};
-        case 0b110: return Instruction{Op::kOri, rd, rs1, 0, iimm};
-        case 0b111: return Instruction{Op::kAndi, rd, rs1, 0, iimm};
-        case 0b001:
-          if (bits(w, 31, 26) != 0) return illegal(error, "unsupported slli funct6");
-          return Instruction{Op::kSlli, rd, rs1, 0, static_cast<std::int32_t>(bits(w, 25, 20))};
-        case 0b101: {
-          const std::uint32_t f6 = bits(w, 31, 26);
-          const auto sh = static_cast<std::int32_t>(bits(w, 25, 20));
-          if (f6 == 0b000000) return Instruction{Op::kSrli, rd, rs1, 0, sh};
-          if (f6 == 0b010000) return Instruction{Op::kSrai, rd, rs1, 0, sh};
-          return illegal(error, "unsupported shift funct6");
-        }
-        default: return illegal(error, "unsupported OP-IMM funct3");
-      }
-    case kOpOp: {
-      if (f7 == 0b0000001) {
-        if (f3 == 0b000) return Instruction{Op::kMul, rd, rs1, rs2, 0};
-        return illegal(error, "unsupported M-extension op");
-      }
-      const bool alt = f7 == 0b0100000;
-      if (f7 != 0 && !alt) return illegal(error, "unsupported OP funct7");
-      switch (f3) {
-        case 0b000: return Instruction{alt ? Op::kSub : Op::kAdd, rd, rs1, rs2, 0};
-        case 0b001: return Instruction{Op::kSll, rd, rs1, rs2, 0};
-        case 0b010: return Instruction{Op::kSlt, rd, rs1, rs2, 0};
-        case 0b011: return Instruction{Op::kSltu, rd, rs1, rs2, 0};
-        case 0b100: return Instruction{Op::kXor, rd, rs1, rs2, 0};
-        case 0b101: return Instruction{alt ? Op::kSra : Op::kSrl, rd, rs1, rs2, 0};
-        case 0b110: return Instruction{Op::kOr, rd, rs1, rs2, 0};
-        case 0b111: return Instruction{Op::kAnd, rd, rs1, rs2, 0};
-        default: break;
-      }
-      return illegal(error, "unsupported OP encoding");
-    }
-    case kOpSystem:
-      if (w == 0x00000073) return Instruction{Op::kEcall, 0, 0, 0, 0};
-      if (w == 0x00100073) return Instruction{Op::kEbreak, 0, 0, 0, 0};
-      return illegal(error, "unsupported SYSTEM encoding");
-    case kOpCustom0:
-      if (f3 == kF3SsrCfg) {
-        if (f7 != 0 || rd >= 4) return illegal(error, "malformed ssrcfg");
-        return Instruction{Op::kSsrCfg, rd, rs1, rs2, 0};
-      }
-      if (f3 == kF3SsrEn) {
-        if (f7 != 0 || rd != 0 || rs2 != 0) return illegal(error, "malformed ssren");
-        return Instruction{Op::kSsrEn, 0, rs1, 0, 0};
-      }
-      if (f3 != 0 || rd != 0 || rs1 != 0) return illegal(error, "malformed marker");
-      return Instruction{Op::kMarker, 0, 0, 0, static_cast<std::int32_t>(bits(w, 31, 20))};
-    case kOpVec:
-      return decode_op_v(w, error);
-    default:
-      return illegal(error, "unknown major opcode");
+  for (const OpRow& row : rows_by_bucket()[bucket_of(w)]) {
+    if ((w & row.mask) != row.match) continue;
+    Instruction in{row.op};
+    for (const Arg a : row.format) extract(a, w, in);
+    return in;
   }
+  if (error) {
+    char text[64];
+    std::snprintf(text, sizeof text, "no supported instruction encodes as 0x%08x", w);
+    *error = text;
+  }
+  return Instruction{};
 }
 
-namespace {
-
-std::string xr(unsigned r) { return "x" + std::to_string(r); }
-std::string fr(unsigned r) { return "f" + std::to_string(r); }
-std::string vr(unsigned r) { return "v" + std::to_string(r); }
-
-}  // namespace
-
 std::string disassemble(const Instruction& in) {
-  std::ostringstream s;
-  const std::string m = mnemonic(in.op);
-  switch (in.op) {
-    case Op::kLui:
-    case Op::kAuipc:
-      s << m << ' ' << xr(in.rd) << ", " << in.imm;
-      break;
-    case Op::kJal:
-      s << m << ' ' << xr(in.rd) << ", " << in.imm;
-      break;
-    case Op::kJalr:
-      s << m << ' ' << xr(in.rd) << ", " << in.imm << '(' << xr(in.rs1) << ')';
-      break;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-      s << m << ' ' << xr(in.rs1) << ", " << xr(in.rs2) << ", " << in.imm;
-      break;
-    case Op::kLw:
-    case Op::kLwu:
-    case Op::kLd:
-      s << m << ' ' << xr(in.rd) << ", " << in.imm << '(' << xr(in.rs1) << ')';
-      break;
-    case Op::kFlw:
-      s << m << ' ' << fr(in.rd) << ", " << in.imm << '(' << xr(in.rs1) << ')';
-      break;
-    case Op::kSw:
-    case Op::kSd:
-      s << m << ' ' << xr(in.rs2) << ", " << in.imm << '(' << xr(in.rs1) << ')';
-      break;
-    case Op::kFsw:
-      s << m << ' ' << fr(in.rs2) << ", " << in.imm << '(' << xr(in.rs1) << ')';
-      break;
-    case Op::kAddi:
-    case Op::kSlti:
-    case Op::kSltiu:
-    case Op::kXori:
-    case Op::kOri:
-    case Op::kAndi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kSrai:
-      s << m << ' ' << xr(in.rd) << ", " << xr(in.rs1) << ", " << in.imm;
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kSll:
-    case Op::kSlt:
-    case Op::kSltu:
-    case Op::kXor:
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kOr:
-    case Op::kAnd:
-    case Op::kMul:
-      s << m << ' ' << xr(in.rd) << ", " << xr(in.rs1) << ", " << xr(in.rs2);
-      break;
-    case Op::kEcall:
-    case Op::kEbreak:
-      s << m;
-      break;
-    case Op::kMarker:
-      s << m << ' ' << in.imm;
-      break;
-    case Op::kVsetvli:
-      s << m << ' ' << xr(in.rd) << ", " << xr(in.rs1) << ", " << in.imm;
-      break;
-    case Op::kVle32:
-      s << m << ' ' << vr(in.rd) << ", (" << xr(in.rs1) << ')';
-      break;
-    case Op::kVluxei32:
-      s << m << ' ' << vr(in.rd) << ", (" << xr(in.rs1) << "), " << vr(in.rs2);
-      break;
-    case Op::kVaddVV:
-    case Op::kVfaddVV:
-    case Op::kVmulVV:
-    case Op::kVfmulVV:
-    case Op::kVredsumVS:
-    case Op::kVfredusumVS:
-      s << m << ' ' << vr(in.rd) << ", " << vr(in.rs2) << ", " << vr(in.rs1);
-      break;
-    case Op::kVse32:
-      s << m << ' ' << vr(in.rd) << ", (" << xr(in.rs1) << ')';
-      break;
-    case Op::kVaddVx:
-    case Op::kVslidedownVx:
-    case Op::kVslide1downVx:
-    case Op::kVindexmacVx:
-    case Op::kVfindexmacVx:
-    case Op::kVindexmacpVx:
-    case Op::kVfindexmacpVx:
-    case Op::kVindexmac2Vx:
-    case Op::kVfindexmac2Vx:
-      s << m << ' ' << vr(in.rd) << ", " << vr(in.rs2) << ", " << xr(in.rs1);
-      break;
-    case Op::kVaddVi:
-    case Op::kVslidedownVi:
-      s << m << ' ' << vr(in.rd) << ", " << vr(in.rs2) << ", " << in.imm;
-      break;
-    case Op::kVmaccVx:
-      s << m << ' ' << vr(in.rd) << ", " << xr(in.rs1) << ", " << vr(in.rs2);
-      break;
-    case Op::kVfmaccVf:
-      s << m << ' ' << vr(in.rd) << ", " << fr(in.rs1) << ", " << vr(in.rs2);
-      break;
-    case Op::kVmvVX:
-      s << m << ' ' << vr(in.rd) << ", " << xr(in.rs1);
-      break;
-    case Op::kVmvVI:
-      s << m << ' ' << vr(in.rd) << ", " << in.imm;
-      break;
-    case Op::kVmvXS:
-      s << m << ' ' << xr(in.rd) << ", " << vr(in.rs2);
-      break;
-    case Op::kVfmvFS:
-      s << m << ' ' << fr(in.rd) << ", " << vr(in.rs2);
-      break;
-    case Op::kVmvSX:
-      s << m << ' ' << vr(in.rd) << ", " << xr(in.rs1);
-      break;
-    case Op::kSsrCfg:
-      s << m << ' ' << static_cast<unsigned>(in.rd) << ", " << xr(in.rs1) << ", " << xr(in.rs2);
-      break;
-    case Op::kSsrEn:
-      s << m << ' ' << xr(in.rs1);
-      break;
-    case Op::kVindexmacsV:
-    case Op::kVfindexmacsV:
-      s << m << ' ' << vr(in.rd);
-      break;
-    case Op::kIllegal:
-      s << "illegal";
-      break;
+  const OpRow& row = op_row(in.op);
+  std::string s(row.mnemonic);
+  const auto reg = [&s](char file, unsigned num) {
+    s += file;
+    s += std::to_string(num);
+  };
+  const char* separator = " ";
+  for (const Arg a : row.format) {
+    if (a == Arg::kNone) break;
+    s += separator;
+    separator = ", ";
+    switch (a) {
+      case Arg::kNone: break;
+      case Arg::kXd: reg('x', in.rd); break;
+      case Arg::kFd: reg('f', in.rd); break;
+      case Arg::kVd: reg('v', in.rd); break;
+      case Arg::kXs1: reg('x', in.rs1); break;
+      case Arg::kFs1: reg('f', in.rs1); break;
+      case Arg::kVs1: reg('v', in.rs1); break;
+      case Arg::kXs2: reg('x', in.rs2); break;
+      case Arg::kFs2: reg('f', in.rs2); break;
+      case Arg::kVs2: reg('v', in.rs2); break;
+      case Arg::kSid: s += std::to_string(in.rd); break;
+      case Arg::kMemI:
+      case Arg::kMemS:
+        s += std::to_string(in.imm);
+        [[fallthrough]];
+      case Arg::kMemV:
+        s += '(';
+        reg('x', in.rs1);
+        s += ')';
+        break;
+      case Arg::kImmU:
+      case Arg::kImmI:
+      case Arg::kShamt:
+      case Arg::kSimm5:
+      case Arg::kUimm5:
+      case Arg::kUimm12:
+      case Arg::kVtype:
+      case Arg::kBranch:
+      case Arg::kJump:
+        s += std::to_string(in.imm);
+        break;
+    }
   }
-  return s.str();
+  return s;
 }
 
 }  // namespace indexmac::isa

@@ -1,11 +1,12 @@
 // Binary encoding and decoding between 32-bit RISC-V instruction words and
 // the decoded Instruction form.
 //
-// Standard instructions follow the RISC-V unprivileged spec and RVV 1.0
-// encodings. Custom instructions:
-//   * vindexmac.vx  — OP-V, OPIVX funct3, funct6 0b110000 (RVV-reserved)
-//   * vfindexmac.vx — OP-V, OPIVX funct3, funct6 0b110001 (RVV-reserved)
-//   * marker        — custom-0 opcode (0x0b), I-type layout, id in imm[11:0]
+// All three read the instruction table (isa/op_table.h). Standard
+// instructions follow the RISC-V unprivileged spec and RVV 1.0 encodings.
+// Custom instructions:
+//   * the vindexmac family and the SSR streaming MACs — OP-V, OPIVX
+//     funct3, RVV-reserved funct6 0b110000..0b110111
+//   * marker, ssrcfg, ssren — custom-0 opcode (0x0b), funct3 0, 1, 2
 #pragma once
 
 #include <cstdint>

@@ -96,9 +96,9 @@ enum class Op : std::uint8_t {
   kVindexmacsV, kVfindexmacsV,
 };
 
-/// A decoded instruction. Register fields are interpreted per-op:
-/// scalar ops use x registers, kFlw/kFsw/kVfmaccVf/kVfmvFS touch f
-/// registers, and vector ops use v registers where noted in encoding.cpp.
+/// A decoded instruction. Register fields are interpreted per op: the op's
+/// row in the instruction table (isa/op_table.cpp) says which fields it uses
+/// and whether each names an x, f or v register.
 struct Instruction {
   Op op = Op::kIllegal;
   std::uint8_t rd = 0;   ///< destination (x/f/v); vs3 for stores
@@ -112,27 +112,6 @@ struct Instruction {
 /// vtype immediate for `vsetvli` encoding SEW=32, LMUL=1, ta, ma — the only
 /// configuration this subset supports.
 inline constexpr std::int32_t kVtypeE32M1 = 0xD0;
-
-// ---- Instruction classification (shared by both simulators) ----
-
-[[nodiscard]] bool is_vector(Op op);        ///< executes on the vector engine
-[[nodiscard]] bool is_branch(Op op);        ///< conditional branch
-[[nodiscard]] bool is_jump(Op op);          ///< jal/jalr
-[[nodiscard]] bool is_scalar_load(Op op);   ///< lw/lwu/ld/flw
-[[nodiscard]] bool is_scalar_store(Op op);  ///< sw/sd/fsw
-[[nodiscard]] bool is_vector_load(Op op);
-[[nodiscard]] bool is_vector_store(Op op);
-/// Vector instruction that produces a scalar (x or f) result and therefore
-/// requires a vector-engine -> scalar-core round trip (vmv.x.s / vfmv.f.s).
-[[nodiscard]] bool is_vector_to_scalar(Op op);
-
-/// Register-file usage queries used by rename/scoreboard logic.
-[[nodiscard]] bool writes_x(const Instruction& inst);
-[[nodiscard]] bool writes_f(const Instruction& inst);
-[[nodiscard]] bool writes_v(const Instruction& inst);
-[[nodiscard]] bool reads_x_rs1(const Instruction& inst);
-[[nodiscard]] bool reads_x_rs2(const Instruction& inst);
-[[nodiscard]] bool reads_f_rs1(const Instruction& inst);
 
 /// Mnemonic text ("vindexmac.vx"), as accepted by the text assembler.
 [[nodiscard]] std::string mnemonic(Op op);

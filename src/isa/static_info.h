@@ -4,9 +4,8 @@
 // instruction — operand read/write register-file usage, op class,
 // vector-engine latency class, memory access size — is a pure function of
 // the decoded Instruction, so the timing model computes it once per PC slot,
-// when it binds the slot's handler. The isa::reads_*/writes_*/is_*
-// predicates stay the single source of truth: predecode() is defined in
-// terms of them.
+// when it binds the slot's handler. Each op's metadata is the info column
+// of its row in the instruction table (isa/op_table.cpp).
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "fsim/machine.h"
 #include "isa/encoding.h"
+#include "isa/static_info.h"
 
 namespace indexmac {
 namespace {
@@ -714,7 +715,7 @@ TEST(Fsim, EveryOpExecutesThroughABoundHandler) {
     const auto op = static_cast<isa::Op>(raw);
     SCOPED_TRACE(isa::mnemonic(op));
     isa::Instruction in{op, 2, 3, 4, 0};
-    if (isa::is_branch(op) || op == isa::Op::kJal) in.imm = 4;
+    if (isa::predecode(in).has(isa::kSiBranch) || op == isa::Op::kJal) in.imm = 4;
     if (op == isa::Op::kVsetvli) in.imm = isa::kVtypeE32M1;
     const Program program(kBase, {isa::encode(in), ebreak});
     MainMemory mem;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "isa/encoding.h"
-#include "isa/isa.h"
+#include "isa/op_table.h"
+#include "isa_test_util.h"
 
 namespace indexmac::isa {
 namespace {
@@ -211,6 +214,10 @@ TEST(IsaEncoding, DecodeRejectsUnknownWords) {
   // Masked vector op (vm=0) is rejected.
   const std::uint32_t vadd = encode(Instruction{Op::kVaddVx, 1, 2, 3, 0});
   EXPECT_EQ(decode(vadd & ~(1u << 25), &err).op, Op::kIllegal);
+  // funct7 0100000 on OP: RV64I gives it only to sub and sra. These are Zbb
+  // andn, orn and xnor x1, x1, x2, and a reserved sll.
+  for (const std::uint32_t w : {0x4020f0b3u, 0x4020e0b3u, 0x4020c0b3u, 0x402090b3u})
+    EXPECT_EQ(decode(w, &err).op, Op::kIllegal) << std::hex << w;
 }
 
 TEST(IsaEncoding, DecodeRejectsUnsupportedWidths) {
@@ -242,102 +249,91 @@ TEST(IsaEncoding, DisassembleProducesExpectedText) {
   EXPECT_EQ(disassemble(Instruction{Op::kVfindexmacsV, 3, 0, 0, 0}), "vfindexmacs.v v3");
 }
 
+TEST(OpTable, RowsAreIndexedByOpAndAcceptDisjointWords) {
+  const auto rows = op_table();
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    EXPECT_EQ(static_cast<std::size_t>(rows[i].op), i) << rows[i].mnemonic;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const OpRow& a = rows[i];
+    SCOPED_TRACE(std::string(a.mnemonic));
+    EXPECT_EQ(a.mask & 0x7f, 0x7fu);  // decode scans the rows of one major opcode
+    EXPECT_EQ(a.match & ~a.mask, 0u);
+    EXPECT_EQ(decode(a.match).op, a.op);  // the canonical word: every operand zero
+    EXPECT_EQ(op_named(a.mnemonic), a.op);
+    for (std::size_t j = i + 1; j < rows.size(); ++j) {
+      const OpRow& b = rows[j];
+      EXPECT_NE((a.match ^ b.match) & a.mask & b.mask, 0u)
+          << a.mnemonic << " and " << b.mnemonic << " accept the same word";
+    }
+  }
+}
+
+TEST(OpTable, PredecodeMatchesPinnedDigest) {
+  // Every op's StaticInstInfo, with rd = x0 and rd != x0, as one digest.
+  Fnv1a digest;
+  for (std::size_t op = 1; op < kNumOps; ++op) {
+    for (std::uint8_t rd = 0; rd < 32; ++rd) {
+      const StaticInstInfo s = predecode(Instruction{static_cast<Op>(op), rd, 2, 2, 0});
+      digest.u64(std::uint64_t{op} << 8 | rd);
+      digest.u64(std::uint64_t{s.flags} << 24 | std::uint64_t{s.scalar_mem_bytes} << 16 |
+                 std::uint64_t{s.vreg_reads} << 8 | static_cast<std::uint64_t>(s.vlat));
+    }
+  }
+  EXPECT_EQ(digest.hash, 0x45e1050d7eee0565ull);
+}
+
 class AllOpsRoundTrip : public ::testing::TestWithParam<Op> {};
 
 TEST_P(AllOpsRoundTrip, EncodeDecodeIdentity) {
-  const Op op = GetParam();
-  // Pick operands that are legal for every op class; fields an op does not
-  // encode must be zero for the round trip to be an identity.
-  Instruction inst{op, 1, 2, 3, 0};
-  switch (op) {
-    case Op::kVsetvli: inst = Instruction{op, 1, 2, 0, kVtypeE32M1}; break;
-    case Op::kEcall:
-    case Op::kEbreak:
-    case Op::kMarker: inst = Instruction{op, 0, 0, 0, 0}; break;
-    case Op::kLui: case Op::kAuipc:
-      inst = Instruction{op, 1, 0, 0, 5}; break;
-    case Op::kJal:
-      inst = Instruction{op, 1, 0, 0, 8}; break;
-    case Op::kJalr: case Op::kLw: case Op::kLwu: case Op::kLd: case Op::kFlw:
-    case Op::kAddi: case Op::kSlti: case Op::kSltiu: case Op::kXori:
-    case Op::kOri: case Op::kAndi:
-      inst = Instruction{op, 1, 2, 0, 4}; break;
-    case Op::kSlli: case Op::kSrli: case Op::kSrai:
-      inst = Instruction{op, 1, 2, 0, 3}; break;
-    case Op::kBeq: case Op::kBne: case Op::kBlt:
-    case Op::kBge: case Op::kBltu: case Op::kBgeu:
-      inst = Instruction{op, 0, 2, 3, 8}; break;
-    case Op::kVmvXS: case Op::kVfmvFS:
-      inst = Instruction{op, 1, 0, 3, 0}; break;
-    case Op::kVmvVX: case Op::kVmvSX:
-      inst = Instruction{op, 1, 2, 0, 0}; break;
-    case Op::kVmvVI:
-      inst = Instruction{op, 1, 0, 0, 5}; break;
-    case Op::kVaddVi: case Op::kVslidedownVi:
-      inst = Instruction{op, 1, 0, 3, 5}; break;
-    case Op::kVle32: case Op::kVse32:
-      inst = Instruction{op, 1, 2, 0, 0}; break;
-    case Op::kSsrEn:
-      inst = Instruction{op, 0, 2, 0, 0}; break;
-    case Op::kVindexmacsV: case Op::kVfindexmacsV:
-      inst = Instruction{op, 1, 0, 0, 0}; break;
-    case Op::kSw: case Op::kSd: case Op::kFsw:
-      inst = Instruction{op, 0, 2, 3, 4}; break;
-    default: break;
-  }
+  const Instruction inst = sample_instruction(GetParam());
   std::string err;
-  EXPECT_EQ(decode(encode(inst), &err), inst) << mnemonic(op) << ": " << err;
+  EXPECT_EQ(decode(encode(inst), &err), inst) << mnemonic(inst.op) << ": " << err;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EverySupportedOp, AllOpsRoundTrip,
-    ::testing::Values(
-        Op::kLui, Op::kAuipc, Op::kJal, Op::kJalr, Op::kBeq, Op::kBne, Op::kBlt, Op::kBge,
-        Op::kBltu, Op::kBgeu, Op::kLw, Op::kLwu, Op::kLd, Op::kSw, Op::kSd, Op::kFlw, Op::kFsw,
-        Op::kAddi, Op::kSlti, Op::kSltiu, Op::kXori, Op::kOri, Op::kAndi, Op::kSlli, Op::kSrli,
-        Op::kSrai, Op::kAdd, Op::kSub, Op::kSll, Op::kSlt, Op::kSltu, Op::kXor, Op::kSrl, Op::kSra,
-        Op::kOr, Op::kAnd, Op::kMul, Op::kEcall, Op::kEbreak, Op::kMarker, Op::kVsetvli,
-        Op::kVle32, Op::kVse32, Op::kVluxei32, Op::kVaddVx, Op::kVaddVi, Op::kVaddVV,
-        Op::kVfaddVV, Op::kVmulVV, Op::kVfmulVV, Op::kVredsumVS, Op::kVfredusumVS, Op::kVmaccVx,
-        Op::kVfmaccVf, Op::kVmvVX, Op::kVmvVI, Op::kVmvXS, Op::kVfmvFS, Op::kVmvSX,
-        Op::kVslidedownVx, Op::kVslidedownVi, Op::kVslide1downVx, Op::kVindexmacVx,
-        Op::kVfindexmacVx, Op::kVindexmacpVx, Op::kVfindexmacpVx, Op::kVindexmac2Vx,
-        Op::kVfindexmac2Vx, Op::kSsrCfg, Op::kSsrEn, Op::kVindexmacsV, Op::kVfindexmacsV),
-    [](const ::testing::TestParamInfo<Op>& info) {
-      std::string name = mnemonic(info.param);
-      for (char& c : name)
-        if (c == '.') c = '_';
-      return name;
-    });
+std::vector<Op> table_ops() {
+  std::vector<Op> ops;
+  for (const OpRow& row : op_table().subspan<1>()) ops.push_back(row.op);
+  return ops;
+}
+
+INSTANTIATE_TEST_SUITE_P(EverySupportedOp, AllOpsRoundTrip, ::testing::ValuesIn(table_ops()),
+                         [](const ::testing::TestParamInfo<Op>& info) {
+                           std::string name = mnemonic(info.param);
+                           for (char& c : name)
+                             if (c == '.') c = '_';
+                           return name;
+                         });
+
+StaticInstInfo info_of(Op op) { return predecode(Instruction{op, 1, 2, 3, 0}); }
 
 TEST(IsaClassification, VectorQueries) {
-  EXPECT_TRUE(is_vector(Op::kVindexmacVx));
-  EXPECT_TRUE(is_vector(Op::kVle32));
-  EXPECT_FALSE(is_vector(Op::kVsetvli));  // executes on the scalar core
-  EXPECT_FALSE(is_vector(Op::kAdd));
-  EXPECT_TRUE(is_vector_load(Op::kVle32));
-  EXPECT_TRUE(is_vector_store(Op::kVse32));
-  EXPECT_TRUE(is_vector_to_scalar(Op::kVmvXS));
-  EXPECT_TRUE(is_vector_to_scalar(Op::kVfmvFS));
-  EXPECT_FALSE(is_vector_to_scalar(Op::kVmvSX));
+  EXPECT_TRUE(info_of(Op::kVindexmacVx).has(kSiVector));
+  EXPECT_TRUE(info_of(Op::kVle32).has(kSiVector));
+  EXPECT_FALSE(info_of(Op::kVsetvli).has(kSiVector));  // executes on the scalar core
+  EXPECT_FALSE(info_of(Op::kAdd).has(kSiVector));
+  EXPECT_TRUE(info_of(Op::kVle32).has(kSiVectorLoad));
+  EXPECT_TRUE(info_of(Op::kVse32).has(kSiVectorStore));
+  EXPECT_TRUE(info_of(Op::kVmvXS).has(kSiVectorToScalar));
+  EXPECT_TRUE(info_of(Op::kVfmvFS).has(kSiVectorToScalar));
+  EXPECT_FALSE(info_of(Op::kVmvSX).has(kSiVectorToScalar));
 }
 
 TEST(IsaClassification, RegisterFileWrites) {
-  EXPECT_TRUE(writes_x(Instruction{Op::kAdd, 1, 2, 3, 0}));
-  EXPECT_FALSE(writes_x(Instruction{Op::kAdd, 0, 2, 3, 0}));  // rd == x0
-  EXPECT_TRUE(writes_x(Instruction{Op::kVmvXS, 1, 0, 3, 0}));
-  EXPECT_TRUE(writes_f(Instruction{Op::kVfmvFS, 1, 0, 3, 0}));
-  EXPECT_TRUE(writes_v(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}));
-  EXPECT_FALSE(writes_v(Instruction{Op::kVse32, 1, 2, 0, 0}));
-  EXPECT_TRUE(writes_x(Instruction{Op::kVsetvli, 1, 2, 0, kVtypeE32M1}));
+  EXPECT_TRUE(predecode(Instruction{Op::kAdd, 1, 2, 3, 0}).has(kSiWritesX));
+  EXPECT_FALSE(predecode(Instruction{Op::kAdd, 0, 2, 3, 0}).has(kSiWritesX));  // rd == x0
+  EXPECT_TRUE(predecode(Instruction{Op::kVmvXS, 1, 0, 3, 0}).has(kSiWritesX));
+  EXPECT_TRUE(predecode(Instruction{Op::kVfmvFS, 1, 0, 3, 0}).has(kSiWritesF));
+  EXPECT_TRUE(predecode(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}).has(kSiWritesV));
+  EXPECT_FALSE(predecode(Instruction{Op::kVse32, 1, 2, 0, 0}).has(kSiWritesV));
+  EXPECT_TRUE(predecode(Instruction{Op::kVsetvli, 1, 2, 0, kVtypeE32M1}).has(kSiWritesX));
 }
 
 TEST(IsaClassification, RegisterFileReads) {
-  EXPECT_TRUE(reads_x_rs1(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}));
-  EXPECT_TRUE(reads_x_rs1(Instruction{Op::kVle32, 1, 2, 0, 0}));
-  EXPECT_FALSE(reads_x_rs1(Instruction{Op::kVmvXS, 1, 0, 3, 0}));
-  EXPECT_TRUE(reads_x_rs2(Instruction{Op::kSw, 0, 2, 3, 0}));
-  EXPECT_TRUE(reads_f_rs1(Instruction{Op::kVfmaccVf, 1, 2, 3, 0}));
+  EXPECT_TRUE(predecode(Instruction{Op::kVindexmacVx, 1, 2, 3, 0}).has(kSiReadsXRs1));
+  EXPECT_TRUE(predecode(Instruction{Op::kVle32, 1, 2, 0, 0}).has(kSiReadsXRs1));
+  EXPECT_FALSE(predecode(Instruction{Op::kVmvXS, 1, 0, 3, 0}).has(kSiReadsXRs1));
+  EXPECT_TRUE(predecode(Instruction{Op::kSw, 0, 2, 3, 0}).has(kSiReadsXRs2));
+  EXPECT_TRUE(predecode(Instruction{Op::kVfmaccVf, 1, 2, 3, 0}).has(kSiReadsFRs1));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "asm/text_assembler.h"
 #include "common/error.h"
 #include "isa/encoding.h"
+#include "isa_test_util.h"
 
 namespace indexmac {
 namespace {
@@ -112,6 +113,40 @@ TEST(TextAssembler, RoundTripsDisassembly) {
   // Re-assembly: vsetvli prints its vtype numerically, which is accepted.
   const auto again = assemble_text(text);
   EXPECT_EQ(again.program.words(), original.program.words());
+}
+
+TEST(TextAssembler, EveryOpRoundTripsThroughSource) {
+  // One instruction of each table row, then ebreak: program_to_source()
+  // and assemble_text() must give back the same words.
+  const std::uint32_t ebreak = isa::encode(isa::Instruction{Op::kEbreak});
+  for (const isa::OpRow& row : isa::op_table().subspan<1>()) {
+    const Program program(0x1000, {isa::encode(isa::sample_instruction(row.op)), ebreak});
+    const std::string source = program_to_source(program);
+    EXPECT_EQ(assemble_text(source, program.base()).program.words(), program.words()) << source;
+  }
+}
+
+TEST(TextAssembler, MalformedOperandsFailWithTheirLine) {
+  // Each operand is malformed in a way that, read loosely, still names a
+  // different valid instruction; each must fail instead.
+  for (const char* line : {
+           "li x1, x5",                    // a register where li takes a value
+           "vle32.v v1, 8(x2)",            // RVV unit-stride and indexed forms
+           "vse32.v v1, 8(x2)",            // take (rs1) only
+           "vluxei32.v v1, 8(x2), v3",
+           "addi x4294967297, x0, 5",      // 2^32 + 1 is not x1
+           "vmv.v.i v4294967298, 3",       // 2^32 + 2 is not v2
+           "li x1, 99999999999999999999",  // beyond int64
+           "lw x1, 4294967300(x2)",        // beyond int32, not an offset of 4
+       }) {
+    SCOPED_TRACE(line);
+    try {
+      (void)assemble_text(std::string("nop\n") + line + "\n");
+      ADD_FAILURE() << "assembled";
+    } catch (const SimError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("asm line 2: ", 0), 0u) << e.what();
+    }
+  }
 }
 
 TEST(TextAssembler, ErrorsCarryLineNumbers) {
