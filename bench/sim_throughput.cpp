@@ -13,7 +13,8 @@
 //                      records the Algorithm 3 -> 4 cycle gain
 //   * gather_heavy   — SpMV built on vluxei32 (per-element L2 accesses
 //                      from the timing model's gather handler)
-//   * sampled        — run_sampled miniature run (the sweep workhorse)
+//   * sampled        — run_sampled's miniature run, uncached (the sweep
+//                      workhorse)
 // and the functional simulator alone (no timing model) on the same programs:
 //   * fsim_scalar — the scalar_heavy loop
 //   * fsim_vector — the exact indexmac SpMM
@@ -183,17 +184,19 @@ ScenarioResult gather_heavy(unsigned reps, unsigned scale) {
   });
 }
 
-/// The sampled estimator on a transformer-ish GEMM (what sweeps run). The
-/// warm-up builds the miniature problem and the timed repetitions reuse it,
-/// as consecutive sweep points of one layer do.
+/// The sampled estimator's miniature on a transformer-ish GEMM (what sweeps
+/// simulate). It is measured uncached: run_sampled would serve every rep
+/// after the warm-up from its memo. The warm-up builds the miniature
+/// problem and the timed repetitions reuse it, as consecutive sweep points
+/// of one layer do.
 ScenarioResult sampled(unsigned reps, unsigned scale) {
   const kernels::GemmDims dims{512 * scale, 512, 512};
   const core::RunConfig config{.algorithm = core::Algorithm::kIndexmac,
                                .kernel = {.unroll = 4}};
-  return measure("sampled", reps, [&] {
-    return core::run_sampled(dims, sparse::kSparsity14, config, timing::ProcessorConfig{})
-        .sample_stats.instructions;
-  });
+  const core::MiniatureSpec spec =
+      core::miniature_spec(dims, sparse::kSparsity14, config, timing::ProcessorConfig{});
+  return measure("sampled", reps,
+                 [&] { return core::measure_miniature(spec).stats.instructions; });
 }
 
 // ---- functional-simulator scenarios (no timing model) ----

@@ -7,7 +7,8 @@
 // of BatchJob descriptions on it and returns per-job cycle and
 // memory-access stats in submission order, bit-identical to running the
 // same jobs serially (each job re-derives its inputs from a deterministic
-// seed, never from shared state).
+// seed; sampled jobs share run_sampled's miniature memo, which holds only
+// what those seeds reproduce).
 //
 //   BatchRunner pool;  // one worker per hardware thread
 //   std::vector<BatchJob> jobs = {...};

@@ -1,6 +1,10 @@
 #include "core/runner.h"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <map>
+#include <mutex>
 #include <optional>
 
 #include "common/error.h"
@@ -22,23 +26,6 @@ ExactResult run_exact(const SpmmProblem& problem, const RunConfig& config,
 }
 
 namespace {
-
-/// Per-phase averages recovered from the marker event stream of a
-/// miniature run (see kernels::MarkerId for the event protocol). The first
-/// row group of each k-tile is tracked separately: it absorbs the cold
-/// B-row / engine-backlog cost that later groups of the same tile do not
-/// pay, so it must not be averaged into the steady per-group cost.
-struct PhaseCosts {
-  struct StripType {
-    double preload = 0;       ///< per-ktile preload/loop overhead
-    double head_total = 0;    ///< total cost of the head groups of each k-tile
-    double steady_group = 0;  ///< per-group cost past the head
-  };
-  StripType full;
-  StripType tail;
-  double head_groups = 0;  ///< how many leading groups the head covers
-  double startup = 0;      ///< prologue before the first strip
-};
 
 /// Leading row groups per k-tile that absorb cold B-row misses (with 1:4
 /// sparsity one group of four rows touches at most 16 of the tile's rows,
@@ -114,7 +101,7 @@ double visit_cost(const PhaseCosts::StripType& t, double head_groups, double gro
 
 /// The miniature problem this thread built last. Its seed is fixed, so the
 /// dims and sparsity identify it: sweep expansion puts a layer's algorithms
-/// and unrolls next to each other, and those points share one miniature.
+/// and unrolls next to each other, and their miniatures share one problem.
 /// The old problem is released before a new one is built, so holding it
 /// does not raise peak memory.
 const SpmmProblem& sample_problem(const kernels::GemmDims& dims, sparse::Sparsity sp) {
@@ -140,14 +127,9 @@ std::uint64_t analytic_accesses(const kernels::GemmDims& dims, sparse::Sparsity 
 
 }  // namespace
 
-SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
-                          const RunConfig& config, const timing::ProcessorConfig& processor,
-                          const SampleParams& params) {
-  IMAC_CHECK(config.kernel.dataflow == kernels::Dataflow::kBStationary,
-             "run_sampled supports B-stationary kernels only");
-  IMAC_CHECK(AlgorithmRegistry::instance().by_algorithm(config.algorithm).supports_sampled,
-             "run_sampled supports the sparse kernels only");
-
+MiniatureSpec miniature_spec(const kernels::GemmDims& dims, sparse::Sparsity sp,
+                             const RunConfig& config, const timing::ProcessorConfig& processor,
+                             const SampleParams& params) {
   const unsigned unroll = config.kernel.unroll;
   // Miniature dims: reduced rows (multiple of the unroll factor, so the
   // marker stream is regular) and reduced full strips; full k depth.
@@ -155,45 +137,123 @@ SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
   const unsigned tail = static_cast<unsigned>(dims.cols_b % isa::kVlMax);
   const std::size_t sample_full =
       std::min<std::size_t>(full_strips, std::max(1u, params.sample_full_strips));
-  const std::size_t rows_r = std::min<std::size_t>(
+  MiniatureSpec spec{.dims = dims, .sp = sp, .config = config, .processor = processor,
+                     .max_instructions = params.max_instructions};
+  spec.dims.rows_a = std::min<std::size_t>(
       round_up(dims.rows_a, unroll), round_up(std::max(params.sample_rows, unroll), unroll));
-  kernels::GemmDims sample_dims = dims;
-  sample_dims.rows_a = rows_r;
-  sample_dims.cols_b = (full_strips == 0 ? 0 : sample_full * isa::kVlMax) + tail;
+  spec.dims.cols_b = (full_strips == 0 ? 0 : sample_full * isa::kVlMax) + tail;
+  spec.config.kernel.emit_markers = true;
+  return spec;
+}
 
-  const SpmmProblem& problem = sample_problem(sample_dims, sp);
-  RunConfig sample_config = config;
-  sample_config.kernel.emit_markers = true;
-
+Miniature measure_miniature(const MiniatureSpec& spec) {
   MainMemory mem;
-  const PreparedRun run = prepare(problem, sample_config, mem);
-  timing::TimingSim sim(run.program, mem, processor);
-  SampledResult out;
-  out.sample_stats = sim.run(params.max_instructions);
+  const PreparedRun run = prepare(sample_problem(spec.dims, spec.sp), spec.config, mem);
+  timing::TimingSim sim(run.program, mem, spec.processor);
+  Miniature out;
+  out.stats = sim.run(spec.max_instructions);
+  out.ktiles = run.layout.num_ktiles;
+  out.costs = decompose(sim.markers(), spec.dims.cols_b / isa::kVlMax,
+                        spec.dims.cols_b % isa::kVlMax != 0 ? 1 : 0, out.ktiles,
+                        spec.dims.rows_a / spec.config.kernel.unroll);
+  return out;
+}
 
-  const std::size_t groups = rows_r / unroll;
-  const PhaseCosts costs =
-      decompose(sim.markers(), full_strips > 0 ? sample_full : 0, tail != 0 ? 1 : 0,
-                run.layout.num_ktiles, groups);
+namespace {
+
+/// Entries the memo holds before it is cleared: about eight times the 516
+/// distinct miniatures of sweepbench's cnn-sampled grid. Results never
+/// depend on the memo, so a clear costs only repeat simulations.
+constexpr std::size_t kMemoCapacity = 4096;
+
+std::atomic<std::uint64_t> g_lookups{0};
+std::atomic<std::uint64_t> g_simulations{0};
+
+}  // namespace
+
+Miniature memoized_miniature(const MiniatureSpec& spec) {
+  // Built on first use, so runs that measure no sampled point never touch
+  // it. A spec's entry is its measurement, or, while one thread simulates
+  // it, the future the others wait on.
+  static std::mutex mutex;
+  static std::map<MiniatureSpec, std::shared_future<Miniature>> entries;  // guarded by mutex
+
+  g_lookups.fetch_add(1, std::memory_order_relaxed);
+  std::promise<Miniature> promise;
+  std::shared_future<Miniature> result;
+  bool simulate = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (const auto it = entries.find(spec); it != entries.end()) {
+      result = it->second;
+    } else {
+      if (entries.size() >= kMemoCapacity) entries.clear();
+      result = promise.get_future().share();
+      entries.emplace(spec, result);
+      simulate = true;
+    }
+  }
+  if (simulate) {
+    g_simulations.fetch_add(1, std::memory_order_relaxed);
+    try {
+      promise.set_value(measure_miniature(spec));
+    } catch (...) {
+      // A failure is not a result: the next caller simulates again. Should
+      // a clear have let another thread re-enter this spec meanwhile,
+      // erasing its entry costs only a repeat simulation.
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        entries.erase(spec);
+      }
+      promise.set_exception(std::current_exception());
+    }
+  }
+  return result.get();
+}
+
+SampledResult extrapolate(const MiniatureSpec& spec, const Miniature& miniature,
+                          const kernels::GemmDims& dims) {
+  const unsigned unroll = spec.config.kernel.unroll;
+  const std::size_t full_strips = dims.cols_b / isa::kVlMax;
+  const unsigned tail = static_cast<unsigned>(dims.cols_b % isa::kVlMax);
+  const PhaseCosts& costs = miniature.costs;
 
   // Extrapolate: per strip type, each k-tile pays its preload/loop overhead
   // plus the measured first-group cost once and the steady per-group cost
   // for the remaining rows_a/unroll - 1 group equivalents.
   const double groups_full_eq = static_cast<double>(dims.rows_a) / unroll;
-  const double ktiles = static_cast<double>(run.layout.num_ktiles);
+  const double ktiles = static_cast<double>(miniature.ktiles);
   double cycles = costs.startup;
   if (full_strips > 0)
     cycles += static_cast<double>(full_strips) * ktiles *
               visit_cost(costs.full, costs.head_groups, groups_full_eq);
   if (tail != 0) cycles += ktiles * visit_cost(costs.tail, costs.head_groups, groups_full_eq);
+
+  SampledResult out;
   out.cycles = cycles;
+  out.sample_stats = miniature.stats;
   const PhaseCosts::StripType& rep = full_strips > 0 ? costs.full : costs.tail;
   out.preload_cycles_per_ktile = rep.preload;
   out.rowgroup_cycles_per_row = rep.steady_group / unroll;
-
   // Memory accesses are structure-determined; report the exact count.
-  out.data_accesses = analytic_accesses(dims, sp, config);
+  out.data_accesses = analytic_accesses(dims, spec.sp, spec.config);
   return out;
+}
+
+SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
+                          const RunConfig& config, const timing::ProcessorConfig& processor,
+                          const SampleParams& params) {
+  IMAC_CHECK(config.kernel.dataflow == kernels::Dataflow::kBStationary,
+             "run_sampled supports B-stationary kernels only");
+  IMAC_CHECK(AlgorithmRegistry::instance().by_algorithm(config.algorithm).supports_sampled,
+             "run_sampled supports the sparse kernels only");
+  const MiniatureSpec spec = miniature_spec(dims, sp, config, processor, params);
+  return extrapolate(spec, memoized_miniature(spec), dims);
+}
+
+MiniatureCounts miniature_counts() {
+  return {.lookups = g_lookups.load(std::memory_order_relaxed),
+          .simulations = g_simulations.load(std::memory_order_relaxed)};
 }
 
 }  // namespace indexmac::core

@@ -58,6 +58,8 @@ struct RunConfig {
   Algorithm algorithm = Algorithm::kIndexmac;
   kernels::KernelOptions kernel;
   unsigned tile_rows = 16;  ///< L (paper uses 16)
+
+  friend auto operator<=>(const RunConfig&, const RunConfig&) = default;
 };
 
 /// A program plus the layout needed to read results back.

@@ -213,10 +213,11 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
     spec.sample.sample_rows = as_u32(*v, "sample_rows");
   if (const JsonValue* v = doc.get("sample_full_strips"))
     spec.sample.sample_full_strips = as_u32(*v, "sample_full_strips");
-  // run_sampled simulates at least one full strip, so 0 would run exactly
-  // like 1 under a different cache key.
+  // run_sampled simulates at least one full strip and at least one row
+  // group, so 0 would run exactly like 1 under a different cache key.
   IMAC_CHECK(spec.sample.sample_full_strips >= 1,
              "sweep spec: \"sample_full_strips\" must be at least 1");
+  IMAC_CHECK(spec.sample.sample_rows >= 1, "sweep spec: \"sample_rows\" must be at least 1");
   if (const JsonValue* v = doc.get("processor"))
     for (const auto& [key, value] : v->members())
       apply_processor_override(spec.processor, key, value.as_uint());

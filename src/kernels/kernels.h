@@ -56,6 +56,8 @@ struct KernelOptions {
   Dataflow dataflow = Dataflow::kBStationary;
   ElemType elem = ElemType::kF32;
   bool emit_markers = false;
+
+  friend auto operator<=>(const KernelOptions&, const KernelOptions&) = default;
 };
 
 /// First vector register of the preloaded B tile: the tile occupies the top

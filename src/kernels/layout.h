@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 
 #include "common/bitutil.h"
@@ -20,7 +21,7 @@ struct GemmDims {
   std::size_t k = 0;
   std::size_t cols_b = 0;
 
-  friend bool operator==(const GemmDims&, const GemmDims&) = default;
+  friend auto operator<=>(const GemmDims&, const GemmDims&) = default;
 };
 
 /// Placement and derived geometry of all operands.

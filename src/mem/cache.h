@@ -4,6 +4,7 @@
 // evicted", which is all the latency model needs.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -19,6 +20,8 @@ struct CacheConfig {
   unsigned ways = 4;
   unsigned line_bytes = 64;
   unsigned hit_latency = 2;  ///< cycles from access start to data
+
+  friend auto operator<=>(const CacheConfig&, const CacheConfig&) = default;
 };
 
 /// Result of touching one line.

@@ -29,6 +29,8 @@ struct MemHierConfig {
   unsigned l2_bank_occupancy = 2;   ///< cycles a bank is busy per access
   unsigned dram_latency = 100;      ///< cycles from request to first data
   unsigned dram_line_occupancy = 7; ///< channel cycles per 64B line (~19.2 GB/s @2 GHz)
+
+  friend auto operator<=>(const MemHierConfig&, const MemHierConfig&) = default;
 };
 
 /// Counter block for the Fig. 6 metric and general reporting.

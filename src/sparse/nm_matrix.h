@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cmath>    // std::abs(float) in prune_from_dense
+#include <compare>
 #include <cstdint>
 #include <cstdlib>  // std::abs(int) for integral instantiations
 #include <vector>
@@ -25,7 +26,7 @@ struct Sparsity {
   unsigned m = 4;
 
   [[nodiscard]] double density() const { return static_cast<double>(n) / m; }
-  friend bool operator==(const Sparsity&, const Sparsity&) = default;
+  friend auto operator<=>(const Sparsity&, const Sparsity&) = default;
 };
 
 inline constexpr Sparsity kSparsity14{1, 4};

@@ -6,6 +6,7 @@
 // shared L2.
 #pragma once
 
+#include <compare>
 #include <string>
 
 #include "mem/memory_system.h"
@@ -24,6 +25,8 @@ struct ScalarCoreConfig {
   unsigned mispredict_penalty = 8; ///< front-end refill after a flush
   unsigned alu_latency = 1;
   unsigned mul_latency = 3;
+
+  friend auto operator<=>(const ScalarCoreConfig&, const ScalarCoreConfig&) = default;
 };
 
 /// Decoupled vector engine parameters (Table I, "Vector engine").
@@ -40,6 +43,8 @@ struct VectorEngineConfig {
   unsigned gather_lanes = 4;       ///< vluxei32 address-generation rate/cycle
   unsigned to_scalar_latency = 3;  ///< result transfer back to the scalar core
   unsigned dispatch_latency = 2;   ///< scalar core -> engine queue transfer
+
+  friend auto operator<=>(const VectorEngineConfig&, const VectorEngineConfig&) = default;
 };
 
 /// Whole-processor configuration. Sweep specs change it only through the
@@ -53,6 +58,8 @@ struct ProcessorConfig {
 
   /// Human-readable rendition of the configuration (bench/table1_config).
   [[nodiscard]] std::string describe() const;
+
+  friend auto operator<=>(const ProcessorConfig&, const ProcessorConfig&) = default;
 };
 
 }  // namespace indexmac::timing

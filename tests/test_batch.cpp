@@ -62,12 +62,24 @@ std::vector<BatchJob> mixed_sweep() {
   return jobs;
 }
 
+/// A job measured serially without the miniature memo, which run_job
+/// shares across threads: sampled jobs use the uncached measurement plus
+/// extrapolation.
+BatchResult serial_uncached(const BatchJob& job) {
+  if (job.mode == BatchJob::Mode::kExact) return core::run_job(job);
+  const core::MiniatureSpec spec =
+      core::miniature_spec(job.dims, job.sp, job.config, job.processor, job.sample);
+  const core::SampledResult r =
+      core::extrapolate(spec, core::measure_miniature(spec), job.dims);
+  return BatchResult{r.cycles, r.data_accesses, r.sample_stats};
+}
+
 TEST(BatchRunner, MatchesSerialExecutionBitExactly) {
   const auto jobs = mixed_sweep();
 
   std::vector<BatchResult> serial;
   serial.reserve(jobs.size());
-  for (const BatchJob& job : jobs) serial.push_back(core::run_job(job));
+  for (const BatchJob& job : jobs) serial.push_back(serial_uncached(job));
 
   const auto parallel = core::run_batch(jobs, 4);
   ASSERT_EQ(parallel.size(), serial.size());

@@ -1,9 +1,14 @@
 // Experiment-runner tests: exact measurements behave sensibly (the
-// headline speedup exists), the sampled estimator tracks exact runs, and
-// memory-access accounting matches the analytic footprints.
+// headline speedup exists), the sampled estimator tracks exact runs, the
+// miniature memo never changes a result, and memory-access accounting
+// matches the analytic footprints.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runner.h"
@@ -21,6 +26,37 @@ const timing::ProcessorConfig kProc{};
 
 RunConfig cfg(Algorithm alg, unsigned unroll = 4) {
   return RunConfig{.algorithm = alg, .kernel = {.unroll = unroll}};
+}
+
+/// What run_sampled returns, measured without the memo: the uncached
+/// miniature measurement plus extrapolation.
+SampledResult uncached_sampled(const GemmDims& dims, sparse::Sparsity sp, const RunConfig& config) {
+  const MiniatureSpec spec = miniature_spec(dims, sp, config, kProc);
+  return extrapolate(spec, measure_miniature(spec), dims);
+}
+
+void expect_same_estimate(const SampledResult& got, const SampledResult& want) {
+  EXPECT_EQ(got.cycles, want.cycles);  // bit-identical, no tolerance
+  EXPECT_TRUE(got.sample_stats == want.sample_stats);
+  EXPECT_EQ(got.data_accesses, want.data_accesses);
+  EXPECT_EQ(got.preload_cycles_per_ktile, want.preload_cycles_per_ktile);
+  EXPECT_EQ(got.rowgroup_cycles_per_row, want.rowgroup_cycles_per_row);
+}
+
+/// A miniature measurement, or the message of the SimError it threw.
+struct Outcome {
+  std::optional<Miniature> miniature;
+  std::string error;
+
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+Outcome outcome(const std::function<Miniature()>& measure) {
+  try {
+    return {measure(), ""};
+  } catch (const SimError& e) {
+    return {std::nullopt, e.what()};
+  }
 }
 
 TEST(Runner, ProposedBeatsRowwiseOnRepresentativeLayer) {
@@ -135,8 +171,9 @@ TEST(Runner, SampledHandlesTailOnlyProblem) {
 
 TEST(Runner, SampledResultIndependentOfPreviousPoint) {
   // A worker thread reuses its last miniature problem when the next point's
-  // miniature has the same dims and sparsity. Each point must measure here
-  // exactly what it measures on a fresh thread, whatever ran before it.
+  // miniature has the same dims and sparsity, and every thread shares the
+  // miniature memo. Each point must measure here exactly what the uncached
+  // measurement gives on a fresh thread, whatever ran before it.
   struct Point {
     GemmDims dims;
     sparse::Sparsity sp;
@@ -147,19 +184,93 @@ TEST(Runner, SampledResultIndependentOfPreviousPoint) {
       {{24, 64, 7}, kSparsity14, cfg(Algorithm::kRowwiseSpmm)},
       {x, kSparsity14, cfg(Algorithm::kIndexmac)},         // after another shape
       {x, kSparsity14, cfg(Algorithm::kIndexmac)},         // after itself
-      {x, kSparsity14, cfg(Algorithm::kRowwiseSpmm, 1)},   // same miniature
+      {x, kSparsity14, cfg(Algorithm::kRowwiseSpmm, 1)},   // same miniature problem
       {x, kSparsity24, cfg(Algorithm::kIndexmac)},         // after another sparsity
       {x, kSparsity14, cfg(Algorithm::kIndexmac)},         // and back
+      {{56, 96, 112}, kSparsity14, cfg(Algorithm::kIndexmac)},  // x's miniature
   };
   for (std::size_t i = 0; i < sequence.size(); ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
     const Point& p = sequence[i];
-    const auto run = [&] { return run_sampled(p.dims, p.sp, p.config, kProc); };
-    const SampledResult here = run();
-    const SampledResult fresh = std::async(std::launch::async, run).get();
-    EXPECT_EQ(here.cycles, fresh.cycles) << "point " << i;
-    EXPECT_TRUE(here.sample_stats == fresh.sample_stats) << "point " << i;
-    EXPECT_EQ(here.data_accesses, fresh.data_accesses) << "point " << i;
+    const SampledResult here = run_sampled(p.dims, p.sp, p.config, kProc);
+    const SampledResult fresh =
+        std::async(std::launch::async, [&] { return uncached_sampled(p.dims, p.sp, p.config); })
+            .get();
+    expect_same_estimate(here, fresh);
   }
+}
+
+TEST(Runner, MiniatureMemoKeyCoversEveryInput) {
+  // Each variant changes one input of a base miniature's simulation. The
+  // base is memoized first, so a key that missed the changed field would
+  // hand the variant the base's measurement instead of its own. Two bases:
+  // only Algorithm 4 makes scalar loads, so only it reads the L1D.
+  struct Variant {
+    const char* field;
+    std::function<void(MiniatureSpec&)> change;
+    bool moved = false;  ///< changed the measurement of some base
+  };
+  std::vector<Variant> variants = {
+      {"dims.rows_a", [](MiniatureSpec& s) { s.dims.rows_a = 8; }},
+      {"dims.k", [](MiniatureSpec& s) { s.dims.k = 112; }},
+      {"dims.cols_b", [](MiniatureSpec& s) { s.dims.cols_b = 52; }},
+      {"sp", [](MiniatureSpec& s) { s.sp = kSparsity24; }},
+      {"config.algorithm", [](MiniatureSpec& s) { s.config.algorithm = Algorithm::kIndexmac; }},
+      {"config.kernel.unroll", [](MiniatureSpec& s) { s.config.kernel.unroll = 4; }},
+      {"config.kernel.dataflow",
+       [](MiniatureSpec& s) { s.config.kernel.dataflow = kernels::Dataflow::kCStationary; }},
+      {"config.kernel.elem",
+       [](MiniatureSpec& s) { s.config.kernel.elem = kernels::ElemType::kI32; }},
+      {"config.tile_rows", [](MiniatureSpec& s) { s.config.tile_rows = 8; }},
+      {"max_instructions", [](MiniatureSpec& s) { s.max_instructions = 1000; }},
+      {"processor.scalar", [](MiniatureSpec& s) { s.processor.scalar.issue_width = 2; }},
+      {"processor.vector", [](MiniatureSpec& s) { s.processor.vector.mac_latency = 9; }},
+      {"processor.memory.l1d", [](MiniatureSpec& s) { s.processor.memory.l1d.size_bytes = 256; }},
+      {"processor.memory.l2",
+       [](MiniatureSpec& s) { s.processor.memory.l2.size_bytes = 16 * 1024; }},
+      {"processor.memory", [](MiniatureSpec& s) { s.processor.memory.dram_latency = 300; }},
+  };
+  for (const Algorithm alg : {Algorithm::kRowwiseSpmm, Algorithm::kIndexmac4}) {
+    SCOPED_TRACE(algorithm_name(alg));
+    const MiniatureSpec base = miniature_spec({40, 96, 80}, kSparsity14, cfg(alg, 2), kProc);
+    const Outcome base_uncached = outcome([&] { return measure_miniature(base); });
+    ASSERT_TRUE(base_uncached.miniature.has_value()) << base_uncached.error;
+    for (Variant& v : variants) {
+      SCOPED_TRACE(v.field);
+      MiniatureSpec variant = base;
+      v.change(variant);
+      ASSERT_FALSE(variant == base);
+      const Outcome uncached = outcome([&] { return measure_miniature(variant); });
+      v.moved = v.moved || !(uncached == base_uncached);
+      EXPECT_TRUE(outcome([&] { return memoized_miniature(base); }) == base_uncached);
+      EXPECT_TRUE(outcome([&] { return memoized_miniature(variant); }) == uncached);
+    }
+  }
+  // Every field but elem moves a measurement, so a key without it would
+  // show above. The f32 and i32 kernels differ only in vfmacc and vmacc,
+  // which share a latency class: elem is keyed all the same.
+  for (const Variant& v : variants)
+    EXPECT_EQ(v.moved, std::string(v.field) != "config.kernel.elem") << v.field;
+}
+
+TEST(Runner, ExhaustedBudgetThrowsOnEveryCall) {
+  // A failed miniature is never memoized: every call simulates again and
+  // throws, and calls that waited on another thread's failing simulation
+  // get its error.
+  const auto run = [] {
+    return run_sampled({40, 96, 80}, kSparsity24, cfg(Algorithm::kIndexmac4), kProc,
+                       {.max_instructions = 1000});
+  };
+  const MiniatureCounts before = miniature_counts();
+  EXPECT_THROW((void)run(), SimError);
+  EXPECT_THROW((void)run(), SimError);
+  std::vector<std::future<SampledResult>> concurrent;
+  for (int i = 0; i < 4; ++i) concurrent.push_back(std::async(std::launch::async, run));
+  for (auto& call : concurrent) EXPECT_THROW((void)call.get(), SimError);
+  EXPECT_THROW((void)run(), SimError);
+  const MiniatureCounts after = miniature_counts();
+  EXPECT_EQ(after.lookups - before.lookups, 7u);
+  EXPECT_GE(after.simulations - before.simulations, 4u);  // both serial calls, >= 1 concurrent, last
 }
 
 TEST(Runner, UnrollFourBeatsUnrollOne) {

@@ -9,6 +9,7 @@
 #include "common/json.h"
 #include "core/rollup.h"
 #include "core/runner.h"
+#include "workloads/workloads.h"
 
 namespace indexmac::core {
 namespace {
@@ -104,11 +105,14 @@ TEST(SweepSpec, RejectsOutOfRangeGridValues) {
   EXPECT_THROW(
       (void)parse_sweep_spec(R"({"name": "x", "workloads": ["tiny"], "tile_rows": [32]})"),
       SimError);
-  // The sampled runner simulates at least one full strip, so 0 would run
-  // exactly like 1 under a different cache key.
+  // The sampled runner simulates at least one full strip and one row
+  // group, so 0 would run exactly like 1 under a different cache key.
   EXPECT_THROW((void)parse_sweep_spec(
                    R"({"name": "x", "workloads": ["tiny"], "sample_full_strips": 0})"),
                SimError);
+  EXPECT_THROW(
+      (void)parse_sweep_spec(R"({"name": "x", "workloads": ["tiny"], "sample_rows": 0})"),
+      SimError);
   // The sampled runner documents sparse-kernels-only.
   EXPECT_THROW((void)parse_sweep_spec(
                    R"({"name": "x", "workloads": ["tiny"], "algorithms": ["dense"]})"),
@@ -369,6 +373,63 @@ TEST(SweepRun, SampledModeUsesSampleControls) {
     EXPECT_GT(row.cycles, 0.0);
     EXPECT_GT(row.data_accesses, 0u);
     EXPECT_EQ(row.point.mode, SweepMode::kSampled);
+  }
+}
+
+TEST(SweepRun, SimulatesEachDistinctMiniatureOnceAtAnyThreadCount) {
+  // With one full strip sampled, the 2- and 4-strip layers share one
+  // 16x512x16 miniature and the two ragged layers one 16x512x20 miniature:
+  // 8 points (4 layers x 2 algorithms), 4 miniatures. On 4 threads a
+  // layer's points start beside those of the layer sharing its miniatures.
+  if (!workloads::has_suite("shared-miniatures")) {
+    workloads::ModelGraph graph;
+    graph.name = graph.display_name = "shared-miniatures";
+    graph.default_sparsities = {sparse::kSparsity14};
+    const auto sp = workloads::SparsityProfile::declared(sparse::kSparsity14);
+    graph.layers = {{"two-strips", workloads::LayerKind::kLinear, {16, 512, 32}, 1, sp},
+                    {"four-strips", workloads::LayerKind::kLinear, {48, 512, 64}, 1, sp},
+                    {"ragged", workloads::LayerKind::kLinear, {16, 512, 20}, 1, sp},
+                    {"ragged-wide", workloads::LayerKind::kLinear, {32, 512, 52}, 1, sp}};
+    workloads::register_model(graph);
+  }
+  // The miniature memo is process-wide, so each thread count gets a DRAM
+  // latency no other test uses: its first sweep starts with no miniature.
+  const auto spec_at = [](unsigned dram_latency) {
+    return parse_sweep_spec(R"({"name": "shared", "workloads": ["shared-miniatures"],
+        "algorithms": ["rowwise", "indexmac"], "unroll": [4], "mode": "sampled",
+        "sample_full_strips": 1, "processor": {"memory.dram_latency": )" +
+                            std::to_string(dram_latency) + "}}");
+  };
+  struct Swept {
+    std::string csv;
+    std::uint64_t points;
+    std::uint64_t simulations;
+  };
+  const auto sweep = [](const SweepSpec& spec, unsigned threads) {
+    const MiniatureCounts before = miniature_counts();
+    const SweepReport report = run_sweep(spec, threads);
+    const MiniatureCounts after = miniature_counts();
+    for (const SweepRow& row : report.rows) {
+      const MiniatureSpec mini =
+          miniature_spec(row.point.dims, row.point.sp, row.point.config, spec.processor,
+                         spec.sample);
+      EXPECT_EQ(row.cycles, extrapolate(mini, measure_miniature(mini), row.point.dims).cycles)
+          << row.point.workload;
+    }
+    return Swept{report_to_csv(report), after.lookups - before.lookups,
+                 after.simulations - before.simulations};
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const SweepSpec spec = spec_at(threads == 1 ? 131 : 137);
+    const Swept cold = sweep(spec, threads);
+    EXPECT_EQ(cold.points, 8u);
+    EXPECT_EQ(cold.simulations, 4u);
+    // At the other thread count every miniature is already measured.
+    const Swept warm = sweep(spec, threads == 1 ? 4 : 1);
+    EXPECT_EQ(warm.points, 8u);
+    EXPECT_EQ(warm.simulations, 0u);
+    EXPECT_EQ(warm.csv, cold.csv);
   }
 }
 

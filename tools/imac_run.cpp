@@ -440,6 +440,12 @@ int cmd_sweep(int argc, char** argv) {
                    static_cast<unsigned long long>(store->appended()),
                    static_cast<unsigned long long>(store->loaded()));
     }
+    if (spec.mode == core::SweepMode::kSampled) {
+      const core::MiniatureCounts counts = core::miniature_counts();
+      std::fprintf(stderr, "sampled: %llu miniature simulations for %llu points\n",
+                   static_cast<unsigned long long>(counts.simulations),
+                   static_cast<unsigned long long>(counts.lookups));
+    }
     std::string rendered;
     if (rollup) {
       const core::RollupReport totals = core::compute_rollup(report);
