@@ -11,8 +11,6 @@
 //   * algorithm4     — the same SpMM on the packed-index/dual-row kernel;
 //                      its tracked sim_cycles, against vector_heavy's,
 //                      records the Algorithm 3 -> 4 cycle gain
-//   * gather_heavy   — SpMV built on vluxei32 (per-element L2 accesses
-//                      from the timing model's gather handler)
 //   * sampled        — run_sampled's miniature run, uncached (the sweep
 //                      workhorse)
 // and the functional simulator alone (no timing model) on the same programs:
@@ -24,9 +22,9 @@
 // Usage: sim_throughput [--out FILE] [--reps N] [--scale N]
 //   --out FILE   where to write the JSON report (default
 //                BENCH_sim_throughput.json in the working directory)
-//   --reps N     timed repetitions per scenario; best rep is reported
-//                (default 5)
-//   --scale N    problem-size multiplier >= 1 (default 1; larger runs
+//   --reps N     timed repetitions per scenario, 1..1000; best rep is
+//                reported (default 5)
+//   --scale N    problem-size multiplier, 1..64 (default 1; larger runs
 //                amortize setup noise further)
 #include <chrono>
 #include <cstdio>
@@ -36,13 +34,12 @@
 
 #include "asm/text_assembler.h"
 #include "common/error.h"
+#include "common/format.h"
 #include "core/batch.h"
 #include "core/runner.h"
 #include "core/spmm_problem.h"
 #include "core/sweep.h"
 #include "fsim/machine.h"
-#include "kernels/spmv_kernel.h"
-#include "sparse/nm_matrix.h"
 #include "timing/timing_sim.h"
 
 namespace {
@@ -164,26 +161,6 @@ ScenarioResult algorithm4(unsigned reps, unsigned scale) {
   return out;
 }
 
-/// SpMV on vluxei32: every slot chunk gathers 16 elements through the L2.
-ScenarioResult gather_heavy(unsigned reps, unsigned scale) {
-  const std::size_t rows = 192 * scale;
-  const std::size_t k = 1024;
-  const auto dense = sparse::random_matrix<float>(rows, k, 11, -1.0f, 1.0f);
-  const auto a = sparse::NmMatrix<float>::prune_from_dense(dense, sparse::kSparsity14);
-  const auto packed = kernels::pack_spmv(a);
-  AddressAllocator alloc;
-  const kernels::SpmvLayout layout = kernels::make_spmv_layout(rows, k, packed.slots_padded, alloc);
-  MainMemory mem;
-  mem.write_f32s(layout.a_values, packed.values);
-  mem.write_i32s(layout.a_offsets, packed.offsets);
-  mem.write_f32s(layout.x_base, std::vector<float>(k, 0.5f));
-  const Program program = kernels::emit_spmv_kernel(layout, kernels::ElemType::kF32);
-  return measure("gather_heavy", reps, [&] {
-    timing::TimingSim sim(program, mem, timing::ProcessorConfig{});
-    return sim.run().instructions;
-  });
-}
-
 /// The sampled estimator's miniature on a transformer-ish GEMM (what sweeps
 /// simulate). It is measured uncached: run_sampled would serve every rep
 /// after the warm-up from its memo. The warm-up builds the miniature
@@ -291,33 +268,37 @@ std::string json_report(const std::vector<ScenarioResult>& scenarios, double swe
   return out;
 }
 
+/// The value of a count flag: decimal digits naming 1..max.
+unsigned count_flag(const std::string& text, const char* flag, unsigned max) {
+  const std::uint64_t value = parse_uint(text, flag, max);
+  if (value == 0)
+    raise(std::string(flag) + " expects an unsigned integer of at least 1, got \"" + text + "\"");
+  return static_cast<unsigned>(value);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* out_path = "BENCH_sim_throughput.json";
   unsigned reps = 5;
   unsigned scale = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      reps = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
-      scale = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    else {
-      std::fprintf(stderr,
-                   "usage: sim_throughput [--out FILE] [--reps N] [--scale N]\n");
-      return 2;
-    }
-  }
-  if (reps == 0) reps = 1;
-  if (scale == 0) scale = 1;
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
+      else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
+        reps = count_flag(argv[++i], "--reps", 1000);
+      else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
+        scale = count_flag(argv[++i], "--scale", 64);
+      else {
+        std::fprintf(stderr, "usage: sim_throughput [--out FILE] [--reps N] [--scale N]\n");
+        return 2;
+      }
+    }
+
     std::vector<ScenarioResult> scenarios;
     scenarios.push_back(scalar_heavy(reps, scale));
     scenarios.push_back(vector_heavy(reps, scale));
     scenarios.push_back(algorithm4(reps, scale));
-    scenarios.push_back(gather_heavy(reps, scale));
     scenarios.push_back(sampled(reps, scale));
     scenarios.push_back(fsim_scalar(reps, scale));
     scenarios.push_back(fsim_vector(reps, scale));

@@ -112,27 +112,6 @@ void Assembler::vadd_vx(VReg vd, VReg vs2, XReg rs1) {
 void Assembler::vadd_vi(VReg vd, VReg vs2, std::int32_t simm5) {
   emit({Op::kVaddVi, vd.num, 0, vs2.num, simm5});
 }
-void Assembler::vadd_vv(VReg vd, VReg vs2, VReg vs1) {
-  emit({Op::kVaddVV, vd.num, vs1.num, vs2.num, 0});
-}
-void Assembler::vfadd_vv(VReg vd, VReg vs2, VReg vs1) {
-  emit({Op::kVfaddVV, vd.num, vs1.num, vs2.num, 0});
-}
-void Assembler::vmul_vv(VReg vd, VReg vs2, VReg vs1) {
-  emit({Op::kVmulVV, vd.num, vs1.num, vs2.num, 0});
-}
-void Assembler::vfmul_vv(VReg vd, VReg vs2, VReg vs1) {
-  emit({Op::kVfmulVV, vd.num, vs1.num, vs2.num, 0});
-}
-void Assembler::vredsum_vs(VReg vd, VReg vs2, VReg vs1) {
-  emit({Op::kVredsumVS, vd.num, vs1.num, vs2.num, 0});
-}
-void Assembler::vfredusum_vs(VReg vd, VReg vs2, VReg vs1) {
-  emit({Op::kVfredusumVS, vd.num, vs1.num, vs2.num, 0});
-}
-void Assembler::vluxei32(VReg vd, XReg rs1, VReg vs2) {
-  emit({Op::kVluxei32, vd.num, rs1.num, vs2.num, 0});
-}
 void Assembler::vmacc_vx(VReg vd, XReg rs1, VReg vs2) {
   emit({Op::kVmaccVx, vd.num, rs1.num, vs2.num, 0});
 }

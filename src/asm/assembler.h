@@ -109,15 +109,6 @@ class Assembler {
   void vse32(VReg vs3, XReg rs1);
   void vadd_vx(VReg vd, VReg vs2, XReg rs1);
   void vadd_vi(VReg vd, VReg vs2, std::int32_t simm5);
-  void vadd_vv(VReg vd, VReg vs2, VReg vs1);
-  void vfadd_vv(VReg vd, VReg vs2, VReg vs1);
-  void vmul_vv(VReg vd, VReg vs2, VReg vs1);
-  void vfmul_vv(VReg vd, VReg vs2, VReg vs1);
-  /// vd[0] = vs1[0] + sum(vs2[0..vl)).
-  void vredsum_vs(VReg vd, VReg vs2, VReg vs1);
-  void vfredusum_vs(VReg vd, VReg vs2, VReg vs1);
-  /// Indexed-unordered gather: vd[i] = mem32[x[rs1] + vs2[i]].
-  void vluxei32(VReg vd, XReg rs1, VReg vs2);
   void vmacc_vx(VReg vd, XReg rs1, VReg vs2);
   void vfmacc_vf(VReg vd, FReg rs1, VReg vs2);
   void vmv_v_x(VReg vd, XReg rs1);

@@ -246,7 +246,6 @@ class Parser {
         case Arg::kVd: in.rd = vop(o[i]).num; break;
         case Arg::kXs1: in.rs1 = xop(o[i]).num; break;
         case Arg::kFs1: in.rs1 = fop(o[i]).num; break;
-        case Arg::kVs1: in.rs1 = vop(o[i]).num; break;
         case Arg::kXs2: in.rs2 = xop(o[i]).num; break;
         case Arg::kFs2: in.rs2 = fop(o[i]).num; break;
         case Arg::kVs2: in.rs2 = vop(o[i]).num; break;

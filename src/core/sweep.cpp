@@ -1,9 +1,12 @@
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -98,18 +101,16 @@ std::string serialize_processor(const timing::ProcessorConfig& p) {
   std::string s = "scalar:";
   for (const unsigned v :
        {p.scalar.fetch_width, p.scalar.issue_width, p.scalar.commit_width, p.scalar.rob_entries,
-        p.scalar.lsq_entries, p.scalar.phys_int_regs, p.scalar.phys_fp_regs,
-        p.scalar.mispredict_penalty, p.scalar.alu_latency, p.scalar.mul_latency})
+        p.scalar.lsq_entries, p.scalar.mispredict_penalty, p.scalar.alu_latency,
+        p.scalar.mul_latency})
     s += std::to_string(v) + ",";
   s += "vector:";
   for (const unsigned v :
        {p.vector.lanes, p.vector.queue_entries, p.vector.load_queues, p.vector.store_queues,
         p.vector.mac_latency, p.vector.alu_latency, p.vector.slide_latency,
-        p.vector.move_latency, p.vector.reduction_latency, p.vector.gather_lanes,
-        p.vector.to_scalar_latency, p.vector.dispatch_latency})
+        p.vector.move_latency, p.vector.to_scalar_latency, p.vector.dispatch_latency})
     s += std::to_string(v) + ",";
   s += "mem:";
-  append_cache(s, p.memory.l1i);
   append_cache(s, p.memory.l1d);
   append_cache(s, p.memory.l2);
   for (const unsigned v : {p.memory.l2_banks, p.memory.l2_bank_occupancy, p.memory.dram_latency,
@@ -120,18 +121,30 @@ std::string serialize_processor(const timing::ProcessorConfig& p) {
 
 // --- spec parsing ---------------------------------------------------------
 
-std::vector<std::string> string_list(const JsonValue& v, const char* what) {
-  std::vector<std::string> out;
-  for (const JsonValue& e : v.as_array()) out.push_back(e.as_string());
-  IMAC_CHECK(!out.empty(), std::string("sweep spec: \"") + what + "\" must be non-empty");
+/// The non-empty grid list under `key`, each element read by `read`. A
+/// value listed twice is rejected, naming it: the sweep would run and print
+/// each of its points twice.
+template <typename Read>
+auto grid_list(const JsonValue& v, const char* key, Read read) {
+  std::vector<std::invoke_result_t<Read, const JsonValue&>> out;
+  for (const JsonValue& e : v.as_array()) {
+    auto value = read(e);
+    IMAC_CHECK(std::ranges::find(out, value) == out.end(),
+               std::string("sweep spec: \"") + key + "\" lists " + e.dump() + " twice");
+    out.push_back(std::move(value));
+  }
+  IMAC_CHECK(!out.empty(), std::string("sweep spec: \"") + key + "\" must be non-empty");
   return out;
 }
 
-std::vector<unsigned> uint_list(const JsonValue& v, const char* what) {
-  std::vector<unsigned> out;
-  for (const JsonValue& e : v.as_array()) out.push_back(as_u32(e, what));
-  IMAC_CHECK(!out.empty(), std::string("sweep spec: \"") + what + "\" must be non-empty");
-  return out;
+/// A grid list of strings, each through `parse`.
+template <typename Parse = std::identity>
+auto string_list(const JsonValue& v, const char* key, Parse parse = {}) {
+  return grid_list(v, key, [&](const JsonValue& e) { return parse(e.as_string()); });
+}
+
+std::vector<unsigned> uint_list(const JsonValue& v, const char* key) {
+  return grid_list(v, key, [key](const JsonValue& e) -> unsigned { return as_u32(e, key); });
 }
 
 }  // namespace
@@ -169,26 +182,17 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
   for (const std::string& s : spec.suites)
     (void)workloads::suite(s);  // unknown suites fail at parse time
 
-  if (const JsonValue* v = doc.get("sparsities")) {
-    spec.sparsities.clear();
-    for (const std::string& label : string_list(*v, "sparsities"))
-      spec.sparsities.push_back(parse_sparsity(label));
-  }
-  if (const JsonValue* v = doc.get("algorithms")) {
-    spec.algorithms.clear();
-    for (const std::string& id : string_list(*v, "algorithms"))
-      spec.algorithms.push_back(parse_algorithm(id));
-  }
+  if (const JsonValue* v = doc.get("sparsities"))
+    spec.sparsities = string_list(*v, "sparsities", parse_sparsity);
+  if (const JsonValue* v = doc.get("algorithms"))
+    spec.algorithms = string_list(*v, "algorithms", parse_algorithm);
   if (const JsonValue* v = doc.get("unroll")) spec.unrolls = uint_list(*v, "unroll");
   for (const unsigned u : spec.unrolls)
     IMAC_CHECK(u >= 1 && u <= 4,
                "sweep spec: unroll must be in [1,4] (all kernel generators), got " +
                    std::to_string(u));
-  if (const JsonValue* v = doc.get("dataflows")) {
-    spec.dataflows.clear();
-    for (const std::string& id : string_list(*v, "dataflows"))
-      spec.dataflows.push_back(parse_dataflow(id));
-  }
+  if (const JsonValue* v = doc.get("dataflows"))
+    spec.dataflows = string_list(*v, "dataflows", parse_dataflow);
   if (const JsonValue* v = doc.get("tile_rows")) spec.tile_rows = uint_list(*v, "tile_rows");
   for (const unsigned t : spec.tile_rows)
     IMAC_CHECK(t >= 1 && t <= 16,
@@ -209,6 +213,12 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
                      "\" or use mode \"exact\")");
     }
   if (const JsonValue* v = doc.get("seed")) spec.seed = as_u32(*v, "seed");
+  // Exact points are keyed without the sampling controls, which they never read.
+  if (spec.mode == SweepMode::kExact)
+    for (const char* key : {"sample_rows", "sample_full_strips"})
+      IMAC_CHECK(doc.get(key) == nullptr, std::string("sweep spec: \"") + key +
+                                              "\" has no effect in exact mode (drop it or use "
+                                              "mode \"sampled\")");
   if (const JsonValue* v = doc.get("sample_rows"))
     spec.sample.sample_rows = as_u32(*v, "sample_rows");
   if (const JsonValue* v = doc.get("sample_full_strips"))

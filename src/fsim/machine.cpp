@@ -176,13 +176,6 @@ struct Machine::Exec {
     m.memory_.write_u32_block(m.state_.x[o.rs1], m.state_.v[o.rd].data(), m.state_.vl);
     return o.next;
   }
-  static std::uint64_t vluxei32(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    const std::uint64_t base = st.x[o.rs1];
-    const std::array<std::uint32_t, kVlMax> idx = st.v[o.rs2];  // vd may alias vs2
-    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = m.memory_.read_u32(base + idx[i]);
-    return o.next;
-  }
 
   static std::uint64_t vadd_vx(Machine& m, const Slot& o) {
     ArchState& st = m.state_;
@@ -206,44 +199,6 @@ struct Machine::Exec {
     ArchState& st = m.state_;
     const std::uint32_t s = static_cast<std::uint32_t>(o.imm);
     for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = s;
-    return o.next;
-  }
-
-  static std::uint64_t vadd_vv(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] + st.v[o.rs1][i];
-    return o.next;
-  }
-  static std::uint64_t vmul_vv(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] * st.v[o.rs1][i];
-    return o.next;
-  }
-  static std::uint64_t vfadd_vv(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    for (unsigned i = 0; i < st.vl; ++i)
-      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rs2][i]) + bits_to_f32(st.v[o.rs1][i]));
-    return o.next;
-  }
-  static std::uint64_t vfmul_vv(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    for (unsigned i = 0; i < st.vl; ++i)
-      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rs2][i]) * bits_to_f32(st.v[o.rs1][i]));
-    return o.next;
-  }
-
-  static std::uint64_t vredsum(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    std::uint32_t acc = st.v[o.rs1][0];
-    for (unsigned i = 0; i < st.vl; ++i) acc += st.v[o.rs2][i];
-    if (st.vl > 0) st.v[o.rd][0] = acc;
-    return o.next;
-  }
-  static std::uint64_t vfredusum(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    float acc = bits_to_f32(st.v[o.rs1][0]);
-    for (unsigned i = 0; i < st.vl; ++i) acc += bits_to_f32(st.v[o.rs2][i]);
-    if (st.vl > 0) st.v[o.rd][0] = f32_to_bits(acc);
     return o.next;
   }
 
@@ -470,14 +425,7 @@ struct Machine::Exec {
       case Op::kVsetvli: fn = vsetvli; break;
       case Op::kVle32: fn = vle32; break;
       case Op::kVse32: fn = vse32; break;
-      case Op::kVluxei32: fn = vluxei32; break;
       case Op::kVaddVx: fn = vadd_vx; break;
-      case Op::kVaddVV: fn = vadd_vv; break;
-      case Op::kVfaddVV: fn = vfadd_vv; break;
-      case Op::kVmulVV: fn = vmul_vv; break;
-      case Op::kVfmulVV: fn = vfmul_vv; break;
-      case Op::kVredsumVS: fn = vredsum; break;
-      case Op::kVfredusumVS: fn = vfredusum; break;
       case Op::kVaddVi: fn = vadd_vi; break;
       case Op::kVmaccVx: fn = vmacc_vx; break;
       case Op::kVfmaccVf: fn = vfmacc_vf; break;

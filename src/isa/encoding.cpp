@@ -29,7 +29,6 @@ std::uint32_t place(Arg a, const Instruction& in) {
       return reg_field(in.rd, 7);
     case Arg::kXs1:
     case Arg::kFs1:
-    case Arg::kVs1:
     case Arg::kMemV:
       return reg_field(in.rs1, 15);
     case Arg::kXs2:
@@ -94,7 +93,6 @@ void extract(Arg a, std::uint32_t w, Instruction& in) {
       return;
     case Arg::kXs1:
     case Arg::kFs1:
-    case Arg::kVs1:
     case Arg::kMemV:
       in.rs1 = static_cast<std::uint8_t>(bits(w, 19, 15));
       return;
@@ -209,7 +207,6 @@ std::string disassemble(const Instruction& in) {
       case Arg::kVd: reg('v', in.rd); break;
       case Arg::kXs1: reg('x', in.rs1); break;
       case Arg::kFs1: reg('f', in.rs1); break;
-      case Arg::kVs1: reg('v', in.rs1); break;
       case Arg::kXs2: reg('x', in.rs2); break;
       case Arg::kFs2: reg('f', in.rs2); break;
       case Arg::kVs2: reg('v', in.rs2); break;

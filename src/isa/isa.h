@@ -1,11 +1,12 @@
 // Instruction-set definitions for the RV64 + RVV subset used by the
 // IndexMAC kernels, including the custom vindexmac/vfindexmac instructions.
 //
-// The subset is exactly what the paper's kernels require (plus a few
-// conveniences for tests/examples): RV64I integer ALU ops, loads/stores,
+// The subset is what the kernel families emit, plus scalar conveniences
+// for hand-written programs and three vector ops only tests use (vmv.v.x,
+// vmv.s.x, vslidedown.vx): RV64I integer ALU ops, loads/stores,
 // branches/jumps, M-extension mul, F-extension flw/fsw, and an RVV 1.0
-// slice with SEW=32 / LMUL=1 semantics. Everything else is rejected by the
-// decoder with a precise error.
+// slice with SEW=32 / LMUL=1 semantics, without gathers or reductions.
+// Everything else is rejected by the decoder with a precise error.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +50,9 @@ enum class Op : std::uint8_t {
   kVsetvli,
   // RVV unit-stride memory.
   kVle32, kVse32,
-  // RVV indexed-unordered load (gather): vd[i] = mem32[x[rs1] + vs2[i]].
-  kVluxei32,
   // RVV arithmetic / moves / slides (SEW=32).
-  kVaddVx, kVaddVi, kVaddVV, kVfaddVV, kVmulVV, kVfmulVV,
+  kVaddVx, kVaddVi,
   kVmaccVx, kVfmaccVf,
-  // Sum reductions: vd[0] = vs1[0] + sum(vs2[0..vl)).
-  kVredsumVS, kVfredusumVS,
   kVmvVX, kVmvVI,
   kVmvXS, kVfmvFS, kVmvSX,
   kVslidedownVx, kVslidedownVi, kVslide1downVx,

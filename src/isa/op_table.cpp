@@ -24,7 +24,6 @@ constexpr std::uint32_t kOpJal = 0b1101111;
 constexpr std::uint32_t kOpSystem = 0b1110011;
 
 // OP-V funct3 minor opcodes.
-constexpr std::uint32_t kIvv = 0b000;
 constexpr std::uint32_t kFvv = 0b001;
 constexpr std::uint32_t kMvv = 0b010;
 constexpr std::uint32_t kIvi = 0b011;
@@ -51,10 +50,10 @@ constexpr std::uint32_t rv(std::uint32_t opcode, std::uint32_t funct3 = 0,
 constexpr std::uint32_t vop(std::uint32_t funct6, std::uint32_t funct3) {
   return (funct6 << 26) | (1u << 25) | (funct3 << 12) | kOpVec;
 }
-// 32-bit vector loads/stores: nf=0, mew=0, vm=1, width=110; mop 00 is unit
-// stride, 01 indexed-unordered.
-constexpr std::uint32_t vmem(std::uint32_t opcode, std::uint32_t mop) {
-  return (mop << 26) | (1u << 25) | (0b110u << 12) | opcode;
+// 32-bit unit-stride vector loads/stores: nf=0, mew=0, mop=00, vm=1,
+// width=110.
+constexpr std::uint32_t vmem(std::uint32_t opcode) {
+  return (1u << 25) | (0b110u << 12) | opcode;
 }
 
 namespace fmt {
@@ -72,8 +71,6 @@ constexpr Format kR{Arg::kXd, Arg::kXs1, Arg::kXs2};         // add x1, x2, x3
 constexpr Format kMarker{Arg::kUimm12};                      // marker 7
 constexpr Format kVsetvli{Arg::kXd, Arg::kXs1, Arg::kVtype};  // vsetvli x1, x2, e32m1
 constexpr Format kVMem{Arg::kVd, Arg::kMemV};                // vle32.v v1, (x2)
-constexpr Format kVGather{Arg::kVd, Arg::kMemV, Arg::kVs2};  // vluxei32.v v1, (x2), v3
-constexpr Format kVV{Arg::kVd, Arg::kVs2, Arg::kVs1};        // vadd.vv v1, v2, v3
 constexpr Format kVX{Arg::kVd, Arg::kVs2, Arg::kXs1};        // vadd.vx v1, v2, x3
 constexpr Format kVI{Arg::kVd, Arg::kVs2, Arg::kSimm5};      // vadd.vi v1, v2, -5
 constexpr Format kVUI{Arg::kVd, Arg::kVs2, Arg::kUimm5};     // vslidedown.vi v1, v2, 5
@@ -102,7 +99,6 @@ constexpr std::uint32_t kXX = kSiReadsXRs1 | kSiReadsXRs2 | kSiWritesX;  // from
 constexpr std::uint32_t kBr = kSiBranch | kSiReadsXRs1 | kSiReadsXRs2;
 constexpr std::uint32_t kVx = kSiReadsXRs1 | kSiWritesV;  // v[rd] from x[rs1] and vectors
 constexpr std::uint32_t kIndexMac = kVx | kSiIndirectVreg | kSiVectorMac;
-constexpr std::uint8_t kVs1Vs2 = kVReadRs1 | kVReadRs2;
 constexpr std::uint8_t kVdVs2 = kVReadRd | kVReadRs2;  // accumulates vs2 products into vd
 
 using L = VLatClass;
@@ -156,32 +152,18 @@ constexpr OpRow kRows[] = {
      scalar(kSiMarker)},
     {Op::kVsetvli, "vsetvli", kF3Bits | (1u << 31), rv(kOpVec, kCfg), fmt::kVsetvli,
      scalar(kXI)},
-    {Op::kVle32, "vle32.v", kF7Bits | kRs2Bits, vmem(kOpLoadFp, 0b00), fmt::kVMem,
+    {Op::kVle32, "vle32.v", kF7Bits | kRs2Bits, vmem(kOpLoadFp), fmt::kVMem,
      vec(kSiVectorLoad | kVx, 0)},
-    {Op::kVse32, "vse32.v", kF7Bits | kRs2Bits, vmem(kOpStoreFp, 0b00), fmt::kVMem,
+    {Op::kVse32, "vse32.v", kF7Bits | kRs2Bits, vmem(kOpStoreFp), fmt::kVMem,
      vec(kSiVectorStore | kSiReadsXRs1, kVReadRd)},  // vs3 sits in the rd slot
-    {Op::kVluxei32, "vluxei32.v", kF7Bits, vmem(kOpLoadFp, 0b01), fmt::kVGather,
-     vec(kSiVectorLoad | kSiGather | kVx, kVReadRs2)},
     {Op::kVaddVx, "vadd.vx", kF7Bits, vop(0b000000, kIvx), fmt::kVX,
      vec(kVx, kVReadRs2, L::kAlu)},
     {Op::kVaddVi, "vadd.vi", kF7Bits, vop(0b000000, kIvi), fmt::kVI,
      vec(kSiWritesV, kVReadRs2, L::kAlu)},
-    {Op::kVaddVV, "vadd.vv", kF7Bits, vop(0b000000, kIvv), fmt::kVV,
-     vec(kSiWritesV, kVs1Vs2, L::kAlu)},
-    {Op::kVfaddVV, "vfadd.vv", kF7Bits, vop(0b000000, kFvv), fmt::kVV,
-     vec(kSiWritesV, kVs1Vs2, L::kAlu)},
-    {Op::kVmulVV, "vmul.vv", kF7Bits, vop(0b100101, kMvv), fmt::kVV,
-     vec(kSiWritesV, kVs1Vs2, L::kMac)},
-    {Op::kVfmulVV, "vfmul.vv", kF7Bits, vop(0b100100, kFvv), fmt::kVV,
-     vec(kSiWritesV, kVs1Vs2, L::kMac)},
     {Op::kVmaccVx, "vmacc.vx", kF7Bits, vop(0b101101, kMvx), fmt::kVMaccX,
      vec(kVx | kSiVectorMac, kVdVs2, L::kMac)},
     {Op::kVfmaccVf, "vfmacc.vf", kF7Bits, vop(0b101100, kFvf), fmt::kVMaccF,
      vec(kSiReadsFRs1 | kSiWritesV | kSiVectorMac, kVdVs2, L::kMac)},
-    {Op::kVredsumVS, "vredsum.vs", kF7Bits, vop(0b000000, kMvv), fmt::kVV,
-     vec(kSiWritesV, kVs1Vs2, L::kReduction)},
-    {Op::kVfredusumVS, "vfredusum.vs", kF7Bits, vop(0b000001, kFvv), fmt::kVV,
-     vec(kSiWritesV, kVs1Vs2, L::kReduction)},
     {Op::kVmvVX, "vmv.v.x", kF7Bits | kRs2Bits, vop(0b010111, kIvx), fmt::kVMvX,
      vec(kVx, 0, L::kMove)},
     {Op::kVmvVI, "vmv.v.i", kF7Bits | kRs2Bits, vop(0b010111, kIvi), fmt::kVMvI,

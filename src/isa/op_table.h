@@ -26,7 +26,7 @@ namespace indexmac::isa {
 enum class Arg : std::uint8_t {
   kNone,
   kXd, kFd, kVd,     ///< register in rd, bits 11:7
-  kXs1, kFs1, kVs1,  ///< register in rs1, bits 19:15
+  kXs1, kFs1,        ///< register in rs1, bits 19:15
   kXs2, kFs2, kVs2,  ///< register in rs2, bits 24:20
   kSid,     ///< ssrcfg stream id 0..3 in rd, printed as a number
   kImmU,    ///< imm: signed 20 bits, bits 31:12

@@ -21,7 +21,7 @@ enum : std::uint32_t {
   kSiJump = 1u << 2,            ///< jal/jalr
   kSiScalarLoad = 1u << 3,      ///< lw/lwu/ld/flw
   kSiScalarStore = 1u << 4,     ///< sw/sd/fsw
-  kSiVectorLoad = 1u << 5,      ///< vle32/vluxei32
+  kSiVectorLoad = 1u << 5,      ///< vle32
   kSiVectorStore = 1u << 6,     ///< vse32
   kSiVectorToScalar = 1u << 7,  ///< vmv.x.s / vfmv.f.s
   kSiHalt = 1u << 8,            ///< ebreak/ecall
@@ -33,13 +33,12 @@ enum : std::uint32_t {
   kSiWritesX = 1u << 14,
   kSiWritesF = 1u << 15,
   kSiWritesV = 1u << 16,
-  kSiGather = 1u << 17,        ///< vluxei32: per-element addresses
-  kSiIndirectVreg = 1u << 18,  ///< v(f)indexmac*: extra VRF read(s) via x[rs1]
-  kSiVectorMac = 1u << 19,     ///< counted in TimingStats::vector_macs
-  kSiPackedIndex = 1u << 20,   ///< v(f)indexmacp/2: VRF source is 16 | nibble
-  kSiDualMac = 1u << 21,       ///< v(f)indexmac2: two MAC ops per dispatch
-  kSiSsrMac = 1u << 22,        ///< v(f)indexmacs: operands pop from SSR streams
-  kSiSsrCtl = 1u << 23,        ///< ssrcfg/ssren: stream state-machine control
+  kSiIndirectVreg = 1u << 17,  ///< v(f)indexmac*: extra VRF read(s) via x[rs1]
+  kSiVectorMac = 1u << 18,     ///< counted in TimingStats::vector_macs
+  kSiPackedIndex = 1u << 19,   ///< v(f)indexmacp/2: VRF source is 16 | nibble
+  kSiDualMac = 1u << 20,       ///< v(f)indexmac2: two MAC ops per dispatch
+  kSiSsrMac = 1u << 21,        ///< v(f)indexmacs: operands pop from SSR streams
+  kSiSsrCtl = 1u << 22,        ///< ssrcfg/ssren: stream state-machine control
 };
 
 /// Vector-engine latency class; the timing model resolves each class to a
@@ -50,15 +49,13 @@ enum class VLatClass : std::uint8_t {
   kMac,
   kSlide,
   kMove,
-  kReduction,
 };
 
 /// Bits of StaticInstInfo::vreg_reads: which Instruction register fields
 /// name vector registers the op reads (the engine scoreboard's sources).
 enum : std::uint8_t {
   kVReadRd = 1u << 0,   ///< reads v[rd] (merging ops, stores via the rd slot)
-  kVReadRs1 = 1u << 1,  ///< reads v[rs1]
-  kVReadRs2 = 1u << 2,  ///< reads v[rs2]
+  kVReadRs2 = 1u << 1,  ///< reads v[rs2]
 };
 
 /// Per-PC-slot metadata, computed once per slot by predecode().

@@ -1,7 +1,5 @@
-// The timing-side memory hierarchy of Table I:
-//   * L1I  64 KB 4-way, 1-cycle hit: configuration only (it is printed with
-//     Table I and hashed into cache keys); instruction fetch is not
-//     modelled, so no tag array is built for it
+// The timing-side memory hierarchy of Table I (instruction fetch is not
+// modelled, so Table I's L1I has no counterpart here):
 //   * L1D  64 KB 4-way, 2-cycle hit (scalar data)
 //   * L2  512 KB 8-way, 8 banks, 8-cycle hit, shared; the vector engine's
 //     load/store queues access the L2 directly (no L1 on the vector path)
@@ -22,7 +20,6 @@ namespace indexmac {
 
 /// Configuration of the whole hierarchy (defaults reproduce Table I).
 struct MemHierConfig {
-  CacheConfig l1i{.size_bytes = 64 * 1024, .ways = 4, .line_bytes = 64, .hit_latency = 1};
   CacheConfig l1d{.size_bytes = 64 * 1024, .ways = 4, .line_bytes = 64, .hit_latency = 2};
   CacheConfig l2{.size_bytes = 512 * 1024, .ways = 8, .line_bytes = 64, .hit_latency = 8};
   unsigned l2_banks = 8;

@@ -9,11 +9,7 @@ std::string ProcessorConfig::describe() const {
   s << "Scalar core\n"
     << "  RISC-V subset (RV64 I/M + F loads/stores + RVV slice), "
     << scalar.issue_width << "-way-issue out-of-order, " << scalar.lsq_entries
-    << "-entry LSQ,\n  " << scalar.phys_int_regs << " physical integer and "
-    << scalar.phys_fp_regs << " physical floating-point registers, " << scalar.rob_entries
-    << "-entry ROB\n"
-    << "  L1I cache: " << memory.l1i.hit_latency << "-cycle hit latency, " << memory.l1i.ways
-    << "-way, " << memory.l1i.size_bytes / 1024 << "KB\n"
+    << "-entry LSQ, " << scalar.rob_entries << "-entry ROB\n"
     << "  L1D cache: " << memory.l1d.hit_latency << "-cycle hit latency, " << memory.l1d.ways
     << "-way, " << memory.l1d.size_bytes / 1024 << "KB\n"
     << "Vector engine\n"

@@ -20,8 +20,6 @@ struct ScalarCoreConfig {
   unsigned commit_width = 8;
   unsigned rob_entries = 60;       ///< 60-entry ROB
   unsigned lsq_entries = 16;       ///< 16-entry LSQ
-  unsigned phys_int_regs = 90;     ///< 90 physical integer registers
-  unsigned phys_fp_regs = 90;      ///< 90 physical floating-point registers
   unsigned mispredict_penalty = 8; ///< front-end refill after a flush
   unsigned alu_latency = 1;
   unsigned mul_latency = 3;
@@ -39,8 +37,6 @@ struct VectorEngineConfig {
   unsigned alu_latency = 3;        ///< vadd and friends
   unsigned slide_latency = 2;      ///< vslide1down / vslidedown
   unsigned move_latency = 2;       ///< vmv family (engine-side)
-  unsigned reduction_latency = 6;  ///< vredsum/vfredusum tree
-  unsigned gather_lanes = 4;       ///< vluxei32 address-generation rate/cycle
   unsigned to_scalar_latency = 3;  ///< result transfer back to the scalar core
   unsigned dispatch_latency = 2;   ///< scalar core -> engine queue transfer
 

@@ -38,7 +38,6 @@ unsigned vector_latency(isa::VLatClass vlat, const VectorEngineConfig& vc) {
     case isa::VLatClass::kMac: return vc.mac_latency;
     case isa::VLatClass::kSlide: return vc.slide_latency;
     case isa::VLatClass::kMove: return vc.move_latency;
-    case isa::VLatClass::kReduction: return vc.reduction_latency;
     default: return vc.alu_latency;
   }
 }
@@ -63,11 +62,10 @@ class Model {
         stats_(stats),
         markers_(markers) {
     const VectorEngineConfig& vc = config.vector;
-    IMAC_CHECK(vc.lanes >= 1 && vc.gather_lanes >= 1, "vector lane counts must be positive");
+    IMAC_CHECK(vc.lanes >= 1, "vector lane count must be positive");
     for (std::uint32_t vl = 0; vl <= isa::kVlMax; ++vl) {
       const std::uint32_t elems = std::max<std::uint32_t>(vl, 1);
       lane_time_[vl] = std::max<std::uint64_t>(1, ceil_div(elems, vc.lanes));
-      gather_time_[vl] = std::max<std::uint64_t>(1, ceil_div(elems, vc.gather_lanes));
     }
     slots_.reserve(program.size());
     for (const isa::Instruction& in : program.decoded()) slots_.push_back(bind(in));
@@ -106,7 +104,7 @@ class Model {
     std::uint8_t src1 = kNoSource, src2 = kNoSource;  ///< scalar sources (ready_ indices)
     std::uint8_t dst = kSink;                         ///< scalar destination (ready_ index)
     /// Engine scoreboard sources (v_ready_ indices) from vreg_reads.
-    std::array<std::uint8_t, 3> vsrc{kNoVSource, kNoVSource, kNoVSource};
+    std::array<std::uint8_t, 2> vsrc{kNoVSource, kNoVSource};
     std::uint8_t bytes = 0;      ///< scalar loads/stores: access size
     std::uint8_t macs = 0;       ///< MAC operations per dispatch (dual-row: 2)
     bool predict_taken = false;  ///< branches: static BTFNT prediction
@@ -127,8 +125,7 @@ class Model {
     if (si.has(isa::kSiWritesX)) s.dst = in.rd;  // never x0
     if (si.has(isa::kSiWritesF)) s.dst = kF0 + in.rd;
     if (si.vreg_reads & isa::kVReadRd) s.vsrc[0] = in.rd;
-    if (si.vreg_reads & isa::kVReadRs1) s.vsrc[1] = in.rs1;
-    if (si.vreg_reads & isa::kVReadRs2) s.vsrc[2] = in.rs2;
+    if (si.vreg_reads & isa::kVReadRs2) s.vsrc[1] = in.rs2;
     s.bytes = si.scalar_mem_bytes;
     s.macs = !si.has(isa::kSiVectorMac) ? 0 : si.has(isa::kSiDualMac) ? 2 : 1;
     s.predict_taken = in.imm < 0;
@@ -139,8 +136,7 @@ class Model {
     else
       s.latency = in.op == Op::kMul ? config_.scalar.mul_latency : config_.scalar.alu_latency;
 
-    if (si.has(isa::kSiGather)) s.fn = gather;
-    else if (si.has(isa::kSiVectorLoad)) s.fn = unit_stride<false>;
+    if (si.has(isa::kSiVectorLoad)) s.fn = unit_stride<false>;
     else if (si.has(isa::kSiVectorStore)) s.fn = unit_stride<true>;
     else if (si.has(isa::kSiVectorToScalar)) s.fn = to_scalar;
     else if (si.has(isa::kSiSsrMac)) s.fn = ssr_mac;
@@ -334,11 +330,11 @@ class Model {
   /// Engine-side in-order issue with register-granular scoreboarding: the
   /// slot's VRF sources, plus `deps` for sources resolved at run time.
   std::uint64_t engine_issue(const Slot& s, std::uint64_t send, std::uint64_t deps) const {
-    deps = std::max({deps, v_ready_[s.vsrc[0]], v_ready_[s.vsrc[1]], v_ready_[s.vsrc[2]]});
+    deps = std::max({deps, v_ready_[s.vsrc[0]], v_ready_[s.vsrc[1]]});
     return std::max({send + config_.vector.dispatch_latency, engine_next_issue_, deps});
   }
 
-  /// Times an engine operation (ALU, MAC, slide, move, reduction) whose
+  /// Times an engine operation (ALU, MAC, slide, move) whose
   /// run-time-resolved VRF sources are ready at `deps`, and commits it.
   template <bool kDual>
   void engine_op(const Slot& s, std::uint64_t send, std::uint64_t deps) {
@@ -436,28 +432,6 @@ class Model {
     return false;
   }
 
-  /// vluxei32: one element access per address, a few addresses per cycle.
-  static bool gather(Model& m, const Slot& s) {
-    const ArchState& st = m.machine_.state();
-    const std::uint64_t base = st.x[s.rs1];
-    const std::array<std::uint32_t, isa::kVlMax> offsets = st.v[s.rs2];  // vd may alias vs2
-    m.machine_.step();
-    const std::uint64_t send = m.vector_send(s, 0);
-    const std::uint64_t e_issue = m.vlq_.available(m.engine_issue(s, send, 0));
-    std::uint64_t done = e_issue + 1;
-    for (std::uint32_t i = 0; i < st.vl; ++i) {
-      const std::uint64_t start = e_issue + 1 + i / m.config_.vector.gather_lanes;
-      done = std::max(done, m.mem_.vector_data(base + offsets[i], 4, false, start));
-    }
-    m.vlq_.claim(done);
-    m.v_ready_[s.rd] = done;
-    ++m.stats_.vector_loads;
-    m.engine_next_issue_ = e_issue + m.gather_time_[st.vl];
-    m.viq_.claim(e_issue);
-    m.commit(send);
-    return false;
-  }
-
   /// vmv.x.s / vfmv.f.s: the value returns through the engine, and the move
   /// commits only once it is back.
   static bool to_scalar(Model& m, const Slot& s) {
@@ -489,10 +463,8 @@ class Model {
 
   std::array<std::uint64_t, kSink + 1> ready_{};             ///< scalar (x, f) ready cycles
   std::array<std::uint64_t, isa::kNumVRegs + 1> v_ready_{};  ///< vector ready cycles
-  /// Engine lane time per vl (vsetvli keeps vl <= kVlMax): one operation,
-  /// and a gather, which generates gather_lanes addresses per cycle.
+  /// Engine lane time of one operation per vl (vsetvli keeps vl <= kVlMax).
   std::array<std::uint64_t, isa::kVlMax + 1> lane_time_{};
-  std::array<std::uint64_t, isa::kVlMax + 1> gather_time_{};
   std::array<PendingStore, 16> store_ring_{};
   std::size_t store_ring_next_ = 0;
 

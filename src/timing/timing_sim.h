@@ -8,7 +8,7 @@
 // sources, stream positions), steps the Machine, and then computes
 // fetch/dispatch/issue/complete/commit cycles subject to
 //   * front-end width and branch-mispredict refill (static BTFNT predictor),
-//   * ROB / LSQ / physical-register-file style occupancy (ROB bound),
+//   * ROB and LSQ occupancy,
 //   * 8-wide issue and per-op execution latencies on the scalar side,
 //   * the decoupled vector path: vector instructions are shipped, in
 //     program order and only past resolved branches (squash-free dispatch,

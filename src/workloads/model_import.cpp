@@ -1,12 +1,12 @@
 #include "workloads/model_import.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
 #include "cnn/conv_layer.h"
 #include "common/error.h"
 #include "common/json.h"
-#include "sparse/ellpack.h"
 #include "workloads/workloads.h"
 
 namespace indexmac::workloads {
@@ -148,23 +148,29 @@ SparsityProfile measure_profile(const sparse::DenseMatrix<float>& weights,
   SparsityProfile out;
   out.pattern = pattern;
   out.measured = true;
-  std::size_t nnz = 0;
+  std::size_t nnz = 0, max_row_nnz = 0;
   std::size_t blocks = 0, conforming = 0;
   for (std::size_t r = 0; r < weights.rows(); ++r) {
+    std::size_t row_nnz = 0;
     for (std::size_t c0 = 0; c0 < weights.cols(); c0 += pattern.m) {
       const std::size_t c1 = std::min<std::size_t>(c0 + pattern.m, weights.cols());
       std::size_t block_nnz = 0;
       for (std::size_t c = c0; c < c1; ++c)
         if (weights.at(r, c) != 0.0f) ++block_nnz;
-      nnz += block_nnz;
+      row_nnz += block_nnz;
       ++blocks;
       if (block_nnz <= pattern.n) ++conforming;
     }
+    nnz += row_nnz;
+    max_row_nnz = std::max(max_row_nnz, row_nnz);
   }
   out.density = static_cast<double>(nnz) /
                 (static_cast<double>(weights.rows()) * static_cast<double>(weights.cols()));
   out.nm_conformity = blocks == 0 ? 1.0 : static_cast<double>(conforming) / blocks;
-  out.row_imbalance = sparse::EllpackMatrix<float>::from_dense(weights).padding_fraction();
+  // Padding share when every row is padded to the densest row's length.
+  const std::size_t slots = weights.rows() * max_row_nnz;
+  out.row_imbalance =
+      slots == 0 ? 0.0 : static_cast<double>(slots - nnz) / static_cast<double>(slots);
   return out;
 }
 

@@ -50,9 +50,8 @@
 //   32      ...   rows*cols elements, row-major
 //
 // The importer measures each layer's true sparsity against its declared
-// N:M pattern — unstructured density, N:M block conformity, and ELLPACK
-// row-imbalance via the existing ext_unstructured machinery — and returns
-// a ModelGraph ready for workloads::register_model.
+// N:M pattern — unstructured density, N:M block conformity, and row
+// imbalance — and returns a ModelGraph ready for workloads::register_model.
 #pragma once
 
 #include <string>
@@ -68,7 +67,8 @@ namespace indexmac::workloads {
 
 /// Measures a weight matrix against its declared N:M pattern: nonzero
 /// density, fraction of M-aligned column blocks with at most N nonzeros,
-/// and the ELLPACK padding fraction of the unstructured encoding.
+/// and row imbalance: the fraction of slots that would be padding if every
+/// row were padded to the densest row's nonzero count (ELLPACK's padding).
 [[nodiscard]] SparsityProfile measure_profile(const sparse::DenseMatrix<float>& weights,
                                               sparse::Sparsity pattern);
 

@@ -50,8 +50,9 @@ struct SparsityProfile {
   /// Fraction of M-aligned blocks with at most N nonzeros (1.0 when the
   /// checkpoint conforms exactly to the declared pattern).
   double nm_conformity = 1.0;
-  /// ELLPACK padding fraction of the real weights (row-length imbalance
-  /// cost of the unstructured path); 0 for declared profiles.
+  /// Padding fraction of the real weights with every row padded to the
+  /// densest row's nonzero count (ELLPACK's row-length imbalance); 0 for
+  /// declared profiles.
   double row_imbalance = 0.0;
 
   [[nodiscard]] static SparsityProfile declared(sparse::Sparsity sp);

@@ -24,7 +24,6 @@ inline Instruction sample_instruction(Op op) {
       case Arg::kSid: in.rd = 1; break;
       case Arg::kXs1:
       case Arg::kFs1:
-      case Arg::kVs1:
       case Arg::kMemV: in.rs1 = 2; break;
       case Arg::kXs2:
       case Arg::kFs2:

@@ -218,6 +218,11 @@ TEST(IsaEncoding, DecodeRejectsUnknownWords) {
   // andn, orn and xnor x1, x1, x2, and a reserved sll.
   for (const std::uint32_t w : {0x4020f0b3u, 0x4020e0b3u, 0x4020c0b3u, 0x402090b3u})
     EXPECT_EQ(decode(w, &err).op, Op::kIllegal) << std::hex << w;
+  // RVV indexed-unordered memory ops (mop 01) are outside the subset:
+  // vse32.v v1, (x2) with its mop flipped, and the indexed load of v1 from
+  // (x2) at the offsets in v3.
+  for (const std::uint32_t w : {0x060160a7u, 0x06316087u})
+    EXPECT_EQ(decode(w, &err).op, Op::kIllegal) << std::hex << w;
 }
 
 TEST(IsaEncoding, DecodeRejectsUnsupportedWidths) {
@@ -279,7 +284,7 @@ TEST(OpTable, PredecodeMatchesPinnedDigest) {
                  std::uint64_t{s.vreg_reads} << 8 | static_cast<std::uint64_t>(s.vlat));
     }
   }
-  EXPECT_EQ(digest.hash, 0x45e1050d7eee0565ull);
+  EXPECT_EQ(digest.hash, 0x0ed90d35d8d83625ull);
 }
 
 class AllOpsRoundTrip : public ::testing::TestWithParam<Op> {};

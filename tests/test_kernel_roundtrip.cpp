@@ -3,17 +3,15 @@
 // with the text assembler, and must come back with identical encodings.
 // This pins the text assembler to the full vocabulary the generators
 // actually use (all algorithms x dataflows x unrolls x element types,
-// markers included, plus the SpMV and ELLPACK kernels), not just the
-// hand-picked instructions of test_text_assembler.cpp.
+// markers included), not just the hand-picked instructions of
+// test_text_assembler.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "asm/text_assembler.h"
-#include "kernels/ellpack_kernel.h"
 #include "kernels/kernels.h"
-#include "kernels/spmv_kernel.h"
 #include "workloads/workloads.h"
 
 namespace indexmac::kernels {
@@ -118,19 +116,6 @@ TEST(KernelRoundTrip, DenseBaseline) {
     expect_round_trip(emit_dense_rowwise_kernel(layout, a_dense, 32, options),
                       elem == ElemType::kF32 ? "dense f32" : "dense i32");
   }
-}
-
-TEST(KernelRoundTrip, SpmvBothElementTypes) {
-  AddressAllocator alloc;
-  const SpmvLayout layout = make_spmv_layout(24, 64, 32, alloc);
-  expect_round_trip(emit_spmv_kernel(layout, ElemType::kF32), "spmv f32");
-  expect_round_trip(emit_spmv_kernel(layout, ElemType::kI32), "spmv i32");
-}
-
-TEST(KernelRoundTrip, Ellpack) {
-  AddressAllocator alloc;
-  const EllpackLayout layout = make_ellpack_layout({16, 64, 40}, 32, alloc);
-  expect_round_trip(emit_ellpack_kernel(layout), "ellpack");
 }
 
 TEST(KernelRoundTrip, RegistryShapesSurviveGeneration) {

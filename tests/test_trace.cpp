@@ -1,12 +1,11 @@
 // The timing model's walk over the executed instruction stream:
-//  * the per-instruction path (gathers, unit-stride vector accesses,
-//    indirect and streaming MACs, vector->scalar moves, forwarded scalar
-//    accesses, branches) performs no heap allocation — a counting global
+//  * the per-instruction path (unit-stride vector accesses, indirect and
+//    streaming MACs, vector->scalar moves, forwarded scalar accesses,
+//    branches) performs no heap allocation — a counting global
 //    allocator covers the whole binary, hence a suite of its own;
 //  * a stream that leaves the program raises a SimError naming the pc.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -94,13 +93,10 @@ std::uint64_t allocations_of_timing_run(const Program& program, MainMemory& mem,
   return g_allocations.load() - before;
 }
 
-/// A loop over a fixed 1 KB footprint that runs a gather, unit-stride
-/// vector loads/stores, an indirect and a streaming MAC, a vector->scalar
-/// move, a forwarded store/load pair and a branch on every trip.
-Program gather_loop(MainMemory& mem, unsigned trips) {
-  std::array<std::int32_t, 16> offsets{};  // gather offsets, read from 0x1000
-  for (int i = 0; i < 16; ++i) offsets[i] = 4 * ((i * 7) % 16);
-  mem.write_i32s(0x1000, offsets);
+/// A loop over a fixed 1 KB footprint that runs unit-stride vector
+/// loads/stores, an indirect and a streaming MAC, a vector->scalar move, a
+/// forwarded store/load pair and a branch on every trip.
+Program vector_loop(MainMemory& mem, unsigned trips) {
   for (int i = 0; i < 4; ++i) {
     mem.write_u32(0x1200 + 4 * i, 0);  // value stream
     mem.write_u32(0x1300 + 4 * i, 8);  // index stream -> v8
@@ -109,7 +105,6 @@ Program gather_loop(MainMemory& mem, unsigned trips) {
       lui   x1, 1
       addi  x2, x0, 16
       vsetvli x0, x2, e32m1
-      vle32.v v8, (x1)
       addi  x3, x1, 256
       addi  x4, x0, 30
       addi  x10, x1, 512
@@ -121,7 +116,6 @@ Program gather_loop(MainMemory& mem, unsigned trips) {
       ssren x12
       addi  x9, x0, )" + std::to_string(trips) + R"(
   loop:
-      vluxei32.v v12, (x3), v8
       vle32.v v4, (x3)
       vindexmac.vx v12, v2, x4
       vindexmacs.v v2
@@ -140,14 +134,14 @@ Program gather_loop(MainMemory& mem, unsigned trips) {
 }
 
 TEST(TraceAllocation, NoHeapAllocationPerInstruction) {
-  // The same footprint at two trip counts: every per-instruction path, the
-  // gather included, must leave the allocation count unchanged. (The SpMV
-  // kernel at two sizes cannot show this: the memory system allocates one
-  // in-flight-fill record per DRAM line, and a larger kernel fills more.)
+  // The same footprint at two trip counts: every per-instruction path must
+  // leave the allocation count unchanged. (A kernel at two sizes cannot
+  // show this: the memory system allocates one in-flight-fill record per
+  // DRAM line, and a larger kernel fills more.)
   MainMemory short_mem;
   MainMemory long_mem;
-  const Program short_program = gather_loop(short_mem, 8);
-  const Program long_program = gather_loop(long_mem, 512);
+  const Program short_program = vector_loop(short_mem, 8);
+  const Program long_program = vector_loop(long_mem, 512);
   TimingStats short_stats;
   TimingStats long_stats;
   const std::uint64_t short_allocs =
