@@ -227,10 +227,9 @@ double canonical_sweep_seconds() {
   const std::string spec_path = std::string(INDEXMAC_GOLDEN_DIR) + "/tiny_sweep.json";
   const core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
   const std::vector<core::SweepPoint> points = core::expand_sweep(spec);
-  core::BatchRunner pool(1);
-  (void)core::run_sweep(spec, points, pool);  // warm-up
+  (void)core::run_sweep(spec, points, /*threads=*/1);  // warm-up
   const Clock::time_point start = Clock::now();
-  (void)core::run_sweep(spec, points, pool);
+  (void)core::run_sweep(spec, points, /*threads=*/1);
   return seconds_since(start);
 }
 

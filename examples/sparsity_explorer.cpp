@@ -1,7 +1,7 @@
 // Sparsity explorer: sweep N:M patterns on a user-chosen GEMM and print
 // the speedup and memory-access profile of the vindexmac kernel. Extends
 // the paper's 1:4 / 2:4 evaluation to arbitrary patterns. The whole sweep
-// runs as one batch on a pool of one worker per hardware thread.
+// runs as one batch on one worker thread per hardware thread.
 //
 //   ./build/examples/sparsity_explorer [rows k cols]
 #include <cstdio>
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     jobs.push_back(core::sampled_job(dims, sp, rowwise, proc));
     jobs.push_back(core::sampled_job(dims, sp, proposed, proc));
   }
-  const auto results = core::run_batch(jobs);
+  const auto results = core::run_batch(jobs, core::default_thread_count());
 
   TextTable table;
   table.set_header({"sparsity", "density", "Row-Wise-SpMM cyc", "Proposed cyc", "speedup",

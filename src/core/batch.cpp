@@ -1,63 +1,23 @@
 #include "core/batch.h"
 
-#include <atomic>
-#include <utility>
+#include <algorithm>
+#include <exception>
+#include <thread>
 
 #include "common/error.h"
 #include "common/format.h"
 
 namespace indexmac::core {
 
-BatchRunner::BatchRunner(unsigned threads) {
-  if (threads == 0) threads = default_thread_count();
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-BatchRunner::~BatchRunner() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-unsigned BatchRunner::parse_thread_count(const std::string& text) {
-  const std::uint64_t threads = parse_uint(text, "--threads", kMaxThreads);
-  IMAC_CHECK(threads >= 1, "--threads must be at least 1, got \"" + text + "\"");
-  return static_cast<unsigned>(threads);
-}
-
-unsigned BatchRunner::default_thread_count() {
+unsigned default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 
-void BatchRunner::enqueue(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    IMAC_CHECK(!stopping_, "BatchRunner: submit after shutdown");
-    queue_.push_back(std::move(job));
-  }
-  cv_.notify_one();
-}
-
-void BatchRunner::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ && drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    // packaged_task routes any exception into the job's future, so a
-    // throwing job cannot take the worker (or the pool) down.
-    job();
-  }
+unsigned parse_thread_count(const std::string& text) {
+  const std::uint64_t threads = parse_uint(text, "--threads", kMaxThreads);
+  IMAC_CHECK(threads >= 1, "--threads must be at least 1, got \"" + text + "\"");
+  return static_cast<unsigned>(threads);
 }
 
 BatchJob sampled_job(const kernels::GemmDims& dims, sparse::Sparsity sp, const RunConfig& config,
@@ -97,58 +57,44 @@ BatchResult run_job(const BatchJob& job) {
 }
 
 std::vector<BatchResult> run_batch(
-    BatchRunner& runner, const std::vector<BatchJob>& jobs,
+    const std::vector<BatchJob>& jobs, unsigned threads,
     const std::function<void(std::size_t, const BatchResult&)>& on_result,
     const std::atomic<bool>* cancel) {
-  std::vector<std::future<BatchResult>> futures;
-  futures.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // on_result runs on the worker, immediately after its job: journaling
-    // must not be head-of-line blocked behind the collection loop, or a
-    // kill while job 0 (say, one huge GEMM) simulates would lose every
-    // smaller job that already finished. `on_result` and its targets
-    // outlive the blocking collection loop below by construction.
-    const BatchJob& job = jobs[i];
-    futures.push_back(runner.submit([job, i, &on_result, cancel] {
-      // The cancel check lives on the worker, not the submit loop: a
-      // signal that lands mid-batch skips everything still queued while
-      // jobs already executing finish and journal normally.
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
-        throw BatchCancelled("batch cancelled before this job started");
-      BatchResult result = run_job(job);
-      if (on_result) on_result(i, result);
-      return result;
-    }));
-  }
-
+  IMAC_CHECK(threads >= 1, "run_batch needs at least one thread");
   std::vector<BatchResult> results(jobs.size());
-  std::exception_ptr first_error;
-  bool cancelled = false;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    try {
-      results[i] = futures[i].get();
-    } catch (const BatchCancelled&) {
-      cancelled = true;
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  std::vector<std::exception_ptr> errors(jobs.size());
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> skipped{false};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < jobs.size(); i = next++) {
+      // Read per job, on the worker: a signal that lands mid-batch skips
+      // every job not yet started while running jobs finish normally.
+      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+        skipped = true;
+        continue;
+      }
+      try {
+        results[i] = run_job(jobs[i]);
+        // Journaling right after the job, not after the batch: a kill while
+        // job 0 (say, one huge GEMM) simulates must not lose every smaller
+        // job that already finished.
+        if (on_result) on_result(i, results[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-  }
-  // A real job failure outranks the interrupt: it names a bug the user
-  // must see, while BatchCancelled only restates what they requested.
-  if (first_error) std::rethrow_exception(first_error);
-  if (cancelled)
+  };
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 0; t < std::min<std::size_t>(threads, jobs.size()); ++t)
+      workers.emplace_back(work);
+  }  // joins every worker
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  if (skipped)
     throw BatchCancelled("batch cancelled: jobs not yet started were skipped (completed "
                          "results were delivered through on_result)");
   return results;
-}
-
-std::vector<BatchResult> run_batch(BatchRunner& runner, const std::vector<BatchJob>& jobs) {
-  return run_batch(runner, jobs, {});
-}
-
-std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs, unsigned threads) {
-  BatchRunner runner(threads);
-  return run_batch(runner, jobs);
 }
 
 }  // namespace indexmac::core

@@ -3,29 +3,21 @@
 // Every simulated execution is self-contained — a Machine/TimingSim owns
 // its MainMemory and no mutable global state affects simulated results —
 // so sweeps over (shape x sparsity x config) are embarrassingly parallel.
-// BatchRunner is a fixed-size thread pool; run_batch() executes a vector
-// of BatchJob descriptions on it and returns per-job cycle and
-// memory-access stats in submission order, bit-identical to running the
-// same jobs serially (each job re-derives its inputs from a deterministic
-// seed; sampled jobs share run_sampled's miniature memo, which holds only
-// what those seeds reproduce).
+// run_batch() executes a vector of BatchJob descriptions on worker threads
+// and returns per-job cycle and memory-access stats in submission order,
+// bit-identical to running the same jobs serially (each job re-derives its
+// inputs from a deterministic seed; sampled jobs share run_sampled's
+// miniature memo, which holds only what those seeds reproduce).
 //
-//   BatchRunner pool;  // one worker per hardware thread
 //   std::vector<BatchJob> jobs = {...};
-//   const auto results = run_batch(pool, jobs);  // results[i] <-> jobs[i]
+//   const auto results = run_batch(jobs, default_thread_count());
+//   // results[i] <-> jobs[i]
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/runner.h"
@@ -43,56 +35,18 @@ class BatchCancelled : public SimError {
   explicit BatchCancelled(const std::string& what) : SimError(what) {}
 };
 
-/// Fixed-size worker pool for independent jobs. Tasks submitted after a
-/// task throws still run; the exception is delivered through that task's
-/// future, so one bad job can never wedge the pool.
-class BatchRunner {
- public:
-  /// Spawns `threads` workers; 0 means default_thread_count().
-  explicit BatchRunner(unsigned threads = 0);
+/// Upper bound accepted by parse_thread_count (a worker count beyond this
+/// is certainly a typo, not a machine).
+inline constexpr unsigned kMaxThreads = 1024;
 
-  /// Drains outstanding work, then joins the workers.
-  ~BatchRunner();
+/// The worker count when none is given: std::thread::hardware_concurrency(),
+/// never less than 1.
+[[nodiscard]] unsigned default_thread_count();
 
-  BatchRunner(const BatchRunner&) = delete;
-  BatchRunner& operator=(const BatchRunner&) = delete;
-
-  [[nodiscard]] unsigned thread_count() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Upper bound accepted by parse_thread_count (a worker pool beyond
-  /// this is certainly a typo, not a machine).
-  static constexpr unsigned kMaxThreads = 1024;
-
-  /// Pool size used for `threads == 0`:
-  /// std::thread::hardware_concurrency(), never less than 1.
-  [[nodiscard]] static unsigned default_thread_count();
-
-  /// Parses a user-supplied thread count (the --threads CLI flag): the
-  /// whole string must be digits naming an integer in [1, kMaxThreads];
-  /// anything else (a sign, spaces, trailing junk) throws SimError.
-  [[nodiscard]] static unsigned parse_thread_count(const std::string& text);
-
-  /// Schedules any callable; the returned future carries its result or
-  /// exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task]() mutable { (*task)(); });
-    return future;
-  }
-
- private:
-  void enqueue(std::function<void()> job);
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
+/// Parses a user-supplied thread count (the --threads CLI flag): the
+/// whole string must be digits naming an integer in [1, kMaxThreads];
+/// anything else (a sign, spaces, trailing junk) throws SimError.
+[[nodiscard]] unsigned parse_thread_count(const std::string& text);
 
 /// One independent timing measurement, described by value so it can be
 /// executed on any worker thread at any time.
@@ -129,34 +83,34 @@ struct BatchResult {
 /// Executes one job synchronously on the calling thread.
 [[nodiscard]] BatchResult run_job(const BatchJob& job);
 
-/// Runs all jobs on the pool. results[i] corresponds to jobs[i] regardless
-/// of completion order or thread count. If jobs threw, the first failure
-/// (in submission order) is rethrown after every job has finished.
-[[nodiscard]] std::vector<BatchResult> run_batch(BatchRunner& runner,
-                                                 const std::vector<BatchJob>& jobs);
-
-/// Same, but invokes `on_result(i, results[i])` on the worker thread the
-/// moment job i finishes — in completion order, possibly concurrently, so
-/// the callback must be thread-safe. This is the crash-safety hook: the
-/// sweep engine journals every completed measurement through it, and
-/// because it fires at completion (not at collection), a killed process
-/// keeps every job that finished, even while an earlier-submitted job is
-/// still running. `on_result` is never called for a job that threw; an
-/// exception thrown *by* the callback fails that job like a job error.
+/// Runs all jobs on `threads` worker threads (at least 1; never more than
+/// there are jobs). Workers claim jobs in submission order, and all of them
+/// are joined before run_batch returns. results[i] corresponds to jobs[i]
+/// regardless of completion order or thread count.
 ///
-/// `cancel` (optional) is the graceful-interrupt hook: each job checks it
-/// immediately before running, and once it reads true, not-yet-started
-/// jobs are skipped while in-flight jobs run to completion and journal
-/// through on_result as usual. When any job was skipped, run_batch throws
-/// BatchCancelled after the batch drains (completed results having been
-/// delivered), so a --store'd sweep interrupt is resumable by rerun.
+/// `on_result(i, results[i])` (optional) runs on the worker thread the
+/// moment job i finishes — in completion order, possibly concurrently, so
+/// it must be thread-safe. This is the crash-safety hook: the sweep engine
+/// journals every completed measurement through it, and because it fires
+/// at completion, a killed process keeps every job that finished, even
+/// while an earlier-submitted job is still running. It is never called for
+/// a job that threw; an exception thrown *by* it fails that job like a job
+/// error.
+///
+/// `cancel` (optional) is the graceful-interrupt hook: it is read before
+/// each job starts, and once it reads true, jobs not yet started are
+/// skipped while running jobs finish and deliver through on_result as
+/// usual. When any job was skipped, run_batch throws BatchCancelled after
+/// the workers are joined, so a --store'd sweep interrupt is resumable by
+/// rerun.
+///
+/// A job that throws does not stop the others. Once all have finished, the
+/// first failure in submission order is rethrown; it outranks
+/// BatchCancelled, since it names a bug while the cancel only restates
+/// what was requested.
 [[nodiscard]] std::vector<BatchResult> run_batch(
-    BatchRunner& runner, const std::vector<BatchJob>& jobs,
-    const std::function<void(std::size_t, const BatchResult&)>& on_result,
+    const std::vector<BatchJob>& jobs, unsigned threads,
+    const std::function<void(std::size_t, const BatchResult&)>& on_result = {},
     const std::atomic<bool>* cancel = nullptr);
-
-/// Convenience overload running on a temporary pool (0 = default size).
-[[nodiscard]] std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
-                                                 unsigned threads = 0);
 
 }  // namespace indexmac::core

@@ -71,7 +71,7 @@ enum class Durability {
 };
 
 /// An open result store rooted at a directory. Thread-safe; find() and
-/// put() may race from BatchRunner result collection.
+/// put() may race from run_batch's completion callback on its workers.
 class ResultStore {
  public:
   /// Opens (or creates) DIR and DIR/results.journal, replaying every valid

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/format.h"
-#include "core/algorithm_registry.h"
 
 namespace indexmac::core {
 namespace {
@@ -68,9 +67,8 @@ std::string rollup_to_csv(const RollupReport& rollup) {
       "suite,sparsity,algorithm,dataflow,unroll,tile_rows,mode,layers,workloads,"
       "cycles,data_accesses,energy_proxy_bytes\n";
   for (const RollupRow& row : rollup.rows) {
-    out += row.suite + "," + sparsity_label(row.sp) + "," +
-           AlgorithmRegistry::instance().by_algorithm(row.algorithm).id + "," +
-           dataflow_id(row.dataflow) + "," + std::to_string(row.unroll) + "," +
+    out += row.suite + "," + sparsity_label(row.sp) + "," + algorithm_row(row.algorithm).id +
+           "," + dataflow_id(row.dataflow) + "," + std::to_string(row.unroll) + "," +
            std::to_string(row.tile_rows) + "," + sweep_mode_name(row.mode) + "," +
            std::to_string(row.layers) + "," + std::to_string(row.workloads) + "," +
            cycles_field(row) + "," + std::to_string(row.data_accesses) + "," +
@@ -85,8 +83,7 @@ JsonValue rollup_to_json(const RollupReport& rollup) {
     JsonValue r = JsonValue::make_object();
     r.set("suite", JsonValue(row.suite));
     r.set("sparsity", JsonValue(sparsity_label(row.sp)));
-    r.set("algorithm",
-          JsonValue(AlgorithmRegistry::instance().by_algorithm(row.algorithm).id));
+    r.set("algorithm", JsonValue(std::string(algorithm_row(row.algorithm).id)));
     r.set("dataflow", JsonValue(std::string(dataflow_id(row.dataflow))));
     r.set("unroll", JsonValue(static_cast<double>(row.unroll)));
     r.set("tile_rows", JsonValue(static_cast<double>(row.tile_rows)));

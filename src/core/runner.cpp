@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "common/error.h"
-#include "core/algorithm_registry.h"
 #include "kernels/kernels.h"
 
 namespace indexmac::core {
@@ -116,10 +115,10 @@ std::uint64_t analytic_accesses(const kernels::GemmDims& dims, sparse::Sparsity 
                                 const RunConfig& config) {
   AddressAllocator alloc;
   const kernels::SpmmLayout layout = kernels::make_layout(dims, sp, config.tile_rows, alloc);
-  const AlgorithmDescriptor& desc = AlgorithmRegistry::instance().by_algorithm(config.algorithm);
-  IMAC_CHECK(desc.footprint != nullptr,
-             "algorithm \"" + desc.id + "\" has no analytic footprint model");
-  const kernels::KernelFootprint fp = desc.footprint(layout);
+  const AlgorithmRow& family = algorithm_row(config.algorithm);
+  IMAC_CHECK(family.footprint != nullptr,
+             std::string("algorithm \"") + family.id + "\" has no analytic footprint model");
+  const kernels::KernelFootprint fp = family.footprint(layout);
   // Scalar index-word loads (Algorithm 4) are memory accesses too: the
   // exact runs count them in MemStats, so the analytic total must match.
   return fp.vector_loads + fp.vector_stores + fp.scalar_loads;
@@ -245,7 +244,7 @@ SampledResult run_sampled(const kernels::GemmDims& dims, sparse::Sparsity sp,
                           const SampleParams& params) {
   IMAC_CHECK(config.kernel.dataflow == kernels::Dataflow::kBStationary,
              "run_sampled supports B-stationary kernels only");
-  IMAC_CHECK(AlgorithmRegistry::instance().by_algorithm(config.algorithm).supports_sampled,
+  IMAC_CHECK(algorithm_row(config.algorithm).supports_sampled,
              "run_sampled supports the sparse kernels only");
   const MiniatureSpec spec = miniature_spec(dims, sp, config, processor, params);
   return extrapolate(spec, memoized_miniature(spec), dims);

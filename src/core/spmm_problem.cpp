@@ -1,15 +1,8 @@
 #include "core/spmm_problem.h"
 
 #include "common/error.h"
-#include "core/algorithm_registry.h"
 
 namespace indexmac::core {
-
-const char* algorithm_name(Algorithm a) {
-  // Registry entries live for the process lifetime, so the pointer stays
-  // valid like the string literals it replaced.
-  return AlgorithmRegistry::instance().by_algorithm(a).display_name.c_str();
-}
 
 SpmmProblem SpmmProblem::random(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                 std::uint32_t seed) {
@@ -44,9 +37,9 @@ PreparedRun prepare(const SpmmProblem& problem, const RunConfig& config, MainMem
   AddressAllocator alloc;
   kernels::SpmmLayout layout =
       kernels::make_layout(problem.dims, problem.sp, config.tile_rows, alloc);
-  const AlgorithmDescriptor& desc = AlgorithmRegistry::instance().by_algorithm(config.algorithm);
+  const AlgorithmRow& family = algorithm_row(config.algorithm);
 
-  if (desc.dense_operands) {
+  if (family.dense_operands) {
     // Dense family: store A densely (row pitch = multiple of 16 elements).
     const std::size_t a_pitch = round_up(problem.dims.k, isa::kVlMax);
     const std::uint64_t a_base = alloc.alloc(problem.dims.rows_a * a_pitch * 4);
@@ -55,15 +48,15 @@ PreparedRun prepare(const SpmmProblem& problem, const RunConfig& config, MainMem
     mem.write_f32s(a_base, a_image);
     place_b_and_c(problem, layout, mem);
     return PreparedRun{config, layout,
-                       desc.emit({.layout = layout,
-                                  .options = config.kernel,
-                                  .dense_a_base = a_base,
-                                  .dense_a_pitch_elems = a_pitch})};
+                       family.emit({.layout = layout,
+                                    .options = config.kernel,
+                                    .dense_a_base = a_base,
+                                    .dense_a_pitch_elems = a_pitch})};
   }
 
   sparse::PackConfig pack_config{
       .tile_rows = config.tile_rows,
-      .mode = desc.index_mode,
+      .mode = family.index_mode,
       .b_pitch_bytes = static_cast<std::uint32_t>(layout.b_pitch_elems * 4),
       .base_vreg = kernels::b_tile_base_vreg(config.tile_rows),
   };
@@ -75,7 +68,7 @@ PreparedRun prepare(const SpmmProblem& problem, const RunConfig& config, MainMem
   mem.write_i32s(layout.a_indices, packed.indices);
   place_b_and_c(problem, layout, mem);
 
-  Program program = desc.emit({.layout = layout, .options = config.kernel});
+  Program program = family.emit({.layout = layout, .options = config.kernel});
   return PreparedRun{config, layout, std::move(program)};
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "asm/program.h"
+#include "core/algorithm_table.h"
 #include "kernels/kernels.h"
 #include "kernels/layout.h"
 #include "mem/main_memory.h"
@@ -23,19 +24,6 @@
 #include "sparse/packing.h"
 
 namespace indexmac::core {
-
-/// Which kernel executes the multiplication. Everything else about a
-/// family (ids, emitters, constraints) lives in its AlgorithmDescriptor —
-/// see core/algorithm_registry.h.
-enum class Algorithm {
-  kIndexmac,      ///< Algorithm 3 ("Proposed"): vindexmac + preloaded B tiles
-  kRowwiseSpmm,   ///< Algorithm 2 ("Row-Wise-SpMM")
-  kDenseRowwise,  ///< Algorithm 1 (dense baseline; ignores sparsity)
-  kIndexmac4,     ///< Algorithm 4: packed-index + dual-row vindexmac variants
-  kSsr,           ///< Algorithm 5: SSR-streamed A operands + vindexmacs MACs
-};
-
-[[nodiscard]] const char* algorithm_name(Algorithm a);
 
 /// One structured-sparse multiplication problem (data only).
 struct SpmmProblem {

@@ -12,7 +12,6 @@
 #include "common/error.h"
 #include "common/format.h"
 #include "common/json.h"
-#include "core/algorithm_registry.h"
 
 namespace indexmac::core {
 namespace {
@@ -22,14 +21,7 @@ using workloads::sparsity_label;
 
 // --- short, CSV-stable identifiers ---------------------------------------
 
-const char* algorithm_id(Algorithm a) {
-  return AlgorithmRegistry::instance().by_algorithm(a).id.c_str();
-}
-
-/// Raises with every registered id on an unknown one.
-Algorithm parse_algorithm(const std::string& id) {
-  return AlgorithmRegistry::instance().by_id(id).algorithm;
-}
+const char* algorithm_id(Algorithm a) { return algorithm_row(a).id; }
 
 kernels::Dataflow parse_dataflow(const std::string& id) {
   if (id == "a") return kernels::Dataflow::kAStationary;
@@ -207,10 +199,10 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
   }
   if (spec.mode == SweepMode::kSampled)
     for (const Algorithm alg : spec.algorithms) {
-      const AlgorithmDescriptor& d = AlgorithmRegistry::instance().by_algorithm(alg);
-      IMAC_CHECK(d.supports_sampled,
-                 "sweep spec: sampled mode supports the sparse kernels only (drop \"" + d.id +
-                     "\" or use mode \"exact\")");
+      const AlgorithmRow& family = algorithm_row(alg);
+      IMAC_CHECK(family.supports_sampled,
+                 std::string("sweep spec: sampled mode supports the sparse kernels only (drop \"") +
+                     family.id + "\" or use mode \"exact\")");
     }
   if (const JsonValue* v = doc.get("seed")) spec.seed = as_u32(*v, "seed");
   // Exact points are keyed without the sampling controls, which they never read.
@@ -281,8 +273,7 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
                 // own constraints (B-stationary-only, unroll=1-only, ...).
                 // This keeps mixed ablations (e.g. dataflows x several
                 // algorithms) expressible without aborting the sweep.
-                if (!AlgorithmRegistry::instance().by_algorithm(alg).supports(df, unroll))
-                  continue;
+                if (!algorithm_row(alg).supports(df, unroll)) continue;
                 SweepPoint p;
                 p.suite = s.name;
                 p.workload = w.name;
@@ -328,59 +319,18 @@ std::uint64_t grid_hash(const std::vector<std::string>& keys) {
   return hash;
 }
 
-// --- cache ----------------------------------------------------------------
-
-const BatchResult* SweepCache::find(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = results_.find(key);
-  if (it == results_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return &it->second;
-}
-
-void SweepCache::insert(const std::string& key, const BatchResult& result) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Journal before memoizing: if the append (or a drift cross-check in
-  // ResultStore::put) fails, the cache must not claim a result the store
-  // never accepted.
-  if (store_ != nullptr) store_->put(key, StoredResult{result.cycles, result.data_accesses});
-  results_.emplace(key, result);
-}
-
-void SweepCache::attach_store(ResultStore& store, bool preload) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  IMAC_CHECK(store_ == nullptr || store_ == &store, "SweepCache: a different store is attached");
-  store_ = &store;
-  if (!preload) return;
-  for (const auto& [key, stored] : store.results()) {
-    BatchResult result;
-    result.cycles = stored.cycles;
-    result.data_accesses = stored.data_accesses;
-    if (results_.emplace(key, result).second) ++store_loads_;
-  }
-}
-
-std::size_t SweepCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return results_.size();
-}
-
 // --- execution ------------------------------------------------------------
 
-SweepReport run_sweep(const SweepSpec& spec, BatchRunner& runner, SweepCache* cache) {
-  return run_sweep(spec, expand_sweep(spec), runner, cache);
-}
-
 SweepReport run_sweep(const SweepSpec& spec, const std::vector<SweepPoint>& points,
-                      BatchRunner& runner, SweepCache* cache, const std::atomic<bool>* cancel) {
+                      unsigned threads, ResultStore* store, bool resume,
+                      const std::atomic<bool>* cancel) {
+  IMAC_CHECK(!resume || store != nullptr, "run_sweep: resume needs a result store");
   SweepReport report;
   report.spec_name = spec.name;
 
-  // One job per unique cache key; duplicate points (identical shapes under
-  // a different workload name, repeated grid cells) share the measurement.
+  // One job per unique cache key not served from the store; duplicate
+  // points (identical shapes under a different workload name, repeated
+  // grid cells) share the measurement.
   const std::vector<std::string> keys = grid_keys(spec, points);
   report.spec_hash = grid_hash(keys);
   std::unordered_map<std::string, std::size_t> job_of_key;
@@ -388,22 +338,20 @@ SweepReport run_sweep(const SweepSpec& spec, const std::vector<SweepPoint>& poin
   std::vector<std::string> job_keys;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const std::string& key = keys[i];
-    if (job_of_key.count(key) != 0) continue;
-    if (cache != nullptr && cache->find(key) != nullptr) continue;
+    if (job_of_key.count(key) != 0 || (resume && store->find(key) != nullptr)) continue;
     job_of_key.emplace(key, jobs.size());
     jobs.push_back(point_job(spec, points[i]));
     job_keys.push_back(key);
   }
 
-  // Results enter the cache (and, through an attached store, the on-disk
-  // journal) from the worker threads the moment each measurement finishes,
-  // not after the whole batch: a sweep killed mid-run keeps everything
-  // measured so far for --resume. (SweepCache and ResultStore are both
-  // thread-safe, as run_batch's completion callback requires.)
+  // Results enter the journal from the worker threads the moment each
+  // measurement finishes, not after the whole batch: a sweep killed mid-run
+  // keeps everything measured so far for --resume. ResultStore is
+  // thread-safe, as run_batch's completion callback requires.
   const std::vector<BatchResult> results = run_batch(
-      runner, jobs,
+      jobs, threads,
       [&](std::size_t i, const BatchResult& r) {
-        if (cache != nullptr) cache->insert(job_keys[i], r);
+        if (store != nullptr) store->put(job_keys[i], StoredResult{r.cycles, r.data_accesses});
       },
       cancel);
 
@@ -411,24 +359,18 @@ SweepReport run_sweep(const SweepSpec& spec, const std::vector<SweepPoint>& poin
   for (std::size_t i = 0; i < points.size(); ++i) {
     SweepRow row;
     row.point = points[i];
-    const BatchResult* r = nullptr;
     if (const auto it = job_of_key.find(keys[i]); it != job_of_key.end()) {
-      r = &results[it->second];
+      row.cycles = results[it->second].cycles;
+      row.data_accesses = results[it->second].data_accesses;
     } else {
-      IMAC_ASSERT(cache != nullptr, "sweep row neither measured nor cached");
-      r = cache->find(keys[i]);
-      IMAC_ASSERT(r != nullptr, "sweep cache lost a result mid-sweep");
+      const StoredResult* stored = store->find(keys[i]);
+      IMAC_ASSERT(stored != nullptr, "sweep row neither measured nor journaled");
+      row.cycles = stored->cycles;
+      row.data_accesses = stored->data_accesses;
     }
-    row.cycles = r->cycles;
-    row.data_accesses = r->data_accesses;
     report.rows.push_back(std::move(row));
   }
   return report;
-}
-
-SweepReport run_sweep(const SweepSpec& spec, unsigned threads, SweepCache* cache) {
-  BatchRunner runner(threads);
-  return run_sweep(spec, runner, cache);
 }
 
 // --- sharding and merging -------------------------------------------------
@@ -534,16 +476,6 @@ std::vector<std::string> split(const std::string& line, char sep) {
     if (pos == std::string::npos) return out;
     start = pos + 1;
   }
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  IMAC_CHECK(!s.empty(), std::string("csv report: empty ") + what);
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    IMAC_CHECK(c >= '0' && c <= '9', std::string("csv report: bad ") + what + " \"" + s + "\"");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
 }
 
 /// Defensive hex parse for the header hash: report_to_csv always emits 16
@@ -654,19 +586,23 @@ SweepReport parse_csv_report(const std::string& csv) {
     SweepRow row;
     row.point.suite = f[0];
     row.point.workload = f[1];
-    row.point.count = static_cast<unsigned>(parse_u64(f[2], "count"));
-    row.point.dims = {parse_u64(f[3], "rows"), parse_u64(f[4], "k"), parse_u64(f[5], "cols")};
+    // 32-bit fields are bounded, never truncated into a different point.
+    row.point.count = static_cast<unsigned>(parse_uint(f[2], "csv report count", kU32Max));
+    row.point.dims = {parse_uint(f[3], "csv report rows"), parse_uint(f[4], "csv report k"),
+                      parse_uint(f[5], "csv report cols")};
     row.point.sp = parse_sparsity(f[6]);
     row.point.config.algorithm = parse_algorithm(f[7]);
     row.point.config.kernel.dataflow = parse_dataflow(f[8]);
-    row.point.config.kernel.unroll = static_cast<unsigned>(parse_u64(f[9], "unroll"));
-    row.point.config.tile_rows = static_cast<unsigned>(parse_u64(f[10], "tile_rows"));
+    row.point.config.kernel.unroll =
+        static_cast<unsigned>(parse_uint(f[9], "csv report unroll", kU32Max));
+    row.point.config.tile_rows =
+        static_cast<unsigned>(parse_uint(f[10], "csv report tile_rows", kU32Max));
     row.point.mode = parse_mode(f[11]);
     // parse_double (std::from_chars) is locale-independent; std::stod here
     // would mis-read "123.45" as 123 under a comma-decimal LC_NUMERIC and
     // silently corrupt every sampled-mode row.
     row.cycles = parse_double(f[12], "csv report cycles");
-    row.data_accesses = parse_u64(f[13], "data_accesses");
+    row.data_accesses = parse_uint(f[13], "csv report data_accesses");
     report.rows.push_back(std::move(row));
   }
   IMAC_CHECK(saw_header, "csv report: missing header row");

@@ -1,9 +1,9 @@
 // Declarative sweep engine: a JSON spec names workload suites and a
 // RunConfig / ProcessorConfig grid; the engine expands the cross product,
-// executes every unique measurement once on a BatchRunner pool (a result
-// cache deduplicates repeated (shape, sparsity, config) points within and
-// across sweeps), and emits stable CSV/JSON reports suitable for
-// golden-file regression tests.
+// executes every unique measurement once through run_batch (repeated
+// (shape, sparsity, config) points share one measurement, and a result
+// store can serve and journal them across processes), and emits stable
+// CSV/JSON reports suitable for golden-file regression tests.
 //
 // Spec format (JSON subset, see common/json.h):
 //
@@ -28,9 +28,9 @@
 // value stay valid.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -130,65 +130,25 @@ struct SweepReport {
   std::vector<SweepRow> rows;
 };
 
-/// Memoizes measurements across run_sweep calls. Thread-safe.
+/// Runs the sweep over `points`, which must come from expand_sweep(spec),
+/// on `threads` workers (at least 1). Duplicate points are simulated once.
+/// Rows come back in expansion order regardless of thread count.
 ///
-/// Optionally backed by a persistent ResultStore (attach_store): every
-/// insert is then written through to the store's on-disk journal, and —
-/// when preloading is requested — previously journaled measurements are
-/// served from the cache without re-simulation (`imac_run sweep --store
-/// DIR --resume`). Entries loaded from disk carry the journaled headline
-/// metrics only; their TimingStats are default-constructed (reports never
-/// read them).
-class SweepCache {
- public:
-  /// Returns the cached result or nullptr.
-  [[nodiscard]] const BatchResult* find(const std::string& key) const;
-  void insert(const std::string& key, const BatchResult& result);
-
-  /// Attaches a persistent backing store (must outlive this cache). With
-  /// `preload`, every journaled record becomes a cache entry immediately —
-  /// the resume path. Without it, the store only receives write-through
-  /// appends; re-measured points must then reproduce the journaled metrics
-  /// exactly or ResultStore::put throws (a deterministic-simulator
-  /// cross-check against model drift under a warm store).
-  void attach_store(ResultStore& store, bool preload);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  /// Entries preloaded from the attached store (0 when none attached).
-  [[nodiscard]] std::uint64_t store_loads() const { return store_loads_; }
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, BatchResult> results_;
-  ResultStore* store_ = nullptr;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  std::uint64_t store_loads_ = 0;
-};
-
-/// Runs the sweep on `runner`'s pool. Duplicate points within the sweep are
-/// simulated once; `cache` (optional) additionally carries results across
-/// sweeps. Rows come back in expansion order regardless of thread count.
-[[nodiscard]] SweepReport run_sweep(const SweepSpec& spec, BatchRunner& runner,
-                                    SweepCache* cache = nullptr);
-
-/// Same, but over an already-expanded grid (callers that expand_sweep()
-/// first — e.g. to report the point count — avoid expanding twice).
-/// `points` must come from expand_sweep(spec). `cancel` (optional) is the
-/// graceful-interrupt hook: once it reads true, queued measurements are
-/// skipped, in-flight ones finish and journal through the cache's store,
-/// and run_sweep throws BatchCancelled instead of returning a report (a
+/// `store` (optional) journals every simulated point from its worker the
+/// moment it finishes, so a sweep killed mid-run keeps everything measured
+/// so far. With `resume` (which needs a store), points already journaled
+/// are served from the store instead of simulated. Without it they are
+/// simulated again, and ResultStore::put throws unless they reproduce the
+/// journaled metrics: a cross-check against model drift under a warm store.
+///
+/// `cancel` (optional) is the graceful-interrupt hook: once it reads true,
+/// queued measurements are skipped, in-flight ones finish and journal, and
+/// run_sweep throws BatchCancelled instead of returning a report (a
 /// partially-measured grid must never render as a complete one).
-[[nodiscard]] SweepReport run_sweep(const SweepSpec& spec,
-                                    const std::vector<SweepPoint>& points, BatchRunner& runner,
-                                    SweepCache* cache = nullptr,
+[[nodiscard]] SweepReport run_sweep(const SweepSpec& spec, const std::vector<SweepPoint>& points,
+                                    unsigned threads, ResultStore* store = nullptr,
+                                    bool resume = false,
                                     const std::atomic<bool>* cancel = nullptr);
-
-/// Convenience overload on a temporary pool (0 = default size).
-[[nodiscard]] SweepReport run_sweep(const SweepSpec& spec, unsigned threads = 0,
-                                    SweepCache* cache = nullptr);
 
 // --- sharding and merging -------------------------------------------------
 

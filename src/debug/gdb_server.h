@@ -63,6 +63,8 @@ class GdbSession {
   /// `assembled` additionally provides label symbols and marker pcs for
   /// qRcmd.
   GdbSession(const AssembledText& assembled, Machine& machine, MainMemory& memory);
+  /// Would keep a dangling AssembledText: the session holds a reference.
+  GdbSession(AssembledText&&, Machine&, MainMemory&) = delete;
 
   /// Handles one packet payload, returns the reply payload ("" = unsupported
   /// packet, per protocol). SimErrors from malformed packets become "E.."

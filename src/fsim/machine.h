@@ -65,6 +65,8 @@ enum class StopReason { kRunning, kEbreak, kEcall, kMaxSteps };
 class Machine {
  public:
   Machine(const Program& program, MainMemory& memory);
+  /// Would keep a dangling Program: the machine holds a reference.
+  Machine(Program&&, MainMemory&) = delete;
 
   /// Executes a single instruction; returns the stop reason (kRunning if
   /// execution may continue). Throws SimError on malformed execution (pc

@@ -76,7 +76,7 @@ class MainMemory {
   // read cache to cover it. Accessors stay O(1) without hashing across the
   // same-page streaks simulations produce. Note: the mutable read cache
   // makes concurrent use of a single MainMemory unsafe (each simulation
-  // owns its memory; see core::BatchRunner).
+  // owns its memory; see core::run_batch).
   mutable std::uint64_t read_page_key_ = ~0ull;
   mutable const Page* read_page_ = nullptr;
   std::uint64_t write_page_key_ = ~0ull;

@@ -83,6 +83,8 @@ struct TimingStats {
 class TimingSim {
  public:
   TimingSim(const Program& program, MainMemory& memory, const ProcessorConfig& config);
+  /// Would keep a dangling Program: the simulator holds a reference.
+  TimingSim(Program&&, MainMemory&, const ProcessorConfig&) = delete;
 
   /// Runs to completion (ebreak/ecall). Throws SimError if the instruction
   /// budget is exhausted first (runaway program).

@@ -1,124 +1,90 @@
-// Registration rules and lookup behavior of the AlgorithmRegistry: the
-// process-wide instance carries every built-in family in a deterministic
-// order, lookups round-trip between enum values and CLI ids, and a
-// standalone registry enforces the descriptor invariants (unique ids,
-// unique enum values, mandatory hooks) that keep the plugin surface safe.
+// The kernel-family table: row i describes Algorithm i in presentation
+// order, ids are unique and round-trip through parse_algorithm, and each
+// row carries its family's pairing role, sampling support, operand
+// placement and grid constraints.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/error.h"
-#include "core/algorithm_registry.h"
+#include "core/algorithm_table.h"
 
 namespace indexmac::core {
 namespace {
 
-/// A descriptor that satisfies every add() invariant; tests break one
-/// field at a time.
-AlgorithmDescriptor minimal_descriptor(Algorithm alg, const std::string& id) {
-  AlgorithmDescriptor d;
-  d.algorithm = alg;
-  d.id = id;
-  d.display_name = id;
-  d.supports = [](kernels::Dataflow, unsigned) { return true; };
-  d.emit = [](const AlgorithmDescriptor::EmitContext&) { return Program{}; };
-  return d;
-}
-
-TEST(AlgorithmRegistry, DuplicateIdRaises) {
-  AlgorithmRegistry reg;
-  reg.add(minimal_descriptor(Algorithm::kIndexmac, "fam"));
-  try {
-    reg.add(minimal_descriptor(Algorithm::kIndexmac4, "fam"));
-    FAIL() << "duplicate id must raise";
-  } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("duplicate algorithm id"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("fam"), std::string::npos) << e.what();
+TEST(AlgorithmTable, RowsFollowTheEnumInPresentationOrder) {
+  const auto table = algorithm_table();
+  ASSERT_EQ(table.size(), 5u);
+  const char* ids[] = {"rowwise", "indexmac", "indexmac4", "dense", "ssr"};
+  std::set<std::string> seen;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(table[i].algorithm, static_cast<Algorithm>(i)) << table[i].id;
+    EXPECT_STREQ(table[i].id, ids[i]);
+    EXPECT_TRUE(seen.insert(table[i].id).second) << "duplicate id " << table[i].id;
+    EXPECT_NE(table[i].supports, nullptr) << table[i].id;
+    EXPECT_NE(table[i].emit, nullptr) << table[i].id;
+    EXPECT_EQ(&algorithm_row(table[i].algorithm), &table[i]) << table[i].id;
   }
+  EXPECT_THROW((void)algorithm_row(static_cast<Algorithm>(table.size())), SimError);
 }
 
-TEST(AlgorithmRegistry, DuplicateEnumRaises) {
-  AlgorithmRegistry reg;
-  reg.add(minimal_descriptor(Algorithm::kIndexmac, "fam-a"));
-  EXPECT_THROW(reg.add(minimal_descriptor(Algorithm::kIndexmac, "fam-b")), SimError);
-}
-
-TEST(AlgorithmRegistry, AddEnforcesMandatoryFields) {
-  AlgorithmRegistry reg;
-  AlgorithmDescriptor no_id = minimal_descriptor(Algorithm::kIndexmac, "");
-  EXPECT_THROW(reg.add(no_id), SimError);
-  AlgorithmDescriptor no_supports = minimal_descriptor(Algorithm::kIndexmac, "fam");
-  no_supports.supports = nullptr;
-  EXPECT_THROW(reg.add(no_supports), SimError);
-  AlgorithmDescriptor no_emit = minimal_descriptor(Algorithm::kIndexmac, "fam");
-  no_emit.emit = nullptr;
-  EXPECT_THROW(reg.add(no_emit), SimError);
-  // The footprint hook stays optional: dense has no analytic model.
-  reg.add(minimal_descriptor(Algorithm::kIndexmac, "fam"));
-  EXPECT_EQ(reg.all().size(), 1u);
-}
-
-TEST(AlgorithmRegistry, InstanceIteratesInRegistrationOrder) {
-  const auto& all = AlgorithmRegistry::instance().all();
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(all[0].id, "rowwise");
-  EXPECT_EQ(all[1].id, "indexmac");
-  EXPECT_EQ(all[2].id, "indexmac4");
-  EXPECT_EQ(all[3].id, "dense");
-  EXPECT_EQ(all[4].id, "ssr");
-  EXPECT_EQ(AlgorithmRegistry::instance().known_ids(),
-            "rowwise, indexmac, indexmac4, dense, ssr");
-}
-
-TEST(AlgorithmRegistry, UnknownIdErrorListsEveryFamily) {
+TEST(AlgorithmTable, UnknownIdErrorListsEveryFamily) {
   try {
-    (void)AlgorithmRegistry::instance().by_id("no-such-algorithm");
+    (void)parse_algorithm("no-such-algorithm");
     FAIL() << "unknown id must raise";
   } catch (const SimError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("no-such-algorithm"), std::string::npos) << msg;
-    for (const char* id : {"rowwise", "indexmac", "indexmac4", "dense", "ssr"})
-      EXPECT_NE(msg.find(id), std::string::npos) << msg << " missing " << id;
-  }
-  EXPECT_EQ(AlgorithmRegistry::instance().find("no-such-algorithm"), nullptr);
-}
-
-TEST(AlgorithmRegistry, IdAndEnumLookupsRoundTrip) {
-  const AlgorithmRegistry& reg = AlgorithmRegistry::instance();
-  for (const AlgorithmDescriptor& d : reg.all()) {
-    EXPECT_EQ(reg.by_id(d.id).algorithm, d.algorithm) << d.id;
-    EXPECT_EQ(reg.by_algorithm(d.algorithm).id, d.id) << d.id;
-    EXPECT_EQ(algorithm_name(d.algorithm), d.display_name) << d.id;
+    EXPECT_STREQ(e.what(), "unknown algorithm \"no-such-algorithm\" (known: rowwise, indexmac, "
+                           "indexmac4, dense, ssr)");
   }
 }
 
-TEST(AlgorithmRegistry, BuiltInDescriptorsCarryTheExpectedPolicies) {
-  const AlgorithmRegistry& reg = AlgorithmRegistry::instance();
-  EXPECT_EQ(reg.by_id("rowwise").pairing, PairingRole::kBaseline);
-  EXPECT_EQ(reg.by_id("indexmac").pairing, PairingRole::kProposed);
-  EXPECT_EQ(reg.by_id("indexmac4").pairing, PairingRole::kProposedV2);
-  EXPECT_EQ(reg.by_id("dense").pairing, PairingRole::kStandalone);
-  EXPECT_EQ(reg.by_id("ssr").pairing, PairingRole::kStandalone);
+TEST(AlgorithmTable, IdAndEnumLookupsRoundTrip) {
+  for (const AlgorithmRow& row : algorithm_table()) {
+    EXPECT_EQ(parse_algorithm(row.id), row.algorithm) << row.id;
+    EXPECT_STREQ(algorithm_row(row.algorithm).id, row.id) << row.id;
+    EXPECT_STREQ(algorithm_name(row.algorithm), row.display_name) << row.id;
+  }
+}
 
-  EXPECT_FALSE(reg.by_id("dense").supports_sampled);
-  EXPECT_TRUE(reg.by_id("ssr").supports_sampled);
-  EXPECT_TRUE(reg.by_id("dense").dense_operands);
-  EXPECT_EQ(reg.by_id("dense").footprint, nullptr);  // no analytic model
-  for (const char* id : {"rowwise", "indexmac", "indexmac4", "ssr"})
-    EXPECT_NE(reg.by_id(id).footprint, nullptr) << id;
+TEST(AlgorithmTable, RowsCarryTheExpectedPolicies) {
+  const auto row = [](const char* id) -> const AlgorithmRow& {
+    return algorithm_row(parse_algorithm(id));
+  };
+  EXPECT_EQ(row("rowwise").pairing, PairingRole::kBaseline);
+  EXPECT_EQ(row("indexmac").pairing, PairingRole::kProposed);
+  EXPECT_EQ(row("indexmac4").pairing, PairingRole::kProposedV2);
+  EXPECT_EQ(row("dense").pairing, PairingRole::kStandalone);
+  EXPECT_EQ(row("ssr").pairing, PairingRole::kStandalone);
+
+  EXPECT_FALSE(row("dense").supports_sampled);
+  EXPECT_TRUE(row("ssr").supports_sampled);
+  EXPECT_TRUE(row("dense").dense_operands);
+  EXPECT_EQ(row("dense").footprint, nullptr);  // no analytic model
+  for (const char* id : {"rowwise", "indexmac", "indexmac4", "ssr"}) {
+    EXPECT_NE(row(id).footprint, nullptr) << id;
+    EXPECT_FALSE(row(id).dense_operands) << id;
+  }
+  EXPECT_EQ(row("rowwise").index_mode, sparse::IndexMode::kByteOffset);
+  EXPECT_EQ(row("indexmac").index_mode, sparse::IndexMode::kVrfIndex);
+  EXPECT_EQ(row("indexmac4").index_mode, sparse::IndexMode::kPackedNibble);
+  EXPECT_EQ(row("ssr").index_mode, sparse::IndexMode::kVrfIndex);
 
   // Grid support: rowwise spans every cell; the custom-instruction
   // families are B-stationary; dense and ssr additionally pin unroll 1.
   using kernels::Dataflow;
-  EXPECT_TRUE(reg.by_id("rowwise").supports(Dataflow::kAStationary, 4));
-  EXPECT_FALSE(reg.by_id("indexmac").supports(Dataflow::kAStationary, 1));
-  EXPECT_TRUE(reg.by_id("indexmac").supports(Dataflow::kBStationary, 4));
-  EXPECT_TRUE(reg.by_id("ssr").supports(Dataflow::kBStationary, 1));
-  EXPECT_FALSE(reg.by_id("ssr").supports(Dataflow::kBStationary, 2));
-  EXPECT_FALSE(reg.by_id("ssr").supports(Dataflow::kCStationary, 1));
-  EXPECT_FALSE(reg.by_id("dense").supports(Dataflow::kBStationary, 2));
+  EXPECT_TRUE(row("rowwise").supports(Dataflow::kAStationary, 4));
+  EXPECT_FALSE(row("indexmac").supports(Dataflow::kAStationary, 1));
+  EXPECT_TRUE(row("indexmac").supports(Dataflow::kBStationary, 4));
+  EXPECT_FALSE(row("indexmac4").supports(Dataflow::kCStationary, 4));
+  EXPECT_TRUE(row("ssr").supports(Dataflow::kBStationary, 1));
+  EXPECT_FALSE(row("ssr").supports(Dataflow::kBStationary, 2));
+  EXPECT_FALSE(row("ssr").supports(Dataflow::kCStationary, 1));
+  EXPECT_TRUE(row("dense").supports(Dataflow::kBStationary, 1));
+  EXPECT_FALSE(row("dense").supports(Dataflow::kBStationary, 2));
 }
 
-TEST(AlgorithmRegistry, PairingRoleNames) {
+TEST(AlgorithmTable, PairingRoleNames) {
   EXPECT_STREQ(pairing_role_name(PairingRole::kBaseline), "baseline");
   EXPECT_STREQ(pairing_role_name(PairingRole::kProposed), "proposed");
   EXPECT_STREQ(pairing_role_name(PairingRole::kProposedV2), "proposed-v2");

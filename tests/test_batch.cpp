@@ -1,4 +1,4 @@
-// BatchRunner: parallel sweeps must be indistinguishable from serial runs —
+// run_batch: parallel sweeps must be indistinguishable from serial runs —
 // identical per-job stats, submission-order results at any thread count,
 // and robust to jobs that throw.
 #include "core/batch.h"
@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
 
 #include "common/error.h"
 
@@ -16,7 +15,6 @@ using namespace indexmac;
 using core::Algorithm;
 using core::BatchJob;
 using core::BatchResult;
-using core::BatchRunner;
 using core::RunConfig;
 
 void expect_same_stats(const BatchResult& a, const BatchResult& b) {
@@ -74,7 +72,7 @@ BatchResult serial_uncached(const BatchJob& job) {
   return BatchResult{r.cycles, r.data_accesses, r.sample_stats};
 }
 
-TEST(BatchRunner, MatchesSerialExecutionBitExactly) {
+TEST(RunBatch, MatchesSerialExecutionBitExactly) {
   const auto jobs = mixed_sweep();
 
   std::vector<BatchResult> serial;
@@ -89,7 +87,7 @@ TEST(BatchRunner, MatchesSerialExecutionBitExactly) {
   }
 }
 
-TEST(BatchRunner, ResultOrderMatchesSubmissionOrderAtAnyThreadCount) {
+TEST(RunBatch, ResultOrderMatchesSubmissionOrderAtAnyThreadCount) {
   const auto jobs = mixed_sweep();
   const auto baseline = core::run_batch(jobs, 1);
   for (const unsigned threads : {2u, 3u, 8u}) {
@@ -101,9 +99,10 @@ TEST(BatchRunner, ResultOrderMatchesSubmissionOrderAtAnyThreadCount) {
       expect_same_stats(results[i], baseline[i]);
     }
   }
+  EXPECT_THROW((void)core::run_batch(jobs, 0), SimError);  // no worker to run them
 }
 
-TEST(BatchRunner, SharedProblemJobsMatchDirectRuns) {
+TEST(RunBatch, SharedProblemJobsMatchDirectRuns) {
   const timing::ProcessorConfig proc{};
   const kernels::GemmDims dims{16, 64, 32};
   const RunConfig rowwise{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 2}};
@@ -128,24 +127,7 @@ TEST(BatchRunner, SharedProblemJobsMatchDirectRuns) {
   EXPECT_GT(results[0].cycles, results[1].cycles);  // the paper's headline result
 }
 
-TEST(BatchRunner, ThrowingTaskDoesNotDeadlockThePool) {
-  BatchRunner pool(2);
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-
-  // The pool must still accept and complete work on every worker.
-  std::atomic<int> completed{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 8; ++i)
-    futures.push_back(pool.submit([i, &completed] {
-      ++completed;
-      return i;
-    }));
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
-  EXPECT_EQ(completed.load(), 8);
-}
-
-TEST(BatchRunner, ThrowingJobReportsFirstErrorAfterAllJobsFinish) {
+TEST(RunBatch, ThrowingJobReportsFirstErrorAfterAllJobsFinish) {
   const timing::ProcessorConfig proc{};
   std::vector<BatchJob> jobs = mixed_sweep();
   BatchJob bad;  // unroll=5 is rejected by the kernel generators
@@ -156,28 +138,29 @@ TEST(BatchRunner, ThrowingJobReportsFirstErrorAfterAllJobsFinish) {
   bad.processor = proc;
   jobs.insert(jobs.begin() + 1, bad);
 
-  EXPECT_THROW((void)core::run_batch(jobs, 4), SimError);
-
-  // A failed batch must leave the pool reusable (fresh pool semantics are
-  // covered above; here reuse one across a failing and a clean batch).
-  BatchRunner pool(4);
-  EXPECT_THROW((void)core::run_batch(pool, jobs), SimError);
-  const auto good = core::run_batch(pool, mixed_sweep());
-  EXPECT_EQ(good.size(), mixed_sweep().size());
+  // The failing job stops no other: every other job finishes and is
+  // delivered before the error is rethrown.
+  std::atomic<std::size_t> delivered{0};
+  EXPECT_THROW((void)core::run_batch(jobs, 4,
+                                     [&](std::size_t i, const BatchResult&) {
+                                       EXPECT_NE(i, 1u);
+                                       ++delivered;
+                                     }),
+               SimError);
+  EXPECT_EQ(delivered.load(), jobs.size() - 1);
 }
 
-TEST(BatchRunner, ParseThreadCountIsStrict) {
+TEST(RunBatch, ParseThreadCountIsStrict) {
   // The whole --threads string must be digits naming an integer in
   // [1, kMaxThreads]: no sign, no spaces, no trailing junk.
-  EXPECT_EQ(BatchRunner::parse_thread_count("1"), 1u);
-  EXPECT_EQ(BatchRunner::parse_thread_count("16"), 16u);
-  EXPECT_EQ(BatchRunner::parse_thread_count(std::to_string(BatchRunner::kMaxThreads)),
-            BatchRunner::kMaxThreads);
+  EXPECT_EQ(core::parse_thread_count("1"), 1u);
+  EXPECT_EQ(core::parse_thread_count("16"), 16u);
+  EXPECT_EQ(core::parse_thread_count(std::to_string(core::kMaxThreads)), core::kMaxThreads);
   const char* bad[] = {"0",   "-2",   "abc", "3abc", "",   "2147483648", "99999",
                        "1e3", "1025", " 4",  "4 ",   "+4", "4294967297", " "};
   for (const char* value : bad) {
     SCOPED_TRACE(std::string("--threads \"") + value + "\"");
-    EXPECT_THROW((void)BatchRunner::parse_thread_count(value), SimError);
+    EXPECT_THROW((void)core::parse_thread_count(value), SimError);
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "asm/assembler.h"
 #include "asm/text_assembler.h"
 #include "common/error.h"
@@ -9,6 +11,11 @@
 
 namespace indexmac {
 namespace {
+
+// The machine keeps a reference to its Program, so a temporary one must not
+// compile: Machine(assemble_text(src).program, mem) would dangle.
+static_assert(!std::is_constructible_v<Machine, Program&&, MainMemory&>);
+static_assert(std::is_constructible_v<Machine, const Program&, MainMemory&>);
 
 /// Runs `body` (already containing ebreak) and returns the machine.
 struct SimRun {

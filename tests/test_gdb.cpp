@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "asm/text_assembler.h"
@@ -17,6 +18,11 @@
 
 namespace indexmac::debug {
 namespace {
+
+// The session keeps a reference to its AssembledText, so a temporary one
+// must not compile.
+static_assert(!std::is_constructible_v<GdbSession, AssembledText&&, Machine&, MainMemory&>);
+static_assert(std::is_constructible_v<GdbSession, const AssembledText&, Machine&, MainMemory&>);
 
 // --- packet layer ----------------------------------------------------------
 

@@ -292,7 +292,7 @@ TEST(ImportModel, RegisteredModelIsSweepable) {
   const core::SweepSpec spec = core::parse_sweep_spec(R"({
     "name": "imp", "workloads": ["impsweep"],
     "algorithms": ["rowwise", "indexmac"], "mode": "exact"})");
-  const core::SweepReport report = core::run_sweep(spec, /*threads=*/2);
+  const core::SweepReport report = core::run_sweep(spec, core::expand_sweep(spec), /*threads=*/2);
   ASSERT_EQ(report.rows.size(), 2u);  // 1 shape x 1 sparsity x 2 algorithms
   for (const core::SweepRow& row : report.rows) {
     EXPECT_EQ(row.point.suite, "impsweep");

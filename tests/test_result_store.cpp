@@ -1,5 +1,5 @@
 // Persistent result store: journal round trips, crash recovery (truncated
-// and corrupted tails), format guards, write-through sweep caching,
+// and corrupted tails), format guards, sweep journaling and resume,
 // resume-after-kill, and digest sharding + merge byte-identity.
 #include "core/result_store.h"
 
@@ -217,23 +217,18 @@ TEST(ResultStore, SelfConflictingJournalRaisesSimError) {
 TEST(ResultStoreSweep, ResumeServesWarmStoreWithZeroNewSimulations) {
   const std::string dir = fresh_dir("resume");
   const SweepSpec spec = parse_sweep_spec(kUnitSpec);
+  const std::vector<SweepPoint> points = expand_sweep(spec);
 
   SweepReport cold;
   {
     ResultStore store(dir);
-    SweepCache cache;
-    cache.attach_store(store, /*preload=*/true);
-    cold = run_sweep(spec, /*threads=*/2, &cache);
+    cold = run_sweep(spec, points, /*threads=*/2, &store, /*resume=*/true);
     EXPECT_EQ(store.appended(), 6u);  // 3 workloads x 2 algorithms
-    EXPECT_EQ(cache.store_loads(), 0u);
   }
   {
     ResultStore store(dir);
     EXPECT_EQ(store.loaded(), 6u);
-    SweepCache cache;
-    cache.attach_store(store, /*preload=*/true);
-    EXPECT_EQ(cache.store_loads(), 6u);
-    const SweepReport warm = run_sweep(spec, /*threads=*/2, &cache);
+    const SweepReport warm = run_sweep(spec, points, /*threads=*/2, &store, /*resume=*/true);
     EXPECT_EQ(store.appended(), 0u);  // zero new simulations
     EXPECT_EQ(report_to_csv(warm), report_to_csv(cold));
     EXPECT_EQ(report_to_json(warm), report_to_json(cold));
@@ -243,12 +238,11 @@ TEST(ResultStoreSweep, ResumeServesWarmStoreWithZeroNewSimulations) {
 TEST(ResultStoreSweep, ResumeAfterKillMidSweepRunsOnlyTheMissingPoints) {
   const std::string dir = fresh_dir("kill");
   const SweepSpec spec = parse_sweep_spec(kUnitSpec);
+  const std::vector<SweepPoint> points = expand_sweep(spec);
   SweepReport full;
   {
     ResultStore store(dir);
-    SweepCache cache;
-    cache.attach_store(store, /*preload=*/true);
-    full = run_sweep(spec, 2, &cache);
+    full = run_sweep(spec, points, 2, &store, /*resume=*/true);
   }
   // "Kill" the process mid-append: chop into the final record so replay
   // recovers 5 of the 6 journaled measurements.
@@ -259,31 +253,36 @@ TEST(ResultStoreSweep, ResumeAfterKillMidSweepRunsOnlyTheMissingPoints) {
   ResultStore store(dir);
   EXPECT_EQ(store.loaded(), 5u);
   EXPECT_GT(store.dropped_bytes(), 0u);
-  SweepCache cache;
-  cache.attach_store(store, /*preload=*/true);
-  const SweepReport resumed = run_sweep(spec, 2, &cache);
+  const SweepReport resumed = run_sweep(spec, points, 2, &store, /*resume=*/true);
   EXPECT_EQ(store.appended(), 1u);  // only the lost point is re-simulated
   EXPECT_EQ(report_to_csv(resumed), report_to_csv(full));
 }
 
-TEST(ResultStoreSweep, WarmStoreWithoutPreloadCrossChecksDeterministically) {
+TEST(ResultStoreSweep, WarmStoreWithoutResumeCrossChecksDeterministically) {
   // --store without --resume: everything re-simulates, and the journal
   // accepts the identical results silently (the drift cross-check).
   const std::string dir = fresh_dir("nopreload");
   const SweepSpec spec = parse_sweep_spec(kUnitSpec);
+  const std::vector<SweepPoint> points = expand_sweep(spec);
   {
     ResultStore store(dir);
-    SweepCache cache;
-    cache.attach_store(store, /*preload=*/false);
-    (void)run_sweep(spec, 2, &cache);
+    (void)run_sweep(spec, points, 2, &store);
     EXPECT_EQ(store.appended(), 6u);
   }
-  ResultStore store(dir);
-  SweepCache cache;
-  cache.attach_store(store, /*preload=*/false);
-  EXPECT_EQ(cache.store_loads(), 0u);
-  (void)run_sweep(spec, 2, &cache);
-  EXPECT_EQ(store.appended(), 0u);  // re-measured, matched, nothing re-journaled
+  {
+    ResultStore store(dir);
+    (void)run_sweep(spec, points, 2, &store);
+    EXPECT_EQ(store.appended(), 0u);  // re-measured, matched, nothing re-journaled
+  }
+  // A journaled result the model no longer reproduces fails the sweep.
+  const std::string key = grid_keys(spec, points).front();
+  const std::string drifted = fresh_dir("drifted");
+  {
+    ResultStore store(drifted);
+    store.put(key, StoredResult{1.0, 1});
+  }
+  ResultStore store(drifted);
+  EXPECT_THROW((void)run_sweep(spec, points, 2, &store), SimError);
 }
 
 // --- sharding and merge ---------------------------------------------------
@@ -316,8 +315,8 @@ TEST(Sharding, ShardsPartitionTheGridExactly) {
 
 TEST(Sharding, TwoShardStoresMergeByteIdenticalToSingleRun) {
   const SweepSpec spec = parse_sweep_spec(kUnitSpec);
-  const SweepReport single = run_sweep(spec, 2);
   const std::vector<SweepPoint> points = expand_sweep(spec);
+  const SweepReport single = run_sweep(spec, points, 2);
 
   std::map<std::string, StoredResult> merged;
   std::vector<std::string> dirs;
@@ -325,10 +324,7 @@ TEST(Sharding, TwoShardStoresMergeByteIdenticalToSingleRun) {
     const std::string dir = fresh_dir("shard" + std::to_string(i));
     dirs.push_back(dir);
     ResultStore store(dir);
-    SweepCache cache;
-    cache.attach_store(store, /*preload=*/true);
-    BatchRunner pool(2);
-    (void)run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), pool, &cache);
+    (void)run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), 2, &store);
   }
   for (const std::string& dir : dirs) {
     const ResultStore store(dir);
@@ -342,15 +338,13 @@ TEST(Sharding, TwoShardStoresMergeByteIdenticalToSingleRun) {
 
 TEST(Sharding, ShardReportsMergeLikeStores) {
   const SweepSpec spec = parse_sweep_spec(kUnitSpec);
-  const SweepReport single = run_sweep(spec, 2);
   const std::vector<SweepPoint> points = expand_sweep(spec);
+  const SweepReport single = run_sweep(spec, points, 2);
 
   std::map<std::string, StoredResult> merged;
-  BatchRunner pool(2);
   for (unsigned i = 1; i <= 2; ++i) {
     // Round-trip each shard through its rendered CSV, exactly like the CLI.
-    const SweepReport shard =
-        run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), pool);
+    const SweepReport shard = run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), 2);
     accumulate_results(spec, parse_csv_report(report_to_csv(shard)), merged);
   }
   const SweepReport fused = assemble_report(spec, merged);
@@ -371,12 +365,11 @@ TEST(Sharding, SampledShardCsvsStillMergeToByteIdenticalCsv) {
     "sample_rows": 8,
     "sample_full_strips": 2
   })");
-  const SweepReport single = run_sweep(spec, 2);
   const std::vector<SweepPoint> points = expand_sweep(spec);
-  BatchRunner pool(2);
+  const SweepReport single = run_sweep(spec, points, 2);
   std::map<std::string, StoredResult> merged;
   for (unsigned i = 1; i <= 2; ++i) {
-    const SweepReport shard = run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), pool);
+    const SweepReport shard = run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), 2);
     accumulate_results(spec, parse_csv_report(report_to_csv(shard)), merged);
   }
   EXPECT_EQ(report_to_csv(assemble_report(spec, merged)), report_to_csv(single));
@@ -384,15 +377,14 @@ TEST(Sharding, SampledShardCsvsStillMergeToByteIdenticalCsv) {
 
 TEST(Sharding, MergeRefusesGapsAndConflicts) {
   const SweepSpec spec = parse_sweep_spec(kUnitSpec);
-  const SweepReport single = run_sweep(spec, 2);
+  const std::vector<SweepPoint> points = expand_sweep(spec);
+  const SweepReport single = run_sweep(spec, points, 2);
 
   // A gap: one shard alone does not cover the grid.
-  const std::vector<SweepPoint> points = expand_sweep(spec);
   const auto half = filter_shard(spec, points, ShardSpec{1, 2});
   ASSERT_LT(half.size(), points.size());
-  BatchRunner pool(2);
   std::map<std::string, StoredResult> partial;
-  accumulate_results(spec, run_sweep(spec, half, pool), partial);
+  accumulate_results(spec, run_sweep(spec, half, 2), partial);
   EXPECT_THROW((void)assemble_report(spec, partial), SimError);
 
   // A conflict: two inputs disagree about one measurement.

@@ -1,9 +1,10 @@
 // Sweep engine: spec parsing/validation, deterministic grid expansion,
-// result-cache deduplication, and stable CSV/JSON report emission.
+// duplicate-point deduplication, and stable CSV/JSON report emission.
 #include "core/sweep.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "common/json.h"
@@ -71,7 +72,11 @@ TEST(SweepSpec, RejectsBadDocuments) {
 TEST(SweepSpec, EngineKeyIsAcceptedAndIgnored) {
   // Kept for old specs: both values it ever took render the same bytes as
   // the spec without the key, and any other value is still rejected.
-  const SweepReport plain = run_sweep(parse_sweep_spec(kTinySpec), 2);
+  const auto sweep = [](const std::string& text) {
+    const SweepSpec spec = parse_sweep_spec(text);
+    return run_sweep(spec, expand_sweep(spec), 2);
+  };
+  const SweepReport plain = sweep(kTinySpec);
   const auto with_engine = [](const std::string& engine) {
     std::string text = kTinySpec;
     text.insert(text.find('{') + 1, "\n  \"engine\": \"" + engine + "\",");
@@ -79,7 +84,7 @@ TEST(SweepSpec, EngineKeyIsAcceptedAndIgnored) {
   };
   for (const char* engine : {"interp", "threaded"}) {
     SCOPED_TRACE(engine);
-    const SweepReport report = run_sweep(parse_sweep_spec(with_engine(engine)), 2);
+    const SweepReport report = sweep(with_engine(engine));
     EXPECT_EQ(report_to_csv(report), report_to_csv(plain));
     EXPECT_EQ(report_to_json(report), report_to_json(plain));
   }
@@ -208,7 +213,7 @@ TEST(SweepExpansion, SkipsStructurallyUnsupportedCells) {
   }
   // The filtered grid runs to completion (this aborted mid-sweep before
   // cells were filtered).
-  const SweepReport report = run_sweep(spec, 2);
+  const SweepReport report = run_sweep(spec, points, 2);
   EXPECT_EQ(report.rows.size(), 27u);
 }
 
@@ -233,7 +238,7 @@ TEST(SweepExpansion, Algorithm4ExpandsBStationaryOnly) {
       EXPECT_EQ(p.config.kernel.dataflow, kernels::Dataflow::kBStationary);
     }
   EXPECT_EQ(alg4, 6u);
-  const SweepReport report = run_sweep(spec, 2);
+  const SweepReport report = run_sweep(spec, points, 2);
   EXPECT_EQ(report.rows.size(), 24u);
 }
 
@@ -261,20 +266,8 @@ TEST(SweepExpansion, SsrExpandsBStationaryUnrollOneOnly) {
       EXPECT_EQ(p.config.kernel.unroll, 1u);
     }
   EXPECT_EQ(ssr, 3u);
-  const SweepReport report = run_sweep(spec, 2);
+  const SweepReport report = run_sweep(spec, points, 2);
   EXPECT_EQ(report.rows.size(), 21u);
-}
-
-TEST(SweepExpansion, PreExpandedOverloadMatchesImplicitExpansion) {
-  const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const auto points = expand_sweep(spec);
-  BatchRunner pool(2);
-  const SweepReport a = run_sweep(spec, pool);
-  const SweepReport b = run_sweep(spec, points, pool);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  EXPECT_EQ(a.spec_hash, b.spec_hash);
-  for (std::size_t i = 0; i < a.rows.size(); ++i)
-    EXPECT_EQ(a.rows[i].cycles, b.rows[i].cycles);
 }
 
 TEST(SweepExpansion, DeterministicOrderAndCount) {
@@ -303,7 +296,7 @@ TEST(SweepExpansion, DeterministicOrderAndCount) {
     EXPECT_EQ(points[i].cache_key(spec), again[i].cache_key(spec));
 }
 
-TEST(SweepCacheKey, DistinguishesEveryKnob) {
+TEST(SweepPointKey, DistinguishesEveryKnob) {
   SweepSpec spec = parse_sweep_spec(kTinySpec);
   const auto points = expand_sweep(spec);
   SweepPoint p = points[0];
@@ -339,7 +332,7 @@ TEST(SweepCacheKey, DistinguishesEveryKnob) {
 
 TEST(SweepRun, MatchesDirectRunnerResults) {
   const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), /*threads=*/2);
   ASSERT_EQ(report.rows.size(), 6u);  // 3 workloads x 2 algorithms
   EXPECT_EQ(report.spec_name, "unit");
   EXPECT_NE(report.spec_hash, 0u);
@@ -351,31 +344,33 @@ TEST(SweepRun, MatchesDirectRunnerResults) {
   }
 }
 
-TEST(SweepRun, CacheDeduplicatesWithinAndAcrossSweeps) {
+TEST(SweepRun, DeduplicatesWithinASweepAndResumesAcrossSweeps) {
   // Duplicate suite entry: every point appears twice, but each unique
-  // measurement must be simulated exactly once.
+  // measurement must be simulated (and journaled) exactly once.
   SweepSpec spec = parse_sweep_spec(kTinySpec);
   spec.suites = {"tiny", "tiny"};
+  const std::vector<SweepPoint> points = expand_sweep(spec);
+  const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) / "sweep_dedup";
+  std::filesystem::remove_all(dir);
 
-  SweepCache cache;
-  BatchRunner pool(2);
-  const SweepReport first = run_sweep(spec, pool, &cache);
+  ResultStore store(dir.string());
+  const SweepReport first = run_sweep(spec, points, 2, &store);
   ASSERT_EQ(first.rows.size(), 12u);
-  EXPECT_EQ(cache.size(), 6u);  // unique measurements only
+  EXPECT_EQ(store.appended(), 6u);  // unique measurements only
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(first.rows[i].cycles, first.rows[i + 6].cycles);
     EXPECT_EQ(first.rows[i].data_accesses, first.rows[i + 6].data_accesses);
   }
 
-  // Re-running hits the cache for every unique key (no new entries) and
+  // Resuming serves every unique key from the store (no new records) and
   // reproduces identical rows.
-  const SweepReport second = run_sweep(spec, pool, &cache);
-  EXPECT_EQ(cache.size(), 6u);
-  EXPECT_GT(cache.hits(), 0u);
+  const SweepReport second = run_sweep(spec, points, 2, &store, /*resume=*/true);
+  EXPECT_EQ(store.appended(), 6u);
   ASSERT_EQ(second.rows.size(), first.rows.size());
   for (std::size_t i = 0; i < first.rows.size(); ++i)
     EXPECT_EQ(second.rows[i].cycles, first.rows[i].cycles);
   EXPECT_EQ(second.spec_hash, first.spec_hash);
+  EXPECT_THROW((void)run_sweep(spec, points, 2, nullptr, /*resume=*/true), SimError);
 }
 
 TEST(SweepRun, SampledModeUsesSampleControls) {
@@ -390,7 +385,7 @@ TEST(SweepRun, SampledModeUsesSampleControls) {
   })");
   EXPECT_EQ(spec.sample.sample_rows, 8u);
   EXPECT_EQ(spec.sample.sample_full_strips, 2u);
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), /*threads=*/2);
   ASSERT_EQ(report.rows.size(), 3u);
   for (const SweepRow& row : report.rows) {
     EXPECT_GT(row.cycles, 0.0);
@@ -430,7 +425,7 @@ TEST(SweepRun, SimulatesEachDistinctMiniatureOnceAtAnyThreadCount) {
   };
   const auto sweep = [](const SweepSpec& spec, unsigned threads) {
     const MiniatureCounts before = miniature_counts();
-    const SweepReport report = run_sweep(spec, threads);
+    const SweepReport report = run_sweep(spec, expand_sweep(spec), threads);
     const MiniatureCounts after = miniature_counts();
     for (const SweepRow& row : report.rows) {
       const MiniatureSpec mini =
@@ -458,7 +453,7 @@ TEST(SweepRun, SimulatesEachDistinctMiniatureOnceAtAnyThreadCount) {
 
 TEST(SweepReportFormats, CsvIsStableAndRoundTrips) {
   const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const SweepReport report = run_sweep(spec, 2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), 2);
   const std::string csv = report_to_csv(report);
   // Emission is deterministic.
   EXPECT_EQ(csv, report_to_csv(report));
@@ -491,7 +486,7 @@ TEST(SweepReportFormats, CsvIsStableAndRoundTrips) {
 
 TEST(SweepReportFormats, JsonCarriesEveryRow) {
   const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const SweepReport report = run_sweep(spec, 2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), 2);
   const std::string json = report_to_json(report);
   const JsonValue doc = parse_json(json);
   EXPECT_EQ(doc.at("spec").as_string(), "unit");
@@ -505,7 +500,7 @@ TEST(SweepReportFormats, ParserRejectsCorruptCsv) {
   EXPECT_THROW((void)parse_csv_report(""), SimError);
   EXPECT_THROW((void)parse_csv_report("not,a,header\n"), SimError);
   const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const std::string csv = report_to_csv(run_sweep(spec, 2));
+  const std::string csv = report_to_csv(run_sweep(spec, expand_sweep(spec), 2));
   EXPECT_THROW((void)parse_csv_report(csv + "short,row\n"), SimError);
   EXPECT_THROW((void)parse_csv_report(csv + "a,b,1,x,1,1,1:4,rowwise,b,4,16,exact,1,1\n"),
                SimError);
@@ -515,13 +510,27 @@ TEST(SweepReportFormats, ParserRejectsCorruptCsv) {
                SimError);
   EXPECT_THROW((void)parse_csv_report(csv + "a,b,1,1,1,1,1:4,rowwise,b,4,16,exact,,1\n"),
                SimError);
+  // Integer fields are bounded: a 32-bit field past 2^32-1 used to wrap
+  // into a different point (unroll 4294967300 read as 4), and a 64-bit
+  // field past 2^64-1 to overflow.
+  for (const char* row :
+       {"tiny,tiny.square,1,16,64,32,1:4,rowwise,b,4294967300,16,exact,17084,1024",
+        "tiny,tiny.square,4294967297,16,64,32,1:4,rowwise,b,4,16,exact,1,1",
+        "tiny,tiny.square,1,16,64,32,1:4,rowwise,b,4,4294967296,exact,1,1",
+        "a,b,1,100000000000000000000,1,1,1:4,rowwise,b,4,16,exact,1,1",
+        "a,b,1,1,1,1,1:4,rowwise,b,4,16,exact,1,100000000000000000000"})
+    EXPECT_THROW((void)parse_csv_report(csv + row + "\n"), SimError) << row;
+  const SweepReport widest = parse_csv_report(
+      csv + "a,b,4294967295,1,1,1,1:4,rowwise,b,4,16,exact,1,18446744073709551615\n");
+  EXPECT_EQ(widest.rows.back().point.count, 4294967295u);
+  EXPECT_EQ(widest.rows.back().data_accesses, 18446744073709551615ull);
 }
 
 TEST(SweepReportFormats, ParserRejectsCorruptHeaderHash) {
   // Regression: a truncated/garbled header hash used to escape as an
   // uncaught std::invalid_argument / std::out_of_range from std::stoull.
   const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const std::string csv = report_to_csv(run_sweep(spec, 2));
+  const std::string csv = report_to_csv(run_sweep(spec, expand_sweep(spec), 2));
   const std::size_t hash_at = csv.find("hash=");
   ASSERT_NE(hash_at, std::string::npos);
   const std::size_t eol = csv.find('\n', hash_at);
@@ -599,7 +608,7 @@ TEST(Rollup, SplitsGroupsByEveryKeyField) {
 
 TEST(Rollup, CsvSectionAppendsAfterPointRowsAndParserStopsAtMarker) {
   const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const SweepReport report = run_sweep(spec, 2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), 2);
   const std::string plain_csv = report_to_csv(report);
   const std::string rollup_csv = rollup_to_csv(compute_rollup(report));
   // The section starts with the marker and renders deterministically.
@@ -615,7 +624,7 @@ TEST(Rollup, CsvSectionAppendsAfterPointRowsAndParserStopsAtMarker) {
 
 TEST(Rollup, JsonReportCarriesRollupSection) {
   const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const SweepReport report = run_sweep(spec, 2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), 2);
   const RollupReport rollup = compute_rollup(report);
   const std::string json = report_to_json_with_rollup(report, rollup);
   const JsonValue doc = parse_json(json);

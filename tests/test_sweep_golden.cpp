@@ -48,7 +48,7 @@ TEST(SweepGolden, TinySweepReproducesCheckedInCsvByteForByte) {
   const SweepSpec spec = parse_sweep_spec_file(golden_path("tiny_sweep.json"));
   const std::string expected = read_file(golden_path("tiny_sweep.csv"));
 
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), /*threads=*/2);
   const std::string actual = report_to_csv(report);
 
   if (actual != expected) {
@@ -67,7 +67,7 @@ TEST(SweepGolden, TinySweepReproducesCheckedInJsonByteForByte) {
   // formatter (std::to_chars) in addition to the timing model.
   const SweepSpec spec = parse_sweep_spec_file(golden_path("tiny_sweep.json"));
   const std::string expected = read_file(golden_path("tiny_sweep_report.json"));
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), /*threads=*/2);
   EXPECT_EQ(report_to_json(report), expected)
       << "golden JSON drifted; regenerate with:\n    imac_run sweep --spec "
          "tests/golden/tiny_sweep.json --format json --out tests/golden/tiny_sweep_report.json\n";
@@ -79,7 +79,7 @@ TEST(SweepGolden, TinySweepRollupReproducesCheckedInCsvByteForByte) {
   // CSV is byte-stable like the per-point report.
   const SweepSpec spec = parse_sweep_spec_file(golden_path("tiny_sweep.json"));
   const std::string expected = read_file(golden_path("tiny_sweep_rollup.csv"));
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), /*threads=*/2);
   const std::string actual = report_to_csv(report) + rollup_to_csv(compute_rollup(report));
   EXPECT_EQ(actual, expected)
       << "golden rollup drifted; regenerate with:\n    imac_run sweep --spec "
@@ -96,7 +96,7 @@ TEST(SweepGolden, TinySampledSweepReproducesCheckedInCsvAndRollup) {
   // worker's previous miniature problem. Two threads interleave reuses and
   // rebuilds, and the bytes must not depend on which a point got.
   const SweepSpec spec = parse_sweep_spec_file(golden_path("tiny_sampled_sweep.json"));
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), /*threads=*/2);
   const std::string csv = report_to_csv(report);
   EXPECT_EQ(csv, read_file(golden_path("tiny_sampled_sweep.csv")))
       << "golden sampled sweep drifted; regenerate with:\n    imac_run sweep --spec "
@@ -122,11 +122,11 @@ TEST(SweepGolden, BenchSpecsReproduceCheckedInResults) {
       specs.push_back(entry.path());
   std::sort(specs.begin(), specs.end());
   ASSERT_FALSE(specs.empty());
-  BatchRunner pool(2);
   for (const fs::path& path : specs) {
     const std::string name = path.stem().string();
     SCOPED_TRACE(name);
-    const SweepReport report = run_sweep(parse_sweep_spec_file(path.string()), pool);
+    const SweepSpec spec = parse_sweep_spec_file(path.string());
+    const SweepReport report = run_sweep(spec, expand_sweep(spec), 2);
     EXPECT_EQ(report_to_csv(report) + rollup_to_csv(compute_rollup(report)),
               read_file((bench / "results" / (name + ".csv")).string()))
         << "published results drifted; after an intentional model change, regenerate with:\n"
@@ -151,11 +151,8 @@ TEST(SweepGolden, TwoShardsWithStoresMergeByteIdenticalToGolden) {
     fs::remove_all(dir);
     dirs.push_back(dir.string());
     ResultStore store(dirs.back());
-    SweepCache cache;
-    cache.attach_store(store, /*preload=*/true);
-    BatchRunner pool(2);
     const auto shard_points = filter_shard(spec, points, ShardSpec{i, 2});
-    (void)run_sweep(spec, shard_points, pool, &cache);
+    (void)run_sweep(spec, shard_points, 2, &store, /*resume=*/true);
     EXPECT_EQ(store.appended(), shard_points.size()) << "shard " << i;
   }
 
@@ -170,10 +167,8 @@ TEST(SweepGolden, TwoShardsWithStoresMergeByteIdenticalToGolden) {
 
   for (unsigned i = 1; i <= 2; ++i) {
     ResultStore store(dirs[i - 1]);
-    SweepCache cache;
-    cache.attach_store(store, /*preload=*/true);
-    BatchRunner pool(2);
-    (void)run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), pool, &cache);
+    (void)run_sweep(spec, filter_shard(spec, points, ShardSpec{i, 2}), 2, &store,
+                    /*resume=*/true);
     EXPECT_EQ(store.appended(), 0u) << "resume of shard " << i << " re-simulated a point";
   }
 }
@@ -186,7 +181,7 @@ TEST(SweepGolden, GoldenArtifactsAreStableUnderCommaDecimalLocale) {
   testutil::ScopedCommaLocale locale;
   if (!locale.active()) GTEST_SKIP() << "no comma-decimal locale installed";
   const SweepSpec spec = parse_sweep_spec_file(golden_path("tiny_sweep.json"));
-  const SweepReport report = run_sweep(spec, /*threads=*/2);
+  const SweepReport report = run_sweep(spec, expand_sweep(spec), /*threads=*/2);
   EXPECT_EQ(report_to_csv(report), read_file(golden_path("tiny_sweep.csv")));
   EXPECT_EQ(report_to_json(report), read_file(golden_path("tiny_sweep_report.json")));
   // And the CSV re-parser reads them back unchanged under the same locale.

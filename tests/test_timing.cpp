@@ -7,6 +7,7 @@
 
 #include <random>
 #include <string>
+#include <type_traits>
 
 #include "asm/assembler.h"
 #include "asm/text_assembler.h"
@@ -19,6 +20,11 @@
 
 namespace indexmac::timing {
 namespace {
+
+// The simulator keeps a reference to its Program, so a temporary one must
+// not compile: TimingSim(assemble_text(src).program, ...) would dangle.
+static_assert(!std::is_constructible_v<TimingSim, Program&&, MainMemory&, const ProcessorConfig&>);
+static_assert(std::is_constructible_v<TimingSim, Program&, MainMemory&, const ProcessorConfig&>);
 
 struct Timed {
   MainMemory mem;

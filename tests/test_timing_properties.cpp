@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "asm/text_assembler.h"
-#include "core/algorithm_registry.h"
+#include "core/algorithm_table.h"
 #include "core/runner.h"
 #include "core/spmm_problem.h"
 #include "timing/timing_sim.h"
@@ -178,16 +178,16 @@ std::vector<Perturbation> one_field_perturbations(const ProcessorConfig& base) {
 }
 
 /// Exact cycles of every program the guard below runs under `proc`: the
-/// registry's families on a small shape, and the debug demo, the one
+/// table's families on a small shape, and the debug demo, the one
 /// checked-in program with a scalar `mul`.
 std::vector<std::uint64_t> program_cycles(const ProcessorConfig& proc) {
   std::vector<std::uint64_t> out;
   const auto problem = SpmmProblem::random(kDims, sparse::kSparsity14, 77);
-  for (const core::AlgorithmDescriptor& d : core::AlgorithmRegistry::instance().all()) {
-    const unsigned unroll = d.supports(kernels::Dataflow::kBStationary, 4) ? 4 : 1;
+  for (const core::AlgorithmRow& row : core::algorithm_table()) {
+    const unsigned unroll = row.supports(kernels::Dataflow::kBStationary, 4) ? 4 : 1;
     out.push_back(
-        core::run_exact(problem, RunConfig{.algorithm = d.algorithm, .kernel = {.unroll = unroll}},
-                        proc)
+        core::run_exact(problem,
+                        RunConfig{.algorithm = row.algorithm, .kernel = {.unroll = unroll}}, proc)
             .stats.cycles);
   }
   std::ifstream file(std::string(INDEXMAC_GOLDEN_DIR) + "/debug_demo.s");

@@ -42,7 +42,7 @@
 #include "asm/text_assembler.h"
 #include "common/error.h"
 #include "common/format.h"
-#include "core/algorithm_registry.h"
+#include "core/algorithm_table.h"
 #include "core/batch.h"
 #include "core/result_store.h"
 #include "core/rollup.h"
@@ -92,9 +92,9 @@ const SubcommandDoc kSubcommands[] = {
      "        [--store DIR] [--resume] [--fsync] [--shard i/N]\n"
      "        [--import DIR]... [--rollup]\n"
      "      Runs the sweep described by spec.json (see README: sweep specs)\n"
-     "      on a parallel BatchRunner pool and writes the report to stdout\n"
-     "      or --out.\n"
-     "      --threads N   worker-pool width, an integer in [1, 1024] (default:\n"
+     "      on parallel worker threads and writes the report to stdout or\n"
+     "      --out.\n"
+     "      --threads N   worker threads, an integer in [1, 1024] (default:\n"
      "                    one worker per hardware thread)\n"
      "      --store DIR   journal every completed point to DIR/results.journal\n"
      "                    (append-only, CRC-checked; survives a killed run)\n"
@@ -363,7 +363,7 @@ int cmd_sweep(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--rollup") == 0) rollup = true;
     else if (std::strcmp(argv[i], "--fsync") == 0) fsync_each = true;
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = core::BatchRunner::parse_thread_count(argv[++i]);
+      threads = core::parse_thread_count(argv[++i]);
     else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
       const char* fmt = argv[++i];
       if (std::strcmp(fmt, "json") == 0) json = true;
@@ -408,15 +408,12 @@ int cmd_sweep(int argc, char** argv) {
                  points.size(), full_grid);
   }
 
-  // The store (when given) backs the sweep cache: every completed point is
-  // journaled as it finishes, and --resume additionally serves journaled
-  // points without re-simulation.
+  // With a store, every completed point is journaled as it finishes, and
+  // --resume additionally serves journaled points without re-simulation.
   std::unique_ptr<core::ResultStore> store;
-  core::SweepCache cache;
   if (store_dir != nullptr) {
     store = std::make_unique<core::ResultStore>(
         store_dir, fsync_each ? core::Durability::kFsyncEach : core::Durability::kFlush);
-    cache.attach_store(*store, resume);
     if (store->dropped_bytes() > 0)
       std::fprintf(stderr, "store %s: recovered (dropped %llu corrupt tail bytes)\n",
                    store->journal_path().c_str(),
@@ -426,12 +423,13 @@ int cmd_sweep(int argc, char** argv) {
                  resume ? " (resuming)" : "");
   }
 
-  core::BatchRunner pool(threads);
+  if (threads == 0) threads = core::default_thread_count();
   std::fprintf(stderr, "sweep %s: %zu points on %u threads\n", spec.name.c_str(), points.size(),
-               pool.thread_count());
+               threads);
   install_stop_handlers();
   try {
-    const core::SweepReport report = core::run_sweep(spec, points, pool, &cache, &g_stop);
+    const core::SweepReport report =
+        core::run_sweep(spec, points, threads, store.get(), resume, &g_stop);
     if (store != nullptr) {
       // Every point the report shows is on stable storage before the
       // report exists, whatever the per-record durability level.
@@ -688,9 +686,9 @@ int cmd_list_algorithms(int argc, char** /*argv*/) {
   }
   TextTable table;
   table.set_header({"id", "name", "role", "sampled", "description"});
-  for (const core::AlgorithmDescriptor& d : core::AlgorithmRegistry::instance().all())
-    table.add_row({d.id, d.display_name, core::pairing_role_name(d.pairing),
-                   d.supports_sampled ? "yes" : "no", d.description});
+  for (const core::AlgorithmRow& row : core::algorithm_table())
+    table.add_row({row.id, row.display_name, core::pairing_role_name(row.pairing),
+                   row.supports_sampled ? "yes" : "no", row.description});
   std::printf("%s", table.to_string().c_str());
   return 0;
 }
@@ -737,7 +735,7 @@ int cmd_import_model(int argc, char** argv) {
   return 0;
 }
 
-/// The rows of one report line, by registry pairing role: the baseline,
+/// The rows of one report line, by pairing role: the baseline,
 /// proposed and proposed-v2 measurements of one point share a line, and
 /// each standalone family (dense, ssr) keeps a line of its own.
 template <typename Row>
@@ -762,15 +760,14 @@ std::vector<PairedLine<Row>> pair_rows(const std::vector<Row>& rows, Key key, Al
   std::map<std::string, std::size_t> line_of;
   std::vector<PairedLine<Row>> lines;
   for (const Row& row : rows) {
-    const indexmac::core::AlgorithmDescriptor& desc =
-        indexmac::core::AlgorithmRegistry::instance().by_algorithm(algorithm(row));
+    const indexmac::core::AlgorithmRow& family = indexmac::core::algorithm_row(algorithm(row));
     std::string k = key(row);
-    if (desc.pairing == PairingRole::kStandalone) k += "|" + desc.id;
+    if (family.pairing == PairingRole::kStandalone) k += std::string("|") + family.id;
     const auto [it, inserted] = line_of.try_emplace(k, lines.size());
     if (inserted) lines.emplace_back();
     PairedLine<Row>& line = lines[it->second];
     line.any = &row;
-    switch (desc.pairing) {
+    switch (family.pairing) {
       case PairingRole::kBaseline: line.baseline = &row; break;
       case PairingRole::kProposed: line.proposed = &row; break;
       case PairingRole::kProposedV2: line.proposed_v2 = &row; break;
@@ -821,7 +818,7 @@ int print_rollup_report(const indexmac::core::SweepReport& report) {
     std::vector<std::string> cells = {
         row.suite, workloads::sparsity_label(row.sp), core::dataflow_id(row.dataflow),
         std::to_string(row.unroll), std::to_string(row.tile_rows),
-        core::AlgorithmRegistry::instance().by_algorithm(row.algorithm).id,
+        core::algorithm_row(row.algorithm).id,
         std::to_string(row.layers), fmt_fixed(row.cycles, 0), fmt_count(row.data_accesses),
         fmt_count(row.energy_proxy_bytes())};
     cells.insert(cells.end(), ratios.begin(), ratios.end());
@@ -890,8 +887,7 @@ int cmd_report(int argc, char** argv) {
     std::vector<std::string> cells = {
         p.suite, p.workload, dims_label(p.dims), workloads::sparsity_label(p.sp),
         core::dataflow_id(p.config.kernel.dataflow), std::to_string(p.config.kernel.unroll),
-        std::to_string(p.config.tile_rows),
-        core::AlgorithmRegistry::instance().by_algorithm(p.config.algorithm).id,
+        std::to_string(p.config.tile_rows), core::algorithm_row(p.config.algorithm).id,
         fmt_fixed(shown.cycles, 0), fmt_count(shown.data_accesses)};
     const std::vector<std::string> ratios = ratio_cells(line.baseline, line.proposed);
     cells.insert(cells.end(), ratios.begin(), ratios.end());
