@@ -21,6 +21,10 @@ const char* kind_name(JsonValue::Kind k) {
   return "?";
 }
 
+/// Each '[' or '{' recurses once, so a deeper document fails instead of
+/// overflowing the stack. Specs and manifests nest 3 deep.
+constexpr std::size_t kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -66,9 +70,15 @@ class Parser {
 
   JsonValue parse_value() {
     const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
       case '"': return JsonValue(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue(true);
@@ -166,6 +176,7 @@ class Parser {
   const std::string& text_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
+  std::size_t depth_ = 0;
 };
 
 void dump_string(std::string& out, const std::string& s) {

@@ -2,8 +2,8 @@
 //
 // Supports objects, arrays, double-quoted strings (with \" \\ \/ \n \t
 // escapes), integers/doubles, booleans and null — enough for declarative
-// configuration files, with no external dependency. Parse errors throw
-// SimError with a line-numbered message.
+// configuration files, with no external dependency. Parse errors, including
+// nesting deeper than 64 levels, throw SimError with a line-numbered message.
 #pragma once
 
 #include <cstdint>

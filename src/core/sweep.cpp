@@ -197,13 +197,19 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
     IMAC_CHECK(engine == "interp" || engine == "threaded",
                "sweep spec: unknown engine \"" + engine + "\" (valid: interp, threaded)");
   }
-  if (spec.mode == SweepMode::kSampled)
+  if (spec.mode == SweepMode::kSampled) {
     for (const Algorithm alg : spec.algorithms) {
       const AlgorithmRow& family = algorithm_row(alg);
       IMAC_CHECK(family.supports_sampled,
                  std::string("sweep spec: sampled mode supports the sparse kernels only (drop \"") +
                      family.id + "\" or use mode \"exact\")");
     }
+    // run_sampled extrapolates B-stationary strips only.
+    for (const kernels::Dataflow df : spec.dataflows)
+      IMAC_CHECK(df == kernels::Dataflow::kBStationary,
+                 std::string("sweep spec: sampled mode supports dataflow \"b\" only (drop \"") +
+                     dataflow_id(df) + "\" or use mode \"exact\")");
+  }
   if (const JsonValue* v = doc.get("seed")) spec.seed = as_u32(*v, "seed");
   // Exact points are keyed without the sampling controls, which they never read.
   if (spec.mode == SweepMode::kExact)

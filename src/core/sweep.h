@@ -13,7 +13,7 @@
 //     "sparsities": ["1:4", "2:4"],               // optional: suite default
 //     "algorithms": ["rowwise", "indexmac"],      // optional: both sparse
 //     "unroll": [1, 4],                           // optional: [4]
-//     "dataflows": ["b"],                         // optional: ["b"]
+//     "dataflows": ["b"],                         // optional: ["b"]; sampled: b only
 //     "tile_rows": [16],                          // optional: [16]
 //     "mode": "exact",                            // or "sampled" (default)
 //     "engine": "threaded",                       // optional, ignored (see below)

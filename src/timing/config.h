@@ -52,7 +52,7 @@ struct ProcessorConfig {
   VectorEngineConfig vector;
   MemHierConfig memory;
 
-  /// Human-readable rendition of the configuration (bench/table1_config).
+  /// Human-readable rendition of the configuration (examples/table1_config).
   [[nodiscard]] std::string describe() const;
 
   friend auto operator<=>(const ProcessorConfig&, const ProcessorConfig&) = default;

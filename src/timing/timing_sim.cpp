@@ -263,7 +263,7 @@ class Model {
   static bool marker(Model& m, const Slot& s) {
     m.machine_.step();
     const std::uint64_t cycle = m.commit(m.dispatch());
-    m.markers_.push_back(MarkerEvent{s.imm, cycle, m.committed_, m.mem_.stats()});
+    m.markers_.push_back(MarkerEvent{s.imm, cycle, m.committed_});
     return false;
   }
 

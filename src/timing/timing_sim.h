@@ -41,7 +41,6 @@ struct MarkerEvent {
   std::int32_t id = 0;
   std::uint64_t cycle = 0;        ///< commit cycle of the marker
   std::uint64_t instructions = 0; ///< instructions committed so far
-  MemStats mem;                   ///< memory counters at this point
 };
 
 /// Where vector dispatch time goes: for each vector instruction the model

@@ -10,13 +10,8 @@
 # `merge` only reads stores, so a --store naming no store is an error naming
 # the path, and must not create the directory.
 #
-# bench/sim_throughput's --reps and --scale take 1..1000 and 1..64: a
-# malformed value, 0 or one past the bound is an error naming the flag,
-# instead of running as 1 (--reps -1 once asked for 4,294,967,295 reps).
-#
 # Usage: cmake -DIMAC_RUN=<imac_run> -DPROGRAM=<file.s> -DSPEC=<spec.json>
-#              -DWORK_DIR=<scratch dir> [-DSIM_THROUGHPUT=<sim_throughput>]
-#              -P run_bad_flags.cmake
+#              -DWORK_DIR=<scratch dir> -P run_bad_flags.cmake
 function(expect_rejected expected_err)
   execute_process(COMMAND ${IMAC_RUN} run ${ARGN} ${PROGRAM}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -52,17 +47,6 @@ expect_bad_number(--port ${IMAC_RUN} gdb --port 70000 ${PROGRAM})
 expect_bad_number(--max-steps ${IMAC_RUN} run --max-steps -1 ${PROGRAM})
 expect_bad_number(--threads ${IMAC_RUN} sweep --threads +4 --spec ${PROGRAM})
 expect_bad_number(--threads ${IMAC_RUN} sweep --threads " 4" --spec ${PROGRAM})
-
-if(SIM_THROUGHPUT)
-  set(bench_out --out ${WORK_DIR}/bad_flags_sim_throughput.json)
-  foreach(reps abc 1x 0 -1 +4 1001)
-    expect_bad_number(--reps ${SIM_THROUGHPUT} ${bench_out} --reps ${reps})
-  endforeach()
-  foreach(scale abc 1x 0 -1 65)
-    expect_bad_number(--scale ${SIM_THROUGHPUT} ${bench_out} --scale ${scale})
-  endforeach()
-  expect_bad_number(--reps ${SIM_THROUGHPUT} ${bench_out} --reps abc --scale 1x)
-endif()
 
 set(missing_store "${WORK_DIR}/merge_missing_store")
 file(REMOVE_RECURSE "${missing_store}")

@@ -158,8 +158,9 @@ TEST_P(CacheEquivalence, MatchesReferenceOnRandomStream) {
     const CacheLineResult want = reference.access(addr, is_store);
     ASSERT_EQ(got.hit, want.hit) << "access " << i << " addr " << addr;
     ASSERT_EQ(got.writeback, want.writeback) << "access " << i << " addr " << addr;
-    if (want.writeback)
+    if (want.writeback) {
       ASSERT_EQ(got.victim_addr, want.victim_addr) << "access " << i << " addr " << addr;
+    }
     if (i % 97 == 0) {
       const std::uint64_t probe_addr = pick_addr(rng);
       ASSERT_EQ(cache.probe(probe_addr), reference.probe(probe_addr)) << "probe at " << i;

@@ -59,6 +59,31 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parse_json("\"unterminated"), SimError);
 }
 
+TEST(Json, RejectsNestingDeeperThan64Levels) {
+  // One recursion per '[' or '{': without a bound, 100,000 levels overflow
+  // the stack instead of failing with a SimError.
+  const auto nested = [](std::size_t depth, const std::string& open, const std::string& close) {
+    std::string out;
+    for (std::size_t i = 0; i < depth; ++i) out += open;
+    out += "1";
+    for (std::size_t i = 0; i < depth; ++i) out += close;
+    return out;
+  };
+  for (const std::string& doc :
+       {nested(100000, "[", "]"), nested(100000, "{\"a\": ", "}"), nested(65, "[", "]")}) {
+    try {
+      (void)parse_json(doc);
+      ADD_FAILURE() << "accepted " << doc.substr(0, 16);
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("deeper than 64"), std::string::npos) << e.what();
+    }
+  }
+  const JsonValue deepest = parse_json(nested(64, "[", "]"));
+  const JsonValue* v = &deepest;
+  for (int i = 0; i < 64; ++i) v = &v->as_array().at(0);
+  EXPECT_EQ(v->as_uint(), 1u);
+}
+
 TEST(Json, ErrorsCarryLineNumbers) {
   try {
     (void)parse_json("{\n  \"a\": 1,\n  bogus\n}");

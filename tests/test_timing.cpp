@@ -345,7 +345,6 @@ TEST(Timing, MarkersRecordCommitOrderAndStats) {
   EXPECT_EQ(t.markers[0].id, 7);
   EXPECT_EQ(t.markers[1].id, 8);
   EXPECT_LT(t.markers[0].cycle, t.markers[1].cycle);
-  EXPECT_EQ(t.markers[1].mem.scalar_reads, 1u);
   EXPECT_GT(t.markers[1].instructions, t.markers[0].instructions);
 }
 
