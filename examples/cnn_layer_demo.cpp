@@ -3,37 +3,40 @@
 // timing model, and report the per-layer numbers behind Fig. 4.
 //
 //   ./build/examples/cnn_layer_demo [layer-index]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
 #include "cnn/conv_layer.h"
 #include "core/runner.h"
+#include "workloads/workloads.h"
 
 int main(int argc, char** argv) {
   using namespace indexmac;
   using core::Algorithm;
   using core::RunConfig;
 
-  const auto model = cnn::resnet50();
-  const auto layers = cnn::unique_gemms(model);
+  // One record per distinct GEMM shape, named after its first conv layer.
+  const workloads::ModelGraph& graph = workloads::model_graph("resnet50");
   std::size_t index = 7;  // layer2.0.conv2 by default: a mid-network 3x3
-  if (argc > 1) index = std::strtoul(argv[1], nullptr, 10) % layers.size();
-  const cnn::LayerGemm& layer = layers[index];
-  const cnn::ConvLayer& conv = layer.representative;
+  if (argc > 1) index = std::strtoul(argv[1], nullptr, 10) % graph.layers.size();
+  const workloads::LayerRecord& layer = graph.layers[index];
+  const cnn::CnnModel model = cnn::resnet50();
+  const cnn::ConvLayer& conv = *std::ranges::find(model.layers, layer.name, &cnn::ConvLayer::name);
 
   std::printf("ResNet50 layer %s: conv %ux%u, %u -> %u channels, %ux%u -> %ux%u\n",
               conv.name.c_str(), conv.kernel_h, conv.kernel_w, conv.in_channels,
               conv.out_channels, conv.in_h, conv.in_w, conv.out_h(), conv.out_w());
   std::printf("im2col GEMM: A[%zu x %zu] (weights, structured-sparse) x B[%zu x %zu] (features)\n",
-              layer.dims.rows_a, layer.dims.k, layer.dims.k, layer.dims.cols_b);
-  std::printf("this shape appears %u times in the network\n\n", layer.count);
+              layer.gemm.rows_a, layer.gemm.k, layer.gemm.k, layer.gemm.cols_b);
+  std::printf("this shape appears %u times in the network\n\n", layer.repeat);
 
   const timing::ProcessorConfig proc{};
   for (const auto sp : {sparse::kSparsity14, sparse::kSparsity24}) {
     const RunConfig rowwise{.algorithm = Algorithm::kRowwiseSpmm, .kernel = {.unroll = 4}};
     const RunConfig proposed{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 4}};
-    const auto r2 = core::run_sampled(layer.dims, sp, rowwise, proc);
-    const auto r3 = core::run_sampled(layer.dims, sp, proposed, proc);
+    const auto r2 = core::run_sampled(layer.gemm, sp, rowwise, proc);
+    const auto r3 = core::run_sampled(layer.gemm, sp, proposed, proc);
     std::printf("%u:%u sparsity:\n", sp.n, sp.m);
     std::printf("  Row-Wise-SpMM : %12.0f cycles  (%llu memory accesses)\n", r2.cycles,
                 static_cast<unsigned long long>(r2.data_accesses));

@@ -58,18 +58,6 @@ struct CnnModel {
   std::vector<ConvLayer> layers;
 };
 
-/// One unique GEMM shape with its multiplicity in the network. Layers with
-/// identical GEMM dimensions cost the same simulated time, so experiments
-/// run each shape once and weight by count.
-struct LayerGemm {
-  ConvLayer representative;
-  kernels::GemmDims dims;
-  unsigned count = 1;
-};
-
-/// Groups a model's layers by GEMM shape, preserving first-occurrence order.
-[[nodiscard]] std::vector<LayerGemm> unique_gemms(const CnnModel& model);
-
 /// The three CNNs of the paper's evaluation (ImageNet geometry).
 [[nodiscard]] CnnModel resnet50();      ///< 53 conv layers, 224x224 input
 [[nodiscard]] CnnModel densenet121();   ///< 120 conv layers, 224x224 input

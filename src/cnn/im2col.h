@@ -1,5 +1,5 @@
-// Real im2col lowering and a direct-convolution reference. The figure
-// benches only need layer *dimensions*; this module carries actual feature
+// Real im2col lowering and a direct-convolution reference. Sweeps only need
+// layer *dimensions* (ConvLayer::gemm()); this module carries actual feature
 // maps through the same mapping so end-to-end tests can check that a
 // convolution computed by the simulated vindexmac kernel equals a direct
 // convolution with the same (pruned) weights.

@@ -2,7 +2,7 @@
 // torchvision geometry, batch 1, ImageNet inputs). These reproduce the
 // workloads of the paper's evaluation; weights themselves are synthetic
 // (see docs/architecture.md, "Deliberate simplifications and substitutions").
-#include <map>
+#include <tuple>
 
 #include "cnn/conv_layer.h"
 
@@ -56,22 +56,6 @@ class Net {
 };
 
 }  // namespace
-
-std::vector<LayerGemm> unique_gemms(const CnnModel& model) {
-  std::vector<LayerGemm> out;
-  std::map<std::tuple<std::size_t, std::size_t, std::size_t>, std::size_t> index;
-  for (const ConvLayer& layer : model.layers) {
-    const kernels::GemmDims dims = layer.gemm();
-    const auto key = std::make_tuple(dims.rows_a, dims.k, dims.cols_b);
-    if (const auto it = index.find(key); it != index.end()) {
-      ++out[it->second].count;
-    } else {
-      index.emplace(key, out.size());
-      out.push_back(LayerGemm{layer, dims, 1});
-    }
-  }
-  return out;
-}
 
 CnnModel resnet50() {
   Net net(3, 224);

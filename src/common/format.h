@@ -1,5 +1,6 @@
-// Minimal fixed-width table formatting used by benches and examples to print
-// paper-style result tables without external dependencies.
+// Locale-independent text formatting and parsing: the aligned tables
+// imac_run and the examples print, and the number formats and strict
+// parsers behind CSV/JSON reports and CLI flags.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "common/bitutil.h"
 #include "common/error.h"
 #include "common/format.h"
 #include "common/json.h"
@@ -49,28 +50,42 @@ std::uint32_t as_u32(const JsonValue& v, const char* key) {
   return static_cast<std::uint32_t>(n);
 }
 
-/// The sweep-overridable processor knobs, addressed by dotted name.
+// The largest overrides the timing model can build: issue ports count a
+// cycle's claims in 8 bits, and each slot pool (ROB, LSQ, vector queues)
+// holds one entry per slot. The L2 keeps 8 ways of 64 B lines, so its set
+// count is a power of two exactly when its size in KiB is.
+constexpr std::uint64_t kMaxIssueWidth = 255;
+constexpr std::uint64_t kMaxSlotPoolEntries = 65536;
+constexpr std::uint64_t kMaxL2SizeKib = 1u << 20;
+
+/// The sweep-overridable processor knobs, addressed by dotted name. A
+/// value the model cannot build fails here, naming the key, before any
+/// point runs.
 void apply_processor_override(timing::ProcessorConfig& p, const std::string& key,
                               std::uint64_t v) {
-  IMAC_CHECK(v > 0 && v <= kU32Max, "processor override \"" + key +
-                                        "\" must be in [1, 4294967295], got " +
-                                        std::to_string(v));
-  const auto u = static_cast<unsigned>(v);
-  if (key == "scalar.issue_width") p.scalar.issue_width = u;
-  else if (key == "scalar.rob_entries") p.scalar.rob_entries = u;
-  else if (key == "scalar.lsq_entries") p.scalar.lsq_entries = u;
-  else if (key == "scalar.mispredict_penalty") p.scalar.mispredict_penalty = u;
-  else if (key == "vector.queue_entries") p.vector.queue_entries = u;
-  else if (key == "vector.load_queues") p.vector.load_queues = u;
-  else if (key == "vector.store_queues") p.vector.store_queues = u;
-  else if (key == "vector.mac_latency") p.vector.mac_latency = u;
-  else if (key == "vector.alu_latency") p.vector.alu_latency = u;
-  else if (key == "vector.dispatch_latency") p.vector.dispatch_latency = u;
-  else if (key == "vector.to_scalar_latency") p.vector.to_scalar_latency = u;
-  else if (key == "memory.l2_size_kib") p.memory.l2.size_bytes = v * 1024;
-  else if (key == "memory.l2_hit_latency") p.memory.l2.hit_latency = u;
-  else if (key == "memory.dram_latency") p.memory.dram_latency = u;
-  else if (key == "memory.dram_line_occupancy") p.memory.dram_line_occupancy = u;
+  const auto in = [&](std::uint64_t max) {
+    IMAC_CHECK(v > 0 && v <= max, "processor override \"" + key + "\" must be in [1, " +
+                                      std::to_string(max) + "], got " + std::to_string(v));
+    return static_cast<unsigned>(v);
+  };
+  if (key == "scalar.issue_width") p.scalar.issue_width = in(kMaxIssueWidth);
+  else if (key == "scalar.rob_entries") p.scalar.rob_entries = in(kMaxSlotPoolEntries);
+  else if (key == "scalar.lsq_entries") p.scalar.lsq_entries = in(kMaxSlotPoolEntries);
+  else if (key == "scalar.mispredict_penalty") p.scalar.mispredict_penalty = in(kU32Max);
+  else if (key == "vector.queue_entries") p.vector.queue_entries = in(kMaxSlotPoolEntries);
+  else if (key == "vector.load_queues") p.vector.load_queues = in(kMaxSlotPoolEntries);
+  else if (key == "vector.store_queues") p.vector.store_queues = in(kMaxSlotPoolEntries);
+  else if (key == "vector.mac_latency") p.vector.mac_latency = in(kU32Max);
+  else if (key == "vector.alu_latency") p.vector.alu_latency = in(kU32Max);
+  else if (key == "vector.dispatch_latency") p.vector.dispatch_latency = in(kU32Max);
+  else if (key == "vector.to_scalar_latency") p.vector.to_scalar_latency = in(kU32Max);
+  else if (key == "memory.l2_size_kib") {
+    IMAC_CHECK(is_pow2(v), "processor override \"" + key + "\" must be a power of two, got " +
+                               std::to_string(v));
+    p.memory.l2.size_bytes = in(kMaxL2SizeKib) * std::uint64_t{1024};
+  } else if (key == "memory.l2_hit_latency") p.memory.l2.hit_latency = in(kU32Max);
+  else if (key == "memory.dram_latency") p.memory.dram_latency = in(kU32Max);
+  else if (key == "memory.dram_line_occupancy") p.memory.dram_line_occupancy = in(kU32Max);
   else raise("unknown processor override \"" + key + "\"");
 }
 
@@ -170,9 +185,10 @@ SweepSpec parse_sweep_spec(const std::string& json_text) {
 
   SweepSpec spec;
   spec.name = doc.at("name").as_string();
+  workloads::check_name("sweep spec: name", spec.name);
   spec.suites = string_list(doc.at("workloads"), "workloads");
   for (const std::string& s : spec.suites)
-    (void)workloads::suite(s);  // unknown suites fail at parse time
+    (void)workloads::model_graph(s);  // unknown suites fail at parse time
 
   if (const JsonValue* v = doc.get("sparsities"))
     spec.sparsities = string_list(*v, "sparsities", parse_sparsity);
@@ -265,11 +281,11 @@ std::string SweepPoint::cache_key(const SweepSpec& spec) const {
 std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
   std::vector<SweepPoint> out;
   for (const std::string& suite_name : spec.suites) {
-    const workloads::Suite& s = workloads::suite(suite_name);
+    const workloads::ModelGraph& graph = workloads::model_graph(suite_name);
     const std::vector<sparse::Sparsity>& sparsities =
-        spec.sparsities.empty() ? s.sparsities : spec.sparsities;
+        spec.sparsities.empty() ? graph.default_sparsities : spec.sparsities;
     for (const sparse::Sparsity sp : sparsities)
-      for (const workloads::Workload& w : s.workloads)
+      for (const workloads::LayerRecord& layer : graph.layers)
         for (const Algorithm alg : spec.algorithms)
           for (const kernels::Dataflow df : spec.dataflows)
             for (const unsigned unroll : spec.unrolls)
@@ -281,10 +297,10 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
                 // algorithms) expressible without aborting the sweep.
                 if (!algorithm_row(alg).supports(df, unroll)) continue;
                 SweepPoint p;
-                p.suite = s.name;
-                p.workload = w.name;
-                p.count = w.count;
-                p.dims = w.dims;
+                p.suite = graph.name;
+                p.workload = layer.name;
+                p.count = layer.repeat;
+                p.dims = layer.gemm;
                 p.sp = sp;
                 p.config.algorithm = alg;
                 p.config.kernel.unroll = unroll;

@@ -8,7 +8,7 @@
 // Spec format (JSON subset, see common/json.h):
 //
 //   {
-//     "name": "tiny-exact",
+//     "name": "tiny-exact",                       // ASCII letters, digits, . _ -
 //     "workloads": ["tiny"],                      // registry suite names
 //     "sparsities": ["1:4", "2:4"],               // optional: suite default
 //     "algorithms": ["rowwise", "indexmac"],      // optional: both sparse

@@ -57,7 +57,8 @@ struct Machine::Exec {
 
   // ---- scalar ------------------------------------------------------------
 
-  // ebreak/ecall: the stop reason is bound into the slot.
+  // ebreak/ecall (the stop reason is bound into the slot) and marker,
+  // which changes no architectural state: the timing model reads its id.
   static std::uint64_t nop(Machine&, const Slot& o) { return o.next; }
 
   static std::uint64_t lui_auipc(Machine& m, const Slot& o) {
@@ -150,11 +151,6 @@ struct Machine::Exec {
   static std::uint64_t srl(std::uint64_t a, std::uint64_t b) { return a >> (b & 63); }
   static std::uint64_t sra(std::uint64_t a, std::uint64_t b) {
     return static_cast<std::uint64_t>(static_cast<std::int64_t>(a) >> (b & 63));
-  }
-
-  static std::uint64_t marker(Machine& m, const Slot& o) {
-    if (m.marker_hook_) m.marker_hook_(static_cast<int>(o.imm));
-    return o.next;
   }
 
   // ---- vector ------------------------------------------------------------
@@ -421,7 +417,7 @@ struct Machine::Exec {
         s.stop = StopReason::kEcall;
         fn = nop;
         break;
-      case Op::kMarker: fn = marker; break;
+      case Op::kMarker: fn = nop; break;
       case Op::kVsetvli: fn = vsetvli; break;
       case Op::kVle32: fn = vle32; break;
       case Op::kVse32: fn = vse32; break;

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -82,7 +81,7 @@ class Machine {
     if (pc < base_ || pc - base_ >= code_bytes_ || ((pc - base_) & 3) != 0) [[unlikely]]
       left_program();
     const Slot& op = slots_[(pc - base_) >> 2];
-    // The handler sees the pre-instruction pc (fault text, marker hook); a
+    // The handler sees the pre-instruction pc (fault text); a
     // throwing handler leaves it on the faulting instruction.
     state_.pc = op.fn(*this, op);
     state_.x[0] = 0;  // x0 is hardwired to zero
@@ -113,9 +112,6 @@ class Machine {
   /// the word the index stream will deliver.
   [[nodiscard]] const MainMemory& memory() const { return memory_; }
 
-  /// Called when a marker instruction retires (id passed through).
-  void set_marker_hook(std::function<void(int)> hook) { marker_hook_ = std::move(hook); }
-
  private:
   struct Exec;  // the per-op handlers and their binder (machine.cpp)
 
@@ -145,7 +141,6 @@ class Machine {
   ArchState state_;
   std::array<SsrStream, 4> ssr_{};
   std::uint64_t retired_ = 0;
-  std::function<void(int)> marker_hook_;
 };
 
 }  // namespace indexmac

@@ -37,7 +37,7 @@
 // activation block; conv layers im2col to [out_channels x in_ch*kh*kw]
 // (cnn::ConvLayer geometry); depthwise layers use the stacked-filter proxy
 // [channels x kh*kw]. "repeat" defaults to 1 and "sparsity" to the first
-// manifest sparsity.
+// manifest sparsity. Model and layer names follow check_name (model_ir.h).
 //
 // Tensor blob: a 32-byte header followed by row-major little-endian data.
 //

@@ -1,5 +1,6 @@
 #include "workloads/model_ir.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "cnn/conv_layer.h"
@@ -51,8 +52,17 @@ std::uint64_t ModelGraph::total_macs() const {
   return total;
 }
 
+void check_name(const std::string& what, const std::string& name) {
+  const bool ok = !name.empty() && std::ranges::all_of(name, [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+           c == '.' || c == '_' || c == '-';
+  });
+  IMAC_CHECK(ok, what + " \"" + name +
+                     "\" must be one or more ASCII letters, digits, '.', '_' or '-'");
+}
+
 void ModelGraph::validate() const {
-  IMAC_CHECK(!name.empty(), "model graph has no name");
+  check_name("model name", name);
   IMAC_CHECK(!layers.empty(), "model \"" + name + "\" has no layers");
   IMAC_CHECK(!default_sparsities.empty(),
              "model \"" + name + "\" declares no default sparsities");
@@ -62,8 +72,8 @@ void ModelGraph::validate() const {
                    std::to_string(sp.n) + ":" + std::to_string(sp.m));
   std::unordered_set<std::string> seen;
   for (const LayerRecord& layer : layers) {
+    check_name("model \"" + name + "\" layer name", layer.name);
     const std::string where = "model \"" + name + "\" layer \"" + layer.name + "\"";
-    IMAC_CHECK(!layer.name.empty(), "model \"" + name + "\" has an unnamed layer");
     IMAC_CHECK(seen.insert(layer.name).second, where + " is duplicated");
     IMAC_CHECK(layer.gemm.rows_a > 0 && layer.gemm.k > 0 && layer.gemm.cols_b > 0,
                where + " has a zero GEMM dimension");
@@ -83,16 +93,16 @@ ModelGraph graph_from_cnn(const cnn::CnnModel& model, std::string name,
   out.display_name = model.name;
   out.description = std::move(description);
   out.default_sparsities = std::move(sparsities);
-  for (const cnn::LayerGemm& layer : cnn::unique_gemms(model)) {
-    const cnn::ConvLayer& conv = layer.representative;
+  for (const cnn::ConvLayer& conv : model.layers) {
+    const kernels::GemmDims dims = conv.gemm();
+    const auto same = std::ranges::find(out.layers, dims, &LayerRecord::gemm);
+    if (same != out.layers.end()) {
+      ++same->repeat;
+      continue;
+    }
     const bool depthwise = conv.in_channels == 1 && conv.kernel_h * conv.kernel_w > 1;
-    LayerRecord record;
-    record.name = conv.name;
-    record.kind = depthwise ? LayerKind::kDepthwise : LayerKind::kConv;
-    record.gemm = layer.dims;
-    record.repeat = layer.count;
-    record.sparsity = SparsityProfile::declared(out.default_sparsities.front());
-    out.layers.push_back(std::move(record));
+    out.layers.push_back({conv.name, depthwise ? LayerKind::kDepthwise : LayerKind::kConv, dims,
+                          1, SparsityProfile::declared(out.default_sparsities.front())});
   }
   out.validate();
   return out;

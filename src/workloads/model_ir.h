@@ -1,14 +1,14 @@
-// Model IR: the typed layer graph every workload suite is derived from.
+// Model IR: the one representation of a workload suite.
 //
 // A ModelGraph is a list of LayerRecords — conv / depthwise / linear /
 // attention-projection layers, each carrying its im2col GEMM geometry, a
 // repeat count (identical shapes cost identical simulated time, so each is
 // measured once and weighted), and a per-layer SparsityProfile that is
 // either declared (an assumed N:M pattern) or measured from the real
-// weights of an imported checkpoint. `Suite` (workloads.h) is a thin view
-// over a registered graph: sweep expansion, the benches and the CLI all
-// re-derive their GEMM lists from these records, so a model imported at
-// runtime is immediately sweepable everywhere.
+// weights of an imported checkpoint. The registry (workloads.h) holds the
+// graphs themselves: sweep expansion, the CLI and the tests all read these
+// records, so a model imported at runtime is immediately sweepable
+// everywhere.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +70,15 @@ struct LayerRecord {
   [[nodiscard]] std::uint64_t macs() const;
 };
 
-/// A whole network in execution order: the unit of registration. Every
-/// Suite is derived from one of these (see workloads::register_model).
+/// The one rule for the names a sweep report carries (model, layer and
+/// sweep-spec names): non-empty, and only ASCII letters, digits, '.', '_'
+/// or '-'. Reports write them unquoted into CSV fields and the
+/// `# indexmac sweep: spec=NAME` line, so a comma, a space or a newline
+/// would not read back. Throws SimError naming `what` and the value.
+void check_name(const std::string& what, const std::string& name);
+
+/// A whole network in execution order: the unit of registration (see
+/// workloads::register_model).
 struct ModelGraph {
   std::string name;          ///< registry key (lowercase, CLI-friendly)
   std::string display_name;  ///< paper-style name for tables ("ResNet50")
@@ -81,22 +88,24 @@ struct ModelGraph {
   std::vector<LayerRecord> layers;
   bool measured = false;  ///< true when built by the checkpoint importer
 
-  /// Count-weighted layer total (what Suite::source_layers reports).
+  /// Count-weighted layer total: the layers of the source network.
   [[nodiscard]] std::size_t layer_count() const;
 
   /// Total dense multiply-accumulates of one full pass, count-weighted.
   [[nodiscard]] std::uint64_t total_macs() const;
 
-  /// Structural invariants: non-empty name and layers, unique layer names,
-  /// nonzero GEMM dims and repeats, at least one valid default sparsity.
-  /// Throws SimError naming the graph and offending layer.
+  /// Structural invariants: model and layer names that pass check_name,
+  /// at least one layer, unique layer names, nonzero GEMM dims and repeats,
+  /// at least one valid default sparsity. Throws SimError naming the graph
+  /// and offending layer.
   void validate() const;
 };
 
-/// Builds a graph from a CNN layer table via the im2col GEMM mapping,
-/// deduplicating identical shapes exactly like cnn::unique_gemms so the
-/// figure benches reproduce their pre-IR numbers. Depthwise proxy layers
-/// (in_channels == 1 with a spatial kernel) are tagged kDepthwise.
+/// Builds a graph from a CNN layer table via the im2col GEMM mapping. Layers
+/// with identical GEMM shapes share one record, in first-occurrence order,
+/// named after the shape's first layer, with `repeat` = the number of layers
+/// of that shape. Depthwise proxy layers (in_channels == 1 with a spatial
+/// kernel) are tagged kDepthwise.
 [[nodiscard]] ModelGraph graph_from_cnn(const cnn::CnnModel& model, std::string name,
                                         std::string description,
                                         std::vector<sparse::Sparsity> sparsities);

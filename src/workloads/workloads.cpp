@@ -112,41 +112,14 @@ ModelGraph ablation_graph(std::string name, std::string description,
   return out;
 }
 
-/// A registered model: the IR plus the Suite view derived from it.
-struct Entry {
-  ModelGraph graph;
-  Suite view;
-};
-
-/// Derives the flat Suite view of a graph and checks the registry-wide
-/// invariant that source_layers equals the count-weighted layer total.
-Suite view_of(const ModelGraph& graph) {
-  Suite out;
-  out.name = graph.name;
-  out.display_name = graph.display_name;
-  out.description = graph.description;
-  out.source_layers = graph.layer_count();
-  out.sparsities = graph.default_sparsities;
-  std::size_t weighted = 0;
-  for (const LayerRecord& layer : graph.layers) {
-    out.workloads.push_back({layer.name, layer.gemm, layer.repeat});
-    weighted += layer.repeat;
-  }
-  IMAC_CHECK(out.source_layers == weighted,
-             "suite \"" + out.name + "\" source_layers diverged from its layer records");
-  return out;
-}
-
-/// Registration store. A deque so `suite()` / `model_graph()` references
-/// survive later register_model() calls (no reallocation of entries).
-std::deque<Entry>& registry() {
-  static std::deque<Entry> entries = [] {
-    std::deque<Entry> out;
+/// Registration store. A deque so `model_graph()` references survive later
+/// register_model() calls (no reallocation of entries).
+std::deque<ModelGraph>& registry() {
+  static std::deque<ModelGraph> graphs = [] {
+    std::deque<ModelGraph> out;
     auto add = [&out](ModelGraph graph) {
       graph.validate();
-      Entry e{std::move(graph), {}};
-      e.view = view_of(e.graph);
-      out.push_back(std::move(e));
+      out.push_back(std::move(graph));
     };
     add(graph_from_cnn(cnn::resnet50(), "resnet50",
                        "ResNet50 conv GEMMs, ImageNet geometry (paper Figs. 4-6)",
@@ -178,66 +151,34 @@ std::deque<Entry>& registry() {
                        {{"gemm", {128, 1152, 196}}}));
     return out;
   }();
-  return entries;
-}
-
-std::string known_names() {
-  std::string known;
-  for (const Entry& e : registry()) {
-    if (!known.empty()) known += ", ";
-    known += e.graph.name;
-  }
-  return known;
+  return graphs;
 }
 
 }  // namespace
 
-std::uint64_t Suite::total_macs() const {
-  std::uint64_t total = 0;
-  for (const Workload& w : workloads)
-    total += static_cast<std::uint64_t>(w.dims.rows_a) * w.dims.k * w.dims.cols_b * w.count;
-  return total;
-}
-
 std::vector<std::string> suite_names() {
   std::vector<std::string> out;
-  for (const Entry& e : registry()) out.push_back(e.graph.name);
+  for (const ModelGraph& graph : registry()) out.push_back(graph.name);
   return out;
 }
 
 bool has_suite(const std::string& name) {
-  for (const Entry& e : registry())
-    if (e.graph.name == name) return true;
-  return false;
-}
-
-const Suite& suite(const std::string& name) {
-  for (const Entry& e : registry())
-    if (e.view.name == name) return e.view;
-  raise("unknown workload suite \"" + name + "\" (known: " + known_names() + ")");
+  return std::ranges::find(registry(), name, &ModelGraph::name) != registry().end();
 }
 
 const ModelGraph& model_graph(const std::string& name) {
-  for (const Entry& e : registry())
-    if (e.graph.name == name) return e.graph;
-  raise("unknown workload suite \"" + name + "\" (known: " + known_names() + ")");
+  const auto it = std::ranges::find(registry(), name, &ModelGraph::name);
+  if (it != registry().end()) return *it;
+  std::string known;
+  for (const std::string& n : suite_names()) known += (known.empty() ? "" : ", ") + n;
+  raise("unknown workload suite \"" + name + "\" (known: " + known + ")");
 }
 
 void register_model(ModelGraph graph) {
   graph.validate();
   IMAC_CHECK(!has_suite(graph.name),
              "model \"" + graph.name + "\" is already registered");
-  Entry e{std::move(graph), {}};
-  e.view = view_of(e.graph);
-  registry().push_back(std::move(e));
-}
-
-std::vector<WorkloadInstance> expand(const Suite& s) {
-  std::vector<WorkloadInstance> out;
-  out.reserve(s.workloads.size() * s.sparsities.size());
-  for (const sparse::Sparsity sp : s.sparsities)
-    for (const Workload& w : s.workloads) out.push_back({w, sp});
-  return out;
+  registry().push_back(std::move(graph));
 }
 
 kernels::GemmDims shrink(const kernels::GemmDims& dims, const kernels::GemmDims& cap) {

@@ -1,49 +1,19 @@
-// Workload registry: named suites of GEMM shapes the simulator evaluates.
-//
-// Every suite is a thin view over a registered ModelGraph (model_ir.h):
-// the paper's CNN tables (ResNet50/DenseNet121/InceptionV3 im2col GEMMs),
+// Workload registry: the named suites of GEMM shapes the simulator
+// evaluates. A suite is a registered ModelGraph (model_ir.h): the paper's
+// CNN tables (ResNet50/DenseNet121/InceptionV3 im2col GEMMs),
 // MobileNetV1-style depthwise/pointwise GEMMs, transformer (BERT-base /
 // ViT-base) attention/MLP projection GEMMs, LLM-decode skinny-activation
 // GEMMs, and any model imported from a pruned checkpoint at runtime
-// (model_import.h). Benches, the sweep engine and the CLI all re-derive
-// their layer lists from the registered graphs, so registering a model
-// makes it sweepable everywhere at once.
+// (model_import.h). The sweep engine and the CLI read the registered graphs
+// directly, so registering a model makes it sweepable everywhere at once.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "kernels/layout.h"
-#include "sparse/nm_matrix.h"
 #include "workloads/model_ir.h"
 
 namespace indexmac::workloads {
-
-/// One named GEMM workload: a shape plus its multiplicity within the suite
-/// (identical shapes cost identical simulated time, so each is measured
-/// once and weighted by `count`). Derived 1:1 from a LayerRecord.
-struct Workload {
-  std::string name;
-  kernels::GemmDims dims;
-  unsigned count = 1;
-};
-
-/// A named collection of workloads (one network / benchmark family): the
-/// flattened view of a ModelGraph that shape-oriented consumers iterate.
-struct Suite {
-  std::string name;          ///< registry key (lowercase, CLI-friendly)
-  std::string display_name;  ///< paper-style name for tables ("ResNet50")
-  std::string description;
-  /// Count-weighted layer total of the source network
-  /// (== ModelGraph::layer_count(); asserted at registration).
-  std::size_t source_layers = 0;
-  /// Sparsity patterns the suite is evaluated under by default.
-  std::vector<sparse::Sparsity> sparsities;
-  std::vector<Workload> workloads;
-
-  /// Total dense multiply-accumulates of one full pass, count-weighted.
-  [[nodiscard]] std::uint64_t total_macs() const;
-};
 
 /// Registered suite names, in registration order (built-ins first, then
 /// runtime-registered models). By value: register_model may extend the set.
@@ -53,26 +23,12 @@ struct Suite {
 
 /// Looks a suite up by name; throws SimError listing the known names.
 /// References stay valid across register_model calls.
-[[nodiscard]] const Suite& suite(const std::string& name);
-
-/// The IR behind a suite; throws SimError listing the known names.
 [[nodiscard]] const ModelGraph& model_graph(const std::string& name);
 
-/// Registers a model (validated) and derives its Suite view. Throws
-/// SimError on a duplicate name. Used by `imac_run sweep --import` to make
-/// checkpoint-derived models sweepable next to the built-ins.
+/// Registers a model (validated). Throws SimError on a duplicate name. Used
+/// by `imac_run sweep --import` to make checkpoint-derived models sweepable
+/// next to the built-ins.
 void register_model(ModelGraph graph);
-
-/// One (shape, sparsity) evaluation point of a suite's default grid.
-struct WorkloadInstance {
-  Workload workload;
-  sparse::Sparsity sp;
-};
-
-/// Expands a suite into its default (GemmDims, Sparsity) evaluation list:
-/// all workloads at the first sparsity, then all at the second, and so on
-/// (the order the figure benches consume).
-[[nodiscard]] std::vector<WorkloadInstance> expand(const Suite& s);
 
 /// Clamps each GEMM dimension to the matching dimension of `cap`: the
 /// test-sized replica of a production shape (aspect ratios flatten, but

@@ -176,35 +176,5 @@ TEST(Inceptionv3, FactorizedConvIm2colMatchesHandComputation) {
   EXPECT_EQ(v->gemm().cols_b, 289u);
 }
 
-TEST(UniqueGemms, GroupsRepeatedShapes) {
-  const auto model = resnet50();
-  const auto groups = unique_gemms(model);
-  // Far fewer unique shapes than layers, and multiplicities must add up.
-  EXPECT_LT(groups.size(), model.layers.size());
-  unsigned total = 0;
-  for (const auto& g : groups) total += g.count;
-  EXPECT_EQ(total, model.layers.size());
-  // The 64->256 1x1 shape at 56x56 appears four times: the conv3 expansion
-  // of all three layer1 blocks plus the block-0 projection shortcut.
-  bool found = false;
-  for (const auto& g : groups)
-    if (g.dims.rows_a == 256 && g.dims.k == 64 && g.dims.cols_b == 3136) {
-      EXPECT_EQ(g.count, 4u);
-      found = true;
-    }
-  EXPECT_TRUE(found);
-}
-
-TEST(UniqueGemms, AllModelsProduceValidDims) {
-  for (const auto& model : {resnet50(), densenet121(), inceptionv3()}) {
-    for (const auto& g : unique_gemms(model)) {
-      EXPECT_GT(g.dims.rows_a, 0u) << model.name;
-      EXPECT_GT(g.dims.k, 0u) << model.name;
-      EXPECT_GT(g.dims.cols_b, 0u) << model.name;
-      EXPECT_GE(g.count, 1u) << model.name;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace indexmac::cnn

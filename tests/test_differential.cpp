@@ -145,12 +145,12 @@ struct MatrixShape {
 };
 
 std::vector<MatrixShape> transformer_matrix_shapes() {
-  const workloads::Suite& bert = workloads::suite("bert-base");
-  const workloads::Suite& vit = workloads::suite("vit-base");
+  const auto& bert = workloads::model_graph("bert-base").layers;
+  const auto& vit = workloads::model_graph("vit-base").layers;
   return {
-      {"bert.qkv_proj", workloads::shrink(bert.workloads[0].dims, {24, 96, 48})},
-      {"bert.mlp_down", workloads::shrink(bert.workloads[3].dims, {16, 128, 33})},
-      {"vit.patch_embed", workloads::shrink(vit.workloads[0].dims, {32, 64, 41})},
+      {"bert.qkv_proj", workloads::shrink(bert[0].gemm, {24, 96, 48})},
+      {"bert.mlp_down", workloads::shrink(bert[3].gemm, {16, 128, 33})},
+      {"vit.patch_embed", workloads::shrink(vit[0].gemm, {32, 64, 41})},
   };
 }
 

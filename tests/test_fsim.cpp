@@ -134,16 +134,29 @@ TEST(Fsim, MaxStepsStops) {
   EXPECT_EQ(r.go(100), StopReason::kMaxSteps);
 }
 
-TEST(Fsim, MarkerHookFires) {
-  Assembler a;
-  a.marker(3);
-  a.marker(9);
-  a.ebreak();
-  SimRun r(a);
-  std::vector<int> ids;
-  r.machine->set_marker_hook([&ids](int id) { ids.push_back(id); });
-  r.go();
-  EXPECT_EQ(ids, (std::vector<int>{3, 9}));
+TEST(Fsim, MarkersRetireAsArchitecturalNoOps) {
+  // A marker tags a kernel phase for the timing model: it retires like any
+  // instruction and changes nothing else.
+  Assembler plain, marked;
+  for (Assembler* a : {&plain, &marked}) {
+    a->li(x(1), 7);
+    if (a == &marked) a->marker(3);
+    a->vsetvli_e32m1(x(2), x(1));
+    a->vmv_v_x(v(1), x(1));
+    if (a == &marked) a->marker(9);
+    a->addi(x(3), x(1), 5);
+    a->ebreak();
+  }
+  SimRun p(plain), m(marked);
+  EXPECT_EQ(p.go(), StopReason::kEbreak);
+  EXPECT_EQ(m.go(), StopReason::kEbreak);
+  EXPECT_EQ(m.machine->instructions_retired(), p.machine->instructions_retired() + 2);
+  EXPECT_EQ(m.state().pc, p.state().pc + 8);
+  EXPECT_EQ(m.state().x, p.state().x);
+  EXPECT_EQ(m.state().f, p.state().f);
+  EXPECT_EQ(m.state().v, p.state().v);
+  EXPECT_EQ(m.state().vl, p.state().vl);
+  EXPECT_EQ(m.state().x[3], 12u);
 }
 
 TEST(Fsim, VsetvliClampsToVlmax) {

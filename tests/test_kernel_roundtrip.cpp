@@ -124,14 +124,13 @@ TEST(KernelRoundTrip, RegistryShapesSurviveGeneration) {
   // generators cannot encode).
   const kernels::GemmDims cap{16, 64, 48};
   for (const std::string& name : workloads::suite_names()) {
-    const workloads::Suite& suite = workloads::suite(name);
-    const std::size_t take = std::min<std::size_t>(2, suite.workloads.size());
+    const std::vector<workloads::LayerRecord>& layers = workloads::model_graph(name).layers;
+    const std::size_t take = std::min<std::size_t>(2, layers.size());
     for (std::size_t i = 0; i < take; ++i) {
-      const GemmDims dims = workloads::shrink(suite.workloads[i].dims, cap);
+      const GemmDims dims = workloads::shrink(layers[i].gemm, cap);
       const SpmmLayout layout = layout_for(dims, sparse::kSparsity24, 16);
       KernelOptions options{.unroll = 4};
-      expect_round_trip(emit_indexmac_kernel(layout, options),
-                        name + "/" + suite.workloads[i].name);
+      expect_round_trip(emit_indexmac_kernel(layout, options), name + "/" + layers[i].name);
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
 #include "core/sweep.h"
 #include "workloads/workloads.h"
@@ -273,6 +274,25 @@ TEST(ImportModel, RejectsMalformedManifests) {
   EXPECT_THROW((void)import_with("imp_nosp", std::string(R"({"format": "imac-model/v1",
     "name": "x", "sparsities": [], "layers": [)") + ok_layer + "]}"),
                SimError);
+  // Sweep reports write model and layer names unquoted, so each must be
+  // one or more ASCII letters, digits, '.', '_' or '-'; the error names it.
+  const std::tuple<const char*, const char*, const char*> bad_names[] = {
+      {"a b", "fc", R"(model name "a b")"},
+      {R"(a\nb)", "fc", "model name \"a\nb\""},
+      {"x", "fc,1", R"(model "x" layer name "fc,1")"},
+      {"x", "", R"(model "x" layer name "")"}};
+  for (const auto& [model, layer, message] : bad_names) {
+    SCOPED_TRACE(message);
+    try {
+      (void)import_with("imp_name", std::string(R"({"format": "imac-model/v1", "name": ")") +
+                                        model + R"(", "sparsities": ["2:4"], "layers": [
+        {"name": ")" + layer + R"(", "kind": "linear", "out_features": 4,
+         "in_features": 8, "tokens": 16, "weights": "fc.tensor"}]})");
+      ADD_FAILURE() << "accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ImportModel, RegisteredModelIsSweepable) {
@@ -281,10 +301,9 @@ TEST(ImportModel, RegisteredModelIsSweepable) {
   const fs::path dir = write_linear_checkpoint("import_sweep", "impsweep");
   register_model(import_model(dir.string()));
   ASSERT_TRUE(has_suite("impsweep"));
-  const Suite& view = suite("impsweep");
-  EXPECT_EQ(view.source_layers, model_graph("impsweep").layer_count());
-  ASSERT_EQ(view.workloads.size(), 1u);
-  EXPECT_EQ(view.workloads[0].count, 3u);
+  const ModelGraph& graph = model_graph("impsweep");
+  ASSERT_EQ(graph.layers.size(), 1u);
+  EXPECT_EQ(graph.layers[0].repeat, 3u);
 
   // Duplicate registration must be rejected (first registration wins).
   EXPECT_THROW(register_model(import_model(dir.string())), SimError);

@@ -48,6 +48,13 @@ TEST(SweepSpec, ParsesFieldsAndDefaults) {
   EXPECT_EQ(minimal.mode, SweepMode::kSampled);
   EXPECT_TRUE(minimal.sparsities.empty());  // suite defaults apply at expansion
   ASSERT_EQ(minimal.algorithms.size(), 2u);
+  // tiny's defaults are 1:4 and 2:4: every layer at the first, then every
+  // layer at the second.
+  const auto points = expand_sweep(minimal);
+  ASSERT_EQ(points.size(), 12u);  // 3 layers x 2 sparsities x 2 algorithms
+  for (std::size_t i = 0; i < points.size(); ++i)
+    EXPECT_EQ(points[i].sp, i < 6 ? sparse::kSparsity14 : sparse::kSparsity24) << i;
+  EXPECT_EQ(points[6].workload, "tiny.square");
 }
 
 TEST(SweepSpec, RejectsBadDocuments) {
@@ -65,6 +72,23 @@ TEST(SweepSpec, RejectsBadDocuments) {
       (void)parse_sweep_spec(R"({"name": "x", "workloads": ["tiny"], "dataflows": ["d"]})"),
       SimError);
   EXPECT_THROW((void)parse_sweep_spec(R"({"workloads": ["tiny"]})"), SimError);  // no name
+  // Reports write the spec name unquoted, so it must be one or more ASCII
+  // letters, digits, '.', '_' or '-'; the error names it.
+  const std::pair<const char*, const char*> bad_names[] = {
+      {R"("a\nb")", "a\nb"}, {R"("a b,c")", "a b,c"}, {R"("")", ""}, {R"("x/y")", "x/y"}};
+  for (const auto& [json, name] : bad_names) {
+    SCOPED_TRACE(json);
+    try {
+      (void)parse_sweep_spec(std::string(R"({"name": )") + json + R"(, "workloads": ["tiny"]})");
+      ADD_FAILURE() << "accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("sweep spec: name \"" + std::string(name) + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_sweep_spec(R"({"name": "fig4_6-exact.v2", "workloads": ["tiny"]})").name,
+            "fig4_6-exact.v2");
   EXPECT_THROW((void)parse_sweep_spec_file("/nonexistent/spec.json"), SimError);
   // Exact points never read the sampling controls, and their cache keys
   // leave them out, so a spec carrying one would run like one without it.
@@ -154,6 +178,44 @@ TEST(SweepSpec, RejectsOutOfRangeGridValues) {
       EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
     }
   }
+  // Processor overrides the timing model cannot build fail here, naming the
+  // key and value: issue ports count in 8 bits, slot pools allocate one
+  // entry per slot, and the L2's set count must be a power of two.
+  const std::pair<const char*, const char*> bad_overrides[] = {
+      {R"("scalar.issue_width": 300)", R"("scalar.issue_width" must be in [1, 255], got 300)"},
+      {R"("memory.l2_size_kib": 3)", R"("memory.l2_size_kib" must be a power of two, got 3)"},
+      {R"("memory.l2_size_kib": 48)", R"("memory.l2_size_kib" must be a power of two, got 48)"},
+      {R"("memory.l2_size_kib": 2147483648)",
+       R"("memory.l2_size_kib" must be in [1, 1048576], got 2147483648)"},
+      {R"("vector.queue_entries": 4294967295)",
+       R"("vector.queue_entries" must be in [1, 65536], got 4294967295)"},
+      {R"("scalar.rob_entries": 4294967295)",
+       R"("scalar.rob_entries" must be in [1, 65536], got 4294967295)"},
+      {R"("scalar.lsq_entries": 65537)",
+       R"("scalar.lsq_entries" must be in [1, 65536], got 65537)"},
+      {R"("vector.load_queues": 65537)",
+       R"("vector.load_queues" must be in [1, 65536], got 65537)"},
+      {R"("vector.store_queues": 65537)",
+       R"("vector.store_queues" must be in [1, 65536], got 65537)"},
+      {R"("vector.mac_latency": 0)", R"("vector.mac_latency" must be in [1, 4294967295], got 0)"}};
+  for (const auto& [override_json, message] : bad_overrides) {
+    SCOPED_TRACE(override_json);
+    try {
+      (void)parse_sweep_spec(std::string(R"({"name": "x", "workloads": ["tiny"], "processor": {)") +
+                             override_json + "}}");
+      ADD_FAILURE() << "accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+    }
+  }
+  // Each bound itself parses.
+  const SweepSpec at_bounds = parse_sweep_spec(R"({"name": "x", "workloads": ["tiny"],
+    "processor": {"scalar.issue_width": 255, "memory.l2_size_kib": 1048576,
+                  "scalar.rob_entries": 65536, "vector.queue_entries": 65536}})");
+  EXPECT_EQ(at_bounds.processor.scalar.issue_width, 255u);
+  EXPECT_EQ(at_bounds.processor.memory.l2.size_bytes, std::uint64_t{1} << 30);
+  EXPECT_EQ(at_bounds.processor.scalar.rob_entries, 65536u);
+  EXPECT_EQ(at_bounds.processor.vector.queue_entries, 65536u);
   // A value listed twice would run and print each of its points twice;
   // "01:4" is 1:4 spelt another way.
   for (const char* grid :

@@ -1,11 +1,12 @@
 // Workload registry: the suites that generalize the paper's CNN tables.
-// The CNN suites must reproduce cnn::unique_gemms exactly (the figure
+// The CNN suites must group their conv layers by GEMM shape (the figure
 // specs rely on identical layer lists), and the transformer and ablation
 // suites must carry their documented shapes.
 #include "workloads/workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cnn/conv_layer.h"
@@ -20,15 +21,17 @@ TEST(Workloads, RegistryHasTheAdvertisedSuites) {
        {"resnet50", "densenet121", "inceptionv3", "mobilenetv1", "bert-base", "vit-base",
         "tiny"}) {
     EXPECT_TRUE(has_suite(name)) << name;
-    EXPECT_FALSE(suite(name).workloads.empty()) << name;
-    EXPECT_FALSE(suite(name).display_name.empty()) << name;
+    EXPECT_FALSE(model_graph(name).layers.empty()) << name;
+    EXPECT_FALSE(model_graph(name).display_name.empty()) << name;
   }
   EXPECT_GE(suite_names().size(), 4u);
   EXPECT_FALSE(has_suite("no-such-net"));
-  EXPECT_THROW((void)suite("no-such-net"), SimError);
+  EXPECT_THROW((void)model_graph("no-such-net"), SimError);
 }
 
-TEST(Workloads, CnnSuitesMatchUniqueGemms) {
+TEST(Workloads, CnnSuitesGroupLayersByGemmShape) {
+  // One record per distinct im2col GEMM shape, in first-occurrence order,
+  // named after the shape's first layer and repeated once per layer of it.
   const struct {
     const char* suite_name;
     cnn::CnnModel (*model)();
@@ -38,79 +41,80 @@ TEST(Workloads, CnnSuitesMatchUniqueGemms) {
                {"mobilenetv1", cnn::mobilenetv1}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.suite_name);
-    const Suite& s = suite(c.suite_name);
+    const ModelGraph& graph = model_graph(c.suite_name);
     const cnn::CnnModel model = c.model();
-    const auto layers = cnn::unique_gemms(model);
-    EXPECT_EQ(s.source_layers, model.layers.size());
-    ASSERT_EQ(s.workloads.size(), layers.size());
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      EXPECT_EQ(s.workloads[i].name, layers[i].representative.name);
-      EXPECT_EQ(s.workloads[i].dims.rows_a, layers[i].dims.rows_a);
-      EXPECT_EQ(s.workloads[i].dims.k, layers[i].dims.k);
-      EXPECT_EQ(s.workloads[i].dims.cols_b, layers[i].dims.cols_b);
-      EXPECT_EQ(s.workloads[i].count, layers[i].count);
+    EXPECT_LT(graph.layers.size(), model.layers.size());
+    EXPECT_EQ(graph.layer_count(), model.layers.size());
+    std::size_t opened = 0;  // records whose first layer has been seen
+    for (const cnn::ConvLayer& conv : model.layers) {
+      const auto it = std::ranges::find(graph.layers, conv.gemm(), &LayerRecord::gemm);
+      ASSERT_NE(it, graph.layers.end()) << conv.name;
+      const auto at = static_cast<std::size_t>(it - graph.layers.begin());
+      ASSERT_LE(at, opened) << conv.name;  // a new shape opens the next record
+      if (at == opened) {
+        EXPECT_EQ(it->name, conv.name);
+        ++opened;
+      }
     }
-    // Count-weighted shapes cover every layer of the source network.
-    std::size_t total = 0;
-    for (const Workload& w : s.workloads) total += w.count;
-    EXPECT_EQ(total, model.layers.size());
+    EXPECT_EQ(opened, graph.layers.size());
+    for (const LayerRecord& record : graph.layers)
+      EXPECT_EQ(std::ranges::count(model.layers, record.gemm, &cnn::ConvLayer::gemm),
+                static_cast<std::ptrdiff_t>(record.repeat))
+          << record.name;
   }
+  // ResNet50's 64->256 1x1 shape at 56x56 is the conv3 expansion of all
+  // three layer1 blocks plus the block-0 projection shortcut.
+  const std::vector<LayerRecord>& resnet = model_graph("resnet50").layers;
+  const auto conv3 =
+      std::ranges::find(resnet, kernels::GemmDims{256, 64, 3136}, &LayerRecord::gemm);
+  ASSERT_NE(conv3, resnet.end());
+  EXPECT_EQ(conv3->name, "layer1.0.conv3");
+  EXPECT_EQ(conv3->repeat, 4u);
 }
 
 TEST(Workloads, MobilenetContainsDepthwiseAndPointwiseShapes) {
-  const Suite& s = suite("mobilenetv1");
+  const ModelGraph& graph = model_graph("mobilenetv1");
   bool saw_dw = false, saw_pw = false;
-  for (const Workload& w : s.workloads) {
-    if (w.name.find(".dw") != std::string::npos) {
+  for (const LayerRecord& l : graph.layers) {
+    if (l.name.find(".dw") != std::string::npos) {
       saw_dw = true;
-      EXPECT_EQ(w.dims.k, 9u) << w.name;  // 3x3 single-channel filter proxy
+      EXPECT_EQ(l.gemm.k, 9u) << l.name;  // 3x3 single-channel filter proxy
+      EXPECT_EQ(l.kind, LayerKind::kDepthwise) << l.name;
     }
-    if (w.name.find(".pw") != std::string::npos) {
+    if (l.name.find(".pw") != std::string::npos) {
       saw_pw = true;
-      EXPECT_GE(w.dims.k, 32u) << w.name;  // pointwise 1x1: k == in_channels
+      EXPECT_GE(l.gemm.k, 32u) << l.name;  // pointwise 1x1: k == in_channels
+      EXPECT_EQ(l.kind, LayerKind::kConv) << l.name;
     }
   }
   EXPECT_TRUE(saw_dw);
   EXPECT_TRUE(saw_pw);
   // MobileNetV1 @224: 0.57 GMACs dense (the well-known headline count).
-  EXPECT_NEAR(static_cast<double>(s.total_macs()) / 1e9, 0.57, 0.02);
+  EXPECT_NEAR(static_cast<double>(graph.total_macs()) / 1e9, 0.57, 0.02);
 }
 
 TEST(Workloads, TransformerSuitesCarryProjectionShapes) {
-  const Suite& bert = suite("bert-base");
-  ASSERT_EQ(bert.workloads.size(), 4u);
-  EXPECT_EQ(bert.workloads[0].name, "attention.qkv_proj");
-  EXPECT_EQ(bert.workloads[0].count, 36u);  // 3 projections x 12 layers
-  for (const Workload& w : bert.workloads) EXPECT_EQ(w.dims.cols_b, 128u) << w.name;
+  const std::vector<LayerRecord>& bert = model_graph("bert-base").layers;
+  ASSERT_EQ(bert.size(), 4u);
+  EXPECT_EQ(bert[0].name, "attention.qkv_proj");
+  EXPECT_EQ(bert[0].repeat, 36u);  // 3 projections x 12 layers
+  for (const LayerRecord& l : bert) EXPECT_EQ(l.gemm.cols_b, 128u) << l.name;
   // FFN up/down are transposes of each other.
-  EXPECT_EQ(bert.workloads[2].dims.rows_a, 3072u);
-  EXPECT_EQ(bert.workloads[2].dims.k, 768u);
-  EXPECT_EQ(bert.workloads[3].dims.rows_a, 768u);
-  EXPECT_EQ(bert.workloads[3].dims.k, 3072u);
+  EXPECT_EQ(bert[2].gemm.rows_a, 3072u);
+  EXPECT_EQ(bert[2].gemm.k, 768u);
+  EXPECT_EQ(bert[3].gemm.rows_a, 768u);
+  EXPECT_EQ(bert[3].gemm.k, 3072u);
 
-  const Suite& vit = suite("vit-base");
-  EXPECT_EQ(vit.workloads.front().name, "patch_embed");
-  EXPECT_EQ(vit.workloads.front().dims.k, 768u);  // 3*16*16
+  const std::vector<LayerRecord>& vit = model_graph("vit-base").layers;
+  EXPECT_EQ(vit.front().name, "patch_embed");
+  EXPECT_EQ(vit.front().gemm.k, 768u);  // 3*16*16
   bool found_encoder = false;
-  for (const Workload& w : vit.workloads)
-    if (w.name == "attention.qkv_proj") {
+  for (const LayerRecord& l : vit)
+    if (l.name == "attention.qkv_proj") {
       found_encoder = true;
-      EXPECT_EQ(w.dims.cols_b, 197u);  // 196 patches + CLS token
+      EXPECT_EQ(l.gemm.cols_b, 197u);  // 196 patches + CLS token
     }
   EXPECT_TRUE(found_encoder);
-}
-
-TEST(Workloads, ExpandCrossesSparsities) {
-  const Suite& s = suite("tiny");
-  ASSERT_EQ(s.sparsities.size(), 2u);
-  const auto instances = expand(s);
-  ASSERT_EQ(instances.size(), s.workloads.size() * 2);
-  // All workloads at the first sparsity, then all at the second.
-  for (std::size_t i = 0; i < s.workloads.size(); ++i) {
-    EXPECT_EQ(instances[i].sp, s.sparsities[0]);
-    EXPECT_EQ(instances[i].workload.name, s.workloads[i].name);
-    EXPECT_EQ(instances[s.workloads.size() + i].sp, s.sparsities[1]);
-  }
 }
 
 TEST(Workloads, AblationSuitesHoldOnlyTheirAblationsShapes) {
@@ -118,7 +122,7 @@ TEST(Workloads, AblationSuitesHoldOnlyTheirAblationsShapes) {
   // exactly the GEMMs its ablation reports and nothing else.
   const auto shapes = [](const char* name) {
     std::vector<kernels::GemmDims> out;
-    for (const Workload& w : suite(name).workloads) out.push_back(w.dims);
+    for (const LayerRecord& l : model_graph(name).layers) out.push_back(l.gemm);
     return out;
   };
   using D = kernels::GemmDims;
@@ -197,17 +201,6 @@ TEST(Workloads, ParseSparsityRejectsDegenerateLabels) {
   }
 }
 
-TEST(Workloads, SourceLayersMatchModelGraphCounts) {
-  // Satellite fix: source_layers comes from ModelGraph::layer_count() for
-  // every registered suite (it used to be wrong for the non-CNN suites).
-  for (const std::string& name : suite_names())
-    EXPECT_EQ(suite(name).source_layers, model_graph(name).layer_count()) << name;
-  EXPECT_EQ(suite("bert-base").source_layers, 72u);   // 6 shapes x 12 layers
-  EXPECT_EQ(suite("vit-base").source_layers, 74u);    // patch + 6x12 + head
-  EXPECT_EQ(suite("tiny").source_layers, 4u);
-  EXPECT_EQ(suite("llm-decode").source_layers, 225u);
-}
-
 TEST(Workloads, LlmDecodeCarriesGqaDecodeShapes) {
   ASSERT_TRUE(has_suite("llm-decode"));
   const ModelGraph& graph = model_graph("llm-decode");
@@ -236,12 +229,12 @@ TEST(Workloads, AllShapesAreLayoutCompatible) {
   // Every registered shape must survive layout construction at the paper's
   // L=16 tile under both paper sparsities (the sweep engine's precondition).
   for (const std::string& name : suite_names()) {
-    const Suite& s = suite(name);
-    for (const sparse::Sparsity sp : s.sparsities)
-      for (const Workload& w : s.workloads) {
+    const ModelGraph& graph = model_graph(name);
+    for (const sparse::Sparsity sp : graph.default_sparsities)
+      for (const LayerRecord& l : graph.layers) {
         AddressAllocator alloc;
-        const auto layout = kernels::make_layout(w.dims, sp, 16, alloc);
-        EXPECT_GT(layout.num_ktiles, 0u) << name << "/" << w.name;
+        const auto layout = kernels::make_layout(l.gemm, sp, 16, alloc);
+        EXPECT_GT(layout.num_ktiles, 0u) << name << "/" << l.name;
       }
   }
 }

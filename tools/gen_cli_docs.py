@@ -9,8 +9,8 @@ into a reviewable markdown page. Run it after changing any --help text:
 
 With --check, the file is regenerated in memory and compared to the
 checked-in copy instead; a mismatch exits 1 with a diff hint. ctest's
-test_cli_docs and the CI docs-freshness job both run the check, so a help
-edit that forgets to regenerate docs/cli.md fails fast.
+test_cli_docs and the docs-freshness steps of CI's cli-checks job both run
+the check, so a help edit that forgets to regenerate docs/cli.md fails fast.
 """
 
 import argparse

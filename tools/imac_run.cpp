@@ -649,30 +649,29 @@ int cmd_list_workloads(int argc, char** argv) {
     return 0;
   }
   if (suite_name != nullptr) {
-    const workloads::Suite& s = workloads::suite(suite_name);
-    std::printf("%s: %s\n\n", s.name.c_str(), s.description.c_str());
+    const workloads::ModelGraph& graph = workloads::model_graph(suite_name);
+    std::printf("%s: %s\n\n", graph.name.c_str(), graph.description.c_str());
     TextTable table;
     table.set_header({"workload", "GEMM (RxKxN)", "count", "MMACs"});
-    for (const workloads::Workload& w : s.workloads) {
-      const double mmacs = static_cast<double>(w.dims.rows_a) * static_cast<double>(w.dims.k) *
-                           static_cast<double>(w.dims.cols_b) * w.count / 1e6;
-      table.add_row({w.name, dims_label(w.dims), std::to_string(w.count), fmt_fixed(mmacs, 1)});
-    }
+    for (const workloads::LayerRecord& layer : graph.layers)
+      table.add_row({layer.name, dims_label(layer.gemm), std::to_string(layer.repeat),
+                     fmt_fixed(static_cast<double>(layer.macs()) / 1e6, 1)});
     std::printf("%s", table.to_string().c_str());
     return 0;
   }
   TextTable table;
   table.set_header({"suite", "workloads", "layers", "GMACs", "sparsities", "description"});
   for (const std::string& name : workloads::suite_names()) {
-    const workloads::Suite& s = workloads::suite(name);
+    const workloads::ModelGraph& graph = workloads::model_graph(name);
     std::string sparsities;
-    for (const auto sp : s.sparsities) {
+    for (const auto sp : graph.default_sparsities) {
       if (!sparsities.empty()) sparsities += ' ';
       sparsities += workloads::sparsity_label(sp);
     }
-    table.add_row({s.name, std::to_string(s.workloads.size()), std::to_string(s.source_layers),
-                   fmt_fixed(static_cast<double>(s.total_macs()) / 1e9, 2), sparsities,
-                   s.description});
+    table.add_row({graph.name, std::to_string(graph.layers.size()),
+                   std::to_string(graph.layer_count()),
+                   fmt_fixed(static_cast<double>(graph.total_macs()) / 1e9, 2), sparsities,
+                   graph.description});
   }
   std::printf("%s", table.to_string().c_str());
   return 0;

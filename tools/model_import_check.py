@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end check of the checkpoint import + network-rollup pipeline.
 
-Stdlib-only driver shared by ctest (test_model_import_e2e) and the CI
-model-import job:
+Stdlib-only driver shared by ctest (test_model_import_e2e) and the
+model-import steps of CI's cli-checks job:
 
   1. generates a synthetic exactly-2:4-pruned checkpoint
      (make_synthetic_checkpoint.py) and captures its ground-truth
