@@ -3,23 +3,30 @@
 // timing model, and report the per-layer numbers behind Fig. 4.
 //
 //   ./build/examples/cnn_layer_demo [layer-index]
+//
+// layer-index picks one of ResNet50's distinct GEMM shapes (0-based, in
+// `imac_run list-workloads resnet50` order); anything else exits 1.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "cnn/conv_layer.h"
+#include "common/error.h"
+#include "common/format.h"
 #include "core/runner.h"
 #include "workloads/workloads.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace indexmac;
   using core::Algorithm;
   using core::RunConfig;
 
   // One record per distinct GEMM shape, named after its first conv layer.
   const workloads::ModelGraph& graph = workloads::model_graph("resnet50");
+  if (argc > 2) raise("usage: cnn_layer_demo [layer-index]");
   std::size_t index = 7;  // layer2.0.conv2 by default: a mid-network 3x3
-  if (argc > 1) index = std::strtoul(argv[1], nullptr, 10) % graph.layers.size();
+  if (argc == 2) index = parse_uint(argv[1], "layer-index", graph.layers.size() - 1);
   const workloads::LayerRecord& layer = graph.layers[index];
   const cnn::CnnModel model = cnn::resnet50();
   const cnn::ConvLayer& conv = *std::ranges::find(model.layers, layer.name, &cnn::ConvLayer::name);
@@ -46,4 +53,15 @@ int main(int argc, char** argv) {
                 r2.cycles / r3.cycles, r2.rowgroup_cycles_per_row, r3.rowgroup_cycles_per_row);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const indexmac::SimError& e) {
+    std::fprintf(stderr, "cnn_layer_demo: %s\n", e.what());
+    return 1;
+  }
 }

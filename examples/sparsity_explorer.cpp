@@ -4,22 +4,35 @@
 // runs as one batch on one worker thread per hardware thread.
 //
 //   ./build/examples/sparsity_explorer [rows k cols]
+//
+// The three dimensions are positive decimal integers; anything else exits 1.
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "common/error.h"
 #include "common/format.h"
 #include "core/batch.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// One GEMM dimension argument: a positive decimal integer.
+std::size_t dim_arg(const char* text, const char* what) {
+  const std::uint64_t value = indexmac::parse_uint(text, what);
+  if (value == 0) indexmac::raise(std::string(what) + " must be positive, got \"0\"");
+  return value;
+}
+
+int run(int argc, char** argv) {
   using namespace indexmac;
   using core::Algorithm;
   using core::RunConfig;
 
+  if (argc != 1 && argc != 4) raise("usage: sparsity_explorer [rows k cols]");
   kernels::GemmDims dims{128, 512, 196};
   if (argc == 4) {
-    dims.rows_a = std::strtoul(argv[1], nullptr, 10);
-    dims.k = std::strtoul(argv[2], nullptr, 10);
-    dims.cols_b = std::strtoul(argv[3], nullptr, 10);
+    dims.rows_a = dim_arg(argv[1], "rows");
+    dims.k = dim_arg(argv[2], "k");
+    dims.cols_b = dim_arg(argv[3], "cols");
   }
   std::printf("GEMM: C[%zu x %zu] = A[%zu x %zu] x B[%zu x %zu]\n\n", dims.rows_a, dims.cols_b,
               dims.rows_a, dims.k, dims.k, dims.cols_b);
@@ -55,4 +68,15 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.to_string().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const indexmac::SimError& e) {
+    std::fprintf(stderr, "sparsity_explorer: %s\n", e.what());
+    return 1;
+  }
 }

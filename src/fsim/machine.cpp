@@ -174,27 +174,19 @@ struct Machine::Exec {
   }
 
   static std::uint64_t vadd_vx(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    const std::uint32_t s = static_cast<std::uint32_t>(st.x[o.rs1]);
-    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] + s;
+    add_scalar(m.state_, o, static_cast<std::uint32_t>(m.state_.x[o.rs1]));
     return o.next;
   }
   static std::uint64_t vadd_vi(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    const std::uint32_t s = static_cast<std::uint32_t>(o.imm);
-    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = st.v[o.rs2][i] + s;
+    add_scalar(m.state_, o, static_cast<std::uint32_t>(o.imm));
     return o.next;
   }
   static std::uint64_t vmv_v_x(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    const std::uint32_t s = static_cast<std::uint32_t>(st.x[o.rs1]);
-    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = s;
+    splat(m.state_, o.rd, static_cast<std::uint32_t>(m.state_.x[o.rs1]));
     return o.next;
   }
   static std::uint64_t vmv_v_i(Machine& m, const Slot& o) {
-    ArchState& st = m.state_;
-    const std::uint32_t s = static_cast<std::uint32_t>(o.imm);
-    for (unsigned i = 0; i < st.vl; ++i) st.v[o.rd][i] = s;
+    splat(m.state_, o.rd, static_cast<std::uint32_t>(o.imm));
     return o.next;
   }
 
@@ -228,13 +220,34 @@ struct Machine::Exec {
   static std::uint64_t vslidedown_vi(Machine& m, const Slot& o) {
     return slidedown(m, o, static_cast<std::uint64_t>(o.imm));
   }
+  /// vd[i] = vs2[i + 1] below vl - 1, then vd[vl - 1] = x[rs1]; vd may be
+  /// vs2. A full register's 15 moving lanes go as four 16-byte loads, then
+  /// four stores (lanes 1-4, 5-8, 9-12 and 12-15 of vs2): a move sized by vl
+  /// compiles to a libc call, and a stack copy's misaligned reload stalls
+  /// on store forwarding.
   static std::uint64_t vslide1down(Machine& m, const Slot& o) {
     ArchState& st = m.state_;
-    const std::array<std::uint32_t, kVlMax> src = st.v[o.rs2];
-    if (st.vl > 0) {
-      for (unsigned i = 0; i + 1 < st.vl; ++i) st.v[o.rd][i] = src[i + 1];
-      st.v[o.rd][st.vl - 1] = static_cast<std::uint32_t>(st.x[o.rs1]);
+    const unsigned vl = st.vl;
+    if (vl == 0) return o.next;
+    std::uint32_t* const d = st.v[o.rd].data();
+    const std::uint32_t* const s = st.v[o.rs2].data();
+    if (vl == kVlMax) {
+      struct Quad {
+        std::uint32_t lane[4];
+      };
+      Quad q0, q1, q2, q3;
+      std::memcpy(&q0, s + 1, 16);
+      std::memcpy(&q1, s + 5, 16);
+      std::memcpy(&q2, s + 9, 16);
+      std::memcpy(&q3, s + 12, 16);
+      std::memcpy(d, &q0, 16);
+      std::memcpy(d + 4, &q1, 16);
+      std::memcpy(d + 8, &q2, 16);
+      std::memcpy(d + 11, &q3, 16);
+    } else {
+      std::memmove(d, s + 1, 4 * (vl - 1));
     }
+    d[vl - 1] = static_cast<std::uint32_t>(st.x[o.rs1]);
     return o.next;
   }
 
@@ -272,9 +285,13 @@ struct Machine::Exec {
     const unsigned src1 = 16u | static_cast<unsigned>((st.x[o.rs1] >> 4) & 0xf);
     const std::uint32_t s0 = st.v[o.rs2][0];
     const std::uint32_t s1 = st.v[o.rs2][1];
-    for (unsigned i = 0; i < st.vl; ++i) {
-      st.v[o.rd][i] += s0 * st.v[src0][i];
-      st.v[o.rd][i] += s1 * st.v[src1][i];
+    const unsigned vl = st.vl;
+    std::uint32_t* const d = st.v[o.rd].data();
+    const std::uint32_t* const b0 = st.v[src0].data();
+    const std::uint32_t* const b1 = st.v[src1].data();  // may be vd: reads the first MAC's sum
+    for (unsigned i = 0; i < vl; ++i) {
+      d[i] += s0 * b0[i];
+      d[i] += s1 * b1[i];
     }
     return o.next;
   }
@@ -284,9 +301,13 @@ struct Machine::Exec {
     const unsigned src1 = 16u | static_cast<unsigned>((st.x[o.rs1] >> 4) & 0xf);
     const float s0 = bits_to_f32(st.v[o.rs2][0]);
     const float s1 = bits_to_f32(st.v[o.rs2][1]);
-    for (unsigned i = 0; i < st.vl; ++i) {
-      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rd][i]) + s0 * bits_to_f32(st.v[src0][i]));
-      st.v[o.rd][i] = f32_to_bits(bits_to_f32(st.v[o.rd][i]) + s1 * bits_to_f32(st.v[src1][i]));
+    const unsigned vl = st.vl;
+    std::uint32_t* const d = st.v[o.rd].data();
+    const std::uint32_t* const b0 = st.v[src0].data();
+    const std::uint32_t* const b1 = st.v[src1].data();  // may be vd: reads the first MAC's sum
+    for (unsigned i = 0; i < vl; ++i) {
+      d[i] = f32_to_bits(bits_to_f32(d[i]) + s0 * bits_to_f32(b0[i]));
+      d[i] = f32_to_bits(bits_to_f32(d[i]) + s1 * bits_to_f32(b1[i]));
     }
     return o.next;
   }
@@ -334,25 +355,52 @@ struct Machine::Exec {
     return m.state_.x[o.rs1] + static_cast<std::uint64_t>(o.imm);
   }
 
+  // The lane loops below (and in the handlers above) read vl and the
+  // register rows into locals first. ArchState::vl is a 32-bit word like
+  // the lanes, so a loop that stored through st.v[rd] and tested st.vl
+  // would reload vl after every lane and could not vectorize.
+
+  /// vd[i] = vs2[i] + s over vl lanes.
+  static void add_scalar(ArchState& st, const Slot& o, std::uint32_t s) {
+    const unsigned vl = st.vl;
+    std::uint32_t* const d = st.v[o.rd].data();
+    const std::uint32_t* const a = st.v[o.rs2].data();
+    for (unsigned i = 0; i < vl; ++i) d[i] = a[i] + s;
+  }
+  /// vd[i] = s over vl lanes.
+  static void splat(ArchState& st, unsigned rd, std::uint32_t s) {
+    const unsigned vl = st.vl;
+    std::uint32_t* const d = st.v[rd].data();
+    for (unsigned i = 0; i < vl; ++i) d[i] = s;
+  }
+
   /// vd[i] = vs2[i + offset], zero past VLMAX. The bound is tested as
   /// offset < kVlMax - i so a huge register offset cannot wrap i + offset
   /// back into range.
   static std::uint64_t slidedown(Machine& m, const Slot& o, std::uint64_t offset) {
     ArchState& st = m.state_;
+    const unsigned vl = st.vl;
     const std::array<std::uint32_t, kVlMax> src = st.v[o.rs2];  // vd may alias vs2
-    for (unsigned i = 0; i < st.vl; ++i)
-      st.v[o.rd][i] = offset < kVlMax - i ? src[i + offset] : 0;
+    std::uint32_t* const d = st.v[o.rd].data();
+    for (unsigned i = 0; i < vl; ++i) d[i] = offset < kVlMax - i ? src[i + offset] : 0;
     return o.next;
   }
 
-  /// v[rd][i] += scale * v[src][i] over vl lanes (int32, wrapping).
+  /// v[rd][i] += scale * v[src][i] over vl lanes (int32, wrapping). `src`
+  /// may be rd: each lane reads its own lane before writing it.
   static void mac_u(ArchState& st, unsigned rd, std::uint32_t scale, unsigned src) {
-    for (unsigned i = 0; i < st.vl; ++i) st.v[rd][i] += scale * st.v[src][i];
+    const unsigned vl = st.vl;
+    std::uint32_t* const d = st.v[rd].data();
+    const std::uint32_t* const b = st.v[src].data();
+    for (unsigned i = 0; i < vl; ++i) d[i] += scale * b[i];
   }
   /// The fp32 form: v[rd][i] = v[rd][i] + scale * v[src][i].
   static void mac_f(ArchState& st, unsigned rd, float scale, unsigned src) {
-    for (unsigned i = 0; i < st.vl; ++i)
-      st.v[rd][i] = f32_to_bits(bits_to_f32(st.v[rd][i]) + scale * bits_to_f32(st.v[src][i]));
+    const unsigned vl = st.vl;
+    std::uint32_t* const d = st.v[rd].data();
+    const std::uint32_t* const b = st.v[src].data();
+    for (unsigned i = 0; i < vl; ++i)
+      d[i] = f32_to_bits(bits_to_f32(d[i]) + scale * bits_to_f32(b[i]));
   }
 
   /// Binds the instruction at `pc` to its handler with resolved operands.

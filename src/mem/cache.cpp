@@ -12,34 +12,25 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   line_shift_ = log2_exact(config.line_bytes);
   set_shift_ = log2_exact(num_sets_);
   set_mask_ = num_sets_ - 1;
-  lines_.resize(num_sets_ * config.ways);
-  mru_.assign(num_sets_, 0);
+  tags_.assign(num_sets_ * config.ways, 0);
+  stamps_.assign(num_sets_ * config.ways, 0);
+  dirty_.assign(num_sets_ * config.ways, 0);
+  front_.assign(num_sets_, Front{.tag = 0, .way = config.ways});  // no line yet
 }
 
-CacheLineResult Cache::access(std::uint64_t addr, bool is_store) {
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  Line* const begin = &lines_[set * config_.ways];
-  ++tick_;
-
-  // MRU front check: most accesses re-touch the set's last-hit line.
-  const std::uint32_t front = mru_[set];
-  {
-    Line& line = begin[front];
-    if (line.valid && line.tag == tag) {
-      line.lru = tick_;
-      line.dirty = line.dirty || is_store;
-      ++stats_.hits;
-      return CacheLineResult{.hit = true};
-    }
-  }
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    if (w == front) continue;
-    Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = tick_;
-      line.dirty = line.dirty || is_store;
-      mru_[set] = w;
+CacheLineResult Cache::access_set(std::uint64_t set, std::uint64_t tag, bool is_store) {
+  const unsigned ways = config_.ways;
+  const std::uint64_t first = set * ways;
+  std::uint64_t* const tags = &tags_[first];
+  std::uint64_t* const stamps = &stamps_[first];
+  std::uint8_t* const dirty = &dirty_[first];
+  const std::uint64_t now = tick_;
+  Front& front = front_[set];
+  for (std::uint32_t w = 0; w < ways; ++w) {
+    if (w != front.way && tags[w] == tag && stamps[w] != 0) {
+      stamps[w] = now;
+      if (is_store) dirty[w] = 1;
+      front = Front{.tag = tag, .way = w};
       ++stats_.hits;
       return CacheLineResult{.hit = true};
     }
@@ -47,40 +38,28 @@ CacheLineResult Cache::access(std::uint64_t addr, bool is_store) {
   ++stats_.misses;
 
   // Choose victim: an invalid way, else true LRU.
-  Line* victim = begin;
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    Line& line = begin[w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) victim = &line;
-  }
+  std::uint32_t victim = 0;
+  for (std::uint32_t w = 1; w < ways; ++w)
+    if (stamps[w] < stamps[victim]) victim = w;
 
   CacheLineResult result{};
-  if (victim->valid && victim->dirty) {
+  if (stamps[victim] != 0 && dirty[victim] != 0) {
     result.writeback = true;
-    result.victim_addr = ((victim->tag << set_shift_) | set) << line_shift_;
+    result.victim_addr = ((tags[victim] << set_shift_) | set) << line_shift_;
     ++stats_.writebacks;
   }
-  victim->valid = true;
-  victim->dirty = is_store;
-  victim->tag = tag;
-  victim->lru = tick_;
-  mru_[set] = static_cast<std::uint32_t>(victim - begin);
+  tags[victim] = tag;
+  stamps[victim] = now;
+  dirty[victim] = is_store ? 1 : 0;
+  front = Front{.tag = tag, .way = victim};
   return result;
 }
 
 bool Cache::probe(std::uint64_t addr) const {
-  const std::uint64_t set = set_index(addr);
+  const std::uint64_t first = set_index(addr) * config_.ways;
   const std::uint64_t tag = tag_of(addr);
-  const Line* const begin = &lines_[set * config_.ways];
-  const Line& front = begin[mru_[set]];
-  if (front.valid && front.tag == tag) return true;
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    const Line& line = begin[w];
-    if (line.valid && line.tag == tag) return true;
-  }
+  for (unsigned w = 0; w < config_.ways; ++w)
+    if (tags_[first + w] == tag && stamps_[first + w] != 0) return true;
   return false;
 }
 

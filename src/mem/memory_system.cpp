@@ -6,51 +6,53 @@
 
 namespace indexmac {
 
+Dram::Dram(unsigned latency, unsigned line_occupancy)
+    : latency_(latency), line_occupancy_(line_occupancy), fills_(kFillSlots) {}
+
+std::uint64_t Dram::line(std::uint64_t line_addr, std::uint64_t cycle) {
+  IMAC_ASSERT(line_addr != kNoLine, "DRAM line address 0xffffffffffffffff is reserved");
+  std::size_t slot = slot_of(line_addr);
+  const bool held = fills_[slot].line == line_addr;
+  if (held && cycle < fills_[slot].ready) return fills_[slot].ready;  // merge
+  const std::uint64_t start = std::max(cycle, channel_free_);
+  channel_free_ = start + line_occupancy_;
+  const std::uint64_t ready = start + latency_;
+  ++lines_;
+  // The line's expired fill, if held, is replaced in place. Past kMaxFills
+  // other fills the table starts over (bounding the merge window).
+  std::size_t others = held_ - (held ? 1 : 0);
+  if (others > kMaxFills) {
+    std::fill(fills_.begin(), fills_.end(), Fill{});
+    others = 0;
+    slot = slot_of(line_addr);
+  }
+  fills_[slot] = Fill{line_addr, ready};
+  held_ = others + 1;
+  max_ready_ = std::max(max_ready_, ready);
+  return ready;
+}
+
 MemorySystem::MemorySystem(const MemHierConfig& config)
     : config_(config),
       l1d_(config.l1d),
       l2_(config.l2),
       l2_line_shift_(log2_exact(config.l2.line_bytes)),
-      l2_bank_free_(config.l2_banks, 0) {
-  IMAC_CHECK(config.l2_banks > 0, "L2 needs at least one bank");
-}
-
-std::uint64_t MemorySystem::dram_line(std::uint64_t line_addr, std::uint64_t cycle) {
-  // Merge with an in-flight fill of the same line if one exists.
-  if (const auto it = inflight_fills_.find(line_addr); it != inflight_fills_.end()) {
-    if (cycle < it->second) return it->second;
-    inflight_fills_.erase(it);
-  }
-  const std::uint64_t start = std::max(cycle, dram_channel_free_);
-  dram_channel_free_ = start + config_.dram_line_occupancy;
-  const std::uint64_t ready = start + config_.dram_latency;
-  ++stats_.dram_lines;
-  if (inflight_fills_.size() > 4096) inflight_fills_.clear();  // bound the merge window
-  inflight_fills_[line_addr] = ready;
-  inflight_max_ready_ = std::max(inflight_max_ready_, ready);
-  return ready;
-}
-
-std::uint64_t MemorySystem::pending_fill(std::uint64_t line_addr, std::uint64_t cycle) const {
-  // A tag-array hit on a line whose DRAM fill is still in flight must wait
-  // for the fill (the tag allocates at miss time in this model). Once
-  // `cycle` is past every in-flight ready time no entry can delay it, so
-  // the common steady-state hit skips the hash lookup.
-  if (cycle >= inflight_max_ready_) return cycle;
-  const auto it = inflight_fills_.find(line_addr);
-  return (it != inflight_fills_.end() && cycle < it->second) ? it->second : cycle;
+      l2_bank_mask_(config.l2_banks - std::uint64_t{1}),
+      l2_bank_free_(config.l2_banks, 0),
+      dram_(config.dram_latency, config.dram_line_occupancy) {
+  IMAC_CHECK(is_pow2(config.l2_banks),
+             "L2 bank count must be a power of two, got " + std::to_string(config.l2_banks));
 }
 
 std::uint64_t MemorySystem::l2_line(std::uint64_t line_addr, bool is_store, std::uint64_t cycle) {
-  const std::uint64_t bank_count = l2_bank_free_.size();
-  const std::uint64_t bank = (line_addr >> l2_line_shift_) % bank_count;
+  const std::uint64_t bank = (line_addr >> l2_line_shift_) & l2_bank_mask_;
   const std::uint64_t start = std::max(cycle, l2_bank_free_[bank]);
   l2_bank_free_[bank] = start + config_.l2_bank_occupancy;
 
   const CacheLineResult r = l2_.access(line_addr, is_store);
-  if (r.writeback) dram_line(r.victim_addr, start + config_.l2.hit_latency);
-  if (r.hit) return pending_fill(line_addr, start + config_.l2.hit_latency);
-  return dram_line(line_addr, start + config_.l2.hit_latency);
+  if (r.writeback) dram_.line(r.victim_addr, start + config_.l2.hit_latency);
+  if (r.hit) return dram_.pending_fill(line_addr, start + config_.l2.hit_latency);
+  return dram_.line(line_addr, start + config_.l2.hit_latency);
 }
 
 template <typename Fn>
@@ -70,7 +72,7 @@ std::uint64_t MemorySystem::scalar_data(std::uint64_t addr, unsigned bytes, bool
     const CacheLineResult r = l1d_.access(line_addr, is_store);
     const std::uint64_t tag_done = cycle + config_.l1d.hit_latency;
     if (r.writeback) l2_line(r.victim_addr, /*is_store=*/true, tag_done);
-    if (r.hit) return pending_fill(line_addr, tag_done);
+    if (r.hit) return dram_.pending_fill(line_addr, tag_done);
     return l2_line(line_addr, /*is_store=*/false, tag_done);
   });
 }

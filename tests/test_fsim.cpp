@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <type_traits>
 
 #include "asm/assembler.h"
@@ -784,6 +785,230 @@ TEST(Fsim, PcOutsideProgramFaultsWithItsDescription) {
     }
     EXPECT_EQ(r.state().pc, target);
     EXPECT_EQ(r.machine->instructions_retired(), r.program.size() - 1);  // all but ebreak
+  }
+}
+
+// ---- lane-wise vector ops at every vl ----
+//
+// Each case loads all 32 vector registers with distinct lanes, sets vl,
+// runs one op and compares the whole register file with the state before:
+// vd's lanes below vl must equal a per-lane reference, and every other lane
+// of every register, vd's at or past vl included, must be unchanged. Each
+// op runs with distinct registers and with the aliasing its operands allow:
+// vd == vs2, and the indexed B row (either row of the dual form) == vd.
+
+using VRegFile = std::array<std::array<std::uint32_t, isa::kVlMax>, isa::kNumVRegs>;
+
+/// The operands of one case. The op reads its scalar from x5 (its index
+/// word for the IndexMAC forms) and its fp scalar from f1; the streaming
+/// MACs pop kStreamScale and then `x` from the SSR streams.
+struct LaneOperands {
+  unsigned vd = 0;
+  unsigned vs2 = 0;
+  std::uint64_t x = 0;
+};
+
+constexpr float kLaneF = 1.5f;
+constexpr std::uint32_t kStreamScale = 0x40400000u;  // 3.0f; 1077936128 as an integer
+constexpr std::int32_t kLaneImm = -3;                // vadd.vi and vmv.v.i
+constexpr std::int32_t kSlideImm = 2;                // vslidedown.vi
+
+float lane_f32(std::uint32_t bits) {
+  float out;
+  std::memcpy(&out, &bits, sizeof out);
+  return out;
+}
+std::uint32_t lane_bits(float value) {
+  std::uint32_t out;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+std::uint32_t mac_lane_u(std::uint32_t acc, std::uint32_t scale, std::uint32_t b) {
+  return acc + scale * b;
+}
+std::uint32_t mac_lane_f(std::uint32_t acc, std::uint32_t scale, std::uint32_t b) {
+  return lane_bits(lane_f32(acc) + lane_f32(scale) * lane_f32(b));
+}
+
+/// Which indexed B rows an op reads, and so which aliasing cases it has.
+enum class Rows { kNone, kFive, kNibble, kTwoNibbles, kStream };
+
+struct LaneOp {
+  const char* name;
+  void (*emit)(Assembler&, VReg vd, VReg vs2);
+  bool reads_vs2;
+  Rows rows;
+  std::uint64_t x;  ///< x5 for the distinct-register case
+  /// Lane i (< vl) of vd after the op, from the register file before it.
+  std::uint32_t (*lane)(const VRegFile& r, const LaneOperands& o, unsigned vl, unsigned i);
+};
+
+/// The dual-row MAC: the second MAC reads the first's sum when row 1 is vd.
+template <std::uint32_t (*Mac)(std::uint32_t, std::uint32_t, std::uint32_t)>
+std::uint32_t dual_lane(const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+  const unsigned row0 = 16u | (o.x & 0xf);
+  const unsigned row1 = 16u | ((o.x >> 4) & 0xf);
+  const std::uint32_t first = Mac(r[o.vd][i], r[o.vs2][0], r[row0][i]);
+  return Mac(first, r[o.vs2][1], row1 == o.vd ? first : r[row1][i]);
+}
+
+const std::vector<LaneOp>& lane_ops() {
+  static const std::vector<LaneOp> ops = {
+      {"vadd.vx", [](Assembler& a, VReg d, VReg s) { a.vadd_vx(d, s, x(5)); }, true, Rows::kNone,
+       0x12345678,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return r[o.vs2][i] + static_cast<std::uint32_t>(o.x);
+       }},
+      {"vadd.vi", [](Assembler& a, VReg d, VReg s) { a.vadd_vi(d, s, kLaneImm); }, true,
+       Rows::kNone, 0,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return r[o.vs2][i] + static_cast<std::uint32_t>(kLaneImm);
+       }},
+      {"vmv.v.x", [](Assembler& a, VReg d, VReg) { a.vmv_v_x(d, x(5)); }, false, Rows::kNone,
+       0xcafef00d,
+       [](const VRegFile&, const LaneOperands& o, unsigned, unsigned) {
+         return static_cast<std::uint32_t>(o.x);
+       }},
+      {"vmv.v.i", [](Assembler& a, VReg d, VReg) { a.vmv_v_i(d, kLaneImm); }, false, Rows::kNone,
+       0,
+       [](const VRegFile&, const LaneOperands&, unsigned, unsigned) {
+         return static_cast<std::uint32_t>(kLaneImm);
+       }},
+      {"vmacc.vx", [](Assembler& a, VReg d, VReg s) { a.vmacc_vx(d, x(5), s); }, true,
+       Rows::kNone, 7,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_u(r[o.vd][i], static_cast<std::uint32_t>(o.x), r[o.vs2][i]);
+       }},
+      {"vfmacc.vf", [](Assembler& a, VReg d, VReg s) { a.vfmacc_vf(d, f(1), s); }, true,
+       Rows::kNone, 0,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_f(r[o.vd][i], lane_bits(kLaneF), r[o.vs2][i]);
+       }},
+      {"vslide1down.vx", [](Assembler& a, VReg d, VReg s) { a.vslide1down_vx(d, s, x(5)); },
+       true, Rows::kNone, 0xdeadbeef,
+       [](const VRegFile& r, const LaneOperands& o, unsigned vl, unsigned i) {
+         return i + 1 < vl ? r[o.vs2][i + 1] : static_cast<std::uint32_t>(o.x);
+       }},
+      {"vslidedown.vx", [](Assembler& a, VReg d, VReg s) { a.vslidedown_vx(d, s, x(5)); }, true,
+       Rows::kNone, 3,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return i + o.x < isa::kVlMax ? r[o.vs2][i + o.x] : 0u;
+       }},
+      {"vslidedown.vi", [](Assembler& a, VReg d, VReg s) { a.vslidedown_vi(d, s, kSlideImm); },
+       true, Rows::kNone, 0,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return i + kSlideImm < isa::kVlMax ? r[o.vs2][i + kSlideImm] : 0u;
+       }},
+      {"vindexmac.vx", [](Assembler& a, VReg d, VReg s) { a.vindexmac_vx(d, s, x(5)); }, true,
+       Rows::kFive, 0x29,  // bits above the low five are ignored: row v9
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_u(r[o.vd][i], r[o.vs2][0], r[o.x & 0x1f][i]);
+       }},
+      {"vfindexmac.vx", [](Assembler& a, VReg d, VReg s) { a.vfindexmac_vx(d, s, x(5)); }, true,
+       Rows::kFive, 0x29,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_f(r[o.vd][i], r[o.vs2][0], r[o.x & 0x1f][i]);
+       }},
+      {"vindexmacp.vx", [](Assembler& a, VReg d, VReg s) { a.vindexmacp_vx(d, s, x(5)); }, true,
+       Rows::kNibble, 0x75,  // row v21
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_u(r[o.vd][i], r[o.vs2][0], r[16u | (o.x & 0xf)][i]);
+       }},
+      {"vfindexmacp.vx", [](Assembler& a, VReg d, VReg s) { a.vfindexmacp_vx(d, s, x(5)); },
+       true, Rows::kNibble, 0x75,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_f(r[o.vd][i], r[o.vs2][0], r[16u | (o.x & 0xf)][i]);
+       }},
+      {"vindexmac2.vx", [](Assembler& a, VReg d, VReg s) { a.vindexmac2_vx(d, s, x(5)); }, true,
+       Rows::kTwoNibbles, 0x75,  // rows v21, v23
+       dual_lane<mac_lane_u>},
+      {"vfindexmac2.vx", [](Assembler& a, VReg d, VReg s) { a.vfindexmac2_vx(d, s, x(5)); },
+       true, Rows::kTwoNibbles, 0x75, dual_lane<mac_lane_f>},
+      {"vindexmacs.v", [](Assembler& a, VReg d, VReg) { a.vindexmacs_v(d); }, false,
+       Rows::kStream, 9,  // the popped index word: row v9
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_u(r[o.vd][i], kStreamScale, r[o.x & 0x1f][i]);
+       }},
+      {"vfindexmacs.v", [](Assembler& a, VReg d, VReg) { a.vfindexmacs_v(d); }, false,
+       Rows::kStream, 9,
+       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
+         return mac_lane_f(r[o.vd][i], kStreamScale, r[o.x & 0x1f][i]);
+       }},
+  };
+  return ops;
+}
+
+/// The distinct-register case, then every aliasing case the op allows.
+std::vector<std::pair<std::string, LaneOperands>> lane_cases(const LaneOp& op) {
+  constexpr unsigned kVd = 18;  // in the upper half, so a packed nibble (2) can name it
+  std::vector<std::pair<std::string, LaneOperands>> cases = {{"distinct", {kVd, 3, op.x}}};
+  if (op.reads_vs2) cases.push_back({"vd==vs2", {kVd, kVd, op.x}});
+  switch (op.rows) {
+    case Rows::kNone: break;
+    case Rows::kFive:
+    case Rows::kStream: cases.push_back({"row==vd", {kVd, 3, kVd}}); break;
+    case Rows::kNibble: cases.push_back({"row==vd", {kVd, 3, kVd & 0xf}}); break;
+    case Rows::kTwoNibbles:
+      cases.push_back({"row0==vd", {kVd, 3, 0x70 | (kVd & 0xf)}});
+      cases.push_back({"row1==vd", {kVd, 3, ((kVd & 0xf) << 4) | 0x5}});
+      break;
+  }
+  return cases;
+}
+
+TEST(Fsim, LaneWiseOpsWriteOnlyTheLanesBelowVl) {
+  constexpr std::uint64_t kRegImage = 0x10000;  // 32 x 64 B: the initial register file
+  constexpr std::uint64_t kFScalar = 0x20000;
+  constexpr std::uint64_t kStreams = 0x30000;   // stream 0 word, then stream 1 word
+  VRegFile before{};
+  for (unsigned r = 0; r < isa::kNumVRegs; ++r)
+    for (unsigned i = 0; i < isa::kVlMax; ++i)  // distinct, finite fp32 lanes
+      before[r][i] = lane_bits(0.25f * static_cast<float>(r * isa::kVlMax + i) - 50.0f);
+
+  for (const LaneOp& op : lane_ops()) {
+    for (const auto& [mode, o] : lane_cases(op)) {
+      for (const unsigned vl : {0u, 1u, 5u, 15u, 16u}) {
+        SCOPED_TRACE(std::string(op.name) + " " + mode + " vl=" + std::to_string(vl));
+        Assembler a;
+        a.li(x(1), isa::kVlMax);
+        a.vsetvli_e32m1(x(0), x(1));
+        for (unsigned r = 0; r < isa::kNumVRegs; ++r) {
+          a.li(x(2), static_cast<std::int64_t>(kRegImage + 64 * r));
+          a.vle32(v(r), x(2));
+        }
+        a.li(x(1), vl);
+        a.vsetvli_e32m1(x(0), x(1));
+        a.li(x(5), static_cast<std::int32_t>(o.x));  // li sign-extends 32 bits
+        a.li(x(6), static_cast<std::int64_t>(kFScalar));
+        a.flw(f(1), x(6), 0);
+        if (op.rows == Rows::kStream) {
+          a.li(x(10), static_cast<std::int64_t>(kStreams));
+          a.li(x(11), static_cast<std::int64_t>(kStreams + 4));
+          a.li(x(12), 1);
+          a.ssrcfg(0, x(10), x(12));
+          a.ssrcfg(1, x(11), x(12));
+          a.li(x(12), 0b11);
+          a.ssren(x(12));
+        }
+        op.emit(a, v(o.vd), v(o.vs2));
+        a.ebreak();
+        SimRun run(a);
+        for (unsigned r = 0; r < isa::kNumVRegs; ++r)
+          for (unsigned i = 0; i < isa::kVlMax; ++i)
+            run.mem.write_u32(kRegImage + 64 * r + 4 * i, before[r][i]);
+        run.mem.write_f32(kFScalar, kLaneF);
+        run.mem.write_u32(kStreams, kStreamScale);
+        run.mem.write_u32(kStreams + 4, static_cast<std::uint32_t>(o.x));
+        ASSERT_EQ(run.go(), StopReason::kEbreak);
+        ASSERT_EQ(run.state().vl, vl);
+
+        VRegFile want = before;
+        for (unsigned i = 0; i < vl; ++i) want[o.vd][i] = op.lane(before, o, vl, i);
+        for (unsigned r = 0; r < isa::kNumVRegs; ++r)
+          for (unsigned i = 0; i < isa::kVlMax; ++i)
+            EXPECT_EQ(run.state().v[r][i], want[r][i]) << "v" << r << "[" << i << "]";
+      }
+    }
   }
 }
 

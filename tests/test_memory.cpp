@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <random>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "mem/cache.h"
@@ -257,6 +262,143 @@ TEST(MemorySystem, DramChannelOccupancySerializesStreams) {
   const std::uint64_t t1 = ms.vector_data(0x000, 64, false, 0);
   const std::uint64_t t2 = ms.vector_data(0x040, 64, false, 0);
   EXPECT_EQ(t2 - t1, MemHierConfig{}.dram_line_occupancy);
+}
+
+TEST(MemorySystem, RejectsABankCountThatIsNotAPowerOfTwo) {
+  for (const unsigned banks : {0u, 3u, 6u}) {
+    MemHierConfig config;
+    config.l2_banks = banks;
+    EXPECT_THROW(MemorySystem{config}, SimError) << banks;
+  }
+  MemHierConfig one_bank;
+  one_bank.l2_banks = 1;
+  MemorySystem ms(one_bank);
+  (void)ms.vector_data(0x000, 64, false, 0);
+  (void)ms.vector_data(0x040, 64, false, 0);
+  // Adjacent lines share the only bank: the second waits out the first.
+  const std::uint64_t t1 = ms.vector_data(0x000, 64, false, 10000);
+  const std::uint64_t t2 = ms.vector_data(0x040, 64, false, 10000);
+  EXPECT_EQ(t2, t1 + one_bank.l2_bank_occupancy);
+}
+
+TEST(MemorySystem, HitUnderFillWaitsUntilTheFillsStartOver) {
+  // A tag hit on a line whose fill is still pending waits for the fill as
+  // long as the in-flight fills hold it: through 4,096 newer distinct
+  // lines. The 4,097th starts the fills over, and the same hit no longer
+  // waits. The line is filled late and the newer lines are requested at
+  // cycle 0, in other banks, so neither a bank nor the channel delays the
+  // hits.
+  MemorySystem ms(test_hier());
+  constexpr std::uint64_t kLate = 1'000'000;
+  const std::uint64_t ready = ms.vector_data(0x000, 64, false, kLate);  // line 0: bank 0, set 0
+  const auto fill_newer = [&](std::uint64_t i) {
+    const std::uint64_t line = 8 * (i / 7) + 1 + i % 7;  // never a multiple of 8: banks 1-7
+    (void)ms.vector_data(64 * line, 64, false, 0);
+  };
+  for (std::uint64_t i = 0; i < 4096; ++i) fill_newer(i);
+  const unsigned hit = test_hier().l2.hit_latency;
+  ASSERT_LT(kLate + 50 + hit, ready);
+  EXPECT_EQ(ms.vector_data(0x000, 64, false, kLate + 50), ready);
+  fill_newer(4096);
+  EXPECT_EQ(ms.vector_data(0x000, 64, false, kLate + 60), kLate + 60 + hit);
+  EXPECT_EQ(ms.stats().dram_lines, 4098u);
+  EXPECT_EQ(ms.l2().stats().hits, 2u);
+}
+
+// ---------- Dram: the fixed in-flight-fill table ----------
+
+/// Dram's line/pending_fill as they were on a std::unordered_map, kept as
+/// the reference for the fixed table: a pending fill merges, an expired one
+/// is erased and replaced, and the whole map is cleared when a new line
+/// arrives while it holds more than 4,096 fills.
+class HashMapDram {
+ public:
+  HashMapDram(unsigned latency, unsigned occupancy) : latency_(latency), occupancy_(occupancy) {}
+
+  std::uint64_t line(std::uint64_t line_addr, std::uint64_t cycle) {
+    if (const auto it = fills_.find(line_addr); it != fills_.end()) {
+      if (cycle < it->second) {
+        ++merges;
+        return it->second;
+      }
+      fills_.erase(it);
+      ++expired;
+    }
+    const std::uint64_t start = std::max(cycle, channel_free_);
+    channel_free_ = start + occupancy_;
+    const std::uint64_t ready = start + latency_;
+    ++lines;
+    if (fills_.size() > 4096) {
+      fills_.clear();
+      ++clears;
+    }
+    fills_[line_addr] = ready;
+    max_ready_ = std::max(max_ready_, ready);
+    return ready;
+  }
+
+  std::uint64_t pending_fill(std::uint64_t line_addr, std::uint64_t cycle) {
+    if (cycle >= max_ready_) return cycle;
+    const auto it = fills_.find(line_addr);
+    if (it == fills_.end() || cycle >= it->second) return cycle;
+    ++waits;
+    return it->second;
+  }
+
+  std::uint64_t lines = 0, merges = 0, expired = 0, clears = 0, waits = 0;
+
+ private:
+  std::uint64_t latency_;
+  std::uint64_t occupancy_;
+  std::uint64_t channel_free_ = 0;
+  std::unordered_map<std::uint64_t, std::uint64_t> fills_;
+  std::uint64_t max_ready_ = 0;
+};
+
+TEST(Dram, FixedTableMatchesTheHashMapItReplaced) {
+  // Seeded streams over 32,768 distinct lines: half the requests re-touch
+  // one of the last 64 lines (merges, waits, expired fills), and a quarter
+  // start up to 400 cycles before the previous one. Every returned cycle
+  // and the line count must match the reference at every step.
+  struct Stream {
+    std::uint32_t seed;
+    unsigned latency, occupancy;
+  };
+  for (const Stream& st : {Stream{1, 100, 7}, Stream{2, 300, 2}, Stream{3, 20, 40}}) {
+    SCOPED_TRACE("seed " + std::to_string(st.seed));
+    Dram dram(st.latency, st.occupancy);
+    HashMapDram reference(st.latency, st.occupancy);
+    std::mt19937_64 rng(st.seed);
+    std::vector<std::uint64_t> pool;
+    std::unordered_set<std::uint64_t> in_pool;
+    while (pool.size() < 32768) {
+      const std::uint64_t line = (rng() & ((std::uint64_t{1} << 34) - 1)) << 6;
+      if (in_pool.insert(line).second) pool.push_back(line);
+    }
+    std::array<std::uint64_t, 64> recent{};
+    std::unordered_set<std::uint64_t> filled;
+    std::uint64_t now = 1000;
+    for (std::uint64_t step = 0; step < 160000; ++step) {
+      now += rng() % 16;
+      const std::uint64_t back = rng() % 4 == 0 ? std::min<std::uint64_t>(now, rng() % 400) : 0;
+      const std::uint64_t cycle = now - back;
+      const std::uint64_t line =
+          rng() % 2 == 0 ? recent[rng() % recent.size()] : pool[rng() % pool.size()];
+      if (rng() % 3 == 0) {
+        ASSERT_EQ(dram.pending_fill(line, cycle), reference.pending_fill(line, cycle)) << step;
+      } else {
+        ASSERT_EQ(dram.line(line, cycle), reference.line(line, cycle)) << step;
+        filled.insert(line);
+        recent[step % recent.size()] = line;
+      }
+      ASSERT_EQ(dram.lines(), reference.lines) << step;
+    }
+    EXPECT_GE(filled.size(), 20000u);
+    EXPECT_GE(reference.clears, 3u);
+    EXPECT_GT(reference.merges, 0u);
+    EXPECT_GT(reference.expired, 0u);
+    EXPECT_GT(reference.waits, 0u);
+  }
 }
 
 }  // namespace

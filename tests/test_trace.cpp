@@ -1,8 +1,9 @@
 // The timing model's walk over the executed instruction stream:
 //  * the per-instruction path (unit-stride vector accesses, indirect and
 //    streaming MACs, vector->scalar moves, forwarded scalar accesses,
-//    branches) performs no heap allocation — a counting global
-//    allocator covers the whole binary, hence a suite of its own;
+//    branches) and the per-DRAM-line path perform no heap allocation — a
+//    counting global allocator covers the whole binary, hence a suite of
+//    its own;
 //  * a stream that leaves the program raises a SimError naming the pc.
 #include <gtest/gtest.h>
 
@@ -135,9 +136,8 @@ Program vector_loop(MainMemory& mem, unsigned trips) {
 
 TEST(TraceAllocation, NoHeapAllocationPerInstruction) {
   // The same footprint at two trip counts: every per-instruction path must
-  // leave the allocation count unchanged. (A kernel at two sizes cannot
-  // show this: the memory system allocates one in-flight-fill record per
-  // DRAM line, and a larger kernel fills more.)
+  // leave the allocation count unchanged. The footprint is fixed, so both
+  // runs fill the same DRAM lines; NoHeapAllocationPerDramLine varies those.
   MainMemory short_mem;
   MainMemory long_mem;
   const Program short_program = vector_loop(short_mem, 8);
@@ -151,6 +151,46 @@ TEST(TraceAllocation, NoHeapAllocationPerInstruction) {
   EXPECT_EQ(long_stats.mem.dram_lines, short_stats.mem.dram_lines);
   EXPECT_EQ(long_allocs, short_allocs)
       << short_stats.instructions << " vs " << long_stats.instructions << " instructions";
+}
+
+/// A vle32 stream over `bytes` (a multiple of 4 KiB) of untouched memory
+/// from 1 MiB up, one 64-byte line per trip: every load misses to DRAM.
+Program vle32_stream(std::uint64_t bytes) {
+  const std::string source = R"(
+      addi  x2, x0, 16
+      vsetvli x0, x2, e32m1
+      lui   x1, 256
+      lui   x3, )" + std::to_string(bytes / 4096) + R"(
+      add   x3, x1, x3
+  loop:
+      vle32.v v4, (x1)
+      addi  x1, x1, 64
+      bne   x1, x3, loop
+      ebreak
+  )";
+  return assemble_text(source).program;
+}
+
+TEST(TraceAllocation, NoHeapAllocationPerDramLine) {
+  // 1,024 and 16,384 DRAM lines: the larger run passes the in-flight-fill
+  // table's 4,096-fill bound several times and must still allocate exactly
+  // what the smaller one does. Loads of untouched memory materialize no
+  // pages, so the functional side allocates nothing per line either.
+  const Program small_program = vle32_stream(64 * 1024);
+  const Program large_program = vle32_stream(1024 * 1024);
+  MainMemory small_mem;
+  MainMemory large_mem;
+  TimingStats small_stats;
+  TimingStats large_stats;
+  const std::uint64_t small_allocs =
+      allocations_of_timing_run(small_program, small_mem, small_stats);
+  const std::uint64_t large_allocs =
+      allocations_of_timing_run(large_program, large_mem, large_stats);
+  EXPECT_EQ(small_stats.mem.dram_lines, 1024u);
+  EXPECT_EQ(large_stats.mem.dram_lines, 16384u);
+  EXPECT_EQ(large_allocs, small_allocs);
+  EXPECT_EQ(small_mem.page_count(), 0u);
+  EXPECT_EQ(large_mem.page_count(), 0u);
 }
 
 }  // namespace
