@@ -220,33 +220,14 @@ struct Machine::Exec {
   static std::uint64_t vslidedown_vi(Machine& m, const Slot& o) {
     return slidedown(m, o, static_cast<std::uint64_t>(o.imm));
   }
-  /// vd[i] = vs2[i + 1] below vl - 1, then vd[vl - 1] = x[rs1]; vd may be
-  /// vs2. A full register's 15 moving lanes go as four 16-byte loads, then
-  /// four stores (lanes 1-4, 5-8, 9-12 and 12-15 of vs2): a move sized by vl
-  /// compiles to a libc call, and a stack copy's misaligned reload stalls
-  /// on store forwarding.
+  /// vd[i] = vs2[i + 1] below vl - 1, then vd[vl - 1] = x[rs1]. vd may be
+  /// vs2: the lanes move down, so an in-place memmove is safe.
   static std::uint64_t vslide1down(Machine& m, const Slot& o) {
     ArchState& st = m.state_;
     const unsigned vl = st.vl;
     if (vl == 0) return o.next;
     std::uint32_t* const d = st.v[o.rd].data();
-    const std::uint32_t* const s = st.v[o.rs2].data();
-    if (vl == kVlMax) {
-      struct Quad {
-        std::uint32_t lane[4];
-      };
-      Quad q0, q1, q2, q3;
-      std::memcpy(&q0, s + 1, 16);
-      std::memcpy(&q1, s + 5, 16);
-      std::memcpy(&q2, s + 9, 16);
-      std::memcpy(&q3, s + 12, 16);
-      std::memcpy(d, &q0, 16);
-      std::memcpy(d + 4, &q1, 16);
-      std::memcpy(d + 8, &q2, 16);
-      std::memcpy(d + 11, &q3, 16);
-    } else {
-      std::memmove(d, s + 1, 4 * (vl - 1));
-    }
+    std::memmove(d, st.v[o.rs2].data() + 1, 4 * (vl - 1));
     d[vl - 1] = static_cast<std::uint32_t>(st.x[o.rs1]);
     return o.next;
   }

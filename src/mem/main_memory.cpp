@@ -6,20 +6,6 @@
 
 namespace indexmac {
 
-namespace {
-
-/// Copies `count` 32-bit words. A full vector register's 16 words copy at
-/// a fixed size, which compiles to four 16-byte moves instead of a libc
-/// memcpy call.
-void copy_words(void* dst, const void* src, std::size_t count) {
-  if (count == 16)
-    std::memcpy(dst, src, 64);
-  else
-    std::memcpy(dst, src, 4 * count);
-}
-
-}  // namespace
-
 const MainMemory::Page* MainMemory::find_page(std::uint64_t addr) const {
   const std::uint64_t key = addr / kPageBytes;
   if (key == read_page_key_) return read_page_;
@@ -122,7 +108,7 @@ void MainMemory::read_u32_block(std::uint64_t addr, std::uint32_t* out, std::siz
     }
     const std::uint8_t* b = p->data() + offset;
     if constexpr (std::endian::native == std::endian::little) {
-      copy_words(out, b, count);  // pages hold LE bytes: words verbatim
+      std::memcpy(out, b, 4 * count);  // pages hold LE bytes: words verbatim
       return;
     }
     for (std::size_t i = 0; i < count; ++i, b += 4)
@@ -139,7 +125,7 @@ void MainMemory::write_u32_block(std::uint64_t addr, const std::uint32_t* data,
   if (count > 0 && offset + 4 * count <= kPageBytes) {
     std::uint8_t* b = page_for(addr).data() + offset;
     if constexpr (std::endian::native == std::endian::little) {
-      copy_words(b, data, count);
+      std::memcpy(b, data, 4 * count);
       return;
     }
     for (std::size_t i = 0; i < count; ++i, b += 4) {

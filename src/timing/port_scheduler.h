@@ -108,7 +108,7 @@ class InOrderPorts {
 /// structures fill and drain.
 class SlotPool {
  public:
-  explicit SlotPool(unsigned entries) : free_at_(entries, 0), entries_(entries) {
+  explicit SlotPool(unsigned entries) : free_at_(entries, 0) {
     IMAC_CHECK(entries >= 1, "slot pool must have at least one entry");
   }
 
@@ -120,12 +120,11 @@ class SlotPool {
   /// Claims the next slot, holding it until `release_cycle`.
   void claim(std::uint64_t release_cycle) {
     free_at_[next_] = release_cycle;
-    if (++next_ == entries_) next_ = 0;
+    if (++next_ == free_at_.size()) next_ = 0;
   }
 
  private:
   std::vector<std::uint64_t> free_at_;
-  std::size_t entries_;  ///< free_at_.size(), kept so a claim does not recompute it
   std::size_t next_ = 0;
 };
 
