@@ -49,9 +49,9 @@ int main() {
       ebreak
   )";
 
-  const AssembledText assembled = assemble_text(source);
-  std::printf("assembled %zu instructions; disassembly:\n%s\n",
-              assembled.program.size(), assembled.program.listing().c_str());
+  const Program program = assemble_text(source);
+  std::printf("assembled %zu instructions; disassembly:\n%s\n", program.size(),
+              program.listing().c_str());
 
   MainMemory mem;
   // A row 0 = [3, 0, 5, 0] in 1:2 blocks -> values [3,5], indices [v16,v18].
@@ -63,7 +63,7 @@ int main() {
     mem.write_i32s(0x2000 + row * 64, b);
   }
 
-  Machine machine(assembled.program, mem);
+  Machine machine(program, mem);
   const StopReason stop = machine.run();
   std::printf("execution stopped: %s after %llu instructions\n",
               stop == StopReason::kEbreak ? "ebreak" : "other",

@@ -118,14 +118,9 @@ void Assembler::vmacc_vx(VReg vd, XReg rs1, VReg vs2) {
 void Assembler::vfmacc_vf(VReg vd, FReg rs1, VReg vs2) {
   emit({Op::kVfmaccVf, vd.num, rs1.num, vs2.num, 0});
 }
-void Assembler::vmv_v_x(VReg vd, XReg rs1) { emit({Op::kVmvVX, vd.num, rs1.num, 0, 0}); }
 void Assembler::vmv_v_i(VReg vd, std::int32_t simm5) { emit({Op::kVmvVI, vd.num, 0, 0, simm5}); }
 void Assembler::vmv_x_s(XReg rd, VReg vs2) { emit({Op::kVmvXS, rd.num, 0, vs2.num, 0}); }
 void Assembler::vfmv_f_s(FReg rd, VReg vs2) { emit({Op::kVfmvFS, rd.num, 0, vs2.num, 0}); }
-void Assembler::vmv_s_x(VReg vd, XReg rs1) { emit({Op::kVmvSX, vd.num, rs1.num, 0, 0}); }
-void Assembler::vslidedown_vx(VReg vd, VReg vs2, XReg rs1) {
-  emit({Op::kVslidedownVx, vd.num, rs1.num, vs2.num, 0});
-}
 void Assembler::vslidedown_vi(VReg vd, VReg vs2, std::int32_t uimm5) {
   IMAC_CHECK(uimm5 >= 0 && uimm5 < 32, "vslidedown.vi offset must fit uimm5");
   emit({Op::kVslidedownVi, vd.num, 0, vs2.num, uimm5});

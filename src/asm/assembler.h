@@ -51,9 +51,6 @@ class Assembler {
   /// Binds `label` to the current position. Each label binds exactly once.
   void bind(Label label);
 
-  /// Number of instructions emitted so far.
-  [[nodiscard]] std::size_t size() const { return insts_.size(); }
-
   /// Emits any instruction; for a branch or jal, `target` sets its
   /// pc-relative offset at finish(). The typed methods below all end here.
   void emit(const isa::Instruction& inst, std::optional<Label> target = std::nullopt);
@@ -111,12 +108,9 @@ class Assembler {
   void vadd_vi(VReg vd, VReg vs2, std::int32_t simm5);
   void vmacc_vx(VReg vd, XReg rs1, VReg vs2);
   void vfmacc_vf(VReg vd, FReg rs1, VReg vs2);
-  void vmv_v_x(VReg vd, XReg rs1);
   void vmv_v_i(VReg vd, std::int32_t simm5);
   void vmv_x_s(XReg rd, VReg vs2);
   void vfmv_f_s(FReg rd, VReg vs2);
-  void vmv_s_x(VReg vd, XReg rs1);
-  void vslidedown_vx(VReg vd, VReg vs2, XReg rs1);
   void vslidedown_vi(VReg vd, VReg vs2, std::int32_t uimm5);
   void vslide1down_vx(VReg vd, VReg vs2, XReg rs1);
   /// Custom: vd[i] += (int32) vs2[0] * (int32) VRF[x[rs1] & 31][i].

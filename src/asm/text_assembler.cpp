@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -74,21 +75,16 @@ class Parser {
     parse_instruction(line);
   }
 
-  AssembledText finish() {
-    Program p = asm_.finish(base_);
-    std::map<std::string, std::uint64_t> symbols;
-    for (const auto& [name, info] : labels_) {
+  Program finish() {
+    for (const auto& [name, info] : labels_)
       fail_if(!info.bound, "label '" + name + "' used but never defined");
-      symbols[name] = p.base() + 4 * info.position;
-    }
-    return AssembledText{std::move(p), std::move(symbols)};
+    return asm_.finish(base_);
   }
 
  private:
   struct LabelInfo {
     Assembler::Label label;
     bool bound = false;
-    std::size_t position = 0;
   };
 
   [[noreturn]] void fail(const std::string& msg) const {
@@ -115,7 +111,7 @@ class Parser {
   LabelInfo& label(const std::string& name) {
     auto it = labels_.find(name);
     if (it == labels_.end())
-      it = labels_.emplace(name, LabelInfo{asm_.new_label(), false, 0}).first;
+      it = labels_.emplace(name, LabelInfo{asm_.new_label(), false}).first;
     return it->second;
   }
 
@@ -123,7 +119,6 @@ class Parser {
     LabelInfo& info = label(name);
     fail_if(info.bound, "label '" + name + "' defined twice");
     info.bound = true;
-    info.position = asm_.size();
     asm_.bind(info.label);
   }
 
@@ -297,7 +292,7 @@ class Parser {
 
 }  // namespace
 
-AssembledText assemble_text(const std::string& source, std::uint64_t base) {
+Program assemble_text(const std::string& source, std::uint64_t base) {
   Parser parser(base);
   std::istringstream ss(source);
   std::string line;

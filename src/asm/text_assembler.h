@@ -4,24 +4,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "asm/program.h"
 
 namespace indexmac {
 
-/// Result of assembling a text listing.
-struct AssembledText {
-  Program program;
-  /// Label name -> absolute address.
-  std::map<std::string, std::uint64_t> symbols;
-};
-
 /// Assembles `source` (one instruction or "label:" per line; '#' and "//"
 /// comments). Throws SimError with a line-numbered message on any error.
-[[nodiscard]] AssembledText assemble_text(const std::string& source,
-                                          std::uint64_t base = 0x1000);
+[[nodiscard]] Program assemble_text(const std::string& source, std::uint64_t base = 0x1000);
 
 /// Renders `program` as re-assemblable source: branch/jal targets become
 /// synthesized "L<n>" labels (the text assembler accepts only symbolic

@@ -29,12 +29,7 @@ std::uint32_t f32_to_bits(float value) {
 
 }  // namespace
 
-float ArchState::freg_f32(unsigned r) const { return bits_to_f32(f[r]); }
-void ArchState::set_freg_f32(unsigned r, float value) { f[r] = f32_to_bits(value); }
 float ArchState::velem_f32(unsigned reg, unsigned lane) const { return bits_to_f32(v[reg][lane]); }
-void ArchState::set_velem_f32(unsigned reg, unsigned lane, float value) {
-  v[reg][lane] = f32_to_bits(value);
-}
 
 std::string describe_pc(const Program& program, std::uint64_t pc) {
   char head[32];
@@ -96,31 +91,31 @@ struct Machine::Exec {
 
   static std::uint64_t lw(Machine& m, const Slot& o) {
     m.state_.x[o.rd] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(static_cast<std::int32_t>(m.memory_.read_u32(addr(m, o)))));
+        static_cast<std::int64_t>(static_cast<std::int32_t>(m.memory_.read_u32(addr<4>(m, o)))));
     return o.next;
   }
   static std::uint64_t lwu(Machine& m, const Slot& o) {
-    m.state_.x[o.rd] = m.memory_.read_u32(addr(m, o));
+    m.state_.x[o.rd] = m.memory_.read_u32(addr<4>(m, o));
     return o.next;
   }
   static std::uint64_t ld(Machine& m, const Slot& o) {
-    m.state_.x[o.rd] = m.memory_.read_u64(addr(m, o));
+    m.state_.x[o.rd] = m.memory_.read_u64(addr<8>(m, o));
     return o.next;
   }
   static std::uint64_t sw(Machine& m, const Slot& o) {
-    m.memory_.write_u32(addr(m, o), static_cast<std::uint32_t>(m.state_.x[o.rs2]));
+    m.memory_.write_u32(addr<4>(m, o), static_cast<std::uint32_t>(m.state_.x[o.rs2]));
     return o.next;
   }
   static std::uint64_t sd(Machine& m, const Slot& o) {
-    m.memory_.write_u64(addr(m, o), m.state_.x[o.rs2]);
+    m.memory_.write_u64(addr<8>(m, o), m.state_.x[o.rs2]);
     return o.next;
   }
   static std::uint64_t flw(Machine& m, const Slot& o) {
-    m.state_.f[o.rd] = m.memory_.read_u32(addr(m, o));
+    m.state_.f[o.rd] = m.memory_.read_u32(addr<4>(m, o));
     return o.next;
   }
   static std::uint64_t fsw(Machine& m, const Slot& o) {
-    m.memory_.write_u32(addr(m, o), m.state_.f[o.rs2]);
+    m.memory_.write_u32(addr<4>(m, o), m.state_.f[o.rs2]);
     return o.next;
   }
 
@@ -165,11 +160,15 @@ struct Machine::Exec {
   }
 
   static std::uint64_t vle32(Machine& m, const Slot& o) {
-    m.memory_.read_u32_block(m.state_.x[o.rs1], m.state_.v[o.rd].data(), m.state_.vl);
+    const std::uint64_t a = m.state_.x[o.rs1];
+    m.check_range(a, 4ull * m.state_.vl);
+    m.memory_.read_u32_block(a, m.state_.v[o.rd].data(), m.state_.vl);
     return o.next;
   }
   static std::uint64_t vse32(Machine& m, const Slot& o) {
-    m.memory_.write_u32_block(m.state_.x[o.rs1], m.state_.v[o.rd].data(), m.state_.vl);
+    const std::uint64_t a = m.state_.x[o.rs1];
+    m.check_range(a, 4ull * m.state_.vl);
+    m.memory_.write_u32_block(a, m.state_.v[o.rd].data(), m.state_.vl);
     return o.next;
   }
 
@@ -181,12 +180,12 @@ struct Machine::Exec {
     add_scalar(m.state_, o, static_cast<std::uint32_t>(o.imm));
     return o.next;
   }
-  static std::uint64_t vmv_v_x(Machine& m, const Slot& o) {
-    splat(m.state_, o.rd, static_cast<std::uint32_t>(m.state_.x[o.rs1]));
-    return o.next;
-  }
   static std::uint64_t vmv_v_i(Machine& m, const Slot& o) {
-    splat(m.state_, o.rd, static_cast<std::uint32_t>(o.imm));
+    ArchState& st = m.state_;
+    const unsigned vl = st.vl;
+    const auto s = static_cast<std::uint32_t>(o.imm);
+    std::uint32_t* const d = st.v[o.rd].data();
+    for (unsigned i = 0; i < vl; ++i) d[i] = s;
     return o.next;
   }
 
@@ -209,16 +208,16 @@ struct Machine::Exec {
     m.state_.f[o.rd] = m.state_.v[o.rs2][0];
     return o.next;
   }
-  static std::uint64_t vmv_s_x(Machine& m, const Slot& o) {
-    if (m.state_.vl > 0) m.state_.v[o.rd][0] = static_cast<std::uint32_t>(m.state_.x[o.rs1]);
-    return o.next;
-  }
 
-  static std::uint64_t vslidedown_vx(Machine& m, const Slot& o) {
-    return slidedown(m, o, m.state_.x[o.rs1]);
-  }
+  /// vd[i] = vs2[i + uimm5], zero past VLMAX.
   static std::uint64_t vslidedown_vi(Machine& m, const Slot& o) {
-    return slidedown(m, o, static_cast<std::uint64_t>(o.imm));
+    ArchState& st = m.state_;
+    const unsigned vl = st.vl;
+    const auto offset = static_cast<unsigned>(o.imm);
+    const std::array<std::uint32_t, kVlMax> src = st.v[o.rs2];  // vd may alias vs2
+    std::uint32_t* const d = st.v[o.rd].data();
+    for (unsigned i = 0; i < vl; ++i) d[i] = i + offset < kVlMax ? src[i + offset] : 0;
+    return o.next;
   }
   /// vd[i] = vs2[i + 1] below vl - 1, then vd[vl - 1] = x[rs1]. vd may be
   /// vs2: the lanes move down, so an in-place memmove is safe.
@@ -332,8 +331,13 @@ struct Machine::Exec {
   static std::int64_t sx(const Machine& m, unsigned r) {
     return static_cast<std::int64_t>(m.state_.x[r]);
   }
+  /// The effective address of a `Bytes`-wide scalar access, checked
+  /// against the address bound.
+  template <std::uint64_t Bytes>
   static std::uint64_t addr(const Machine& m, const Slot& o) {
-    return m.state_.x[o.rs1] + static_cast<std::uint64_t>(o.imm);
+    const std::uint64_t a = m.state_.x[o.rs1] + static_cast<std::uint64_t>(o.imm);
+    m.check_range(a, Bytes);
+    return a;
   }
 
   // The lane loops below (and in the handlers above) read vl and the
@@ -348,25 +352,6 @@ struct Machine::Exec {
     const std::uint32_t* const a = st.v[o.rs2].data();
     for (unsigned i = 0; i < vl; ++i) d[i] = a[i] + s;
   }
-  /// vd[i] = s over vl lanes.
-  static void splat(ArchState& st, unsigned rd, std::uint32_t s) {
-    const unsigned vl = st.vl;
-    std::uint32_t* const d = st.v[rd].data();
-    for (unsigned i = 0; i < vl; ++i) d[i] = s;
-  }
-
-  /// vd[i] = vs2[i + offset], zero past VLMAX. The bound is tested as
-  /// offset < kVlMax - i so a huge register offset cannot wrap i + offset
-  /// back into range.
-  static std::uint64_t slidedown(Machine& m, const Slot& o, std::uint64_t offset) {
-    ArchState& st = m.state_;
-    const unsigned vl = st.vl;
-    const std::array<std::uint32_t, kVlMax> src = st.v[o.rs2];  // vd may alias vs2
-    std::uint32_t* const d = st.v[o.rd].data();
-    for (unsigned i = 0; i < vl; ++i) d[i] = offset < kVlMax - i ? src[i + offset] : 0;
-    return o.next;
-  }
-
   /// v[rd][i] += scale * v[src][i] over vl lanes (int32, wrapping). `src`
   /// may be rd: each lane reads its own lane before writing it.
   static void mac_u(ArchState& st, unsigned rd, std::uint32_t scale, unsigned src) {
@@ -454,12 +439,9 @@ struct Machine::Exec {
       case Op::kVaddVi: fn = vadd_vi; break;
       case Op::kVmaccVx: fn = vmacc_vx; break;
       case Op::kVfmaccVf: fn = vfmacc_vf; break;
-      case Op::kVmvVX: fn = vmv_v_x; break;
       case Op::kVmvVI: fn = vmv_v_i; break;
       case Op::kVmvXS: fn = vmv_x_s; break;
       case Op::kVfmvFS: fn = vfmv_f_s; break;
-      case Op::kVmvSX: fn = vmv_s_x; break;
-      case Op::kVslidedownVx: fn = vslidedown_vx; break;
       case Op::kVslidedownVi: fn = vslidedown_vi; break;
       case Op::kVslide1downVx: fn = vslide1down; break;
       case Op::kVindexmacVx: fn = vindexmac_u; break;
@@ -496,18 +478,16 @@ void Machine::left_program() const {
   raise("functional execution left the program: " + describe_pc(program_, state_.pc));
 }
 
-StopReason Machine::run(std::uint64_t max_steps) {
-  for (std::uint64_t i = 0; i < max_steps; ++i) {
-    const StopReason r = step();
-    if (r != StopReason::kRunning) return r;
-  }
-  return StopReason::kMaxSteps;
+void Machine::address_fault(std::uint64_t addr, std::uint64_t bytes) const {
+  char what[96];
+  std::snprintf(what, sizeof what, "%llu bytes at 0x%llx", static_cast<unsigned long long>(bytes),
+                static_cast<unsigned long long>(addr));
+  raise(std::string("memory access past the 48-bit address space: ") + what + ", " +
+        describe_pc(program_, state_.pc));
 }
 
-StopReason Machine::run_with_breakpoints(const BreakpointSet& breakpoints,
-                                         std::uint64_t max_steps) {
+StopReason Machine::run(std::uint64_t max_steps) {
   for (std::uint64_t i = 0; i < max_steps; ++i) {
-    if (breakpoints.contains(state_.pc)) return StopReason::kRunning;
     const StopReason r = step();
     if (r != StopReason::kRunning) return r;
   }
@@ -520,7 +500,9 @@ std::uint32_t Machine::ssr_pop(unsigned sid) {
     raise("vindexmacs.v with stream " + std::to_string(sid) +
           (s.enabled ? " configured empty" : " disabled") + " at " +
           describe_pc(program_, state_.pc));
-  const std::uint32_t word = memory_.read_u32(s.base + 4ull * s.pos);
+  const std::uint64_t addr = s.base + 4ull * s.pos;
+  check_range(addr, 4);
+  const std::uint32_t word = memory_.read_u32(addr);
   if (++s.pos == s.count) s.pos = 0;
   return word;
 }

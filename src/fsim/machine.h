@@ -8,9 +8,10 @@
 // immediates, pc-relative branch and jump targets, link values and halt
 // stop reasons. step() then calls the slot's handler through a plain
 // function pointer. This table is the only implementation of instruction
-// semantics: the timing model's per-slot handlers, the debug stub and
-// `imac_run run` all step through it. step() is inline so that the timing
-// handlers inline it; its fault path stays out of line.
+// semantics: the timing model's per-slot handlers and `imac_run run` both
+// step through it. step() is inline so that the timing handlers inline it;
+// its fault path stays out of line. Nothing outside the Machine writes its
+// architectural state.
 #pragma once
 
 #include <array>
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "asm/program.h"
-#include "fsim/breakpoints.h"
 #include "isa/isa.h"
 #include "mem/main_memory.h"
 
@@ -34,10 +34,7 @@ struct ArchState {
   std::array<std::array<std::uint32_t, isa::kVlMax>, isa::kNumVRegs> v{};
   std::uint32_t vl = 0;
 
-  [[nodiscard]] float freg_f32(unsigned r) const;
-  void set_freg_f32(unsigned r, float value);
   [[nodiscard]] float velem_f32(unsigned reg, unsigned lane) const;
-  void set_velem_f32(unsigned reg, unsigned lane, float value);
 };
 
 /// One SSR address-generation state machine (Algorithm 5): a configured
@@ -92,18 +89,7 @@ class Machine {
   /// Runs until ebreak/ecall or `max_steps`. Returns the stop reason.
   StopReason run(std::uint64_t max_steps = 100'000'000);
 
-  /// Like run(), but additionally stops BEFORE executing any instruction
-  /// whose pc is in `breakpoints`, returning kRunning with the pc parked on
-  /// the breakpoint (a pc already in the set returns immediately — resuming
-  /// past a breakpoint is the caller's step-over, exactly as GDB drives a
-  /// stub). kMaxSteps still means the budget ran out. Used by the debug
-  /// stub (debug/gdb_server.h); breakpoints never patch the program image,
-  /// so architectural results are unchanged.
-  StopReason run_with_breakpoints(const BreakpointSet& breakpoints,
-                                  std::uint64_t max_steps = 100'000'000);
-
   [[nodiscard]] const ArchState& state() const { return state_; }
-  [[nodiscard]] ArchState& state() { return state_; }
   [[nodiscard]] const Program& program() const { return program_; }
   [[nodiscard]] std::uint64_t instructions_retired() const { return retired_; }
   /// The four SSR address-generation state machines (index 0..3).
@@ -132,6 +118,17 @@ class Machine {
 
   /// step()'s fault for a pc outside the program (SimError naming the pc).
   [[noreturn, gnu::noinline, gnu::cold]] void left_program() const;
+
+  /// Raises, before memory is touched, unless the `bytes` at `addr` lie
+  /// wholly below MainMemory::kAddressLimit. Zero bytes (a vector access
+  /// at vl 0) touch nothing and pass.
+  void check_range(std::uint64_t addr, std::uint64_t bytes) const {
+    if (bytes != 0 && addr > MainMemory::kAddressLimit - bytes) [[unlikely]]
+      address_fault(addr, bytes);
+  }
+  /// check_range's fault: SimError naming the access and the pc.
+  [[noreturn, gnu::noinline, gnu::cold]] void address_fault(std::uint64_t addr,
+                                                            std::uint64_t bytes) const;
 
   const Program& program_;
   MainMemory& memory_;

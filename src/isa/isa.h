@@ -2,8 +2,7 @@
 // IndexMAC kernels, including the custom vindexmac/vfindexmac instructions.
 //
 // The subset is what the kernel families emit, plus scalar conveniences
-// for hand-written programs and three vector ops only tests use (vmv.v.x,
-// vmv.s.x, vslidedown.vx): RV64I integer ALU ops, loads/stores,
+// for hand-written programs: RV64I integer ALU ops, loads/stores,
 // branches/jumps, M-extension mul, F-extension flw/fsw, and an RVV 1.0
 // slice with SEW=32 / LMUL=1 semantics, without gathers or reductions.
 // Everything else is rejected by the decoder with a precise error.
@@ -53,9 +52,8 @@ enum class Op : std::uint8_t {
   // RVV arithmetic / moves / slides (SEW=32).
   kVaddVx, kVaddVi,
   kVmaccVx, kVfmaccVf,
-  kVmvVX, kVmvVI,
-  kVmvXS, kVfmvFS, kVmvSX,
-  kVslidedownVx, kVslidedownVi, kVslide1downVx,
+  kVmvVI, kVmvXS, kVfmvFS,
+  kVslidedownVi, kVslide1downVx,
   // Custom IndexMAC instructions (Section III of the paper):
   //   vd[i] += vs2[0] * VRF[x[rs1] & 0x1f][i]
   // Integer and fp32 element interpretations share the datapath.

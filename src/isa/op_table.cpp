@@ -76,7 +76,6 @@ constexpr Format kVI{Arg::kVd, Arg::kVs2, Arg::kSimm5};      // vadd.vi v1, v2, 
 constexpr Format kVUI{Arg::kVd, Arg::kVs2, Arg::kUimm5};     // vslidedown.vi v1, v2, 5
 constexpr Format kVMaccX{Arg::kVd, Arg::kXs1, Arg::kVs2};    // vmacc.vx v1, x2, v3
 constexpr Format kVMaccF{Arg::kVd, Arg::kFs1, Arg::kVs2};    // vfmacc.vf v1, f2, v3
-constexpr Format kVMvX{Arg::kVd, Arg::kXs1};                 // vmv.v.x v1, x2
 constexpr Format kVMvI{Arg::kVd, Arg::kSimm5};               // vmv.v.i v1, 5
 constexpr Format kXMvS{Arg::kXd, Arg::kVs2};                 // vmv.x.s x1, v2
 constexpr Format kFMvS{Arg::kFd, Arg::kVs2};                 // vfmv.f.s f1, v2
@@ -164,18 +163,12 @@ constexpr OpRow kRows[] = {
      vec(kVx | kSiVectorMac, kVdVs2, L::kMac)},
     {Op::kVfmaccVf, "vfmacc.vf", kF7Bits, vop(0b101100, kFvf), fmt::kVMaccF,
      vec(kSiReadsFRs1 | kSiWritesV | kSiVectorMac, kVdVs2, L::kMac)},
-    {Op::kVmvVX, "vmv.v.x", kF7Bits | kRs2Bits, vop(0b010111, kIvx), fmt::kVMvX,
-     vec(kVx, 0, L::kMove)},
     {Op::kVmvVI, "vmv.v.i", kF7Bits | kRs2Bits, vop(0b010111, kIvi), fmt::kVMvI,
      vec(kSiWritesV, 0, L::kMove)},
     {Op::kVmvXS, "vmv.x.s", kF7Bits | kRs1Bits, vop(0b010000, kMvv), fmt::kXMvS,
      vec(kSiVectorToScalar | kSiWritesX, kVReadRs2, L::kMove)},
     {Op::kVfmvFS, "vfmv.f.s", kF7Bits | kRs1Bits, vop(0b010000, kFvv), fmt::kFMvS,
      vec(kSiVectorToScalar | kSiWritesF, kVReadRs2, L::kMove)},
-    {Op::kVmvSX, "vmv.s.x", kF7Bits | kRs2Bits, vop(0b010000, kMvx), fmt::kVMvX,
-     vec(kVx, kVReadRd, L::kMove)},  // merges into vd[0]
-    {Op::kVslidedownVx, "vslidedown.vx", kF7Bits, vop(0b001111, kIvx), fmt::kVX,
-     vec(kVx, kVReadRs2, L::kSlide)},
     {Op::kVslidedownVi, "vslidedown.vi", kF7Bits, vop(0b001111, kIvi), fmt::kVUI,
      vec(kSiWritesV, kVReadRs2, L::kSlide)},
     {Op::kVslide1downVx, "vslide1down.vx", kF7Bits, vop(0b001111, kMvx), fmt::kVX,

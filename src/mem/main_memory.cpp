@@ -140,14 +140,6 @@ void MainMemory::write_u32_block(std::uint64_t addr, const std::uint32_t* data,
   for (std::size_t i = 0; i < count; ++i) write_u32(addr + 4 * i, data[i]);
 }
 
-void MainMemory::write_bytes(std::uint64_t addr, std::span<const std::uint8_t> data) {
-  for (std::size_t i = 0; i < data.size(); ++i) write_u8(addr + i, data[i]);
-}
-
-void MainMemory::read_bytes(std::uint64_t addr, std::span<std::uint8_t> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = read_u8(addr + i);
-}
-
 namespace {
 
 /// Writes 4-byte elements one page's run at a time: each run's bytes are

@@ -18,6 +18,10 @@ namespace indexmac {
 class MainMemory {
  public:
   static constexpr std::uint64_t kPageBytes = 4096;
+  /// The simulated address space is [0, 2^48), as under Sv48. The
+  /// functional simulator raises on any access that does not lie wholly
+  /// below this bound, so no access range it passes on wraps past 2^64.
+  static constexpr std::uint64_t kAddressLimit = std::uint64_t{1} << 48;
 
   MainMemory() = default;
   // Non-copyable/movable: the last-page caches below hold raw pointers
@@ -36,11 +40,6 @@ class MainMemory {
   void write_u32(std::uint64_t addr, std::uint32_t v);
   void write_u64(std::uint64_t addr, std::uint64_t v);
   void write_f32(std::uint64_t addr, float v);
-
-  /// Bulk copy into memory.
-  void write_bytes(std::uint64_t addr, std::span<const std::uint8_t> data);
-  /// Bulk copy out of memory.
-  void read_bytes(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
   /// Bulk 32-bit-word transfers for the functional simulator's vle32/vse32
   /// handlers and the array writers below: one page lookup covers the whole

@@ -152,6 +152,9 @@ class MemorySystem {
   /// Access one line through the L2 (+DRAM on miss); returns completion.
   std::uint64_t l2_line(std::uint64_t line_addr, bool is_store, std::uint64_t cycle);
   /// Walk all lines an access touches; returns worst completion.
+  /// Precondition: addr + bytes <= MainMemory::kAddressLimit, so the last
+  /// line's address cannot wrap past 2^64. The functional simulator raises
+  /// on any access that breaks it before the timing model sees the access.
   template <typename Fn>
   std::uint64_t for_lines(std::uint64_t addr, unsigned bytes, Fn&& fn);
 

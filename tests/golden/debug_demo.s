@@ -1,16 +1,18 @@
-# debug_demo.s — self-contained vindexmac micro-kernel for the GDB-stub
-# end-to-end test (tests/test_gdb_e2e via tools/rsp_client.py).
+# debug_demo.s — self-contained vindexmac micro-kernel, pinned byte for
+# byte by ctest: `imac_run run --timing` (debug_demo_timing.txt) and
+# `imac_run run --dump-regs` at step 516 and at the ebreak
+# (debug_demo_regs_516.txt, debug_demo_regs.txt).
 #
-# Memory starts zeroed under `imac_run gdb`, so the program first builds its
-# own operands with scalar stores: four B rows at 0x8000 (pitch 64 bytes,
+# Memory starts zeroed, so the program first builds its own operands with
+# scalar stores: four B rows at 0x8000 (pitch 64 bytes,
 # B[row][j] = (row+1)*100 + j), the packed non-zero values [3, 5] of a
 # 1:2-sparse A row at 0x8800, and their VRF indices [16, 18] at 0x8900.
 # It then runs the Algorithm 2 inner loop — vmv.x.s index extract,
 # vindexmac.vx MAC, vslide1down.vx — and stores C to 0x9000, where
-# C[j] = 3*(100+j) + 5*(300+j) = 1800 + 8j.
+# C[j] = 3*(100+j) + 5*(300+j) = 1800 + 8j (test_fsim checks B row 0 and C).
 #
-# `marker 1` sits right before the loop: the e2e test breakpoints there
-# (found via `monitor markers`) and single-steps into the loop body.
+# `marker 1` sits right before the loop; step 516 is three instructions
+# past it, after the first MAC.
 
     li   t0, 16
     vsetvli zero, t0, e32m1
@@ -66,7 +68,7 @@ b_elems:
     vmv.v.i v0, 0           # C accumulator
     li   s11, 48879         # 0xbeef sentinel: known x-reg value at the marker
 
-    marker 1                # e2e breakpoint target (monitor markers)
+    marker 1                # loop entry
 loop:                       # two non-zeros in this row
     vmv.x.s t4, v8          # index -> scalar register
     vindexmac.vx v0, v4, t4 # C += value * VRF[t4]

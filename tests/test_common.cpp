@@ -60,18 +60,18 @@ TEST(Format, ParseDoubleIsStrict) {
 }
 
 TEST(Format, ParseUintTakesDigitsUpToItsBound) {
-  EXPECT_EQ(parse_uint("0", "--port", 65535), 0u);
-  EXPECT_EQ(parse_uint("65535", "--port", 65535), 65535u);
+  EXPECT_EQ(parse_uint("0", "--threads", 1024), 0u);
+  EXPECT_EQ(parse_uint("1024", "--threads", 1024), 1024u);
   EXPECT_EQ(parse_uint("18446744073709551615", "--max-steps"), UINT64_MAX);
   // A sign or a space is not skipped, and -1 does not wrap to the maximum.
-  for (const char* bad : {"", " 4", "4 ", "+4", "-1", "0x10", "12x", "65536",
+  for (const char* bad : {"", " 4", "4 ", "+4", "-1", "0x10", "12x", "1025",
                           "18446744073709551616"})
-    EXPECT_THROW((void)parse_uint(bad, "--port", 65535), SimError) << bad;
+    EXPECT_THROW((void)parse_uint(bad, "--threads", 1024), SimError) << bad;
   try {
-    (void)parse_uint("70000", "--port", 65535);
+    (void)parse_uint("70000", "--threads", 1024);
     FAIL() << "70000 accepted";
   } catch (const SimError& e) {
-    EXPECT_STREQ(e.what(), "--port expects an unsigned integer at most 65535, got \"70000\"");
+    EXPECT_STREQ(e.what(), "--threads expects an unsigned integer at most 1024, got \"70000\"");
   }
 }
 

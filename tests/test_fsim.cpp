@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <type_traits>
 
 #include "asm/assembler.h"
@@ -9,12 +11,13 @@
 #include "fsim/machine.h"
 #include "isa/encoding.h"
 #include "isa/static_info.h"
+#include "timing/timing_sim.h"
 
 namespace indexmac {
 namespace {
 
 // The machine keeps a reference to its Program, so a temporary one must not
-// compile: Machine(assemble_text(src).program, mem) would dangle.
+// compile: Machine(assemble_text(src), mem) would dangle.
 static_assert(!std::is_constructible_v<Machine, Program&&, MainMemory&>);
 static_assert(std::is_constructible_v<Machine, const Program&, MainMemory&>);
 
@@ -143,7 +146,7 @@ TEST(Fsim, MarkersRetireAsArchitecturalNoOps) {
     a->li(x(1), 7);
     if (a == &marked) a->marker(3);
     a->vsetvli_e32m1(x(2), x(1));
-    a->vmv_v_x(v(1), x(1));
+    a->vmv_v_i(v(1), 7);
     if (a == &marked) a->marker(9);
     a->addi(x(3), x(1), 5);
     a->ebreak();
@@ -273,11 +276,12 @@ TEST(Fsim, VmvXsSignExtends) {
   Assembler a;
   a.li(x(1), 16);
   a.vsetvli_e32m1(x(0), x(1));
-  a.li(x(2), -7);
-  a.vmv_s_x(v(1), x(2));
+  a.li(x(2), 0x1000);
+  a.vle32(v(1), x(2));
   a.vmv_x_s(x(3), v(1));
   a.ebreak();
   SimRun r(a);
+  r.mem.write_i32s(0x1000, std::vector<std::int32_t>{-7});
   r.go();
   EXPECT_EQ(static_cast<std::int64_t>(r.state().x[3]), -7);
 }
@@ -315,22 +319,6 @@ TEST(Fsim, SlidedownByImmediate) {
   r.go();
   for (unsigned i = 0; i < 13; ++i) EXPECT_EQ(r.state().v[2][i], 10 * (i + 3));
   EXPECT_EQ(r.state().v[2][13], 0u);  // slid past VLMAX -> zero
-}
-
-TEST(Fsim, SlidedownByHugeRegisterOffsetZeroFills) {
-  // An offset of 2^64 - 1 is past VLMAX for every lane; i + offset must
-  // not wrap back into range.
-  Assembler a;
-  a.li(x(1), 16);
-  a.vsetvli_e32m1(x(0), x(1));
-  a.vmv_v_i(v(1), 7);
-  a.vmv_v_i(v(2), 5);
-  a.li(x(3), -1);
-  a.vslidedown_vx(v(2), v(1), x(3));
-  a.ebreak();
-  SimRun r(a);
-  r.go();
-  for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(r.state().v[2][i], 0u) << i;
 }
 
 TEST(Fsim, VindexmacIntegerIndirectRead) {
@@ -501,13 +489,13 @@ TEST(Fsim, SsrStreamingMacMatchesExplicitVindexmac) {
       a.vindexmacs_v(v(2));
       a.vindexmacs_v(v(2));
     } else {
-      a.li(x(6), 3);                  // values[0]
+      a.li(x(6), 0x2000);             // values[0] in v1[0]
+      a.vle32(v(1), x(6));
       a.li(x(7), 8);                  // indices[0] -> v8
-      a.vmv_s_x(v(1), x(6));
       a.vindexmac_vx(v(2), v(1), x(7));
-      a.li(x(6), -5);                 // values[1]
+      a.li(x(6), 0x2004);             // values[1] in v1[0]
+      a.vle32(v(1), x(6));
       a.li(x(7), 9);                  // indices[1] -> v9
-      a.vmv_s_x(v(1), x(6));
       a.vindexmac_vx(v(2), v(1), x(7));
     }
     a.ebreak();
@@ -658,7 +646,7 @@ TEST(Fsim, SsrEmptyWindowRaises) {
 }
 
 TEST(Fsim, TextAssembledSsrKernelMatchesBuilder) {
-  const auto out = assemble_text(R"(
+  const Program program = assemble_text(R"(
       li t0, 16
       vsetvli zero, t0, e32m1
       li t1, 0x1000
@@ -680,13 +668,13 @@ TEST(Fsim, TextAssembledSsrKernelMatchesBuilder) {
   mem.write_i32s(0x1000, brow);
   mem.write_i32s(0x2000, std::vector<std::int32_t>{7});
   mem.write_i32s(0x3000, std::vector<std::int32_t>{8});
-  Machine machine(out.program, mem);
+  Machine machine(program, mem);
   EXPECT_EQ(machine.run(), StopReason::kEbreak);
   for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(machine.state().v[2][i], 7u * i);
 }
 
 TEST(Fsim, TextAssembledKernelMatchesBuilder) {
-  const auto out = assemble_text(R"(
+  const Program program = assemble_text(R"(
       li t0, 16
       vsetvli zero, t0, e32m1
       li t1, 0x1000
@@ -705,7 +693,7 @@ TEST(Fsim, TextAssembledKernelMatchesBuilder) {
   std::vector<std::int32_t> values(16, 0);
   values[0] = 7;
   mem.write_i32s(0x2000, values);
-  Machine machine(out.program, mem);
+  Machine machine(program, mem);
   EXPECT_EQ(machine.run(), StopReason::kEbreak);
   for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(machine.state().v[2][i], 7u * i);
 }
@@ -788,6 +776,89 @@ TEST(Fsim, PcOutsideProgramFaultsWithItsDescription) {
   }
 }
 
+TEST(Fsim, DebugDemoBuildsItsOperandsAndStoresC) {
+  // The demo writes its own B rows with scalar stores, then runs the
+  // vindexmac loop over them. Its registers at step 516 and at the ebreak
+  // are pinned by the `run --dump-regs` goldens beside it.
+  std::ifstream file(std::string(INDEXMAC_GOLDEN_DIR) + "/debug_demo.s");
+  ASSERT_TRUE(file.good());
+  std::stringstream source;
+  source << file.rdbuf();
+  const Program program = assemble_text(source.str());
+  MainMemory mem;
+  Machine machine(program, mem);
+  ASSERT_EQ(machine.run(), StopReason::kEbreak);
+  for (std::uint32_t j = 0; j < isa::kVlMax; ++j) {
+    EXPECT_EQ(mem.read_u32(0x8000 + 4 * j), 100 + j) << "B[0][" << j << "]";
+    EXPECT_EQ(mem.read_u32(0x9000 + 4 * j), 1800 + 8 * j) << "C[" << j << "]";
+  }
+}
+
+// ---- the 48-bit address space ----
+
+/// The SimError text `run` raises, or "" if it returns.
+template <typename Run>
+std::string fault_text(Run run) {
+  try {
+    run();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Fsim, AccessesPastTheAddressLimitRaiseInBothSimulators) {
+  // x2 holds 2^48 (MainMemory::kAddressLimit) and vl is 16. Each case ends
+  // in one access, then ebreak. An access that ends at or below the limit
+  // runs; one that reaches past it raises, in the functional and the
+  // timing model alike, naming the access and its pc, before memory is
+  // touched. A vector access at vl 0 covers no bytes and runs anywhere.
+  struct Case {
+    const char* body;
+    std::uint64_t addr;  ///< of a faulting access; 0 when the case runs
+    unsigned bytes;
+  };
+  constexpr std::uint64_t kLimit = MainMemory::kAddressLimit;
+  static_assert(kLimit == 1ull << 48);
+  const Case cases[] = {
+      {"lw x3, -4(x2)", 0, 0},
+      {"lw x3, -2(x2)", kLimit - 2, 4},
+      {"addi x2, x2, -64\nvle32.v v1, (x2)", 0, 0},
+      {"addi x2, x2, -32\nvle32.v v1, (x2)", kLimit - 32, 64},
+      {"vsetvli x0, x3, e32m1\nvle32.v v1, (x2)", 0, 0},  // x3 is 0: vl 0
+      {"sd x3, -8(x2)", 0, 0},
+      {"sd x3, -4(x0)", ~3ull, 8},  // 2^64 - 4
+      {"addi x4, x2, -2\nli x5, 0x1000\nli x6, 1\nssrcfg 0, x4, x6\nssrcfg 1, x5, x6\n"
+       "li x6, 3\nssren x6\nvindexmacs.v v2",  // pops the A value at 2^48 - 2
+       kLimit - 2, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.body);
+    const Program program = assemble_text(
+        std::string("li x1, 16\nvsetvli x0, x1, e32m1\nli x2, 1\nslli x2, x2, 48\n") + c.body +
+        "\nebreak\n");
+    const std::uint64_t access_pc = program.end() - 8;
+    char access[64];
+    std::snprintf(access, sizeof access, "%u bytes at 0x%llx", c.bytes,
+                  static_cast<unsigned long long>(c.addr));
+    const std::string want =
+        c.bytes == 0 ? "" : std::string("memory access past the 48-bit address space: ") +
+                                access + ", " + describe_pc(program, access_pc);
+
+    MainMemory fmem;
+    Machine machine(program, fmem);
+    EXPECT_EQ(fault_text([&] { ASSERT_EQ(machine.run(), StopReason::kEbreak); }), want);
+    MainMemory tmem;
+    timing::TimingSim sim(program, tmem, timing::ProcessorConfig{});
+    EXPECT_EQ(fault_text([&] { (void)sim.run(); }), want);
+    if (c.bytes != 0) {
+      EXPECT_EQ(machine.state().pc, access_pc);
+      EXPECT_EQ(fmem.page_count(), 0u);
+      EXPECT_EQ(tmem.page_count(), 0u);
+    }
+  }
+}
+
 // ---- lane-wise vector ops at every vl ----
 //
 // Each case loads all 32 vector registers with distinct lanes, sets vl,
@@ -864,11 +935,6 @@ const std::vector<LaneOp>& lane_ops() {
        [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
          return r[o.vs2][i] + static_cast<std::uint32_t>(kLaneImm);
        }},
-      {"vmv.v.x", [](Assembler& a, VReg d, VReg) { a.vmv_v_x(d, x(5)); }, false, Rows::kNone,
-       0xcafef00d,
-       [](const VRegFile&, const LaneOperands& o, unsigned, unsigned) {
-         return static_cast<std::uint32_t>(o.x);
-       }},
       {"vmv.v.i", [](Assembler& a, VReg d, VReg) { a.vmv_v_i(d, kLaneImm); }, false, Rows::kNone,
        0,
        [](const VRegFile&, const LaneOperands&, unsigned, unsigned) {
@@ -888,11 +954,6 @@ const std::vector<LaneOp>& lane_ops() {
        true, Rows::kNone, 0xdeadbeef,
        [](const VRegFile& r, const LaneOperands& o, unsigned vl, unsigned i) {
          return i + 1 < vl ? r[o.vs2][i + 1] : static_cast<std::uint32_t>(o.x);
-       }},
-      {"vslidedown.vx", [](Assembler& a, VReg d, VReg s) { a.vslidedown_vx(d, s, x(5)); }, true,
-       Rows::kNone, 3,
-       [](const VRegFile& r, const LaneOperands& o, unsigned, unsigned i) {
-         return i + o.x < isa::kVlMax ? r[o.vs2][i + o.x] : 0u;
        }},
       {"vslidedown.vi", [](Assembler& a, VReg d, VReg s) { a.vslidedown_vi(d, s, kSlideImm); },
        true, Rows::kNone, 0,

@@ -3,9 +3,10 @@
 // too long for tier-1, so this binary is built but not registered with
 // ctest; the CI isa-exhaustive job runs it.
 //
-// Adding an op to the instruction table changes the constants below. That
-// change should show that only the new op's words moved: the legal-word
-// count grows by exactly the words its row accepts.
+// Adding or removing an op changes the constants below. Derive the new ones
+// from the old table with the op's words skipped (or added) and the ops
+// after it renumbered, so that they show only that op's words moved: the
+// legal-word count changes by exactly the words its row accepts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,10 +39,10 @@ TEST(IsaExhaustive, EveryWordDecodesReencodesAndDisassemblesAsPinned) {
     listing.text(disassemble(in));
     listing.byte('\n');
   }
-  EXPECT_EQ(legal, 187645026u);
+  EXPECT_EQ(legal, 187610210u);
   EXPECT_EQ(not_reencoded, 0u);
-  EXPECT_EQ(decoded.hash, 0xd40aa46c9c12935aull);
-  EXPECT_EQ(listing.hash, 0x94356136f3d6d16aull);
+  EXPECT_EQ(decoded.hash, 0x2f36d92be5b5837aull);
+  EXPECT_EQ(listing.hash, 0xf08b629b3b912a22ull);
 }
 
 }  // namespace

@@ -23,9 +23,9 @@ void expect_round_trip(const Program& program, const std::string& what) {
   SCOPED_TRACE(what);
   ASSERT_GT(program.size(), 0u);
   const std::string text = program_to_source(program);
-  const AssembledText again = assemble_text(text, program.base());
-  ASSERT_EQ(again.program.size(), program.size());
-  EXPECT_EQ(again.program.words(), program.words());
+  const Program again = assemble_text(text, program.base());
+  ASSERT_EQ(again.size(), program.size());
+  EXPECT_EQ(again.words(), program.words());
 }
 
 SpmmLayout layout_for(const GemmDims& dims, sparse::Sparsity sp, unsigned tile_rows) {

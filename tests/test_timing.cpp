@@ -22,7 +22,7 @@ namespace indexmac::timing {
 namespace {
 
 // The simulator keeps a reference to its Program, so a temporary one must
-// not compile: TimingSim(assemble_text(src).program, ...) would dangle.
+// not compile: TimingSim(assemble_text(src), ...) would dangle.
 static_assert(!std::is_constructible_v<TimingSim, Program&&, MainMemory&, const ProcessorConfig&>);
 static_assert(std::is_constructible_v<TimingSim, Program&, MainMemory&, const ProcessorConfig&>);
 
@@ -579,7 +579,7 @@ PinnedRun time_tiny_square(core::Algorithm algorithm, unsigned unroll,
 
 PinnedRun time_mixed() {
   MainMemory mem;
-  return time_program(assemble_text(kMixedKernel).program, mem);
+  return time_program(assemble_text(kMixedKernel), mem);
 }
 
 struct PinnedCase {

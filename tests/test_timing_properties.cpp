@@ -193,9 +193,9 @@ std::vector<std::uint64_t> program_cycles(const ProcessorConfig& proc) {
   std::ifstream file(std::string(INDEXMAC_GOLDEN_DIR) + "/debug_demo.s");
   std::stringstream source;
   source << file.rdbuf();
-  const AssembledText demo = assemble_text(source.str());
+  const Program demo = assemble_text(source.str());
   MainMemory mem;
-  TimingSim sim(demo.program, mem, proc);
+  TimingSim sim(demo, mem, proc);
   out.push_back(sim.run().cycles);
   return out;
 }

@@ -128,7 +128,7 @@ Program vector_loop(MainMemory& mem, unsigned trips) {
       bne   x9, x0, loop
       ebreak
   )";
-  Program program = assemble_text(source).program;
+  Program program = assemble_text(source);
   Machine warmup(program, mem);  // first-touch page allocation is setup, not per instruction
   EXPECT_EQ(warmup.run(), StopReason::kEbreak);
   return program;
@@ -168,7 +168,7 @@ Program vle32_stream(std::uint64_t bytes) {
       bne   x1, x3, loop
       ebreak
   )";
-  return assemble_text(source).program;
+  return assemble_text(source);
 }
 
 TEST(TraceAllocation, NoHeapAllocationPerDramLine) {

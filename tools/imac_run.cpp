@@ -9,9 +9,6 @@
 //                   restartable, and horizontally partitionable
 //   merge           fuse shard stores and/or shard CSV reports back into
 //                   the canonical single-process report
-//   gdb             serve a GDB remote-serial-protocol debug session over
-//                   an assembled program (debug/gdb_server.h): breakpoints,
-//                   single-step, register/memory inspection
 //   list-workloads  show the registered workload suites (or one suite's
 //                   layer list); --json for tooling
 //   list-algorithms show the registered kernel families (id, name, report
@@ -47,7 +44,6 @@
 #include "core/result_store.h"
 #include "core/rollup.h"
 #include "core/sweep.h"
-#include "debug/gdb_server.h"
 #include "fsim/machine.h"
 #include "fsim/tracer.h"
 #include "timing/timing_sim.h"
@@ -56,8 +52,8 @@
 
 namespace {
 
-/// SIGINT/SIGTERM flag for the graceful-shutdown paths (sweep, gdb).
-/// An atomic store is the only thing the handler does — async-signal-safe.
+/// SIGINT/SIGTERM flag for sweep's graceful shutdown. An atomic store is
+/// the only thing the handler does — async-signal-safe.
 std::atomic<bool> g_stop{false};
 
 extern "C" void handle_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
@@ -125,24 +121,6 @@ const SubcommandDoc kSubcommands[] = {
      "      cycles to 2 decimals, so for sampled sweeps merge from stores\n"
      "      (CSV inputs still give byte-exact CSV output, but not JSON, and\n"
      "      must not overlap a store's points).\n"},
-    {"gdb", "serve a GDB remote-debug session over a program",
-     "  gdb [--port N] [--port-file F] [--quiet] file.s\n"
-     "      Assembles file.s and serves ONE GDB remote-serial-protocol\n"
-     "      debug session on 127.0.0.1 (registers x0..x31/pc/f/v/vl, memory,\n"
-     "      software breakpoints, continue/step, Ctrl-C interrupt). Connect\n"
-     "      a RISC-V-aware gdb with `target remote :PORT`, or script it with\n"
-     "      tools/rsp_client.py. Breakpoints are pc-checks, never program\n"
-     "      patches: architectural results match an undebugged run exactly.\n"
-     "      --port N       listen port (default 0 = kernel-assigned; the\n"
-     "                     bound port is printed to stderr)\n"
-     "      --port-file F  also write the bound port to F (harness handshake:\n"
-     "                     a client waits for the file, then connects)\n"
-     "      --quiet        suppress the listening/connected stderr notes\n"
-     "      monitor commands (gdb `monitor ...`): markers (pc of each marker\n"
-     "      instruction), symbols (label addresses), retired (instruction\n"
-     "      count), fault (text of the last execution fault).\n"
-     "      Exits 0 when the debugger detaches, kills, or disconnects;\n"
-     "      130 on SIGINT/SIGTERM.\n"},
     {"list-workloads", "show registered workload suites (or one suite's layers)",
      "  list-workloads [suite] [--json]\n"
      "      Lists the registered workload suites, or one suite's layers.\n"
@@ -197,7 +175,7 @@ void usage_full(std::FILE* out) {
   std::fprintf(out,
                "\n"
                "  Integer flags take decimal digits only: a sign, a space or a value\n"
-               "  out of range (a --port above 65535) is an error naming the flag.\n");
+               "  out of range (a --threads above 1024) is an error naming the flag.\n");
 }
 
 /// Full help for one subcommand, or nullptr if the name is unknown.
@@ -264,13 +242,13 @@ int cmd_run(int argc, char** argv) {
   std::stringstream source;
   source << file.rdbuf();
 
-  const AssembledText assembled = assemble_text(source.str());
-  std::printf("assembled %zu instructions at 0x%llx\n", assembled.program.size(),
-              static_cast<unsigned long long>(assembled.program.base()));
+  const Program program = assemble_text(source.str());
+  std::printf("assembled %zu instructions at 0x%llx\n", program.size(),
+              static_cast<unsigned long long>(program.base()));
 
   MainMemory mem;
   if (timing) {
-    timing::TimingSim sim(assembled.program, mem, timing::ProcessorConfig{});
+    timing::TimingSim sim(program, mem, timing::ProcessorConfig{});
     const timing::TimingStats& stats = sim.run(max_steps);
     std::printf("cycles: %llu  instructions: %llu  IPC: %.2f\n",
                 static_cast<unsigned long long>(stats.cycles),
@@ -290,7 +268,7 @@ int cmd_run(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.dispatch_stalls.queue_full),
                 static_cast<unsigned long long>(stats.dispatch_stalls.bandwidth));
   } else {
-    Machine machine(assembled.program, mem);
+    Machine machine(program, mem);
     StopReason stop;
     if (trace) {
       Tracer tracer(machine);
@@ -471,40 +449,6 @@ int cmd_sweep(int argc, char** argv) {
     }
     return 130;
   }
-}
-
-int cmd_gdb(int argc, char** argv) {
-  using namespace indexmac;
-  debug::GdbServerOptions opts;
-  const char* path = nullptr;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-      opts.port = static_cast<std::uint16_t>(parse_uint(argv[++i], "--port", UINT16_MAX));
-    else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) opts.port_file = argv[++i];
-    else if (std::strcmp(argv[i], "--quiet") == 0) opts.quiet = true;
-    else if (argv[i][0] != '-' && path == nullptr) path = argv[i];
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "imac_run gdb: a .s program file is required\n");
-    return 2;
-  }
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "imac_run: cannot open %s\n", path);
-    return 1;
-  }
-  std::stringstream source;
-  source << file.rdbuf();
-  const AssembledText assembled = assemble_text(source.str());
-
-  MainMemory mem;
-  install_stop_handlers();
-  opts.stop = &g_stop;
-  return debug::run_gdb_server(assembled, mem, opts);
 }
 
 int cmd_merge(int argc, char** argv) {
@@ -932,7 +876,6 @@ int main(int argc, char** argv) {
       if (std::strcmp(cmd, "run") == 0) return cmd_run(nrest, rest);
       if (std::strcmp(cmd, "sweep") == 0) return cmd_sweep(nrest, rest);
       if (std::strcmp(cmd, "merge") == 0) return cmd_merge(nrest, rest);
-      if (std::strcmp(cmd, "gdb") == 0) return cmd_gdb(nrest, rest);
       if (std::strcmp(cmd, "list-workloads") == 0) return cmd_list_workloads(nrest, rest);
       if (std::strcmp(cmd, "list-algorithms") == 0) return cmd_list_algorithms(nrest, rest);
       if (std::strcmp(cmd, "import-model") == 0) return cmd_import_model(nrest, rest);
