@@ -19,14 +19,12 @@ sparse::DenseMatrix<float> SpmmProblem::reference() const { return spmm_referenc
 
 namespace {
 
-/// Places the B image (and zeroed C) shared by all algorithms.
-void place_b_and_c(const SpmmProblem& problem, const kernels::SpmmLayout& layout,
-                   MainMemory& mem) {
+/// Places the B image shared by all algorithms. C gets no image: its
+/// untouched memory reads as the zeros every kernel accumulates onto.
+void place_b(const SpmmProblem& problem, const kernels::SpmmLayout& layout, MainMemory& mem) {
   const auto b_image =
       sparse::to_padded_rows(problem.b, layout.b_pitch_elems, layout.k_padded);
   mem.write_f32s(layout.b_base, b_image);
-  const std::vector<float> c_zero(problem.dims.rows_a * layout.c_pitch_elems, 0.0f);
-  mem.write_f32s(layout.c_base, c_zero);
 }
 
 }  // namespace
@@ -46,7 +44,7 @@ PreparedRun prepare(const SpmmProblem& problem, const RunConfig& config, MainMem
     const auto a_image =
         sparse::to_padded_rows(problem.a.to_dense(), a_pitch, problem.dims.rows_a);
     mem.write_f32s(a_base, a_image);
-    place_b_and_c(problem, layout, mem);
+    place_b(problem, layout, mem);
     return PreparedRun{config, layout,
                        family.emit({.layout = layout,
                                     .options = config.kernel,
@@ -66,7 +64,7 @@ PreparedRun prepare(const SpmmProblem& problem, const RunConfig& config, MainMem
               "packing and layout disagree");
   mem.write_f32s(layout.a_values, packed.values);
   mem.write_i32s(layout.a_indices, packed.indices);
-  place_b_and_c(problem, layout, mem);
+  place_b(problem, layout, mem);
 
   Program program = family.emit({.layout = layout, .options = config.kernel});
   return PreparedRun{config, layout, std::move(program)};

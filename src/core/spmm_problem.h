@@ -57,7 +57,8 @@ struct PreparedRun {
   Program program;
 };
 
-/// Lays out operands in `mem` and emits the kernel program.
+/// Lays out operands in `mem` and emits the kernel program. `mem` must be
+/// untouched: C is not written, so it starts as the image's zeros.
 [[nodiscard]] PreparedRun prepare(const SpmmProblem& problem, const RunConfig& config,
                                   MainMemory& mem);
 

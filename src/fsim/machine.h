@@ -119,12 +119,10 @@ class Machine {
   /// step()'s fault for a pc outside the program (SimError naming the pc).
   [[noreturn, gnu::noinline, gnu::cold]] void left_program() const;
 
-  /// Raises, before memory is touched, unless the `bytes` at `addr` lie
-  /// wholly below MainMemory::kAddressLimit. Zero bytes (a vector access
-  /// at vl 0) touch nothing and pass.
+  /// Raises, before memory is touched, unless MainMemory::in_bounds(addr,
+  /// bytes).
   void check_range(std::uint64_t addr, std::uint64_t bytes) const {
-    if (bytes != 0 && addr > MainMemory::kAddressLimit - bytes) [[unlikely]]
-      address_fault(addr, bytes);
+    if (!MainMemory::in_bounds(addr, bytes)) [[unlikely]] address_fault(addr, bytes);
   }
   /// check_range's fault: SimError naming the access and the pc.
   [[noreturn, gnu::noinline, gnu::cold]] void address_fault(std::uint64_t addr,

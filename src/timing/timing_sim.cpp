@@ -373,14 +373,16 @@ class Model {
   }
 
   /// v(f)indexmacs: the A value and the B row index pop from the SSR
-  /// streams, resolved before the machine advances the stream positions
-  /// (step() raises on a disabled or empty stream).
+  /// streams, resolved before the machine advances the stream positions.
+  /// The row is peeked only where step() will pop it: step() raises, with
+  /// the pc, on a disabled or empty stream or a word past the address
+  /// limit.
   static bool ssr_mac(Model& m, const Slot& s) {
     const std::array<SsrStream, 4>& streams = m.machine_.ssr();
     const std::array<std::uint64_t, 2> addrs = {streams[0].base + 4ull * streams[0].pos,
                                                 streams[1].base + 4ull * streams[1].pos};
     unsigned row = 0;
-    if (streams[1].enabled && streams[1].count != 0)
+    if (streams[1].enabled && streams[1].count != 0 && MainMemory::in_bounds(addrs[1], 4))
       row = m.machine_.memory().read_u32(addrs[1]) & 0x1f;
     m.machine_.step();
     const std::uint64_t send = m.vector_send(s, m.last_ssr_ctl_done_);

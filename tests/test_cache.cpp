@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "mem/cache.h"
@@ -177,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
         CacheConfig{.size_bytes = 4096, .ways = 4, .line_bytes = 64, .hit_latency = 2},
         CacheConfig{.size_bytes = 8192, .ways = 8, .line_bytes = 64, .hit_latency = 8}),
     [](const auto& info) {
-      return "s" + std::to_string(info.param.size_bytes) + "w" +
+      return std::string("s") + std::to_string(info.param.size_bytes) + "w" +
              std::to_string(info.param.ways) + "l" + std::to_string(info.param.line_bytes);
     });
 

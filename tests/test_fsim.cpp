@@ -831,6 +831,9 @@ TEST(Fsim, AccessesPastTheAddressLimitRaiseInBothSimulators) {
       {"addi x4, x2, -2\nli x5, 0x1000\nli x6, 1\nssrcfg 0, x4, x6\nssrcfg 1, x5, x6\n"
        "li x6, 3\nssren x6\nvindexmacs.v v2",  // pops the A value at 2^48 - 2
        kLimit - 2, 4},
+      {"addi x4, x2, -2\nli x5, 0x1000\nli x6, 1\nssrcfg 0, x5, x6\nssrcfg 1, x4, x6\n"
+       "li x6, 3\nssren x6\nvindexmacs.v v2",  // pops the B row index at 2^48 - 2
+       kLimit - 2, 4},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.body);

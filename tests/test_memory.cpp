@@ -95,6 +95,51 @@ TEST(MainMemory, BulkWritesAcrossPageBoundariesAreBitExact) {
   }
 }
 
+TEST(MainMemory, TheLastWordBelowTheAddressLimitRoundTrips) {
+  MainMemory mem;
+  const std::uint64_t addr = MainMemory::kAddressLimit - 4;  // the root table's last slot
+  mem.write_u32(addr, 0x89abcdef);
+  EXPECT_EQ(mem.read_u32(addr), 0x89abcdefu);
+  EXPECT_EQ(mem.read_u32(addr - 4), 0u);
+  EXPECT_EQ(mem.page_count(), 1u);
+}
+
+TEST(MainMemory, AccessesPastTheAddressLimitRaiseBeforeTouchingMemory) {
+  constexpr std::uint64_t kLimit = MainMemory::kAddressLimit;
+  MainMemory mem;
+  std::array<std::uint32_t, 16> words{};
+  try {
+    (void)mem.read_u32(kLimit - 2);
+    ADD_FAILURE() << "read_u32 past the limit did not raise";
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(),
+                 "memory access past the 48-bit address space: 4 bytes at 0xfffffffffffe");
+  }
+  EXPECT_THROW(mem.write_u32(kLimit - 2, 1), SimError);
+  EXPECT_THROW(mem.read_u32_block(kLimit - 32, words.data(), 16), SimError);
+  EXPECT_THROW(mem.write_u32_block(kLimit - 32, words.data(), 16), SimError);
+  EXPECT_EQ(mem.page_count(), 0u);
+  // A block of zero words touches no byte, so it passes at any address.
+  for (const std::uint64_t addr : {kLimit, ~std::uint64_t{63}}) {
+    mem.read_u32_block(addr, words.data(), 0);
+    mem.write_u32_block(addr, words.data(), 0);
+  }
+  EXPECT_EQ(mem.page_count(), 0u);
+}
+
+TEST(MainMemory, ReadsAcrossIntoAnUntouchedPageReturnZeros) {
+  MainMemory mem;
+  const std::uint64_t addr = 3 * MainMemory::kPageBytes - 32;  // 8 words before a boundary
+  const std::array<std::uint32_t, 8> written = {1, 2, 3, 4, 5, 6, 7, 8};
+  mem.write_u32_block(addr, written.data(), written.size());
+  std::array<std::uint32_t, 16> got;
+  got.fill(~0u);
+  mem.read_u32_block(addr, got.data(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], i < written.size() ? written[i] : 0u) << "word " << i;
+  EXPECT_EQ(mem.page_count(), 1u);
+}
+
 TEST(AddressAllocator, AlignsAndAdvances) {
   AddressAllocator alloc(0x1000, 64);
   const auto a = alloc.alloc(10);
