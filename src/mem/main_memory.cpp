@@ -60,7 +60,7 @@ void MainMemory::write_pages(std::uint64_t addr, const std::uint8_t* data, std::
 
 std::uint64_t AddressAllocator::alloc(std::uint64_t bytes) {
   IMAC_CHECK(bytes > 0, "cannot allocate zero bytes");
-  const std::uint64_t base = round_up(next_, align_);
+  const std::uint64_t base = round_up(next_, kAlign);
   next_ = base + bytes;
   return base;
 }

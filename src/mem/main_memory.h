@@ -45,7 +45,6 @@ class MainMemory {
   MainMemory(const MainMemory&) = delete;
   MainMemory& operator=(const MainMemory&) = delete;
 
-  [[nodiscard]] std::uint8_t read_u8(std::uint64_t addr) const { return load<std::uint8_t>(addr); }
   [[nodiscard]] std::uint32_t read_u32(std::uint64_t addr) const {
     return load<std::uint32_t>(addr);
   }
@@ -152,18 +151,17 @@ class MainMemory {
 };
 
 /// Bump allocator that hands out cache-line-aligned regions of the simulated
-/// address space for kernel operands.
+/// address space for kernel operands, from kStart up.
 class AddressAllocator {
  public:
-  explicit AddressAllocator(std::uint64_t start = 0x0010'0000, std::uint64_t align = 64)
-      : next_(start), align_(align) {}
+  static constexpr std::uint64_t kStart = 0x0010'0000;
+  static constexpr std::uint64_t kAlign = 64;
 
   /// Reserves `bytes` and returns the base address.
   [[nodiscard]] std::uint64_t alloc(std::uint64_t bytes);
 
  private:
-  std::uint64_t next_;
-  std::uint64_t align_;
+  std::uint64_t next_ = kStart;
 };
 
 }  // namespace indexmac

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
-#include <type_traits>  // std::is_floating_point_v in random_matrix
+#include <type_traits>  // std::conditional_t in UniformDist
 #include <vector>
 
 #include "common/error.h"
@@ -52,19 +52,21 @@ class DenseMatrix {
   std::vector<T> data_;
 };
 
-/// Uniform random matrix in [lo, hi] with a deterministic seed.
+/// The uniform distribution over [lo, hi] that random matrices draw from.
+template <typename T>
+using UniformDist = std::conditional_t<std::is_floating_point_v<T>,
+                                       std::uniform_real_distribution<T>,
+                                       std::uniform_int_distribution<T>>;
+
+/// Uniform random matrix in [lo, hi] with a deterministic seed: one
+/// `std::mt19937(seed)` draw per element, in row-major order.
 template <typename T>
 [[nodiscard]] DenseMatrix<T> random_matrix(std::size_t rows, std::size_t cols,
                                            std::uint32_t seed, T lo, T hi) {
   DenseMatrix<T> m(rows, cols);
   std::mt19937 rng(seed);
-  if constexpr (std::is_floating_point_v<T>) {
-    std::uniform_real_distribution<T> dist(lo, hi);
-    for (T& v : m.data()) v = dist(rng);
-  } else {
-    std::uniform_int_distribution<T> dist(lo, hi);
-    for (T& v : m.data()) v = dist(rng);
-  }
+  UniformDist<T> dist(lo, hi);
+  for (T& v : m.data()) v = dist(rng);
   return m;
 }
 

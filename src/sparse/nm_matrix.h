@@ -7,10 +7,13 @@
 // vectors the paper's kernels rely on.
 #pragma once
 
-#include <cmath>    // std::abs(float) in prune_from_dense
+#include <algorithm>
+#include <cmath>    // std::abs(float) in keep_largest
 #include <compare>
 #include <cstdint>
 #include <cstdlib>  // std::abs(int) for integral instantiations
+#include <random>
+#include <span>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -57,58 +60,33 @@ class NmMatrix {
   static NmMatrix from_dense(const DenseMatrix<T>& dense, Sparsity sp) {
     NmMatrix out(dense.rows(), dense.cols(), sp);
     for (std::size_t r = 0; r < dense.rows(); ++r)
-      for (std::size_t b = 0; b < out.blocks_per_row(); ++b) {
-        unsigned slot = 0;
-        for (unsigned j = 0; j < sp.m; ++j) {
-          const std::size_t c = b * sp.m + j;
-          if (c >= dense.cols()) break;
-          const T v = dense.at(r, c);
-          if (v == T{}) continue;
-          IMAC_CHECK(slot < sp.n, "matrix violates the N:M constraint");
-          out.value_at(r, b, slot) = v;
-          out.index_at(r, b, slot) = static_cast<std::uint8_t>(j);
-          ++slot;
-        }
-        // Padding slots keep index m-1: a harmless in-block position whose
-        // zero value contributes nothing (mirrors fixed-stride kernels).
-        for (; slot < sp.n; ++slot) out.index_at(r, b, slot) = static_cast<std::uint8_t>(sp.m - 1);
-      }
+      for (std::size_t b = 0; b < out.blocks_; ++b)
+        out.fill_block(r, b, dense.row(r).subspan(b * sp.m, out.block_width(b)));
     return out;
   }
 
   /// Magnitude-based pruning: keeps the N largest-|value| elements of each
-  /// M-block. This reproduces the *structure* of the paper's
+  /// M-block (keep_largest). This reproduces the *structure* of the paper's
   /// TensorFlow-pruned CNN weights (see docs/architecture.md, "Deliberate
   /// simplifications and substitutions").
   static NmMatrix prune_from_dense(const DenseMatrix<T>& dense, Sparsity sp) {
-    DenseMatrix<T> pruned = dense;
-    const std::size_t blocks = ceil_div(dense.cols(), sp.m);
-    for (std::size_t r = 0; r < dense.rows(); ++r)
-      for (std::size_t b = 0; b < blocks; ++b) {
-        // Select the N largest magnitudes in this block (stable for ties).
-        std::vector<unsigned> keep;
-        for (unsigned round = 0; round < sp.n; ++round) {
-          int best = -1;
-          for (unsigned j = 0; j < sp.m; ++j) {
-            const std::size_t c = b * sp.m + j;
-            if (c >= dense.cols()) break;
-            bool kept = false;
-            for (unsigned kj : keep) kept = kept || kj == j;
-            if (kept) continue;
-            if (best < 0 || std::abs(dense.at(r, c)) > std::abs(dense.at(r, b * sp.m + best)))
-              best = static_cast<int>(j);
-          }
-          if (best >= 0) keep.push_back(static_cast<unsigned>(best));
-        }
-        for (unsigned j = 0; j < sp.m; ++j) {
-          const std::size_t c = b * sp.m + j;
-          if (c >= dense.cols()) break;
-          bool kept = false;
-          for (unsigned kj : keep) kept = kept || kj == j;
-          if (!kept) pruned.at(r, c) = T{};
-        }
-      }
-    return from_dense(pruned, sp);
+    return pruned_blocks(dense.rows(), dense.cols(), sp,
+                         [&](std::size_t r, std::size_t b, std::span<T> block) {
+                           const auto from = dense.row(r).subspan(b * sp.m, block.size());
+                           std::copy(from.begin(), from.end(), block.begin());
+                         });
+  }
+
+  /// Equals prune_from_dense(random_matrix(rows, cols, seed, lo, hi), sp)
+  /// without the dense matrix: it draws each row M values at a time, in
+  /// random_matrix's order, and prunes each block as it is drawn.
+  static NmMatrix random(std::size_t rows, std::size_t cols, Sparsity sp, std::uint32_t seed,
+                         T lo, T hi) {
+    std::mt19937 rng(seed);
+    UniformDist<T> dist(lo, hi);
+    return pruned_blocks(rows, cols, sp, [&](std::size_t, std::size_t, std::span<T> block) {
+      for (T& v : block) v = dist(rng);
+    });
   }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -135,18 +113,24 @@ class NmMatrix {
     return indices_[offset(r, block, slot)];
   }
 
+  /// Writes row `r` densely into `out`, which holds cols() elements.
+  void dense_row(std::size_t r, std::span<T> out) const {
+    IMAC_CHECK(out.size() == cols_, "dense row must hold cols() elements");
+    std::fill(out.begin(), out.end(), T{});
+    for (std::size_t b = 0; b < blocks_; ++b)
+      for (unsigned s = 0; s < sp_.n; ++s) {
+        const T v = value_at(r, b, s);
+        if (v == T{}) continue;
+        const std::size_t c = b * sp_.m + index_at(r, b, s);
+        IMAC_ASSERT(c < cols_, "stored non-zero lands in padding");
+        out[c] += v;
+      }
+  }
+
   /// Reconstructs the dense equivalent (logical size, padding dropped).
   [[nodiscard]] DenseMatrix<T> to_dense() const {
     DenseMatrix<T> out(rows_, cols_);
-    for (std::size_t r = 0; r < rows_; ++r)
-      for (std::size_t b = 0; b < blocks_; ++b)
-        for (unsigned s = 0; s < sp_.n; ++s) {
-          const T v = value_at(r, b, s);
-          if (v == T{}) continue;
-          const std::size_t c = b * sp_.m + index_at(r, b, s);
-          IMAC_ASSERT(c < cols_, "stored non-zero lands in padding");
-          out.at(r, c) += v;
-        }
+    for (std::size_t r = 0; r < rows_; ++r) dense_row(r, out.row(r));
     return out;
   }
 
@@ -164,6 +148,64 @@ class NmMatrix {
     IMAC_CHECK(sp.n >= 1 && sp.m >= sp.n, "sparsity must satisfy 1 <= N <= M");
     values_.assign(rows_ * blocks_ * sp_.n, T{});
     indices_.assign(rows_ * blocks_ * sp_.n, 0);
+  }
+
+  /// Builds a matrix block by block in row-major order: `draw(r, b, block)`
+  /// fills block b of row r, keep_largest prunes it and fill_block stores
+  /// it. Only one block of values and keep flags exists at a time.
+  template <typename Draw>
+  static NmMatrix pruned_blocks(std::size_t rows, std::size_t cols, Sparsity sp, Draw draw) {
+    NmMatrix out(rows, cols, sp);
+    std::vector<T> values(sp.m);
+    std::vector<std::uint8_t> kept(sp.m);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t b = 0; b < out.blocks_; ++b) {
+        const std::span<T> block(values.data(), out.block_width(b));
+        draw(r, b, block);
+        keep_largest(block, sp.n, kept);
+        out.fill_block(r, b, block);
+      }
+    return out;
+  }
+
+  /// Magnitude pruning's keep rule for one block of at most M values: zeroes
+  /// all but the N largest magnitudes, in place. Each of N rounds keeps the
+  /// largest value not yet kept, so on a tie the earliest wins. `kept` holds
+  /// a flag per value.
+  static void keep_largest(std::span<T> block, unsigned n, std::span<std::uint8_t> kept) {
+    std::fill_n(kept.begin(), block.size(), std::uint8_t{0});
+    for (unsigned round = 0; round < n; ++round) {
+      std::size_t best = block.size();
+      for (std::size_t j = 0; j < block.size(); ++j)
+        if (kept[j] == 0 && (best == block.size() || std::abs(block[j]) > std::abs(block[best])))
+          best = j;
+      if (best < block.size()) kept[best] = 1;
+    }
+    for (std::size_t j = 0; j < block.size(); ++j)
+      if (kept[j] == 0) block[j] = T{};
+  }
+
+  /// Columns of block `b` inside the logical matrix: M, or fewer for a
+  /// partial last block.
+  [[nodiscard]] std::size_t block_width(std::size_t b) const {
+    return std::min<std::size_t>(sp_.m, cols_ - b * sp_.m);
+  }
+
+  /// The slot-fill rule: stores block `b` of row `r` from its logical
+  /// values, non-zeros first in column order. A zero is not stored, so a
+  /// kept exact 0.0 becomes padding. Padding slots keep index m-1: a
+  /// harmless in-block position whose zero value contributes nothing
+  /// (mirrors fixed-stride kernels).
+  void fill_block(std::size_t r, std::size_t b, std::span<const T> block) {
+    unsigned slot = 0;
+    for (std::size_t j = 0; j < block.size(); ++j) {
+      if (block[j] == T{}) continue;
+      IMAC_CHECK(slot < sp_.n, "matrix violates the N:M constraint");
+      value_at(r, b, slot) = block[j];
+      index_at(r, b, slot) = static_cast<std::uint8_t>(j);
+      ++slot;
+    }
+    for (; slot < sp_.n; ++slot) index_at(r, b, slot) = static_cast<std::uint8_t>(sp_.m - 1);
   }
 
   [[nodiscard]] std::size_t offset(std::size_t r, std::size_t block, unsigned slot) const {

@@ -1,6 +1,7 @@
 // Operand packing: turns an NmMatrix into the flat, k-tiled value/index
-// streams the vectorized kernels consume, and dense matrices into padded
-// row-major images for the simulated address space.
+// streams the vectorized kernels consume, one k-tile at a time
+// (pack_ktile) or whole (pack_a), and gives the padded row-major image of
+// a dense matrix (to_padded_rows).
 //
 // Index stream variants (Section II/III of the paper):
 //  * kByteOffset — for Algorithm 2 ("Row-Wise-SpMM"): each slot holds the
@@ -20,7 +21,9 @@
 //    and feeds successive slots to the MAC with plain scalar shifts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sparse/nm_matrix.h"
@@ -37,9 +40,10 @@ struct PackConfig {
   unsigned base_vreg = 16;          ///< first B-tile vector register (kVrfIndex mode)
 };
 
-/// Flat k-tiled operand streams for one structured-sparse A matrix.
-template <typename T>
-struct PackedA {
+/// Geometry of A's k-tiled streams. Both are k-tile-major: k-tile t holds
+/// every row's slots for that tile, row by row, in one contiguous run of
+/// tile_values() values and one of tile_index_words() index words.
+struct PackShape {
   Sparsity sp;
   std::size_t rows = 0;
   std::size_t k_padded = 0;      ///< k padded to a multiple of tile_rows
@@ -47,36 +51,34 @@ struct PackedA {
   std::size_t num_ktiles = 0;
   unsigned slots_per_tile = 0;   ///< non-zero slots per (row, ktile) = N * L / M
   IndexMode mode = IndexMode::kVrfIndex;
-  /// values[(t * rows + r) * slots_per_tile + s]
-  std::vector<T> values;
-  /// kByteOffset/kVrfIndex: one word per slot, parallel to `values`.
-  /// kPackedNibble: two words per (ktile, row) — the little-endian halves
-  /// of the 64-bit packed index word (slot s in bits [4s, 4s+4)).
-  std::vector<std::int32_t> indices;
 
+  [[nodiscard]] std::size_t tile_values() const { return rows * slots_per_tile; }
+  /// One word per slot, or for kPackedNibble two per row: the
+  /// little-endian halves of the 64-bit packed index word.
+  [[nodiscard]] std::size_t tile_index_words() const {
+    return mode == IndexMode::kPackedNibble ? rows * 2 : tile_values();
+  }
   [[nodiscard]] std::size_t slot_offset(std::size_t ktile, std::size_t row) const {
     IMAC_CHECK(ktile < num_ktiles && row < rows, "PackedA index out of range");
     return (ktile * rows + row) * slots_per_tile;
   }
 };
 
+/// The checked shape of `a` packed under `config`.
 template <typename T>
-[[nodiscard]] PackedA<T> pack_a(const NmMatrix<T>& a, const PackConfig& config) {
+[[nodiscard]] PackShape pack_shape(const NmMatrix<T>& a, const PackConfig& config) {
   const Sparsity sp = a.sparsity();
   IMAC_CHECK(config.tile_rows % sp.m == 0, "tile_rows (L) must be a multiple of M");
   IMAC_CHECK(config.mode != IndexMode::kByteOffset || config.b_pitch_bytes > 0,
              "byte-offset packing requires the B row pitch");
-
-  PackedA<T> out;
+  PackShape out;
   out.sp = sp;
   out.rows = a.rows();
   out.tile_rows = config.tile_rows;
   out.k_padded = round_up(a.padded_cols(), config.tile_rows);
   out.num_ktiles = out.k_padded / config.tile_rows;
-  const unsigned blocks_per_tile = config.tile_rows / sp.m;
-  out.slots_per_tile = blocks_per_tile * sp.n;
+  out.slots_per_tile = config.tile_rows / sp.m * sp.n;
   out.mode = config.mode;
-  out.values.assign(out.num_ktiles * out.rows * out.slots_per_tile, T{});
   if (config.mode == IndexMode::kPackedNibble) {
     // Nibble addressing covers VRF[16..31]: the tile must sit in the upper
     // half of the register file, and all slots must fit one 64-bit word.
@@ -84,47 +86,78 @@ template <typename T>
                "packed-nibble indices require the B tile in v16..v31");
     IMAC_CHECK(out.slots_per_tile <= 16,
                "packed index word holds at most 16 nibble slots per (row, k-tile)");
-    out.indices.assign(out.num_ktiles * out.rows * 2, 0);
-  } else {
-    out.indices.assign(out.values.size(), 0);
   }
+  return out;
+}
 
-  for (std::size_t t = 0; t < out.num_ktiles; ++t)
-    for (std::size_t r = 0; r < out.rows; ++r) {
-      const std::size_t base = out.slot_offset(t, r);
-      for (unsigned bt = 0; bt < blocks_per_tile; ++bt) {
-        const std::size_t block = t * blocks_per_tile + bt;
-        for (unsigned s = 0; s < sp.n; ++s) {
-          const unsigned tile_slot = bt * sp.n + s;
-          const std::size_t slot = base + tile_slot;
-          std::uint32_t local = sp.m - 1;  // padding default (zero value)
-          if (block < a.blocks_per_row()) {
-            out.values[slot] = a.value_at(r, block, s);
-            local = a.index_at(r, block, s);
-          }
-          const std::uint32_t row_in_tile = bt * sp.m + local;
-          if (config.mode == IndexMode::kVrfIndex) {
-            out.indices[slot] = static_cast<std::int32_t>(config.base_vreg + row_in_tile);
-          } else if (config.mode == IndexMode::kPackedNibble) {
-            const std::uint32_t nibble = config.base_vreg + row_in_tile - 16;
-            const std::size_t word = (t * out.rows + r) * 2 + (tile_slot >> 3);
-            out.indices[word] = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(out.indices[word]) |
-                (nibble << ((tile_slot & 7) * 4)));
-          } else {
-            const std::uint64_t global_row = t * config.tile_rows + row_in_tile;
-            out.indices[slot] =
-                static_cast<std::int32_t>(global_row * config.b_pitch_bytes);
-          }
+/// Packs k-tile `t` of `a`, shaped by pack_shape(a, config), into `values`
+/// and `indices`, which hold that tile's run of each stream.
+template <typename T>
+void pack_ktile(const NmMatrix<T>& a, const PackShape& shape, const PackConfig& config,
+                std::size_t t, std::span<T> values, std::span<std::int32_t> indices) {
+  IMAC_CHECK(values.size() == shape.tile_values() && indices.size() == shape.tile_index_words(),
+             "k-tile buffers must hold one tile of each stream");
+  const Sparsity sp = shape.sp;
+  const unsigned blocks_per_tile = shape.tile_rows / sp.m;
+  if (shape.mode == IndexMode::kPackedNibble) std::fill(indices.begin(), indices.end(), 0);
+  for (std::size_t r = 0; r < shape.rows; ++r)
+    for (unsigned bt = 0; bt < blocks_per_tile; ++bt) {
+      const std::size_t block = t * blocks_per_tile + bt;
+      for (unsigned s = 0; s < sp.n; ++s) {
+        const unsigned tile_slot = bt * sp.n + s;
+        const std::size_t slot = r * shape.slots_per_tile + tile_slot;
+        T value{};
+        std::uint32_t local = sp.m - 1;  // padding default (zero value)
+        if (block < a.blocks_per_row()) {
+          value = a.value_at(r, block, s);
+          local = a.index_at(r, block, s);
+        }
+        values[slot] = value;
+        const std::uint32_t row_in_tile = bt * sp.m + local;
+        if (shape.mode == IndexMode::kVrfIndex) {
+          indices[slot] = static_cast<std::int32_t>(config.base_vreg + row_in_tile);
+        } else if (shape.mode == IndexMode::kPackedNibble) {
+          const std::uint32_t nibble = config.base_vreg + row_in_tile - 16;
+          const std::size_t word = r * 2 + (tile_slot >> 3);
+          indices[word] = static_cast<std::int32_t>(static_cast<std::uint32_t>(indices[word]) |
+                                                    (nibble << ((tile_slot & 7) * 4)));
+        } else {
+          const std::uint64_t global_row = t * shape.tile_rows + row_in_tile;
+          indices[slot] = static_cast<std::int32_t>(global_row * config.b_pitch_bytes);
         }
       }
     }
+}
+
+/// Flat k-tiled operand streams for one whole structured-sparse A matrix:
+/// every k-tile of pack_ktile, in order.
+template <typename T>
+struct PackedA : PackShape {
+  /// values[(t * rows + r) * slots_per_tile + s]
+  std::vector<T> values;
+  /// kByteOffset/kVrfIndex: one word per slot, parallel to `values`.
+  /// kPackedNibble: two words per (ktile, row) — the little-endian halves
+  /// of the 64-bit packed index word (slot s in bits [4s, 4s+4)).
+  std::vector<std::int32_t> indices;
+};
+
+template <typename T>
+[[nodiscard]] PackedA<T> pack_a(const NmMatrix<T>& a, const PackConfig& config) {
+  PackedA<T> out{pack_shape(a, config), {}, {}};
+  const std::size_t tile_values = out.tile_values();
+  const std::size_t tile_words = out.tile_index_words();
+  out.values.resize(out.num_ktiles * tile_values);
+  out.indices.resize(out.num_ktiles * tile_words);
+  for (std::size_t t = 0; t < out.num_ktiles; ++t)
+    pack_ktile(a, out, config, t, std::span(out.values).subspan(t * tile_values, tile_values),
+               std::span(out.indices).subspan(t * tile_words, tile_words));
   return out;
 }
 
 /// Lays out `m` row-major with `pitch_elems` elements per row (>= cols) and
-/// `total_rows` rows (>= rows; extra rows zero-filled). Used to place B with
-/// 64-byte-aligned rows and k padded to the tile size.
+/// `total_rows` rows (>= rows; extra rows zero-filled): the image that
+/// prepare() gives B, with 64-byte-aligned rows and k padded to the tile
+/// size, though it writes only the matrix's own rows.
 template <typename T>
 [[nodiscard]] std::vector<T> to_padded_rows(const DenseMatrix<T>& m, std::size_t pitch_elems,
                                             std::size_t total_rows) {

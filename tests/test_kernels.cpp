@@ -259,6 +259,58 @@ TEST(Kernels, FootprintPredictionsDifferByBLoads) {
             fp3.vector_loads);
 }
 
+/// prepare() writes each operand row by row or k-tile by k-tile. Read back
+/// through MainMemory, the image must equal the whole-matrix forms: packed A
+/// equals pack_a, B equals problem.b at its pitch, dense A equals
+/// to_padded_rows(to_dense()), and every padding element reads zero. The
+/// shapes have k off every multiple of M and L, several k-tiles, and a
+/// column count off a multiple of 16.
+TEST(OperandImage, EveryFamilyMatchesTheWholeMatrixForms) {
+  for (const GemmDims dims : {GemmDims{7, 27, 21}, GemmDims{5, 45, 3}})
+    for (const Sparsity sp : {kSparsity14, kSparsity24, Sparsity{2, 8}})
+      for (const AlgorithmRow& family : algorithm_table()) {
+        SCOPED_TRACE(std::string(family.id) + " " + std::to_string(sp.n) + ":" +
+                     std::to_string(sp.m) + " k " + std::to_string(dims.k));
+        const auto problem = SpmmProblem::random(dims, sp, 9);
+        MainMemory mem;
+        const RunConfig config{.algorithm = family.algorithm, .kernel = {.unroll = 1}};
+        const PreparedRun run = prepare(problem, config, mem);
+        const kernels::SpmmLayout& l = run.layout;
+
+        for (std::size_t r = 0; r < l.k_padded; ++r) {
+          const auto row = mem.read_f32s(l.b_base + r * l.b_pitch_elems * 4, l.b_pitch_elems);
+          for (std::size_t c = 0; c < l.b_pitch_elems; ++c)
+            ASSERT_EQ(row[c], r < dims.k && c < dims.cols_b ? problem.b.at(r, c) : 0.0f)
+                << "B at (" << r << ", " << c << ")";
+        }
+
+        if (family.dense_operands) {
+          // The dense A follows the layout's operands, at a pitch of whole
+          // vectors.
+          AddressAllocator alloc;
+          (void)kernels::make_layout(dims, sp, config.tile_rows, alloc);
+          const std::size_t pitch = round_up(dims.k, isa::kVlMax);
+          const std::uint64_t a_base = alloc.alloc(dims.rows_a * pitch * 4);
+          const auto want = sparse::to_padded_rows(problem.a.to_dense(), pitch, dims.rows_a);
+          ASSERT_EQ(mem.read_f32s(a_base, want.size()), want);
+          continue;
+        }
+        const auto packed = sparse::pack_a(
+            problem.a, sparse::PackConfig{
+                           .tile_rows = config.tile_rows,
+                           .mode = family.index_mode,
+                           .b_pitch_bytes = static_cast<std::uint32_t>(l.b_pitch_elems * 4),
+                           .base_vreg = kernels::b_tile_base_vreg(config.tile_rows)});
+        ASSERT_GT(packed.num_ktiles, 1u);
+        ASSERT_EQ(packed.values.size(), l.a_stream_words());
+        ASSERT_EQ(mem.read_f32s(l.a_values, packed.values.size()), packed.values);
+        const auto indices = mem.read_i32s(l.a_indices, l.a_index_bytes() / 4);
+        for (std::size_t w = 0; w < indices.size(); ++w)
+          ASSERT_EQ(indices[w], w < packed.indices.size() ? packed.indices[w] : 0)
+              << "index word " << w;
+      }
+}
+
 /// The main correctness sweep: algorithm x dataflow x unroll x sparsity
 /// on a shape with ragged rows, k and columns (tail strip width 1).
 struct SweepCase {

@@ -35,8 +35,11 @@ TEST(MainMemory, ReadBackWrittenValues) {
 TEST(MainMemory, LittleEndianLayout) {
   MainMemory mem;
   mem.write_u32(0x200, 0x04030201);
-  EXPECT_EQ(mem.read_u8(0x200), 1);
-  EXPECT_EQ(mem.read_u8(0x203), 4);
+  // Unaligned words show each byte's place: the lowest address holds the
+  // least significant byte.
+  EXPECT_EQ(mem.read_u32(0x201), 0x00040302u);
+  EXPECT_EQ(mem.read_u32(0x203), 0x00000004u);
+  EXPECT_EQ(mem.read_u32(0x1ff), 0x03020100u);
 }
 
 TEST(MainMemory, CrossPageAccess) {
@@ -141,12 +144,14 @@ TEST(MainMemory, ReadsAcrossIntoAnUntouchedPageReturnZeros) {
 }
 
 TEST(AddressAllocator, AlignsAndAdvances) {
-  AddressAllocator alloc(0x1000, 64);
+  AddressAllocator alloc;
   const auto a = alloc.alloc(10);
   const auto b = alloc.alloc(100);
-  EXPECT_EQ(a % 64, 0u);
-  EXPECT_EQ(b % 64, 0u);
-  EXPECT_GE(b, a + 10);
+  const auto c = alloc.alloc(64);
+  EXPECT_EQ(a, AddressAllocator::kStart);
+  EXPECT_EQ(b, a + AddressAllocator::kAlign);
+  EXPECT_EQ(c, b + 2 * AddressAllocator::kAlign);
+  EXPECT_EQ(b % AddressAllocator::kAlign, 0u);
   EXPECT_THROW((void)alloc.alloc(0), SimError);
 }
 

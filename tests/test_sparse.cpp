@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "sparse/dense_matrix.h"
 #include "sparse/nm_matrix.h"
 #include "sparse/packing.h"
@@ -140,6 +143,59 @@ TEST(NmMatrix, SparsityInvariantChecked) {
   DenseMatrix<float> m(1, 4);
   EXPECT_THROW((void)NmMatrix<float>::from_dense(m, Sparsity{0, 4}), SimError);
   EXPECT_THROW((void)NmMatrix<float>::from_dense(m, Sparsity{5, 4}), SimError);
+}
+
+TEST(NmMatrix, PruneTieKeepsTheEarliest) {
+  DenseMatrix<float> m(1, 8);
+  for (std::size_t c = 0; c < 4; ++c) m.at(0, c) = c % 2 == 0 ? 1.0f : -1.0f;
+  m.at(0, 4) = 0.5f;  // block 1: the tied 2.0s at 5 and 7 beat 0.5
+  m.at(0, 5) = 2.0f;
+  m.at(0, 7) = -2.0f;
+  const auto nm = NmMatrix<float>::prune_from_dense(m, kSparsity24);
+  EXPECT_EQ(nm.index_at(0, 0, 0), 0);
+  EXPECT_EQ(nm.index_at(0, 0, 1), 1);
+  EXPECT_EQ(nm.index_at(0, 1, 0), 1);
+  EXPECT_EQ(nm.index_at(0, 1, 1), 3);
+  EXPECT_FLOAT_EQ(nm.value_at(0, 1, 1), -2.0f);
+}
+
+TEST(NmMatrix, PruneStoresAKeptZeroAsPadding) {
+  DenseMatrix<float> m(1, 4);
+  m.at(0, 2) = 0.25f;  // the other kept value is the zero at column 0
+  const auto nm = NmMatrix<float>::prune_from_dense(m, kSparsity24);
+  EXPECT_EQ(nm.index_at(0, 0, 0), 2);
+  EXPECT_FLOAT_EQ(nm.value_at(0, 0, 0), 0.25f);
+  EXPECT_EQ(nm.index_at(0, 0, 1), 3);
+  EXPECT_FLOAT_EQ(nm.value_at(0, 0, 1), 0.0f);
+}
+
+/// NmMatrix::random draws and prunes block by block exactly what pruning
+/// the dense random matrix would: same values, indices and padding slots, bit
+/// for bit, including partial last blocks.
+TEST(NmMatrix, RandomEqualsPruningTheDenseRandomMatrix) {
+  for (const Sparsity sp : {kSparsity14, kSparsity24, Sparsity{2, 8}, Sparsity{1, 8},
+                            Sparsity{3, 8}, Sparsity{2, 16}})
+    for (const std::size_t rows : {1u, 5u, 16u})
+      for (const std::size_t cols : {1u, 3u, 27u, 64u, 4097u})
+        for (const std::uint32_t seed : {1u, 12345u, 4294967295u}) {
+          const auto built = NmMatrix<float>::random(rows, cols, sp, seed, -1.0f, 1.0f);
+          const auto want = NmMatrix<float>::prune_from_dense(
+              random_matrix<float>(rows, cols, seed, -1.0f, 1.0f), sp);
+          ASSERT_EQ(built.rows(), rows);
+          ASSERT_EQ(built.cols(), cols);
+          ASSERT_EQ(built.blocks_per_row(), want.blocks_per_row());
+          for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t b = 0; b < built.blocks_per_row(); ++b)
+              for (unsigned s = 0; s < sp.n; ++s) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(built.value_at(r, b, s)),
+                          std::bit_cast<std::uint32_t>(want.value_at(r, b, s)))
+                    << sp.n << ":" << sp.m << " " << rows << "x" << cols << " seed " << seed
+                    << " at (" << r << ", " << b << ", " << s << ")";
+                ASSERT_EQ(built.index_at(r, b, s), want.index_at(r, b, s))
+                    << sp.n << ":" << sp.m << " " << rows << "x" << cols << " seed " << seed
+                    << " at (" << r << ", " << b << ", " << s << ")";
+              }
+        }
 }
 
 TEST(NmMatrix, SpmmReferenceMatchesDenseGemm) {

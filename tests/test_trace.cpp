@@ -1,21 +1,28 @@
-// The timing model's walk over the executed instruction stream:
-//  * the per-instruction path (unit-stride vector accesses, indirect and
-//    streaming MACs, vector->scalar moves, forwarded scalar accesses,
-//    branches) and the per-DRAM-line path perform no heap allocation — a
-//    counting global allocator covers the whole binary, hence a suite of
-//    its own;
+// Heap behaviour, watched by a counting global allocator that covers the
+// whole binary (hence a suite of its own), and the timing model's walk
+// over the executed instruction stream:
+//  * the timing model's per-instruction path (unit-stride vector accesses,
+//    indirect and streaming MACs, vector->scalar moves, forwarded scalar
+//    accesses, branches) and its per-DRAM-line path perform no heap
+//    allocation;
+//  * building a problem and preparing its memory image hold no full-size
+//    temporary: the live-byte high-water mark stays within what they
+//    leave behind plus one block, k-tile or row of working buffers;
 //  * a stream that leaves the program raises a SimError naming the pc.
 #include <gtest/gtest.h>
+#include <malloc.h>  // malloc_usable_size
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "asm/assembler.h"
 #include "asm/text_assembler.h"
 #include "common/error.h"
+#include "core/spmm_problem.h"
 #include "fsim/machine.h"
 #include "timing/timing_sim.h"
 
@@ -23,38 +30,50 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+// Live heap bytes, as malloc_usable_size counts them, and their high-water
+// mark.
+std::atomic<std::uint64_t> g_live_bytes{0};
+std::atomic<std::uint64_t> g_peak_bytes{0};
+
+void* counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  ++g_allocations;
+  const std::uint64_t live = g_live_bytes += malloc_usable_size(p);
+  std::uint64_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+void release(void* p) noexcept {
+  g_live_bytes -= malloc_usable_size(p);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return counted(std::malloc(size ? size : 1)); }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1)))
-    return p;
-  throw std::bad_alloc();
+  return counted(std::aligned_alloc(static_cast<std::size_t>(align),
+                                    (size + static_cast<std::size_t>(align) - 1) &
+                                        ~(static_cast<std::size_t>(align) - 1)));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 // The deletes stay out of line: inlined, they would pair operator new's
 // result with a bare free(), which GCC's -Wmismatched-new-delete flags.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { release(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { release(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { release(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { release(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace indexmac::timing {
@@ -191,6 +210,53 @@ TEST(TraceAllocation, NoHeapAllocationPerDramLine) {
   EXPECT_EQ(large_allocs, small_allocs);
   EXPECT_EQ(small_mem.page_count(), 0u);
   EXPECT_EQ(large_mem.page_count(), 0u);
+}
+
+/// Heap bytes that `body` leaves live, and the most it held live at once,
+/// both above the live bytes at its start.
+struct HeapUse {
+  std::uint64_t peak = 0;
+  std::uint64_t after = 0;
+};
+
+template <typename Body>
+HeapUse heap_use(Body&& body) {
+  const std::uint64_t start = g_live_bytes.load();
+  g_peak_bytes = start;
+  body();
+  return {g_peak_bytes.load() - start, g_live_bytes.load() - start};
+}
+
+/// 256 x 4096 x 8 at 2:4. A dense A would take 4 MiB; its NmMatrix takes
+/// 2.5 MiB, and its packed streams 2 MiB each.
+constexpr kernels::GemmDims kPeakDims{256, 4096, 8};
+
+TEST(PeakHeap, ProblemHoldsOneBlockBesideItself) {
+  std::optional<core::SpmmProblem> problem;
+  const HeapUse use = heap_use([&] {
+    problem.emplace(core::SpmmProblem::random(kPeakDims, sparse::kSparsity24, 1));
+  });
+  EXPECT_GT(use.after, 2u << 20);
+  // One block's buffers: M values and M keep flags, with malloc's rounding.
+  EXPECT_LE(use.peak, use.after + 256) << "problem " << use.after << " B";
+}
+
+TEST(PeakHeap, PrepareHoldsOneKtileOrRowBesideTheImage) {
+  const auto problem = core::SpmmProblem::random(kPeakDims, sparse::kSparsity24, 1);
+  for (const core::AlgorithmRow& family : core::algorithm_table()) {
+    MainMemory mem;
+    std::optional<core::PreparedRun> run;
+    const HeapUse use = heap_use([&] {
+      run.emplace(core::prepare(problem, {.algorithm = family.algorithm, .kernel = {.unroll = 1}},
+                                mem));
+    });
+    EXPECT_GT(use.after, 2u << 20) << family.id;
+    // One k-tile of both packed streams (256 rows x 8 slots x 4 B each) or
+    // one dense A row (4096 x 4 B), plus 4 KiB for emitting the program.
+    const std::uint64_t buffers = family.dense_operands ? 4096 * 4 : 2 * 256 * 8 * 4;
+    EXPECT_LE(use.peak, use.after + buffers + 4096)
+        << family.id << ": image and program " << use.after << " B";
+  }
 }
 
 }  // namespace
