@@ -36,10 +36,9 @@ BatchResult run_job(const BatchJob& job) {
   BatchResult out;
   switch (job.mode) {
     case BatchJob::Mode::kExact: {
-      // Materialize the problem inside the job so batched and serial
-      // execution see byte-identical inputs for a given seed.
-      const ExactResult r =
-          run_exact(SpmmProblem::random(job.dims, job.sp, job.seed), job.config, job.processor);
+      // Draw the operands inside the job so batched and serial execution
+      // see byte-identical inputs for a given seed.
+      const ExactResult r = run_exact(job.dims, job.sp, job.seed, job.config, job.processor);
       out.cycles = static_cast<double>(r.stats.cycles);
       out.data_accesses = r.data_accesses();
       out.stats = r.stats;

@@ -4,8 +4,9 @@
 #include <atomic>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
+#include <vector>
 
 #include "common/error.h"
 #include "kernels/kernels.h"
@@ -18,10 +19,14 @@ ExactResult run_exact(const SpmmProblem& problem, const RunConfig& config,
                       const timing::ProcessorConfig& processor) {
   MainMemory mem;
   const PreparedRun run = prepare(problem, config, mem);
-  timing::TimingSim sim(run.program, mem, processor);
-  ExactResult out;
-  out.stats = sim.run();
-  return out;
+  return {timing::TimingSim(run.program, mem, processor).run()};
+}
+
+ExactResult run_exact(const kernels::GemmDims& dims, sparse::Sparsity sp, std::uint32_t seed,
+                      const RunConfig& config, const timing::ProcessorConfig& processor) {
+  MainMemory mem;
+  const PreparedRun run = prepare(dims, sp, seed, config, mem);
+  return {timing::TimingSim(run.program, mem, processor).run()};
 }
 
 namespace {
@@ -98,18 +103,17 @@ double visit_cost(const PhaseCosts::StripType& t, double head_groups, double gro
   return t.preload + t.head_total + t.steady_group * (groups_full_eq - head_groups);
 }
 
-/// The miniature problem this thread built last. Its seed is fixed, so the
-/// dims and sparsity identify it: sweep expansion puts a layer's algorithms
-/// and unrolls next to each other, and their miniatures share one problem.
-/// The old problem is released before a new one is built, so holding it
-/// does not raise peak memory.
-const SpmmProblem& sample_problem(const kernels::GemmDims& dims, sparse::Sparsity sp) {
-  thread_local std::optional<SpmmProblem> last;
-  if (last && last->dims == dims && last->sp == sp) return *last;
-  last.reset();
-  last.emplace(SpmmProblem::random(dims, sp, /*seed=*/12345));
-  return *last;
-}
+/// Sampled miniatures draw their operands from this fixed seed, so a
+/// miniature's dims, sparsity, tile rows and index form identify its image.
+constexpr std::uint32_t kMiniatureSeed = 12345;
+
+/// A miniature's memory image as prepare left it. Its layout's dims,
+/// sparsity and tile rows and its index form identify it.
+struct MiniatureImage {
+  sparse::IndexMode index_mode = sparse::IndexMode::kVrfIndex;
+  kernels::SpmmLayout layout;
+  MainMemory mem;
+};
 
 std::uint64_t analytic_accesses(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                 const RunConfig& config) {
@@ -146,15 +150,43 @@ MiniatureSpec miniature_spec(const kernels::GemmDims& dims, sparse::Sparsity sp,
 }
 
 Miniature measure_miniature(const MiniatureSpec& spec) {
-  MainMemory mem;
-  const PreparedRun run = prepare(sample_problem(spec.dims, spec.sp), spec.config, mem);
-  timing::TimingSim sim(run.program, mem, spec.processor);
+  const AlgorithmRow& family = algorithm_row(spec.config.algorithm);
+  IMAC_CHECK(!family.dense_operands, "sampled miniatures support the sparse kernels only");
+  // The image this thread built last. Sweep expansion puts a layer's
+  // algorithms and unrolls next to each other, so the next miniature of the
+  // same layer and family emits its program onto it. The old image is
+  // released before a new one is built, so holding it does not raise peak
+  // memory.
+  thread_local std::unique_ptr<MiniatureImage> image;
+  Program program;
+  if (image != nullptr && image->layout.dims == spec.dims && image->layout.sp == spec.sp &&
+      image->layout.tile_rows == spec.config.tile_rows && image->index_mode == family.index_mode) {
+    program = family.emit({.layout = image->layout, .options = spec.config.kernel});
+  } else {
+    image.reset();
+    auto fresh = std::make_unique<MiniatureImage>();
+    PreparedRun run = prepare(spec.dims, spec.sp, kMiniatureSeed, spec.config, fresh->mem);
+    fresh->index_mode = family.index_mode;
+    fresh->layout = run.layout;
+    program = std::move(run.program);
+    image = std::move(fresh);
+  }
+
   Miniature out;
-  out.stats = sim.run(spec.max_instructions);
-  out.ktiles = run.layout.num_ktiles;
-  out.costs = decompose(sim.markers(), spec.dims.cols_b / isa::kVlMax,
-                        spec.dims.cols_b % isa::kVlMax != 0 ? 1 : 0, out.ktiles,
-                        spec.dims.rows_a / spec.config.kernel.unroll);
+  try {
+    timing::TimingSim sim(program, image->mem, spec.processor);
+    out.stats = sim.run(spec.max_instructions);
+    out.ktiles = image->layout.num_ktiles;
+    out.costs = decompose(sim.markers(), spec.dims.cols_b / isa::kVlMax,
+                          spec.dims.cols_b % isa::kVlMax != 0 ? 1 : 0, out.ktiles,
+                          spec.dims.rows_a / spec.config.kernel.unroll);
+  } catch (...) {
+    image.reset();  // C may hold a partial result
+    throw;
+  }
+  // The kernels store only to C: zeroing it leaves the image as prepared.
+  const kernels::SpmmLayout& l = image->layout;
+  image->mem.write_f32s(l.c_base, std::vector<float>(l.dims.rows_a * l.c_pitch_elems));
   return out;
 }
 

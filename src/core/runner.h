@@ -39,6 +39,12 @@ struct ExactResult {
 [[nodiscard]] ExactResult run_exact(const SpmmProblem& problem, const RunConfig& config,
                                     const timing::ProcessorConfig& processor);
 
+/// run_exact on SpmmProblem::random(dims, sp, seed), whose operands are
+/// drawn straight into the image instead (prepare from the seed).
+[[nodiscard]] ExactResult run_exact(const kernels::GemmDims& dims, sparse::Sparsity sp,
+                                    std::uint32_t seed, const RunConfig& config,
+                                    const timing::ProcessorConfig& processor);
+
 /// Controls for the sampled estimator.
 struct SampleParams {
   unsigned sample_rows = 16;       ///< rows of A simulated (rounded to unroll)
@@ -109,9 +115,12 @@ struct Miniature {
                                            const SampleParams& params = SampleParams{});
 
 /// First stage of run_sampled, uncached: simulates `spec`'s miniature.
-/// Each thread keeps the miniature problem it built last and reuses it when
-/// the next spec has the same dims and sparsity; results never depend on
-/// it. Throws SimError when the budget runs out.
+/// Each thread keeps the memory image it built last and emits the next
+/// spec's program onto it when that spec has the same dims, sparsity, tile
+/// rows and index form: the unroll and the other kernel options do not
+/// change the image. A sampled kernel stores only to C, which is zeroed
+/// after each run, so results never depend on the reuse. Throws SimError
+/// when the budget runs out, and then drops the image.
 [[nodiscard]] Miniature measure_miniature(const MiniatureSpec& spec);
 
 /// measure_miniature through one process-wide memo that every thread

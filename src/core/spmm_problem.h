@@ -34,6 +34,8 @@ struct SpmmProblem {
 
   /// Random problem: A is magnitude-pruned to N:M from a dense random
   /// matrix (the paper's TensorFlow pruning substitute), B is dense random.
+  /// A comes from std::mt19937(seed) and B from std::mt19937(seed + 1),
+  /// uniform in [-1, 1] (sparse::NmDraw, sparse::UniformFloats).
   [[nodiscard]] static SpmmProblem random(const kernels::GemmDims& dims, sparse::Sparsity sp,
                                           std::uint32_t seed);
 
@@ -61,6 +63,17 @@ struct PreparedRun {
 /// untouched: C is not written, so it starts as the image's zeros.
 [[nodiscard]] PreparedRun prepare(const SpmmProblem& problem, const RunConfig& config,
                                   MainMemory& mem);
+
+/// Rows of A that prepare(dims, sp, seed, ...) draws before it writes them
+/// to the image: its draw buffers hold one such group.
+inline constexpr std::size_t kDrawGroupRows = 64;
+
+/// prepare(SpmmProblem::random(dims, sp, seed), config, mem), byte for byte,
+/// without the problem: A and B are drawn from the seed straight into the
+/// image, kDrawGroupRows rows of A at a time, so the image is the only
+/// full-size copy of them.
+[[nodiscard]] PreparedRun prepare(const kernels::GemmDims& dims, sparse::Sparsity sp,
+                                  std::uint32_t seed, const RunConfig& config, MainMemory& mem);
 
 /// Reads the result matrix C back out of simulated memory.
 [[nodiscard]] sparse::DenseMatrix<float> read_c(const PreparedRun& run, const MainMemory& mem);

@@ -65,7 +65,8 @@ struct SpmmLayout {
 [[nodiscard]] inline SpmmLayout make_layout(const GemmDims& dims, sparse::Sparsity sp,
                                             unsigned tile_rows, AddressAllocator& alloc) {
   IMAC_CHECK(dims.rows_a > 0 && dims.k > 0 && dims.cols_b > 0, "GEMM dims must be positive");
-  IMAC_CHECK(tile_rows > 0 && tile_rows % sp.m == 0, "tile_rows (L) must be a multiple of M");
+  IMAC_CHECK(tile_rows > 0 && tile_rows % sparse::checked(sp).m == 0,
+             "tile_rows (L) must be a multiple of M");
   IMAC_CHECK(tile_rows <= isa::kNumVRegs, "tile_rows cannot exceed the register file");
 
   SpmmLayout out;

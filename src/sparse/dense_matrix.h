@@ -6,10 +6,11 @@
 #include <cstdint>
 #include <random>
 #include <span>
-#include <type_traits>  // std::conditional_t in UniformDist
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
+#include "sparse/random.h"
 
 namespace indexmac::sparse {
 
@@ -52,21 +53,20 @@ class DenseMatrix {
   std::vector<T> data_;
 };
 
-/// The uniform distribution over [lo, hi] that random matrices draw from.
-template <typename T>
-using UniformDist = std::conditional_t<std::is_floating_point_v<T>,
-                                       std::uniform_real_distribution<T>,
-                                       std::uniform_int_distribution<T>>;
-
-/// Uniform random matrix in [lo, hi] with a deterministic seed: one
-/// `std::mt19937(seed)` draw per element, in row-major order.
+/// Uniform random matrix in [lo, hi] with a deterministic seed, drawn in
+/// row-major order: for float the values of UniformFloats(seed, lo, hi),
+/// for integers std::uniform_int_distribution over std::mt19937(seed).
 template <typename T>
 [[nodiscard]] DenseMatrix<T> random_matrix(std::size_t rows, std::size_t cols,
                                            std::uint32_t seed, T lo, T hi) {
   DenseMatrix<T> m(rows, cols);
-  std::mt19937 rng(seed);
-  UniformDist<T> dist(lo, hi);
-  for (T& v : m.data()) v = dist(rng);
+  if constexpr (std::is_same_v<T, float>) {
+    UniformFloats(seed, lo, hi).fill(m.data());
+  } else {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<T> dist(lo, hi);
+    for (T& v : m.data()) v = dist(rng);
+  }
   return m;
 }
 

@@ -1,4 +1,5 @@
-// Operand packing: turns an NmMatrix into the flat, k-tiled value/index
+// Operand packing: turns the slots of an N:M matrix (an NmMatrix, or rows
+// of one as NmDraw hands them out) into the flat, k-tiled value/index
 // streams the vectorized kernels consume, one k-tile at a time
 // (pack_ktile) or whole (pack_a), and gives the padded row-major image of
 // a dense matrix (to_padded_rows).
@@ -46,6 +47,7 @@ struct PackConfig {
 struct PackShape {
   Sparsity sp;
   std::size_t rows = 0;
+  std::size_t slots_per_row = 0; ///< slots A stores per row: N per block
   std::size_t k_padded = 0;      ///< k padded to a multiple of tile_rows
   unsigned tile_rows = 0;        ///< L
   std::size_t num_ktiles = 0;
@@ -53,29 +55,30 @@ struct PackShape {
   IndexMode mode = IndexMode::kVrfIndex;
 
   [[nodiscard]] std::size_t tile_values() const { return rows * slots_per_tile; }
-  /// One word per slot, or for kPackedNibble two per row: the
-  /// little-endian halves of the 64-bit packed index word.
-  [[nodiscard]] std::size_t tile_index_words() const {
-    return mode == IndexMode::kPackedNibble ? rows * 2 : tile_values();
+  /// Index words per row of a k-tile: one per slot, or for kPackedNibble
+  /// two, the little-endian halves of the 64-bit packed index word.
+  [[nodiscard]] std::size_t row_index_words() const {
+    return mode == IndexMode::kPackedNibble ? 2 : slots_per_tile;
   }
+  [[nodiscard]] std::size_t tile_index_words() const { return rows * row_index_words(); }
   [[nodiscard]] std::size_t slot_offset(std::size_t ktile, std::size_t row) const {
     IMAC_CHECK(ktile < num_ktiles && row < rows, "PackedA index out of range");
     return (ktile * rows + row) * slots_per_tile;
   }
 };
 
-/// The checked shape of `a` packed under `config`.
-template <typename T>
-[[nodiscard]] PackShape pack_shape(const NmMatrix<T>& a, const PackConfig& config) {
-  const Sparsity sp = a.sparsity();
-  IMAC_CHECK(config.tile_rows % sp.m == 0, "tile_rows (L) must be a multiple of M");
+/// The checked shape of a rows x cols N:M matrix packed under `config`.
+[[nodiscard]] inline PackShape pack_shape(std::size_t rows, std::size_t cols, Sparsity sp,
+                                          const PackConfig& config) {
+  IMAC_CHECK(config.tile_rows % checked(sp).m == 0, "tile_rows (L) must be a multiple of M");
   IMAC_CHECK(config.mode != IndexMode::kByteOffset || config.b_pitch_bytes > 0,
              "byte-offset packing requires the B row pitch");
   PackShape out;
   out.sp = sp;
-  out.rows = a.rows();
+  out.rows = rows;
+  out.slots_per_row = ceil_div(cols, sp.m) * sp.n;
   out.tile_rows = config.tile_rows;
-  out.k_padded = round_up(a.padded_cols(), config.tile_rows);
+  out.k_padded = round_up(round_up(cols, sp.m), config.tile_rows);
   out.num_ktiles = out.k_padded / config.tile_rows;
   out.slots_per_tile = config.tile_rows / sp.m * sp.n;
   out.mode = config.mode;
@@ -90,29 +93,38 @@ template <typename T>
   return out;
 }
 
-/// Packs k-tile `t` of `a`, shaped by pack_shape(a, config), into `values`
-/// and `indices`, which hold that tile's run of each stream.
+/// Packs k-tile `t` of some consecutive rows of A into `values` and
+/// `indices`, that tile's run of each stream for those rows. `row_values`
+/// and `row_indices` hold the rows' slots as NmMatrix stores them:
+/// shape.slots_per_row per row, N per block. A k-tile's slots are one run of
+/// each row's slots, and blocks past the row's end are padding.
 template <typename T>
-void pack_ktile(const NmMatrix<T>& a, const PackShape& shape, const PackConfig& config,
-                std::size_t t, std::span<T> values, std::span<std::int32_t> indices) {
-  IMAC_CHECK(values.size() == shape.tile_values() && indices.size() == shape.tile_index_words(),
-             "k-tile buffers must hold one tile of each stream");
+void pack_ktile(const PackShape& shape, const PackConfig& config, std::size_t t,
+                std::span<const T> row_values, std::span<const std::uint8_t> row_indices,
+                std::span<T> values, std::span<std::int32_t> indices) {
   const Sparsity sp = shape.sp;
+  const unsigned spt = shape.slots_per_tile;
+  const std::size_t rows = values.size() / spt;
+  IMAC_CHECK(values.size() == rows * spt && indices.size() == rows * shape.row_index_words() &&
+                 row_values.size() == rows * shape.slots_per_row &&
+                 row_indices.size() == row_values.size() && t < shape.num_ktiles,
+             "k-tile buffers must hold one tile of each stream for the given rows");
+  const std::size_t first = t * spt;  // the tile's first slot in a row
+  const std::size_t stored = first < shape.slots_per_row
+                                 ? std::min<std::size_t>(spt, shape.slots_per_row - first)
+                                 : 0;
   const unsigned blocks_per_tile = shape.tile_rows / sp.m;
   if (shape.mode == IndexMode::kPackedNibble) std::fill(indices.begin(), indices.end(), 0);
-  for (std::size_t r = 0; r < shape.rows; ++r)
-    for (unsigned bt = 0; bt < blocks_per_tile; ++bt) {
-      const std::size_t block = t * blocks_per_tile + bt;
-      for (unsigned s = 0; s < sp.n; ++s) {
-        const unsigned tile_slot = bt * sp.n + s;
-        const std::size_t slot = r * shape.slots_per_tile + tile_slot;
-        T value{};
-        std::uint32_t local = sp.m - 1;  // padding default (zero value)
-        if (block < a.blocks_per_row()) {
-          value = a.value_at(r, block, s);
-          local = a.index_at(r, block, s);
-        }
-        values[slot] = value;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t from = r * shape.slots_per_row + first;
+    for (unsigned bt = 0; bt < blocks_per_tile; ++bt)
+      for (unsigned n = 0; n < sp.n; ++n) {
+        const unsigned tile_slot = bt * sp.n + n;
+        const std::size_t slot = r * spt + tile_slot;
+        const bool real = tile_slot < stored;
+        values[slot] = real ? row_values[from + tile_slot] : T{};
+        // Padding has a zero value and local index m-1.
+        const std::uint32_t local = real ? row_indices[from + tile_slot] : sp.m - 1;
         const std::uint32_t row_in_tile = bt * sp.m + local;
         if (shape.mode == IndexMode::kVrfIndex) {
           indices[slot] = static_cast<std::int32_t>(config.base_vreg + row_in_tile);
@@ -126,7 +138,7 @@ void pack_ktile(const NmMatrix<T>& a, const PackShape& shape, const PackConfig& 
           indices[slot] = static_cast<std::int32_t>(global_row * config.b_pitch_bytes);
         }
       }
-    }
+  }
 }
 
 /// Flat k-tiled operand streams for one whole structured-sparse A matrix:
@@ -143,13 +155,14 @@ struct PackedA : PackShape {
 
 template <typename T>
 [[nodiscard]] PackedA<T> pack_a(const NmMatrix<T>& a, const PackConfig& config) {
-  PackedA<T> out{pack_shape(a, config), {}, {}};
+  PackedA<T> out{pack_shape(a.rows(), a.cols(), a.sparsity(), config), {}, {}};
   const std::size_t tile_values = out.tile_values();
   const std::size_t tile_words = out.tile_index_words();
   out.values.resize(out.num_ktiles * tile_values);
   out.indices.resize(out.num_ktiles * tile_words);
   for (std::size_t t = 0; t < out.num_ktiles; ++t)
-    pack_ktile(a, out, config, t, std::span(out.values).subspan(t * tile_values, tile_values),
+    pack_ktile(out, config, t, a.values(), a.indices(),
+               std::span(out.values).subspan(t * tile_values, tile_values),
                std::span(out.indices).subspan(t * tile_words, tile_words));
   return out;
 }

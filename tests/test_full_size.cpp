@@ -1,21 +1,29 @@
-// Exact runs at full layer size must fit in memory. The largest layer in
-// the tree is llm-decode's lm_head (128256 x 4096 x 8). Its problem at
-// 2:4 holds about 1.3 GB of A slots, and its packed image about 2.1 GB.
-// Building and preparing it must peak below 4 GiB of resident memory, so
-// nothing full-size exists beside those two. The test needs about 3.3 GB
-// and half a minute, so it is built but not registered with ctest; CI's
-// full-size job runs it.
+// Exact runs at full layer size must fit in memory and compute the right C.
+// The largest layer in the tree is llm-decode's lm_head (128256 x 4096 x 8).
+// At 2:4 its image holds about 2.1 GB (A's packed streams and B), and its
+// problem about 1.3 GB of A slots. The problem exists here only to compute
+// the reference C row by row, and is freed before any image is built; each
+// image is then drawn from the seed straight into memory. So the process
+// must peak below 2.25 GiB of resident memory: nothing full-size exists
+// beside the image. Each family's kernel then runs on the functional model,
+// and its C must equal the reference. The test needs about 2.1 GB and a few
+// minutes, so it is built but not registered with ctest; CI's full-size job
+// runs it.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
 #include <vector>
 
 #include "core/spmm_problem.h"
+#include "fsim/machine.h"
 
 namespace indexmac::core {
 namespace {
 
-constexpr double kPeakBoundGiB = 4.0;
+constexpr double kPeakBoundGiB = 2.25;
+constexpr kernels::GemmDims kDims{128256, 4096, 8};
+constexpr sparse::Sparsity kSp = sparse::kSparsity24;
+constexpr std::uint32_t kSeed = 1;
 
 /// Peak resident set of this process so far, in GiB (ru_maxrss is in KiB).
 double peak_rss_gib() {
@@ -24,31 +32,41 @@ double peak_rss_gib() {
   return static_cast<double>(usage.ru_maxrss) / (1 << 20);
 }
 
-TEST(FullSize, LmHeadPreparesUnderTheMemoryBound) {
-  const kernels::GemmDims dims{128256, 4096, 8};
-  const auto problem = SpmmProblem::random(dims, sparse::kSparsity24, 1);
-  MainMemory mem;
-  const RunConfig config{.algorithm = Algorithm::kIndexmac, .kernel = {.unroll = 4}};
-  const PreparedRun run = prepare(problem, config, mem);
-  const double peak = peak_rss_gib();
-  EXPECT_LT(peak, kPeakBoundGiB) << "peak RSS " << peak << " GiB";
+/// C of the problem drawn from kSeed, computed as spmm_reference computes it
+/// but one dense row of A at a time: the dense A would add 2.1 GB.
+sparse::DenseMatrix<float> reference_c() {
+  const auto problem = SpmmProblem::random(kDims, kSp, kSeed);
+  sparse::DenseMatrix<float> c(kDims.rows_a, kDims.cols_b);
+  std::vector<float> a_row(kDims.k);
+  for (std::size_t i = 0; i < kDims.rows_a; ++i) {
+    problem.a.dense_row(i, a_row);
+    for (std::size_t k = 0; k < kDims.k; ++k) {
+      if (a_row[k] == 0.0f) continue;
+      for (std::size_t j = 0; j < kDims.cols_b; ++j) c.at(i, j) += a_row[k] * problem.b.at(k, j);
+    }
+  }
+  return c;
+}
 
-  // The image is the real one: the last k-tile of the value and index
-  // streams and B's last row read back as packed and drawn.
-  const kernels::SpmmLayout& l = run.layout;
-  const sparse::PackConfig pack_config{.tile_rows = config.tile_rows,
-                                       .mode = sparse::IndexMode::kVrfIndex,
-                                       .base_vreg = kernels::b_tile_base_vreg(config.tile_rows)};
-  const sparse::PackShape shape = sparse::pack_shape(problem.a, pack_config);
-  std::vector<float> values(shape.tile_values());
-  std::vector<std::int32_t> indices(shape.tile_index_words());
-  const std::size_t last = shape.num_ktiles - 1;
-  sparse::pack_ktile(problem.a, shape, pack_config, last, std::span(values), std::span(indices));
-  EXPECT_EQ(mem.read_f32s(l.a_values + last * values.size() * 4, values.size()), values);
-  EXPECT_EQ(mem.read_i32s(l.a_indices + last * indices.size() * 4, indices.size()), indices);
-  const auto b_row = problem.b.row(dims.k - 1);
-  EXPECT_EQ(mem.read_f32s(l.b_base + (dims.k - 1) * l.b_pitch_elems * 4, dims.cols_b),
-            std::vector<float>(b_row.begin(), b_row.end()));
+TEST(FullSize, LmHeadRunsUnderTheMemoryBound) {
+  const sparse::DenseMatrix<float> want = reference_c();
+  for (const Algorithm algorithm :
+       {Algorithm::kRowwiseSpmm, Algorithm::kIndexmac, Algorithm::kIndexmac4}) {
+    SCOPED_TRACE(algorithm_name(algorithm));
+    MainMemory mem;
+    const PreparedRun run =
+        prepare(kDims, kSp, kSeed, {.algorithm = algorithm, .kernel = {.unroll = 4}}, mem);
+    const double peak = peak_rss_gib();
+    EXPECT_LT(peak, kPeakBoundGiB) << "peak RSS " << peak << " GiB";
+
+    Machine machine(run.program, mem);
+    ASSERT_EQ(machine.run(/*max_steps=*/10'000'000'000), StopReason::kEbreak);
+    const sparse::DenseMatrix<float> got = read_c(run, mem);
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < kDims.rows_a; ++i)
+      for (std::size_t j = 0; j < kDims.cols_b; ++j) differing += got.at(i, j) != want.at(i, j);
+    EXPECT_EQ(differing, 0u) << "of " << kDims.rows_a * kDims.cols_b << " C elements";
+  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.h"
 #include "core/spmm_problem.h"
 #include "fsim/machine.h"
@@ -309,6 +312,84 @@ TEST(OperandImage, EveryFamilyMatchesTheWholeMatrixForms) {
           ASSERT_EQ(indices[w], w < packed.indices.size() ? packed.indices[w] : 0)
               << "index word " << w;
       }
+}
+
+/// Every byte of two images from the first operand up to `end`, compared
+/// page by page.
+void expect_same_image(const MainMemory& got, const MainMemory& want, std::uint64_t end) {
+  constexpr std::size_t kWords = MainMemory::kPageBytes / 4;
+  std::vector<std::uint32_t> got_page(kWords);
+  std::vector<std::uint32_t> want_page(kWords);
+  for (std::uint64_t page = AddressAllocator::kStart; page < end; page += MainMemory::kPageBytes) {
+    got.read_u32_block(page, got_page.data(), kWords);
+    want.read_u32_block(page, want_page.data(), kWords);
+    ASSERT_EQ(got_page, want_page) << "page 0x" << std::hex << page;
+  }
+}
+
+/// Past every operand a prepared run placed: C, and the dense A after it.
+std::uint64_t image_end(const kernels::SpmmLayout& l) {
+  return l.c_base + l.dims.rows_a * (l.c_pitch_elems + round_up(l.dims.k, isa::kVlMax)) * 4 +
+         MainMemory::kPageBytes;
+}
+
+TEST(OperandImage, SeedPathEqualsPreparingTheDrawnProblem) {
+  // k is no multiple of M or L and cols no multiple of 16; 130 rows take
+  // three draw groups, the last one partial; seed 2^32 - 1 draws B from
+  // seed 0.
+  for (const GemmDims dims : {GemmDims{7, 27, 21}, GemmDims{5, 45, 3}, GemmDims{130, 37, 50}})
+    for (const Sparsity sp :
+         {kSparsity14, kSparsity24, Sparsity{1, 8}, Sparsity{2, 8}, Sparsity{3, 8}})
+      for (const std::uint32_t seed : {1u, 12345u, 4294967295u})
+        for (const AlgorithmRow& family : algorithm_table()) {
+          SCOPED_TRACE(std::string(family.id) + " " + std::to_string(sp.n) + ":" +
+                       std::to_string(sp.m) + " " + std::to_string(dims.rows_a) + "x" +
+                       std::to_string(dims.k) + "x" + std::to_string(dims.cols_b) + " seed " +
+                       std::to_string(seed));
+          const RunConfig config{.algorithm = family.algorithm, .kernel = {.unroll = 1}};
+          MainMemory drawn;
+          const PreparedRun run = prepare(dims, sp, seed, config, drawn);
+          MainMemory want;
+          const PreparedRun want_run = prepare(SpmmProblem::random(dims, sp, seed), config, want);
+          EXPECT_EQ(run.program.base(), want_run.program.base());
+          EXPECT_EQ(run.program.words(), want_run.program.words());
+          EXPECT_EQ(drawn.page_count(), want.page_count());
+          expect_same_image(drawn, want, image_end(run.layout));
+        }
+}
+
+TEST(OperandImage, SampledKernelsStoreOnlyToC) {
+  // What lets a thread reuse a miniature's image: after a run, zeroing C
+  // leaves the image as prepare drew it.
+  const GemmDims dims{16, 96, 56};  // three full strips and a tail
+  for (const AlgorithmRow& family : algorithm_table()) {
+    if (!family.supports_sampled) continue;
+    SCOPED_TRACE(family.id);
+    const RunConfig config{
+        .algorithm = family.algorithm,
+        .kernel = {.unroll = family.algorithm == Algorithm::kSsr ? 1u : 4u, .emit_markers = true}};
+    MainMemory used;
+    const PreparedRun run = prepare(dims, kSparsity24, 12345, config, used);
+    Machine machine(run.program, used);
+    ASSERT_EQ(machine.run(200'000'000), StopReason::kEbreak);
+    const kernels::SpmmLayout& l = run.layout;
+    const auto c = read_c(run, used);
+    EXPECT_NE(std::count(c.data().begin(), c.data().end(), 0.0f), std::ptrdiff_t(c.data().size()));
+    used.write_f32s(l.c_base, std::vector<float>(l.dims.rows_a * l.c_pitch_elems));
+
+    MainMemory fresh;
+    (void)prepare(dims, kSparsity24, 12345, config, fresh);
+    expect_same_image(used, fresh, image_end(l));
+  }
+}
+
+TEST(OperandImage, BadSparsityRaisesBeforeDividing) {
+  for (const Sparsity sp : {Sparsity{1, 0}, Sparsity{0, 4}, Sparsity{5, 4}}) {
+    SCOPED_TRACE(std::to_string(sp.n) + ":" + std::to_string(sp.m));
+    EXPECT_THROW((void)SpmmProblem::random({4, 8, 16}, sp, 1), SimError);
+    MainMemory mem;
+    EXPECT_THROW((void)prepare({4, 8, 16}, sp, 1, RunConfig{}, mem), SimError);
+  }
 }
 
 /// The main correctness sweep: algorithm x dataflow x unroll x sparsity

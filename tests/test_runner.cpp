@@ -8,6 +8,7 @@
 #include <future>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -251,6 +252,40 @@ TEST(Runner, MiniatureMemoKeyCoversEveryInput) {
   // which share a latency class: elem is keyed all the same.
   for (const Variant& v : variants)
     EXPECT_EQ(v.moved, std::string(v.field) != "config.kernel.elem") << v.field;
+}
+
+TEST(Runner, ReusedMiniatureImageMeasuresLikeAFreshOne) {
+  // Each thread keeps the image of its last miniature. A new thread has
+  // none, so a spec measured on a new thread is measured on a fresh image:
+  // the reference. One thread then measures every unroll of every sampled
+  // family in a row: each family's unrolls share one image, and ssr reuses
+  // indexmac's, since both pack VRF indices. A run that exhausts its budget
+  // drops the image midway.
+  std::vector<MiniatureSpec> specs;
+  for (const Algorithm alg :
+       {Algorithm::kRowwiseSpmm, Algorithm::kIndexmac, Algorithm::kSsr, Algorithm::kIndexmac4})
+    for (const unsigned unroll : {1u, 2u, 4u}) {
+      if (alg == Algorithm::kSsr && unroll != 1) continue;
+      specs.push_back(miniature_spec({40, 96, 80}, kSparsity14, cfg(alg, unroll), kProc));
+      if (alg == Algorithm::kIndexmac4 && unroll == 2) {
+        specs.push_back(specs.back());
+        specs.back().max_instructions = 1000;
+      }
+    }
+  std::vector<Outcome> reused;
+  std::thread([&] {
+    for (const MiniatureSpec& spec : specs)
+      reused.push_back(outcome([&] { return measure_miniature(spec); }));
+  }).join();
+  ASSERT_EQ(reused.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(std::string(algorithm_name(specs[i].config.algorithm)) + " unroll " +
+                 std::to_string(specs[i].config.kernel.unroll));
+    Outcome fresh;
+    std::thread([&] { fresh = outcome([&] { return measure_miniature(specs[i]); }); }).join();
+    EXPECT_EQ(reused[i].miniature.has_value(), specs[i].max_instructions != 1000);
+    EXPECT_TRUE(reused[i] == fresh) << reused[i].error << " / " << fresh.error;
+  }
 }
 
 TEST(Runner, ExhaustedBudgetThrowsOnEveryCall) {

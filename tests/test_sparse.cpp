@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <random>
+#include <vector>
 
 #include "sparse/dense_matrix.h"
 #include "sparse/nm_matrix.h"
 #include "sparse/packing.h"
+#include "sparse/random.h"
 
 namespace indexmac::sparse {
 namespace {
@@ -140,9 +146,16 @@ TEST(NmMatrix, IndicesAreLocalToBlock) {
 }
 
 TEST(NmMatrix, SparsityInvariantChecked) {
-  DenseMatrix<float> m(1, 4);
-  EXPECT_THROW((void)NmMatrix<float>::from_dense(m, Sparsity{0, 4}), SimError);
-  EXPECT_THROW((void)NmMatrix<float>::from_dense(m, Sparsity{5, 4}), SimError);
+  // M = 0 must raise before anything divides by it, not die with SIGFPE.
+  const DenseMatrix<float> m(1, 4);
+  for (const Sparsity sp : {Sparsity{1, 0}, Sparsity{0, 4}, Sparsity{5, 4}}) {
+    SCOPED_TRACE(std::to_string(sp.n) + ":" + std::to_string(sp.m));
+    EXPECT_THROW((void)checked(sp), SimError);
+    EXPECT_THROW((void)NmMatrix<float>::from_dense(m, sp), SimError);
+    EXPECT_THROW((void)NmMatrix<float>::prune_from_dense(m, sp), SimError);
+    EXPECT_THROW((void)NmMatrix<float>::random(1, 4, sp, 1, -1.0f, 1.0f), SimError);
+    EXPECT_THROW((void)NmDraw(4, sp, 1, -1.0f, 1.0f), SimError);
+  }
 }
 
 TEST(NmMatrix, PruneTieKeepsTheEarliest) {
@@ -167,6 +180,109 @@ TEST(NmMatrix, PruneStoresAKeptZeroAsPadding) {
   EXPECT_FLOAT_EQ(nm.value_at(0, 0, 0), 0.25f);
   EXPECT_EQ(nm.index_at(0, 0, 1), 3);
   EXPECT_FLOAT_EQ(nm.value_at(0, 0, 1), 0.0f);
+}
+
+// ---------- the draw ----------
+
+/// The std draw that UniformFloats replaces, as the reference.
+std::vector<float> std_draw(std::uint32_t seed, float lo, float hi, std::size_t count) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> dist(lo, hi);
+  std::vector<float> out(count);
+  for (float& v : out) v = dist(rng);
+  return out;
+}
+
+/// Bit patterns, so that every value, -0.0 included, compares exactly.
+std::vector<std::uint32_t> bits_of(const std::vector<float>& values) {
+  std::vector<std::uint32_t> out(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) out[i] = std::bit_cast<std::uint32_t>(values[i]);
+  return out;
+}
+
+TEST(UniformFloats, EqualsTheStdDistributionBitForBit) {
+  // A count that is no multiple of the 624-word state, drawn in uneven
+  // pieces, so refills land inside a piece.
+  constexpr std::size_t kCount = 1'000'003;
+  for (const std::uint32_t seed : {0u, 1u, 5489u, 12345u, 12346u, 4294967295u})
+    for (const auto& [lo, hi] : {std::pair{-1.0f, 1.0f}, std::pair{-3.5f, 10.25f}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+      UniformFloats draw(seed, lo, hi);
+      std::vector<float> got(kCount);
+      for (std::size_t at = 0, piece = 1; at < kCount; at += piece, piece = piece % 997 + 3)
+        draw.fill(std::span(got).subspan(at, std::min(piece, kCount - at)));
+      ASSERT_EQ(bits_of(got), bits_of(std_draw(seed, lo, hi, kCount)));
+    }
+}
+
+/// An engine that returns one chosen word, with mt19937's range, so the
+/// std distribution maps exactly that word.
+struct OneWord {
+  using result_type = std::uint32_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return 0xffff'ffffu; }
+  result_type operator()() const { return word; }
+  result_type word = 0;
+};
+
+TEST(UniformFloats, MapsEachWordAsTheStdDistributionDoes) {
+  // Every word from 2^32 - 65536 up, where float(x) * 2^-32 rounds to 1 and
+  // is clamped for the top 128, and a strided sweep of all the others.
+  const auto same = [](std::uint32_t word, float lo, float hi) {
+    OneWord engine{word};
+    std::uniform_real_distribution<float> dist(lo, hi);
+    return std::bit_cast<std::uint32_t>(uniform_float(word, lo, hi)) ==
+           std::bit_cast<std::uint32_t>(dist(engine));
+  };
+  for (const auto& [lo, hi] : {std::pair{-1.0f, 1.0f}, std::pair{-3.5f, 10.25f}}) {
+    for (std::uint64_t word = 0xffff'0000u; word <= 0xffff'ffffu; ++word)
+      ASSERT_TRUE(same(static_cast<std::uint32_t>(word), lo, hi)) << "word " << word;
+    for (std::uint64_t word = 0; word < 0xffff'0000u; word += 4099)
+      ASSERT_TRUE(same(static_cast<std::uint32_t>(word), lo, hi)) << "word " << word;
+  }
+  EXPECT_EQ(uniform_float(0xffff'ffffu, 0.0f, 1.0f), std::nextafter(1.0f, 0.0f));
+}
+
+/// Magnitude pruning's rule as N rounds, each keeping the largest value not
+/// yet kept, the earliest on a tie: the reference for keep_largest.
+std::vector<std::uint8_t> kept_by_rounds(const std::vector<float>& block, unsigned n) {
+  std::vector<std::uint8_t> kept(block.size(), 0);
+  for (unsigned round = 0; round < n; ++round) {
+    std::size_t best = block.size();
+    for (std::size_t j = 0; j < block.size(); ++j)
+      if (kept[j] == 0 && (best == block.size() || std::abs(block[j]) > std::abs(block[best])))
+        best = j;
+    if (best < block.size()) kept[best] = 1;
+  }
+  return kept;
+}
+
+TEST(KeepRule, EqualsTheRoundRule) {
+  // Random blocks, blocks whose magnitudes tie (a few values, both signs)
+  // and blocks with zeros, at every N:M with M = 4, 8, 16, and at every
+  // width up to M (a partial last block).
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<float> any(-1.0f, 1.0f);
+  const std::vector<float> tied = {0.5f, -0.5f, 0.25f, -0.25f, 1.0f, 0.0f, -0.0f};
+  std::uniform_int_distribution<std::size_t> pick(0, tied.size() - 1);
+  std::bernoulli_distribution zero(0.3);
+  const std::array<std::function<float()>, 3> kinds = {
+      [&] { return any(rng); }, [&] { return tied[pick(rng)]; },
+      [&] { return zero(rng) ? 0.0f : any(rng); }};
+  for (const unsigned m : {4u, 8u, 16u})
+    for (unsigned n = 1; n <= m; ++n)
+      for (unsigned width = 1; width <= m; ++width)
+        for (std::size_t kind = 0; kind < kinds.size(); ++kind)
+          for (int trial = 0; trial < 50; ++trial) {
+            std::vector<float> block(width);
+            for (float& v : block) v = kinds[kind]();
+            std::vector<std::uint8_t> kept(m, 9);
+            keep_largest<float>(block, n, kept);
+            kept.resize(width);
+            ASSERT_EQ(kept, kept_by_rounds(block, n))
+                << n << ":" << m << " width " << width << " kind " << kind;
+          }
 }
 
 /// NmMatrix::random draws and prunes block by block exactly what pruning

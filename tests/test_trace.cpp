@@ -7,7 +7,8 @@
 //    allocation;
 //  * building a problem and preparing its memory image hold no full-size
 //    temporary: the live-byte high-water mark stays within what they
-//    leave behind plus one block, k-tile or row of working buffers;
+//    leave behind plus one block, k-tile or row of working buffers, and
+//    preparing it from the seed adds at most one group of drawn rows;
 //  * a stream that leaves the program raises a SimError naming the pc.
 #include <gtest/gtest.h>
 #include <malloc.h>  // malloc_usable_size
@@ -256,6 +257,28 @@ TEST(PeakHeap, PrepareHoldsOneKtileOrRowBesideTheImage) {
     const std::uint64_t buffers = family.dense_operands ? 4096 * 4 : 2 * 256 * 8 * 4;
     EXPECT_LE(use.peak, use.after + buffers + 4096)
         << family.id << ": image and program " << use.after << " B";
+  }
+}
+
+TEST(PeakHeap, SeedPrepareHoldsOneRowGroupBesideTheImage) {
+  // No problem exists: prepare draws kDrawGroupRows rows of A at a time,
+  // each row's 2,048 slots as a value and an index byte, then writes one
+  // k-tile's run of the group (64 rows x 8 slots x 4 B in each stream) or
+  // one dense A row (4096 x 4 B) at a time, and B one row at a time. Each
+  // of the two group buffers may round up to a page.
+  const std::uint64_t group = core::kDrawGroupRows * 2048 * (4 + 1) + 2 * 4096;
+  for (const core::AlgorithmRow& family : core::algorithm_table()) {
+    MainMemory mem;
+    std::optional<core::PreparedRun> run;
+    const HeapUse use = heap_use([&] {
+      run.emplace(core::prepare(kPeakDims, sparse::kSparsity24, 1,
+                                {.algorithm = family.algorithm, .kernel = {.unroll = 1}}, mem));
+    });
+    EXPECT_GT(use.after, 2u << 20) << family.id;
+    const std::uint64_t buffers =
+        group + (family.dense_operands ? 4096 * 4 : 2 * 64 * 8 * 4) + kPeakDims.cols_b * 4;
+    EXPECT_LE(use.peak, use.after + buffers + 4096)
+        << family.id << ": image and program " << use.after << " B, peak " << use.peak << " B";
   }
 }
 
