@@ -1,14 +1,13 @@
 # Shared compiler-flag setup: warning set and opt-in sanitizers. Applied
 # through the indexmac_flags interface target so every binary in the tree
-# (library, tests, benches, tools) gets a consistent build line.
+# (library, tools, tests, examples and the sweep benchmark's probe) gets
+# a consistent build line.
 add_library(indexmac_flags INTERFACE)
 
-if(INDEXMAC_WARNINGS)
-  if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
-    target_compile_options(indexmac_flags INTERFACE -Wall -Wextra)
-  elseif(MSVC)
-    target_compile_options(indexmac_flags INTERFACE /W4)
-  endif()
+if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
+  target_compile_options(indexmac_flags INTERFACE -Wall -Wextra)
+elseif(MSVC)
+  target_compile_options(indexmac_flags INTERFACE /W4)
 endif()
 
 if(INDEXMAC_SANITIZE)

@@ -54,7 +54,6 @@ struct ConvLayer {
 
 /// A whole network: conv layers in execution order.
 struct CnnModel {
-  std::string name;
   std::vector<ConvLayer> layers;
 };
 

@@ -84,7 +84,7 @@ CnnModel resnet50() {
       }
     }
   }
-  return CnnModel{"ResNet50", net.take()};
+  return CnnModel{net.take()};
 }
 
 CnnModel mobilenetv1() {
@@ -120,7 +120,7 @@ CnnModel mobilenetv1() {
   for (int i = 0; i < 5; ++i) separable(512, 1);
   separable(1024, 2);  // -> 7
   separable(1024, 1);
-  return CnnModel{"MobileNetV1", net.take()};
+  return CnnModel{net.take()};
 }
 
 CnnModel densenet121() {
@@ -144,7 +144,7 @@ CnnModel densenet121() {
       net.pool(2, 2, 0);
     }
   }
-  return CnnModel{"DenseNet121", net.take()};
+  return CnnModel{net.take()};
 }
 
 CnnModel inceptionv3() {
@@ -260,7 +260,7 @@ CnnModel inceptionv3() {
   inception_e("Mixed_7b");
   inception_e("Mixed_7c");
 
-  CnnModel model{"InceptionV3", net.take()};
+  CnnModel model{net.take()};
   for (ConvLayer& l : extra) model.layers.push_back(std::move(l));
   return model;
 }

@@ -1,6 +1,6 @@
 // Locale-independent text formatting and parsing: the aligned tables
 // imac_run and the examples print, and the number formats and strict
-// parsers behind CSV/JSON reports and CLI flags.
+// parsers behind CSV reports and CLI flags.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,8 @@ class TextTable {
 };
 
 /// Formats a double with `digits` decimal places. Locale-independent: the
-/// decimal separator is always '.', regardless of LC_NUMERIC — CSV/JSON
-/// reports and golden byte-for-byte diffs must not drift on comma-decimal
+/// decimal separator is always '.', regardless of LC_NUMERIC — CSV reports
+/// and golden byte-for-byte diffs must not drift on comma-decimal
 /// locales (implemented on std::to_chars, never printf).
 [[nodiscard]] std::string fmt_fixed(double v, int digits);
 

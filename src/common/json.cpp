@@ -22,7 +22,7 @@ const char* kind_name(JsonValue::Kind k) {
 }
 
 /// Each '[' or '{' recurses once, so a deeper document fails instead of
-/// overflowing the stack. Specs and manifests nest 3 deep.
+/// overflowing the stack. Specs nest 2 deep.
 constexpr std::size_t kMaxDepth = 64;
 
 class Parser {
@@ -268,7 +268,7 @@ void JsonValue::dump_to(std::string& out, int indent) const {
       } else {
         // to_chars(general, 10) == printf("%.10g") in the C locale; the
         // printf form would emit a ',' decimal separator under
-        // comma-decimal LC_NUMERIC and break byte-stable reports.
+        // comma-decimal LC_NUMERIC and break byte-stable output.
         const auto [ptr, ec] =
             std::to_chars(buf, buf + sizeof buf, number_, std::chars_format::general, 10);
         IMAC_ASSERT(ec == std::errc{}, "json: number formatting buffer exhausted");

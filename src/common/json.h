@@ -1,4 +1,5 @@
-// Minimal JSON-subset parser for sweep specs and report emission.
+// Minimal JSON-subset parser and writer: sweep specs are parsed with it, and
+// the sweep benchmark's probe writes its span records with it.
 //
 // Supports objects, arrays, double-quoted strings (with \" \\ \/ \n \t
 // escapes), integers/doubles, booleans and null — enough for declarative

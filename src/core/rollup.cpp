@@ -77,31 +77,4 @@ std::string rollup_to_csv(const RollupReport& rollup) {
   return out;
 }
 
-JsonValue rollup_to_json(const RollupReport& rollup) {
-  JsonValue rows = JsonValue::make_array();
-  for (const RollupRow& row : rollup.rows) {
-    JsonValue r = JsonValue::make_object();
-    r.set("suite", JsonValue(row.suite));
-    r.set("sparsity", JsonValue(sparsity_label(row.sp)));
-    r.set("algorithm", JsonValue(std::string(algorithm_row(row.algorithm).id)));
-    r.set("dataflow", JsonValue(std::string(dataflow_id(row.dataflow))));
-    r.set("unroll", JsonValue(static_cast<double>(row.unroll)));
-    r.set("tile_rows", JsonValue(static_cast<double>(row.tile_rows)));
-    r.set("mode", JsonValue(std::string(sweep_mode_name(row.mode))));
-    r.set("layers", JsonValue(static_cast<double>(row.layers)));
-    r.set("workloads", JsonValue(static_cast<double>(row.workloads)));
-    r.set("cycles", JsonValue(row.cycles));
-    r.set("data_accesses", JsonValue(static_cast<double>(row.data_accesses)));
-    r.set("energy_proxy_bytes", JsonValue(static_cast<double>(row.energy_proxy_bytes())));
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
-std::string report_to_json_with_rollup(const SweepReport& report, const RollupReport& rollup) {
-  JsonValue doc = report_json_doc(report);
-  doc.set("rollup", rollup_to_json(rollup));
-  return doc.dump() + "\n";
-}
-
 }  // namespace indexmac::core

@@ -8,15 +8,13 @@
 // core" instead of "what does one GEMM cost". Rendered as a `# rollup`
 // CSV section appended after the per-point rows (parse_csv_report stops at
 // the marker, so rollup-bearing CSVs stay loadable, mergeable and
-// shardable) and as a "rollup" array in the JSON report — both byte-stable
-// and golden-tested like the per-point reports.
+// shardable), byte-stable and golden-tested like the per-point report.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "core/sweep.h"
 
 namespace indexmac::core {
@@ -60,12 +58,5 @@ inline constexpr const char* kRollupMarkerPrefix = "# rollup";
 /// Stable CSV rendition: the `# rollup` marker line, a header, one row per
 /// group. Appended verbatim after report_to_csv output by `sweep --rollup`.
 [[nodiscard]] std::string rollup_to_csv(const RollupReport& rollup);
-
-/// The same rows as a JSON array (the report document's "rollup" key).
-[[nodiscard]] JsonValue rollup_to_json(const RollupReport& rollup);
-
-/// report_to_json plus a "rollup" section — the `sweep --rollup` JSON body.
-[[nodiscard]] std::string report_to_json_with_rollup(const SweepReport& report,
-                                                     const RollupReport& rollup);
 
 }  // namespace indexmac::core

@@ -539,40 +539,6 @@ std::string report_to_csv(const SweepReport& report) {
   return out;
 }
 
-JsonValue report_json_doc(const SweepReport& report) {
-  JsonValue doc = JsonValue::make_object();
-  doc.set("spec", JsonValue(report.spec_name));
-  char hash[24];
-  std::snprintf(hash, sizeof hash, "%016llx", static_cast<unsigned long long>(report.spec_hash));
-  doc.set("hash", JsonValue(std::string(hash)));
-  JsonValue rows = JsonValue::make_array();
-  for (const SweepRow& row : report.rows) {
-    const SweepPoint& p = row.point;
-    JsonValue r = JsonValue::make_object();
-    r.set("suite", JsonValue(p.suite));
-    r.set("workload", JsonValue(p.workload));
-    r.set("count", JsonValue(static_cast<double>(p.count)));
-    r.set("rows", JsonValue(static_cast<double>(p.dims.rows_a)));
-    r.set("k", JsonValue(static_cast<double>(p.dims.k)));
-    r.set("cols", JsonValue(static_cast<double>(p.dims.cols_b)));
-    r.set("sparsity", JsonValue(sparsity_label(p.sp)));
-    r.set("algorithm", JsonValue(std::string(algorithm_id(p.config.algorithm))));
-    r.set("dataflow", JsonValue(std::string(dataflow_id(p.config.kernel.dataflow))));
-    r.set("unroll", JsonValue(static_cast<double>(p.config.kernel.unroll)));
-    r.set("tile_rows", JsonValue(static_cast<double>(p.config.tile_rows)));
-    r.set("mode", JsonValue(std::string(sweep_mode_name(p.mode))));
-    r.set("cycles", JsonValue(row.cycles));
-    r.set("data_accesses", JsonValue(static_cast<double>(row.data_accesses)));
-    rows.push_back(std::move(r));
-  }
-  doc.set("rows", std::move(rows));
-  return doc;
-}
-
-std::string report_to_json(const SweepReport& report) {
-  return report_json_doc(report).dump() + "\n";
-}
-
 SweepReport parse_csv_report(const std::string& csv) {
   SweepReport report;
   bool saw_header = false;

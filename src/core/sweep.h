@@ -2,8 +2,8 @@
 // RunConfig / ProcessorConfig grid; the engine expands the cross product,
 // executes every unique measurement once through run_batch (repeated
 // (shape, sparsity, config) points share one measurement, and a result
-// store can serve and journal them across processes), and emits stable
-// CSV/JSON reports suitable for golden-file regression tests.
+// store can serve and journal them across processes), and emits a stable
+// CSV report suitable for golden-file regression tests.
 //
 // Spec format (JSON subset, see common/json.h):
 //
@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "core/batch.h"
 #include "core/result_store.h"
 #include "workloads/workloads.h"
@@ -130,9 +129,10 @@ struct SweepReport {
   std::vector<SweepRow> rows;
 };
 
-/// Runs the sweep over `points`, which must come from expand_sweep(spec),
-/// on `threads` workers (at least 1). Duplicate points are simulated once.
-/// Rows come back in expansion order regardless of thread count.
+/// Runs the sweep over `points`, usually expand_sweep(spec) or a shard of
+/// it (run_sweep never looks a suite up), on `threads` workers (at least
+/// 1). Duplicate points are simulated once. Rows come back in the order of
+/// `points` regardless of thread count.
 ///
 /// `store` (optional) journals every simulated point from its worker the
 /// moment it finishes, so a sweep killed mid-run keeps everything measured
@@ -184,7 +184,7 @@ void accumulate_results(const ResultStore& store, std::map<std::string, StoredRe
 
 /// Reassembles the canonical single-process report of `spec` from merged
 /// shard measurements: rows in expansion order, spec_hash the grid_hash
-/// run_sweep records — so the rendered CSV/JSON is byte-identical to a
+/// run_sweep records — so the rendered CSV is byte-identical to a
 /// single-process run. Throws SimError naming the first missing
 /// point when the shards do not cover the full grid.
 [[nodiscard]] SweepReport assemble_report(const SweepSpec& spec,
@@ -194,13 +194,6 @@ void accumulate_results(const ResultStore& store, std::map<std::string, StoredRe
 /// '\n' line endings, exact-mode cycles printed as integers. Byte-stable
 /// across platforms/compilers for identical measurements.
 [[nodiscard]] std::string report_to_csv(const SweepReport& report);
-
-/// Stable JSON rendition of the same rows.
-[[nodiscard]] std::string report_to_json(const SweepReport& report);
-
-/// The JSON report as a document, for callers that append sections (the
-/// rollup mode) before serializing. report_to_json == dump(doc) + "\n".
-[[nodiscard]] JsonValue report_json_doc(const SweepReport& report);
 
 /// Parses a CSV produced by report_to_csv (the `report` CLI subcommand and
 /// round-trip tests); throws SimError on malformed input.

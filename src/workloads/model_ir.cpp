@@ -8,34 +8,6 @@
 
 namespace indexmac::workloads {
 
-const char* layer_kind_id(LayerKind kind) {
-  switch (kind) {
-    case LayerKind::kConv: return "conv";
-    case LayerKind::kDepthwise: return "depthwise";
-    case LayerKind::kLinear: return "linear";
-    case LayerKind::kAttentionProj: return "attention-proj";
-  }
-  raise("invalid LayerKind");
-}
-
-LayerKind parse_layer_kind(const std::string& id) {
-  for (const LayerKind kind : {LayerKind::kConv, LayerKind::kDepthwise, LayerKind::kLinear,
-                               LayerKind::kAttentionProj})
-    if (id == layer_kind_id(kind)) return kind;
-  raise("unknown layer kind \"" + id +
-        "\" (known: conv, depthwise, linear, attention-proj)");
-}
-
-SparsityProfile SparsityProfile::declared(sparse::Sparsity sp) {
-  SparsityProfile out;
-  out.pattern = sp;
-  out.measured = false;
-  out.density = static_cast<double>(sp.n) / static_cast<double>(sp.m);
-  out.nm_conformity = 1.0;
-  out.row_imbalance = 0.0;
-  return out;
-}
-
 std::uint64_t LayerRecord::macs() const {
   return static_cast<std::uint64_t>(gemm.rows_a) * gemm.k * gemm.cols_b * repeat;
 }
@@ -78,10 +50,6 @@ void ModelGraph::validate() const {
     IMAC_CHECK(layer.gemm.rows_a > 0 && layer.gemm.k > 0 && layer.gemm.cols_b > 0,
                where + " has a zero GEMM dimension");
     IMAC_CHECK(layer.repeat >= 1, where + " has repeat 0");
-    IMAC_CHECK(layer.sparsity.density >= 0.0 && layer.sparsity.density <= 1.0,
-               where + " has density outside [0, 1]");
-    IMAC_CHECK(layer.sparsity.nm_conformity >= 0.0 && layer.sparsity.nm_conformity <= 1.0,
-               where + " has N:M conformity outside [0, 1]");
   }
 }
 
@@ -90,7 +58,6 @@ ModelGraph graph_from_cnn(const cnn::CnnModel& model, std::string name,
                           std::vector<sparse::Sparsity> sparsities) {
   ModelGraph out;
   out.name = std::move(name);
-  out.display_name = model.name;
   out.description = std::move(description);
   out.default_sparsities = std::move(sparsities);
   for (const cnn::ConvLayer& conv : model.layers) {
@@ -100,11 +67,8 @@ ModelGraph graph_from_cnn(const cnn::CnnModel& model, std::string name,
       ++same->repeat;
       continue;
     }
-    const bool depthwise = conv.in_channels == 1 && conv.kernel_h * conv.kernel_w > 1;
-    out.layers.push_back({conv.name, depthwise ? LayerKind::kDepthwise : LayerKind::kConv, dims,
-                          1, SparsityProfile::declared(out.default_sparsities.front())});
+    out.layers.push_back({conv.name, dims, 1});
   }
-  out.validate();
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "workloads/workloads.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 #include "cnn/conv_layer.h"
@@ -19,40 +18,35 @@ const std::vector<sparse::Sparsity> kPaperSparsities = {sparse::kSparsity14,
 /// projection weight, B the [in x seq] activation block, so only the four
 /// per-layer weight GEMMs appear (QK^T / PV score GEMMs multiply two dense
 /// activations and are outside the N:M weight-pruning scheme).
-ModelGraph transformer_graph(std::string name, std::string display, std::string description,
-                             unsigned layers, unsigned hidden, unsigned ffn, unsigned seq) {
+ModelGraph transformer_graph(std::string name, std::string description, unsigned layers,
+                             unsigned hidden, unsigned ffn, unsigned seq) {
   ModelGraph out;
   out.name = std::move(name);
-  out.display_name = std::move(display);
   out.description = std::move(description);
   out.default_sparsities = kPaperSparsities;
-  const SparsityProfile sp = SparsityProfile::declared(kPaperSparsities.front());
   out.layers = {
-      {"attention.qkv_proj", LayerKind::kAttentionProj, {hidden, hidden, seq}, 3 * layers, sp},
-      {"attention.out_proj", LayerKind::kAttentionProj, {hidden, hidden, seq}, layers, sp},
-      {"mlp.up_proj", LayerKind::kLinear, {ffn, hidden, seq}, layers, sp},
-      {"mlp.down_proj", LayerKind::kLinear, {hidden, ffn, seq}, layers, sp},
+      {"attention.qkv_proj", {hidden, hidden, seq}, 3 * layers},
+      {"attention.out_proj", {hidden, hidden, seq}, layers},
+      {"mlp.up_proj", {ffn, hidden, seq}, layers},
+      {"mlp.down_proj", {hidden, ffn, seq}, layers},
   };
   return out;
 }
 
 ModelGraph bert_base() {
   return transformer_graph(
-      "bert-base", "BERT-base",
+      "bert-base",
       "BERT-base encoder projection GEMMs (12 layers, hidden 768, seq 128)",
       /*layers=*/12, /*hidden=*/768, /*ffn=*/3072, /*seq=*/128);
 }
 
 ModelGraph vit_base() {
   ModelGraph out = transformer_graph(
-      "vit-base", "ViT-B/16",
-      "ViT-B/16 encoder GEMMs (12 layers, hidden 768, 197 tokens @224x224)",
+      "vit-base", "ViT-B/16 encoder GEMMs (12 layers, hidden 768, 197 tokens @224x224)",
       /*layers=*/12, /*hidden=*/768, /*ffn=*/3072, /*seq=*/197);
-  const SparsityProfile sp = SparsityProfile::declared(kPaperSparsities.front());
   // Patch embedding: a 16x16/s16 conv == [768 x 3*16*16] x [768 x 196] GEMM.
-  out.layers.insert(out.layers.begin(),
-                    {"patch_embed", LayerKind::kConv, {768, 768, 196}, 1, sp});
-  out.layers.push_back({"head", LayerKind::kLinear, {1000, 768, 1}, 1, sp});
+  out.layers.insert(out.layers.begin(), {"patch_embed", {768, 768, 196}, 1});
+  out.layers.push_back({"head", {1000, 768, 1}, 1});
   return out;
 }
 
@@ -64,19 +58,17 @@ ModelGraph vit_base() {
 ModelGraph llm_decode() {
   ModelGraph out;
   out.name = "llm-decode";
-  out.display_name = "LLM-decode";
   out.description =
       "LLM decode-step GEMMs (8B-class GQA geometry, batch 8, skinny activations)";
   out.default_sparsities = {sparse::kSparsity24, sparse::Sparsity{2, 8}};
-  const SparsityProfile sp = SparsityProfile::declared(out.default_sparsities.front());
   const unsigned layers = 32, hidden = 4096, kv = 1024, ffn = 14336, batch = 8;
   out.layers = {
-      {"attn.q_proj", LayerKind::kAttentionProj, {hidden, hidden, batch}, layers, sp},
-      {"attn.kv_proj", LayerKind::kAttentionProj, {kv, hidden, batch}, 2 * layers, sp},
-      {"attn.o_proj", LayerKind::kAttentionProj, {hidden, hidden, batch}, layers, sp},
-      {"mlp.gate_up_proj", LayerKind::kLinear, {ffn, hidden, batch}, 2 * layers, sp},
-      {"mlp.down_proj", LayerKind::kLinear, {hidden, ffn, batch}, layers, sp},
-      {"lm_head", LayerKind::kLinear, {128256, hidden, batch}, 1, sp},
+      {"attn.q_proj", {hidden, hidden, batch}, layers},
+      {"attn.kv_proj", {kv, hidden, batch}, 2 * layers},
+      {"attn.o_proj", {hidden, hidden, batch}, layers},
+      {"mlp.gate_up_proj", {ffn, hidden, batch}, 2 * layers},
+      {"mlp.down_proj", {hidden, ffn, batch}, layers},
+      {"lm_head", {128256, hidden, batch}, 1},
   };
   return out;
 }
@@ -84,15 +76,13 @@ ModelGraph llm_decode() {
 ModelGraph tiny() {
   ModelGraph out;
   out.name = "tiny";
-  out.display_name = "tiny";
   out.description = "CI-sized shapes for golden-file regression tests (exact-mode friendly)";
   out.default_sparsities = kPaperSparsities;
-  const SparsityProfile sp = SparsityProfile::declared(kPaperSparsities.front());
   out.layers = {
-      {"tiny.square", LayerKind::kLinear, {16, 64, 32}, 1, sp},
-      {"tiny.wide", LayerKind::kLinear, {8, 32, 48}, 2, sp},
+      {"tiny.square", {16, 64, 32}, 1},
+      {"tiny.wide", {8, 32, 48}, 2},
       // cols_b % 16 != 0: exercises the tail path.
-      {"tiny.ragged", LayerKind::kLinear, {12, 48, 20}, 1, sp},
+      {"tiny.ragged", {12, 48, 20}, 1},
   };
   return out;
 }
@@ -103,20 +93,16 @@ ModelGraph ablation_graph(std::string name, std::string description,
                           std::vector<std::pair<std::string, GemmDims>> shapes) {
   ModelGraph out;
   out.name = std::move(name);
-  out.display_name = out.name;
   out.description = std::move(description);
   out.default_sparsities = kPaperSparsities;
-  const SparsityProfile sp = SparsityProfile::declared(kPaperSparsities.front());
-  for (auto& [layer, dims] : shapes)
-    out.layers.push_back({std::move(layer), LayerKind::kConv, dims, 1, sp});
+  for (auto& [layer, dims] : shapes) out.layers.push_back({std::move(layer), dims, 1});
   return out;
 }
 
-/// Registration store. A deque so `model_graph()` references survive later
-/// register_model() calls (no reallocation of entries).
-std::deque<ModelGraph>& registry() {
-  static std::deque<ModelGraph> graphs = [] {
-    std::deque<ModelGraph> out;
+/// The suite table, built and validated once.
+const std::vector<ModelGraph>& registry() {
+  static const std::vector<ModelGraph> graphs = [] {
+    std::vector<ModelGraph> out;
     auto add = [&out](ModelGraph graph) {
       graph.validate();
       out.push_back(std::move(graph));
@@ -162,23 +148,12 @@ std::vector<std::string> suite_names() {
   return out;
 }
 
-bool has_suite(const std::string& name) {
-  return std::ranges::find(registry(), name, &ModelGraph::name) != registry().end();
-}
-
 const ModelGraph& model_graph(const std::string& name) {
   const auto it = std::ranges::find(registry(), name, &ModelGraph::name);
   if (it != registry().end()) return *it;
   std::string known;
   for (const std::string& n : suite_names()) known += (known.empty() ? "" : ", ") + n;
   raise("unknown workload suite \"" + name + "\" (known: " + known + ")");
-}
-
-void register_model(ModelGraph graph) {
-  graph.validate();
-  IMAC_CHECK(!has_suite(graph.name),
-             "model \"" + graph.name + "\" is already registered");
-  registry().push_back(std::move(graph));
 }
 
 kernels::GemmDims shrink(const kernels::GemmDims& dims, const kernels::GemmDims& cap) {

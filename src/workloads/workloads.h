@@ -1,11 +1,11 @@
 // Workload registry: the named suites of GEMM shapes the simulator
-// evaluates. A suite is a registered ModelGraph (model_ir.h): the paper's
-// CNN tables (ResNet50/DenseNet121/InceptionV3 im2col GEMMs),
-// MobileNetV1-style depthwise/pointwise GEMMs, transformer (BERT-base /
-// ViT-base) attention/MLP projection GEMMs, LLM-decode skinny-activation
-// GEMMs, and any model imported from a pruned checkpoint at runtime
-// (model_import.h). The sweep engine and the CLI read the registered graphs
-// directly, so registering a model makes it sweepable everywhere at once.
+// evaluates. A suite is a ModelGraph (model_ir.h): the paper's CNN tables
+// (ResNet50/DenseNet121/InceptionV3 im2col GEMMs), MobileNetV1-style
+// depthwise/pointwise GEMMs, transformer (BERT-base / ViT-base)
+// attention/MLP projection GEMMs, LLM-decode skinny-activation GEMMs, the
+// CI-sized `tiny` suite and the ablation shapes. The registry is a fixed
+// table of these suites, built once; the sweep engine and the CLI read its
+// graphs directly, so a suite added to the table is sweepable everywhere.
 #pragma once
 
 #include <string>
@@ -15,20 +15,11 @@
 
 namespace indexmac::workloads {
 
-/// Registered suite names, in registration order (built-ins first, then
-/// runtime-registered models). By value: register_model may extend the set.
+/// Suite names, in table order.
 [[nodiscard]] std::vector<std::string> suite_names();
 
-[[nodiscard]] bool has_suite(const std::string& name);
-
 /// Looks a suite up by name; throws SimError listing the known names.
-/// References stay valid across register_model calls.
 [[nodiscard]] const ModelGraph& model_graph(const std::string& name);
-
-/// Registers a model (validated). Throws SimError on a duplicate name. Used
-/// by `imac_run sweep --import` to make checkpoint-derived models sweepable
-/// next to the built-ins.
-void register_model(ModelGraph graph);
 
 /// Clamps each GEMM dimension to the matching dimension of `cap`: the
 /// test-sized replica of a production shape (aspect ratios flatten, but

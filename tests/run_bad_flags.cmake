@@ -9,8 +9,38 @@
 # `merge` only reads stores, so a --store naming no store is an error naming
 # the path, and must not create the directory.
 #
+# Inputs the CLI no longer takes are rejected like any unknown flag: exit 2
+# with the usage summary on stderr. The checkpoint importer (`import-model`,
+# `--import`) and the JSON renditions (`--format`, `list-workloads --json`)
+# are deleted; `import-model DIR` now reaches the historical `run` form,
+# which takes one program path. With -DREMOVED_INPUTS=ON the script checks
+# only these inputs; without it, everything else.
+#
 # Usage: cmake -DIMAC_RUN=<imac_run> -DPROGRAM=<file.s> -DSPEC=<spec.json>
 #              -DWORK_DIR=<scratch dir> -P run_bad_flags.cmake
+#        cmake -DIMAC_RUN=<imac_run> -DSPEC=<spec.json> -DCSV=<its report.csv>
+#              -DWORK_DIR=<scratch dir> -DREMOVED_INPUTS=ON -P run_bad_flags.cmake
+if(REMOVED_INPUTS)
+  function(expect_usage)
+    execute_process(COMMAND ${IMAC_RUN} ${ARGN}
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+      message(FATAL_ERROR "${ARGN}: exited \"${rc}\", expected 2\n${out}${err}")
+    endif()
+    if(NOT err MATCHES "usage: imac_run")
+      message(FATAL_ERROR "${ARGN}: stderr does not show the usage summary:\n${err}")
+    endif()
+  endfunction()
+
+  expect_usage(sweep --spec ${SPEC} --format json)
+  expect_usage(sweep --spec ${SPEC} --import ${WORK_DIR})
+  expect_usage(merge --spec ${SPEC} --format csv ${CSV})
+  expect_usage(merge --spec ${SPEC} --import ${WORK_DIR} ${CSV})
+  expect_usage(list-workloads --json)
+  expect_usage(import-model ${WORK_DIR})
+  return()
+endif()
+
 function(expect_rejected expected_err)
   execute_process(COMMAND ${IMAC_RUN} run ${ARGN} ${PROGRAM}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -1,5 +1,5 @@
 // Sweep engine: spec parsing/validation, deterministic grid expansion,
-// duplicate-point deduplication, cancellation, and stable CSV/JSON report
+// duplicate-point deduplication, cancellation, and stable CSV report
 // emission.
 #include "core/sweep.h"
 
@@ -11,12 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "core/batch.h"
 #include "core/result_store.h"
 #include "core/rollup.h"
 #include "core/runner.h"
-#include "workloads/workloads.h"
 
 namespace indexmac::core {
 namespace {
@@ -116,7 +114,6 @@ TEST(SweepSpec, EngineKeyIsAcceptedAndIgnored) {
     SCOPED_TRACE(engine);
     const SweepReport report = sweep(with_engine(engine));
     EXPECT_EQ(report_to_csv(report), report_to_csv(plain));
-    EXPECT_EQ(report_to_json(report), report_to_json(plain));
   }
   EXPECT_THROW((void)parse_sweep_spec(with_engine("jit")), SimError);
 }
@@ -483,21 +480,28 @@ TEST(SweepRun, SimulatesEachDistinctMiniatureOnceAtAnyThreadCount) {
   // 16x512x16 miniature and the two ragged layers one 16x512x20 miniature:
   // 8 points (4 layers x 2 algorithms), 4 miniatures. On 4 threads a
   // layer's points start beside those of the layer sharing its miniatures.
-  if (!workloads::has_suite("shared-miniatures")) {
-    workloads::ModelGraph graph;
-    graph.name = graph.display_name = "shared-miniatures";
-    graph.default_sparsities = {sparse::kSparsity14};
-    const auto sp = workloads::SparsityProfile::declared(sparse::kSparsity14);
-    graph.layers = {{"two-strips", workloads::LayerKind::kLinear, {16, 512, 32}, 1, sp},
-                    {"four-strips", workloads::LayerKind::kLinear, {48, 512, 64}, 1, sp},
-                    {"ragged", workloads::LayerKind::kLinear, {16, 512, 20}, 1, sp},
-                    {"ragged-wide", workloads::LayerKind::kLinear, {32, 512, 52}, 1, sp}};
-    workloads::register_model(graph);
-  }
+  // run_sweep measures the points it is given and never looks a suite up,
+  // so they are built here in expansion order, not registered.
+  const std::pair<const char*, kernels::GemmDims> layers[] = {{"two-strips", {16, 512, 32}},
+                                                              {"four-strips", {48, 512, 64}},
+                                                              {"ragged", {16, 512, 20}},
+                                                              {"ragged-wide", {32, 512, 52}}};
+  std::vector<SweepPoint> points;
+  for (const auto& [workload, dims] : layers)
+    for (const Algorithm alg : {Algorithm::kRowwiseSpmm, Algorithm::kIndexmac}) {
+      SweepPoint p;
+      p.suite = "shared-miniatures";
+      p.workload = workload;
+      p.dims = dims;
+      p.sp = sparse::kSparsity14;
+      p.config.algorithm = alg;
+      p.config.kernel.unroll = 4;
+      points.push_back(p);
+    }
   // The miniature memo is process-wide, so each thread count gets a DRAM
   // latency no other test uses: its first sweep starts with no miniature.
   const auto spec_at = [](unsigned dram_latency) {
-    return parse_sweep_spec(R"({"name": "shared", "workloads": ["shared-miniatures"],
+    return parse_sweep_spec(R"({"name": "shared", "workloads": ["tiny"],
         "algorithms": ["rowwise", "indexmac"], "unroll": [4], "mode": "sampled",
         "sample_full_strips": 1, "processor": {"memory.dram_latency": )" +
                             std::to_string(dram_latency) + "}}");
@@ -507,9 +511,9 @@ TEST(SweepRun, SimulatesEachDistinctMiniatureOnceAtAnyThreadCount) {
     std::uint64_t points;
     std::uint64_t simulations;
   };
-  const auto sweep = [](const SweepSpec& spec, unsigned threads) {
+  const auto sweep = [&points](const SweepSpec& spec, unsigned threads) {
     const MiniatureCounts before = miniature_counts();
-    const SweepReport report = run_sweep(spec, expand_sweep(spec), threads);
+    const SweepReport report = run_sweep(spec, points, threads);
     const MiniatureCounts after = miniature_counts();
     for (const SweepRow& row : report.rows) {
       const MiniatureSpec mini =
@@ -682,18 +686,6 @@ TEST(SweepReportFormats, CsvIsStableAndRoundTrips) {
   EXPECT_EQ(report_to_csv(parsed), csv);
 }
 
-TEST(SweepReportFormats, JsonCarriesEveryRow) {
-  const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const SweepReport report = run_sweep(spec, expand_sweep(spec), 2);
-  const std::string json = report_to_json(report);
-  const JsonValue doc = parse_json(json);
-  EXPECT_EQ(doc.at("spec").as_string(), "unit");
-  ASSERT_EQ(doc.at("rows").as_array().size(), report.rows.size());
-  const JsonValue& row0 = doc.at("rows").as_array()[0];
-  EXPECT_EQ(row0.at("workload").as_string(), report.rows[0].point.workload);
-  EXPECT_DOUBLE_EQ(row0.at("cycles").as_number(), report.rows[0].cycles);
-}
-
 TEST(SweepReportFormats, ParserRejectsCorruptCsv) {
   EXPECT_THROW((void)parse_csv_report(""), SimError);
   EXPECT_THROW((void)parse_csv_report("not,a,header\n"), SimError);
@@ -818,27 +810,6 @@ TEST(Rollup, CsvSectionAppendsAfterPointRowsAndParserStopsAtMarker) {
   const SweepReport parsed = parse_csv_report(plain_csv + rollup_csv);
   ASSERT_EQ(parsed.rows.size(), report.rows.size());
   EXPECT_EQ(report_to_csv(parsed), plain_csv);
-}
-
-TEST(Rollup, JsonReportCarriesRollupSection) {
-  const SweepSpec spec = parse_sweep_spec(kTinySpec);
-  const SweepReport report = run_sweep(spec, expand_sweep(spec), 2);
-  const RollupReport rollup = compute_rollup(report);
-  const std::string json = report_to_json_with_rollup(report, rollup);
-  const JsonValue doc = parse_json(json);
-  // The base document is unchanged — the rollup is purely additive.
-  EXPECT_EQ(doc.at("spec").as_string(), "unit");
-  EXPECT_EQ(doc.at("rows").as_array().size(), report.rows.size());
-  const auto& rows = doc.at("rollup").as_array();
-  ASSERT_EQ(rows.size(), rollup.rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].at("suite").as_string(), rollup.rows[i].suite);
-    EXPECT_DOUBLE_EQ(rows[i].at("cycles").as_number(), rollup.rows[i].cycles);
-    EXPECT_EQ(static_cast<std::uint64_t>(rows[i].at("energy_proxy_bytes").as_number()),
-              rollup.rows[i].energy_proxy_bytes());
-    EXPECT_EQ(static_cast<std::size_t>(rows[i].at("layers").as_number()),
-              rollup.rows[i].layers);
-  }
 }
 
 }  // namespace

@@ -4,18 +4,15 @@
 //   run             assemble + execute a text-assembly program (functional
 //                   or cycle-level timing simulation)
 //   sweep           execute a declarative sweep spec (JSON) over the
-//                   workload registry and emit a CSV/JSON report; with
+//                   workload registry and emit a CSV report; with
 //                   --store/--resume/--shard the run is crash-safe,
 //                   restartable, and horizontally partitionable
 //   merge           fuse shard stores and/or shard CSV reports back into
 //                   the canonical single-process report
 //   list-workloads  show the registered workload suites (or one suite's
-//                   layer list); --json for tooling
+//                   layer list)
 //   list-algorithms show the registered kernel families (id, name, report
 //                   role, sampled-mode support)
-//   import-model    load a pruned checkpoint directory (model.json +
-//                   IMACTNSR tensor blobs) and print its measured
-//                   per-layer sparsity; `sweep --import DIR` registers it
 //   report          pretty-print a sweep CSV, pairing algorithms into
 //                   speedup columns by their registry pairing role; with
 //                   --rollup, fold count-weighted rows into whole-network
@@ -47,7 +44,6 @@
 #include "fsim/machine.h"
 #include "fsim/tracer.h"
 #include "timing/timing_sim.h"
-#include "workloads/model_import.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -83,10 +79,9 @@ const SubcommandDoc kSubcommands[] = {
      "      --max-steps N  stop after N instructions (default 100000000)\n"
      "      --dump-regs    print architectural registers on exit\n"
      "                     (functional mode)\n"},
-    {"sweep", "run a declarative sweep spec and emit a CSV/JSON report",
-     "  sweep --spec spec.json [--out file] [--format csv|json] [--threads N]\n"
-     "        [--store DIR] [--resume] [--fsync] [--shard i/N]\n"
-     "        [--import DIR]... [--rollup]\n"
+    {"sweep", "run a declarative sweep spec and emit a CSV report",
+     "  sweep --spec spec.json [--out file] [--threads N]\n"
+     "        [--store DIR] [--resume] [--fsync] [--shard i/N] [--rollup]\n"
      "      Runs the sweep described by spec.json (see README: sweep specs)\n"
      "      on parallel worker threads and writes the report to stdout or\n"
      "      --out.\n"
@@ -101,44 +96,30 @@ const SubcommandDoc kSubcommands[] = {
      "                    disjoint shards cover the grid exactly once\n"
      "      --fsync       with --store: fsync the journal after every record\n"
      "                    (survives power loss, not just process death)\n"
-     "      --import DIR  register the checkpoint in DIR (see import-model)\n"
-     "                    before parsing the spec, so specs can sweep it\n"
      "      --rollup      append whole-network totals to the report: a\n"
-     "                    \"# rollup\" CSV section / \"rollup\" JSON key with\n"
-     "                    count-weighted end-to-end cycles and a bytes-moved\n"
-     "                    energy proxy per (suite x sparsity x config)\n"
+     "                    \"# rollup\" CSV section with count-weighted\n"
+     "                    end-to-end cycles and a bytes-moved energy proxy\n"
+     "                    per (suite x sparsity x config)\n"
      "      SIGINT/SIGTERM stop gracefully: queued points are skipped,\n"
      "      in-flight points finish and journal, and the run exits 130 with\n"
      "      a resume hint (rerun with --resume).\n"},
     {"merge", "fuse shard stores/reports into the canonical report",
-     "  merge --spec spec.json [--store DIR]... [--out file] [--format csv|json]\n"
-     "        [--import DIR]... [shard.csv]...\n"
+     "  merge --spec spec.json [--store DIR]... [--out file] [shard.csv]...\n"
      "      Fuses shard stores and/or shard CSV reports into the canonical\n"
      "      report of spec.json — byte-identical to a single-process sweep.\n"
      "      Conflicting or missing points abort with an error, as does a\n"
      "      --store DIR with no DIR/results.journal (merge creates nothing).\n"
      "      Stores keep full double precision; shard CSVs round sampled-mode\n"
-     "      cycles to 2 decimals, so for sampled sweeps merge from stores\n"
-     "      (CSV inputs still give byte-exact CSV output, but not JSON, and\n"
-     "      must not overlap a store's points).\n"},
+     "      cycles to 2 decimals: CSV inputs still give byte-exact output,\n"
+     "      but must not overlap a store's sampled points.\n"},
     {"list-workloads", "show registered workload suites (or one suite's layers)",
-     "  list-workloads [suite] [--json]\n"
-     "      Lists the registered workload suites, or one suite's layers.\n"
-     "      --json emits a machine-readable listing (name, display name,\n"
-     "      layer count, total MACs, default sparsities) for tooling.\n"},
+     "  list-workloads [suite]\n"
+     "      Lists the registered workload suites, or one suite's layers.\n"},
     {"list-algorithms", "show registered kernel families",
      "  list-algorithms\n"
      "      Lists the registered kernel families: id (as used in sweep specs\n"
      "      and CSV reports), display name, report pairing role, and whether\n"
      "      sampled sweep mode supports the family.\n"},
-    {"import-model", "load a pruned checkpoint and print measured sparsity",
-     "  import-model DIR [--json]\n"
-     "      Loads the checkpoint in DIR (model.json manifest + IMACTNSR\n"
-     "      tensor blobs, f32/f16; see README: model import) and prints each\n"
-     "      layer's measured sparsity: nonzero density, N:M block\n"
-     "      conformity against the declared pattern, and ELLPACK\n"
-     "      row-imbalance. Sweep it with `sweep --import DIR` and a spec\n"
-     "      naming the model.\n"},
     {"report", "pretty-print a sweep CSV with paired speedup columns",
      "  report [--rollup] file.csv\n"
      "      Pretty-prints a sweep CSV; rows measured with both kernels are\n"
@@ -326,31 +307,20 @@ int cmd_sweep(int argc, char** argv) {
   const char* shard_text = nullptr;
   bool resume = false;
   bool fsync_each = false;
-  bool json = false;
   bool rollup = false;
   unsigned threads = 0;
-  std::vector<const char*> import_dirs;
 
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--spec") == 0 && i + 1 < argc) spec_path = argv[++i];
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
     else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) store_dir = argv[++i];
     else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) shard_text = argv[++i];
-    else if (std::strcmp(argv[i], "--import") == 0 && i + 1 < argc) import_dirs.push_back(argv[++i]);
     else if (std::strcmp(argv[i], "--resume") == 0) resume = true;
     else if (std::strcmp(argv[i], "--rollup") == 0) rollup = true;
     else if (std::strcmp(argv[i], "--fsync") == 0) fsync_each = true;
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
       threads = core::parse_thread_count(argv[++i]);
-    else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      const char* fmt = argv[++i];
-      if (std::strcmp(fmt, "json") == 0) json = true;
-      else if (std::strcmp(fmt, "csv") == 0) json = false;
-      else {
-        std::fprintf(stderr, "imac_run sweep: unknown format %s (csv|json)\n", fmt);
-        return 2;
-      }
-    } else {
+    else {
       usage(stderr);
       return 2;
     }
@@ -366,14 +336,6 @@ int cmd_sweep(int argc, char** argv) {
   if (fsync_each && store_dir == nullptr) {
     std::fprintf(stderr, "imac_run sweep: --fsync requires --store DIR\n");
     return 2;
-  }
-
-  // Checkpoints register before the spec parses: parse_sweep_spec rejects
-  // unknown suite names, so a spec may only sweep an imported model when
-  // its --import precedes validation.
-  for (const char* dir : import_dirs) {
-    workloads::register_model(workloads::import_model(dir));
-    std::fprintf(stderr, "imported %s\n", dir);
   }
 
   const core::SweepSpec spec = core::parse_sweep_spec_file(spec_path);
@@ -422,14 +384,8 @@ int cmd_sweep(int argc, char** argv) {
                    static_cast<unsigned long long>(counts.simulations),
                    static_cast<unsigned long long>(counts.lookups));
     }
-    std::string rendered;
-    if (rollup) {
-      const core::RollupReport totals = core::compute_rollup(report);
-      rendered = json ? core::report_to_json_with_rollup(report, totals)
-                      : core::report_to_csv(report) + core::rollup_to_csv(totals);
-    } else {
-      rendered = json ? core::report_to_json(report) : core::report_to_csv(report);
-    }
+    std::string rendered = core::report_to_csv(report);
+    if (rollup) rendered += core::rollup_to_csv(core::compute_rollup(report));
     return write_report(rendered, out_path, report.rows.size(), "sweep");
   } catch (const core::BatchCancelled&) {
     // Graceful interrupt: in-flight points finished and (with --store)
@@ -455,7 +411,6 @@ int cmd_merge(int argc, char** argv) {
   using namespace indexmac;
   const char* spec_path = nullptr;
   const char* out_path = nullptr;
-  bool json = false;
   std::vector<const char*> store_dirs;
   std::vector<const char*> csv_paths;
 
@@ -463,20 +418,7 @@ int cmd_merge(int argc, char** argv) {
     if (std::strcmp(argv[i], "--spec") == 0 && i + 1 < argc) spec_path = argv[++i];
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
     else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) store_dirs.push_back(argv[++i]);
-    else if (std::strcmp(argv[i], "--import") == 0 && i + 1 < argc) {
-      // Same contract as sweep --import: the spec names the model, so the
-      // checkpoint must register before the spec parses below.
-      workloads::register_model(workloads::import_model(argv[++i]));
-    }
-    else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      const char* fmt = argv[++i];
-      if (std::strcmp(fmt, "json") == 0) json = true;
-      else if (std::strcmp(fmt, "csv") == 0) json = false;
-      else {
-        std::fprintf(stderr, "imac_run merge: unknown format %s (csv|json)\n", fmt);
-        return 2;
-      }
-    } else if (argv[i][0] != '-') {
+    else if (argv[i][0] != '-') {
       csv_paths.push_back(argv[i]);
     } else {
       usage(stderr);
@@ -525,72 +467,18 @@ int cmd_merge(int argc, char** argv) {
   }
 
   const core::SweepReport report = core::assemble_report(spec, merged);
-  const std::string rendered = json ? core::report_to_json(report) : core::report_to_csv(report);
-  return write_report(rendered, out_path, report.rows.size(), "merge");
-}
-
-/// Machine-readable suite facts: the fields tooling keys sweeps off
-/// (satellite of the model-IR refactor). One object per suite, or layer
-/// detail (kind, geometry, sparsity profile) when a suite is named.
-indexmac::JsonValue suite_json(const indexmac::workloads::ModelGraph& graph,
-                               bool with_layers) {
-  using namespace indexmac;
-  JsonValue o = JsonValue::make_object();
-  o.set("name", JsonValue(graph.name));
-  o.set("display_name", JsonValue(graph.display_name));
-  o.set("description", JsonValue(graph.description));
-  o.set("layers", JsonValue(static_cast<double>(graph.layer_count())));
-  o.set("workloads", JsonValue(static_cast<double>(graph.layers.size())));
-  o.set("total_macs", JsonValue(static_cast<double>(graph.total_macs())));
-  JsonValue sparsities = JsonValue::make_array();
-  for (const auto sp : graph.default_sparsities)
-    sparsities.push_back(JsonValue(workloads::sparsity_label(sp)));
-  o.set("sparsities", std::move(sparsities));
-  o.set("measured", JsonValue(graph.measured));
-  if (!with_layers) return o;
-  JsonValue layers = JsonValue::make_array();
-  for (const workloads::LayerRecord& layer : graph.layers) {
-    JsonValue l = JsonValue::make_object();
-    l.set("name", JsonValue(layer.name));
-    l.set("kind", JsonValue(std::string(workloads::layer_kind_id(layer.kind))));
-    l.set("rows", JsonValue(static_cast<double>(layer.gemm.rows_a)));
-    l.set("k", JsonValue(static_cast<double>(layer.gemm.k)));
-    l.set("cols", JsonValue(static_cast<double>(layer.gemm.cols_b)));
-    l.set("repeat", JsonValue(static_cast<double>(layer.repeat)));
-    l.set("macs", JsonValue(static_cast<double>(layer.macs())));
-    l.set("sparsity", JsonValue(workloads::sparsity_label(layer.sparsity.pattern)));
-    l.set("measured", JsonValue(layer.sparsity.measured));
-    l.set("density", JsonValue(layer.sparsity.density));
-    l.set("nm_conformity", JsonValue(layer.sparsity.nm_conformity));
-    l.set("row_imbalance", JsonValue(layer.sparsity.row_imbalance));
-    layers.push_back(std::move(l));
-  }
-  o.set("layer_records", std::move(layers));
-  return o;
+  return write_report(core::report_to_csv(report), out_path, report.rows.size(), "merge");
 }
 
 int cmd_list_workloads(int argc, char** argv) {
   using namespace indexmac;
-  bool json = false;
   const char* suite_name = nullptr;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    else if (argv[i][0] != '-' && suite_name == nullptr) suite_name = argv[i];
+    if (argv[i][0] != '-' && suite_name == nullptr) suite_name = argv[i];
     else {
       usage(stderr);
       return 2;
     }
-  }
-  if (json) {
-    if (suite_name != nullptr) {
-      std::printf("%s\n", suite_json(workloads::model_graph(suite_name), true).dump().c_str());
-      return 0;
-    }
-    JsonValue doc = JsonValue::make_array();
-    for (const std::string& name : workloads::suite_names())
-      doc.push_back(suite_json(workloads::model_graph(name), false));
-    std::printf("%s\n", doc.dump().c_str());
-    return 0;
   }
   if (suite_name != nullptr) {
     const workloads::ModelGraph& graph = workloads::model_graph(suite_name);
@@ -633,48 +521,6 @@ int cmd_list_algorithms(int argc, char** /*argv*/) {
     table.add_row({row.id, row.display_name, core::pairing_role_name(row.pairing),
                    row.supports_sampled ? "yes" : "no", row.description});
   std::printf("%s", table.to_string().c_str());
-  return 0;
-}
-
-int cmd_import_model(int argc, char** argv) {
-  using namespace indexmac;
-  bool json = false;
-  const char* dir = nullptr;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    else if (argv[i][0] != '-' && dir == nullptr) dir = argv[i];
-    else {
-      usage(stderr);
-      return 2;
-    }
-  }
-  if (dir == nullptr) {
-    std::fprintf(stderr, "imac_run import-model: checkpoint directory is required\n");
-    return 2;
-  }
-  const workloads::ModelGraph graph = workloads::import_model(dir);
-  if (json) {
-    std::printf("%s\n", suite_json(graph, true).dump().c_str());
-    return 0;
-  }
-  std::printf("%s (%s): %zu layers, %.2f GMACs\n\n", graph.name.c_str(),
-              graph.display_name.c_str(), graph.layer_count(),
-              static_cast<double>(graph.total_macs()) / 1e9);
-  TextTable table;
-  table.set_header({"layer", "kind", "GEMM (RxKxN)", "repeat", "pattern", "density",
-                    "conformity", "imbalance"});
-  for (const workloads::LayerRecord& layer : graph.layers)
-    table.add_row({layer.name, workloads::layer_kind_id(layer.kind), dims_label(layer.gemm),
-                   std::to_string(layer.repeat),
-                   workloads::sparsity_label(layer.sparsity.pattern),
-                   fmt_fixed(layer.sparsity.density, 4),
-                   fmt_fixed(layer.sparsity.nm_conformity, 4),
-                   fmt_fixed(layer.sparsity.row_imbalance, 4)});
-  std::printf("%s", table.to_string().c_str());
-  std::printf(
-      "\nsweep it: imac_run sweep --import %s --spec spec.json with \"workloads\": "
-      "[\"%s\"]\n",
-      dir, graph.name.c_str());
   return 0;
 }
 
@@ -878,7 +724,6 @@ int main(int argc, char** argv) {
       if (std::strcmp(cmd, "merge") == 0) return cmd_merge(nrest, rest);
       if (std::strcmp(cmd, "list-workloads") == 0) return cmd_list_workloads(nrest, rest);
       if (std::strcmp(cmd, "list-algorithms") == 0) return cmd_list_algorithms(nrest, rest);
-      if (std::strcmp(cmd, "import-model") == 0) return cmd_import_model(nrest, rest);
       return cmd_report(nrest, rest);
     }
     // Historical interface: flags + a .s file, no subcommand.
